@@ -11,7 +11,9 @@ package dyndbscan_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"dyndbscan"
@@ -445,25 +447,79 @@ func BenchmarkSubstrateDynConn(b *testing.B) {
 	})
 }
 
+// BenchmarkSubstrateKDTree measures the per-cell emptiness structure at the
+// set sizes a grid cell holds: n core points spread over one cell of side
+// ε/√d, in d = 2 and d = 5. "churn" deletes a random live point and inserts
+// a fresh one per op; "probe" runs the banded ε-emptiness query from a point
+// anywhere in the cell's ε-neighbourhood. Both report B/point, the live heap
+// of a tree built by n inserts divided by n (the points themselves are
+// owned by the caller and not counted).
 func BenchmarkSubstrateKDTree(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	tr := kdtree.New(3)
-	for i := int64(0); i < 5000; i++ {
-		tr.Insert(i, geom.Point{rng.Float64() * 100, rng.Float64() * 100, rng.Float64() * 100})
+	const eps, rho = 100.0, 0.001
+	for _, d := range []int{2, 5} {
+		side := eps / math.Sqrt(float64(d))
+		pt := func(rng *rand.Rand, lo, hi float64) geom.Point {
+			p := make(geom.Point, d)
+			for i := range p {
+				p[i] = lo + rng.Float64()*(hi-lo)
+			}
+			return p
+		}
+		for _, n := range []int{64, 1 << 10, 8 << 10} {
+			// setup builds the tree and returns its heap per point, which is
+			// reported after the timed loop (ResetTimer drops metrics).
+			setup := func() (*kdtree.Tree, *rand.Rand, []int64, float64) {
+				rng := rand.New(rand.NewSource(int64(100*d + n)))
+				pts := make([]geom.Point, n)
+				for i := range pts {
+					pts[i] = pt(rng, 0, side)
+				}
+				var before, after runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&before)
+				tr := kdtree.New(d)
+				ids := make([]int64, n)
+				for i, p := range pts {
+					tr.Insert(int64(i), p)
+					ids[i] = int64(i)
+				}
+				runtime.GC()
+				runtime.ReadMemStats(&after)
+				return tr, rng, ids, float64(after.HeapAlloc-before.HeapAlloc-uint64(cap(ids))*8) / float64(n)
+			}
+			b.Run(fmt.Sprintf("d%d/n%d/churn", d, n), func(b *testing.B) {
+				tr, rng, ids, perPoint := setup()
+				fresh := make([]geom.Point, 4096)
+				for i := range fresh {
+					fresh[i] = pt(rng, 0, side)
+				}
+				next := int64(n)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					k := rng.Intn(len(ids))
+					tr.Delete(ids[k])
+					tr.Insert(next, fresh[i%len(fresh)])
+					ids[k] = next
+					next++
+				}
+				b.ReportMetric(perPoint, "B/point")
+			})
+			b.Run(fmt.Sprintf("d%d/n%d/probe", d, n), func(b *testing.B) {
+				tr, rng, _, perPoint := setup()
+				qs := make([]geom.Point, 4096)
+				for i := range qs {
+					qs[i] = pt(rng, -eps, side+eps)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					tr.Probe(qs[i%len(qs)], eps, eps*(1+rho))
+				}
+				b.ReportMetric(perPoint, "B/point")
+			})
+		}
 	}
-	b.Run("Probe", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			q := geom.Point{rng.Float64() * 100, rng.Float64() * 100, rng.Float64() * 100}
-			tr.Probe(q, 5, 5.005)
-		}
-	})
-	b.Run("Nearest", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			q := geom.Point{rng.Float64() * 100, rng.Float64() * 100, rng.Float64() * 100}
-			tr.Nearest(q)
-		}
-	})
 }
 
 func BenchmarkSubstrateQuadtree(b *testing.B) {

@@ -39,7 +39,7 @@ func (f *FullyDynamic) Audit() error {
 	// records whose cell pointer was moved away from a now-orphaned cell).
 	cells := make(map[*cell]struct{})
 	for id, rec := range f.points {
-		if rec.idx >= len(rec.cell.pts) || rec.cell.pts[rec.idx] != rec {
+		if int(rec.idx) >= len(rec.cell.pts) || rec.cell.pts[rec.idx] != rec {
 			return fmt.Errorf("audit: point %d not at its recorded cell position", id)
 		}
 		cells[rec.cell] = struct{}{}
@@ -50,7 +50,7 @@ func (f *FullyDynamic) Audit() error {
 		}
 		cores := 0
 		for i, p := range c.pts {
-			if p.idx != i || p.cell != c {
+			if int(p.idx) != i || p.cell != c {
 				return fmt.Errorf("audit: point %d has stale cell position", p.id)
 			}
 			if f.geo.CellOf(p.pt) != c.coord {
@@ -58,14 +58,18 @@ func (f *FullyDynamic) Audit() error {
 			}
 			if p.core {
 				cores++
-				if p.coreNode == nil || !c.coreTree.Has(p.id) {
+				if p.coreNode == nil || c.coreTree == nil || !c.coreTree.Has(p.id) {
 					return fmt.Errorf("audit: core point %d missing from core structures", p.id)
 				}
-			} else if p.coreNode != nil || c.coreTree.Has(p.id) {
+			} else if p.coreNode != nil || (c.coreTree != nil && c.coreTree.Has(p.id)) {
 				return fmt.Errorf("audit: non-core point %d present in core structures", p.id)
 			}
 		}
-		if cores != c.coreCount || c.coreTree.Len() != cores || c.coreList.Len() != cores {
+		if (c.coreTree != nil) != (cores > 0) || (c.coreList != nil) != (cores > 0) || cores > 0 && c.probe == nil {
+			return fmt.Errorf("audit: cell %v with %d core points has tree=%v list=%v probe=%v",
+				c.coord.Render(f.cfg.Dims), cores, c.coreTree != nil, c.coreList != nil, c.probe != nil)
+		}
+		if cores != c.coreCount || cores > 0 && (c.coreTree.Len() != cores || c.coreList.Len() != cores) {
 			return fmt.Errorf("audit: cell %v core counters inconsistent", c.coord.Render(f.cfg.Dims))
 		}
 		if err := auditNonCoreList(c, f.cfg.Dims); err != nil {
@@ -142,7 +146,7 @@ func auditNonCoreList(c *cell, dims int) error {
 		if p.core {
 			return fmt.Errorf("audit: core point %d in nonCore list", p.id)
 		}
-		if p.ncIdx != i || p.cell != c {
+		if int(p.ncIdx) != i || p.cell != c {
 			return fmt.Errorf("audit: point %d has stale nonCore position", p.id)
 		}
 	}
@@ -187,7 +191,7 @@ func (s *SemiDynamic) Audit() error {
 		if rec.core != (ball >= minPts) {
 			return fmt.Errorf("audit: point %d core=%v but |B(ε)|=%d (MinPts=%d)", id, rec.core, ball, minPts)
 		}
-		if !rec.core && rec.vincnt != ball {
+		if !rec.core && int(rec.vincnt) != ball {
 			return fmt.Errorf("audit: point %d vincnt=%d but |B(ε)|=%d", id, rec.vincnt, ball)
 		}
 	}
@@ -202,7 +206,11 @@ func (s *SemiDynamic) Audit() error {
 				cores++
 			}
 		}
-		if cores != c.coreCount || c.coreTree.Len() != cores {
+		if (c.coreTree != nil) != (cores > 0) {
+			return fmt.Errorf("audit: cell %v with %d core points has tree=%v",
+				c.coord.Render(s.cfg.Dims), cores, c.coreTree != nil)
+		}
+		if cores != c.coreCount || cores > 0 && c.coreTree.Len() != cores {
 			return fmt.Errorf("audit: cell %v core counters inconsistent", c.coord.Render(s.cfg.Dims))
 		}
 		if err := auditNonCoreList(c, s.cfg.Dims); err != nil {

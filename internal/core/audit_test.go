@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dyndbscan/internal/geom"
+	"dyndbscan/internal/kdtree"
 )
 
 // These tests inject faults into otherwise healthy clusterers and assert the
@@ -207,5 +208,23 @@ func TestAuditOnEmpty(t *testing.T) {
 	_ = f.Delete(id)
 	if err := f.Audit(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestAuditDetectsStrayCoreStructures(t *testing.T) {
+	f := healthyFullyDynamic(t)
+	var bare *cell
+	for _, rec := range f.points {
+		if rec.cell.coreCount == 0 {
+			bare = rec.cell
+			break
+		}
+	}
+	if bare == nil {
+		t.Skip("fixture has no non-core cell")
+	}
+	bare.coreTree = kdtree.New(2)
+	if err := f.Audit(); err == nil || !strings.Contains(err.Error(), "tree=true") {
+		t.Fatalf("audit missed an emptiness structure on a non-core cell: %v", err)
 	}
 }

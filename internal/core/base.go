@@ -11,18 +11,20 @@ import (
 
 // pointRec is the per-point state shared by all algorithms. Fields that only
 // one algorithm uses are documented as such; keeping them inline avoids a
-// second map lookup on the hot update paths.
+// second map lookup on the hot update paths. The positions and the
+// algorithm-only counters are int32 so that a record fits the 80-byte size
+// class.
 type pointRec struct {
-	id    PointID
-	pt    geom.Point
-	cell  *cell
-	idx   int // position in cell.pts
-	ncIdx int // position in cell.nonCore while non-core; -1 otherwise
-	core  bool
+	id       PointID
+	pt       geom.Point
+	cell     *cell
+	coreNode *abcp.Node // FullyDynamic: membership in cell.coreList while core
+	idx      int32      // position in cell.pts
+	ncIdx    int32      // position in cell.nonCore while non-core; -1 otherwise
 
-	vincnt      int        // exact |B(p,ε)| (SemiDynamic: non-core only; IncDBSCAN: all points)
-	coreNode    *abcp.Node // FullyDynamic: membership in cell.coreList while core
-	clusterElem int        // IncDBSCAN: union-find element of the cluster id; -1 if none
+	vincnt      int32 // exact |B(p,ε)| (SemiDynamic: non-core only; IncDBSCAN: all points)
+	clusterElem int32 // IncDBSCAN: union-find element of the cluster id; -1 if none
+	core        bool
 }
 
 // neighborLink records one occupied cell within (1+ρ)ε box distance. eps
@@ -34,7 +36,9 @@ type neighborLink struct {
 }
 
 // cell is one occupied grid cell: its points, its core-point substructures,
-// its ε-close neighborhood, and its grid-graph bookkeeping.
+// its ε-close neighborhood, and its grid-graph bookkeeping. The core-point
+// substructures are allocated by the algorithm that uses them when the cell
+// gains its first core point; IncDBSCAN uses none of them.
 type cell struct {
 	coord grid.Coord
 	pts   []*pointRec
@@ -46,8 +50,8 @@ type cell struct {
 	nonCore []*pointRec
 
 	coreCount int
-	coreTree  *kdtree.Tree // emptiness structure over the cell's core points
-	coreList  *abcp.List   // FullyDynamic: insertion-ordered core points
+	coreTree  *kdtree.Tree // emptiness structure over the cell's core points; nil while none
+	coreList  *abcp.List   // FullyDynamic: insertion-ordered core points; nil while none
 
 	neighbors []neighborLink
 
@@ -55,7 +59,16 @@ type cell struct {
 	edges     map[*cell]struct{}       // SemiDynamic: adjacent core cells in G
 	vertexID  int64                    // FullyDynamic: CC vertex while core; -1 otherwise
 	instances map[*cell]*abcp.Instance // FullyDynamic: aBCP per ε-close core cell
+	probe     abcp.ProbeFunc           // FullyDynamic: aBCP view of coreTree, built once
 	cluster   ClusterID                // FullyDynamic: stable cluster id while core; -1 otherwise
+}
+
+// put sets (*m)[k] = v, allocating the map on first use.
+func put[V any](m *map[*cell]V, k *cell, v V) {
+	if *m == nil {
+		*m = make(map[*cell]V)
+	}
+	(*m)[k] = v
 }
 
 // base is the shared machinery of Section 4: the grid, the occupied-cell
@@ -133,16 +146,7 @@ func (b *base) cellAt(coord grid.Coord) *cell {
 	if c, ok := b.idx.Get(coord); ok {
 		return c
 	}
-	c := &cell{
-		coord:     coord,
-		coreTree:  kdtree.New(b.cfg.Dims),
-		coreList:  abcp.NewList(),
-		ufID:      -1,
-		vertexID:  -1,
-		cluster:   -1,
-		edges:     make(map[*cell]struct{}),
-		instances: make(map[*cell]*abcp.Instance),
-	}
+	c := &cell{coord: coord, ufID: -1, vertexID: -1, cluster: -1}
 	b.idx.QueryClose(coord, b.rUp, func(oc grid.Coord, other *cell) bool {
 		eps := b.geo.EpsClose(coord, oc)
 		c.neighbors = append(c.neighbors, neighborLink{c: other, eps: eps})
@@ -193,9 +197,9 @@ func (b *base) placePoint(pt geom.Point, coord grid.Coord) *pointRec {
 	b.noteUpdDirty(coord)
 	c := b.cellAt(coord)
 	rec.cell = c
-	rec.idx = len(c.pts)
+	rec.idx = int32(len(c.pts))
 	c.pts = append(c.pts, rec)
-	rec.ncIdx = len(c.nonCore)
+	rec.ncIdx = int32(len(c.nonCore))
 	c.nonCore = append(c.nonCore, rec)
 	b.points[rec.id] = rec
 	return rec
@@ -228,7 +232,7 @@ func (b *base) markNonCore(rec *pointRec) {
 	}
 	rec.core = false
 	c := rec.cell
-	rec.ncIdx = len(c.nonCore)
+	rec.ncIdx = int32(len(c.nonCore))
 	c.nonCore = append(c.nonCore, rec)
 	c.coreCount--
 	b.noteUpdDirty(c.coord)
@@ -361,19 +365,6 @@ func dedupClusterIDs(ids []ClusterID) []ClusterID {
 	return ids[:w]
 }
 
-// coreCellCount and edge statistics used by Stats.
-func (b *base) statsCells() (cells, coreCells int) {
-	cells = b.idx.Len()
-	// Count via the point table to avoid walking the index.
-	seen := make(map[*cell]struct{})
-	for _, rec := range b.points {
-		if rec.cell.coreCount > 0 {
-			seen[rec.cell] = struct{}{}
-		}
-	}
-	return cells, len(seen)
-}
-
 // Stats is a snapshot of structural counters, useful for observability in
 // examples and benchmarks.
 type Stats struct {
@@ -383,13 +374,15 @@ type Stats struct {
 	Cores     int
 }
 
+// stats walks the occupied cells once: O(cells), no allocation.
 func (b *base) stats() Stats {
-	cells, coreCells := b.statsCells()
-	cores := 0
-	for _, rec := range b.points {
-		if rec.core {
-			cores++
+	st := Stats{Points: len(b.points), Cells: b.idx.Len()}
+	b.idx.ForEach(func(_ grid.Coord, c *cell) bool {
+		if c.coreCount > 0 {
+			st.CoreCells++
+			st.Cores += c.coreCount
 		}
-	}
-	return Stats{Points: len(b.points), Cells: cells, CoreCells: coreCells, Cores: cores}
+		return true
+	})
+	return st
 }

@@ -4,6 +4,7 @@ import (
 	"dyndbscan/internal/abcp"
 	"dyndbscan/internal/dyncon"
 	"dyndbscan/internal/geom"
+	"dyndbscan/internal/kdtree"
 	"dyndbscan/internal/quadtree"
 )
 
@@ -166,6 +167,12 @@ func (f *FullyDynamic) promote(p *pointRec) {
 	f.markCore(p)
 	f.fire(Event{Kind: EventPointBecameCore, Point: p.id})
 	c := p.cell
+	if c.coreCount == 1 {
+		c.coreTree, c.coreList = kdtree.New(f.cfg.Dims), abcp.NewList()
+		if c.probe == nil {
+			c.probe = f.probeFn(c)
+		}
+	}
 	c.coreTree.Insert(p.id, p.pt)
 	p.coreNode = c.coreList.Append(p.id, p.pt)
 
@@ -192,9 +199,9 @@ func (f *FullyDynamic) promote(p *pointRec) {
 		if !ln.eps || nc.coreCount == 0 {
 			continue
 		}
-		inst := abcp.New(c.coreList, nc.coreList, f.probeFn(c), f.probeFn(nc))
-		c.instances[nc] = inst
-		nc.instances[c] = inst
+		inst := abcp.New(c.coreList, nc.coreList, c.probe, nc.probe)
+		put(&c.instances, nc, inst)
+		put(&nc.instances, c, inst)
 		if inst.HasWitness() {
 			f.connectCells(c, nc)
 		}
@@ -282,9 +289,9 @@ func (f *FullyDynamic) retireCore(p *pointRec, deleted bool) {
 	}
 }
 
-// unmakeCoreCell destroys the aBCP instances of a cell that lost its last
-// core point and removes its grid-graph vertex; the single-cell cluster the
-// vertex had become dissolves with it.
+// unmakeCoreCell destroys the aBCP instances and core structures of a cell
+// that lost its last core point and removes its grid-graph vertex; the
+// single-cell cluster the vertex had become dissolves with it.
 func (f *FullyDynamic) unmakeCoreCell(c *cell) {
 	for other, inst := range c.instances {
 		if inst.HasWitness() {
@@ -292,7 +299,7 @@ func (f *FullyDynamic) unmakeCoreCell(c *cell) {
 		}
 		delete(other.instances, c)
 	}
-	c.instances = make(map[*cell]*abcp.Instance)
+	c.instances, c.coreTree, c.coreList = nil, nil, nil
 	f.fire(Event{Kind: EventClusterDissolved, Cluster: c.cluster})
 	delete(f.cellOfVertex, c.vertexID)
 	f.cc.RemoveVertex(c.vertexID)
@@ -301,7 +308,8 @@ func (f *FullyDynamic) unmakeCoreCell(c *cell) {
 }
 
 // probeFn adapts the cell's emptiness structure to the aBCP probe contract,
-// translating point ids back into core-list nodes.
+// translating point ids back into core-list nodes. It reads c.coreTree at
+// call time, so one closure serves the cell across core-structure rebirths.
 func (f *FullyDynamic) probeFn(c *cell) abcp.ProbeFunc {
 	return func(q geom.Point) (*abcp.Node, bool) {
 		id, _, ok := c.coreTree.Probe(q, f.cfg.Eps, f.rUp)

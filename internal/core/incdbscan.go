@@ -121,11 +121,11 @@ func (ic *IncDBSCAN) insertRec(rec *pointRec) PointID {
 		}
 		p.vincnt++
 		rec.vincnt++
-		if !p.core && p.vincnt >= ic.cfg.MinPts {
+		if !p.core && int(p.vincnt) >= ic.cfg.MinPts {
 			promoted = append(promoted, p)
 		}
 	})
-	if rec.vincnt >= ic.cfg.MinPts {
+	if int(rec.vincnt) >= ic.cfg.MinPts {
 		promoted = append(promoted, rec)
 	}
 	// Mark first so each promotion's range query sees the whole batch, then
@@ -135,16 +135,16 @@ func (ic *IncDBSCAN) insertRec(rec *pointRec) PointID {
 		ic.fire(Event{Kind: EventPointBecameCore, Point: p.id})
 	}
 	for _, p := range promoted {
-		p.clusterElem = ic.clusters.Add()
+		p.clusterElem = int32(ic.clusters.Add())
 		for _, nb := range ic.coresWithin(p.pt, p.cell) {
 			if nb != p && nb.clusterElem >= 0 {
-				ic.unionClusters(p.clusterElem, nb.clusterElem)
+				ic.unionClusters(int(p.clusterElem), int(nb.clusterElem))
 			}
 		}
 		// A stable id is assigned only once the promoted point's final set is
 		// known: joining an existing cluster inherits that cluster's id (no
 		// event); a set that is still unlabeled is a brand-new cluster.
-		r := ic.clusters.Find(p.clusterElem)
+		r := ic.clusters.Find(int(p.clusterElem))
 		if _, ok := ic.rootCluster[r]; !ok {
 			ic.rootCluster[r] = ic.newClusterID()
 			ic.fire(Event{Kind: EventClusterFormed, Cluster: ic.rootCluster[r]})
@@ -190,7 +190,7 @@ func (ic *IncDBSCAN) unionClusters(a, b int) {
 // dropCore retires one core point from its cluster's core count, dissolving
 // the cluster when the last core is gone. p.clusterElem must still be set.
 func (ic *IncDBSCAN) dropCore(p *pointRec) {
-	r := ic.clusters.Find(p.clusterElem)
+	r := ic.clusters.Find(int(p.clusterElem))
 	ic.rootCores[r]--
 	if ic.rootCores[r] == 0 {
 		ic.fire(Event{Kind: EventClusterDissolved, Cluster: ic.rootCluster[r]})
@@ -216,7 +216,7 @@ func (ic *IncDBSCAN) Delete(id PointID) error {
 			return
 		}
 		p.vincnt--
-		if p.core && p.vincnt < ic.cfg.MinPts {
+		if p.core && int(p.vincnt) < ic.cfg.MinPts {
 			demoted = append(demoted, p)
 		}
 	})
@@ -347,7 +347,7 @@ func (ic *IncDBSCAN) splitBFS(seedSet map[*pointRec]struct{}) {
 	// separated. Fragments alone in their group are untouched clusters.
 	byCluster := make(map[int][]*fragment) // pre-delete union-find root -> fragments
 	for r, pts := range members {
-		orig := ic.clusters.Find(pts[0].clusterElem)
+		orig := ic.clusters.Find(int(pts[0].clusterElem))
 		byCluster[orig] = append(byCluster[orig], &fragment{pts: pts, active: len(queues[r]) > 0})
 	}
 	for orig, frags := range byCluster {
@@ -384,7 +384,7 @@ func (ic *IncDBSCAN) splitBFS(seedSet map[*pointRec]struct{}) {
 			ic.rootCores[fresh] = len(f.pts)
 			ic.rootCores[orig] -= len(f.pts)
 			for _, p := range f.pts {
-				p.clusterElem = fresh
+				p.clusterElem = int32(fresh)
 			}
 			fragments = append(fragments, freshID)
 		}
@@ -394,7 +394,7 @@ func (ic *IncDBSCAN) splitBFS(seedSet map[*pointRec]struct{}) {
 
 // stableIDOf returns the stable cluster id of a core point.
 func (ic *IncDBSCAN) stableIDOf(rec *pointRec) ClusterID {
-	return ic.rootCluster[ic.clusters.Find(rec.clusterElem)]
+	return ic.rootCluster[ic.clusters.Find(int(rec.clusterElem))]
 }
 
 // GroupBy answers a C-group-by query. Core points group by their stable

@@ -2,6 +2,7 @@ package core
 
 import (
 	"dyndbscan/internal/geom"
+	"dyndbscan/internal/kdtree"
 	"dyndbscan/internal/unionfind"
 )
 
@@ -57,14 +58,14 @@ func (s *SemiDynamic) insertRec(rec *pointRec) PointID {
 	// because after that the neighbor is dense and skips this path.
 	dense := len(cnew.pts) >= s.cfg.MinPts
 	if !dense {
-		rec.vincnt = s.exactBallCount(rec)
+		rec.vincnt = int32(s.exactBallCount(rec))
 	}
 
 	// Bump the vicinity counts of nearby non-core points; every point within
 	// ε of pt lives in cnew or an ε-close cell. Cells whose points are all
 	// core already cannot contain candidates.
 	var promoted []*pointRec
-	if dense || rec.vincnt >= s.cfg.MinPts {
+	if dense || int(rec.vincnt) >= s.cfg.MinPts {
 		promoted = append(promoted, rec)
 	}
 	sweep := func(c *cell) {
@@ -78,7 +79,7 @@ func (s *SemiDynamic) insertRec(rec *pointRec) PointID {
 			}
 			if wholeCell || geom.DistSq(p.pt, rec.pt, s.cfg.Dims) <= s.epsSq {
 				p.vincnt++
-				if p.vincnt >= s.cfg.MinPts {
+				if int(p.vincnt) >= s.cfg.MinPts {
 					promoted = append(promoted, p)
 				}
 			}
@@ -131,12 +132,13 @@ func (s *SemiDynamic) promote(p *pointRec) {
 	s.markCore(p)
 	s.fire(Event{Kind: EventPointBecameCore, Point: p.id})
 	c := p.cell
-	c.coreTree.Insert(p.id, p.pt)
 	if c.coreCount == 1 {
+		c.coreTree = kdtree.New(s.cfg.Dims)
 		c.ufID = s.uf.Add()
 		s.rootCluster[c.ufID] = s.newClusterID()
 		s.fire(Event{Kind: EventClusterFormed, Cluster: s.rootCluster[c.ufID]})
 	}
+	c.coreTree.Insert(p.id, p.pt)
 	for _, ln := range c.neighbors {
 		nc := ln.c
 		if !ln.eps || nc.coreCount == 0 {
@@ -146,8 +148,8 @@ func (s *SemiDynamic) promote(p *pointRec) {
 			continue
 		}
 		if _, ok := s.probeCore(nc, p.pt); ok {
-			c.edges[nc] = struct{}{}
-			nc.edges[c] = struct{}{}
+			put(&c.edges, nc, struct{}{})
+			put(&nc.edges, c, struct{}{})
 			s.unionClusters(c.ufID, nc.ufID)
 		}
 	}

@@ -51,6 +51,7 @@ func TestNearestAgainstNaive(t *testing.T) {
 		t.Run(fmt.Sprintf("d%d", d), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(10 + d)))
 			tr := New(d)
+			w := newShapeWatch(t, tr)
 			m := &model{d: d, pts: make(map[int64]geom.Point)}
 			next := int64(0)
 			for op := 0; op < 4000; op++ {
@@ -60,12 +61,14 @@ func TestNearestAgainstNaive(t *testing.T) {
 					tr.Insert(next, p)
 					m.pts[next] = p
 					next++
+					w.after(op)
 				case r < 0.8 && len(m.pts) > 0:
 					for id := range m.pts {
 						tr.Delete(id)
 						delete(m.pts, id)
 						break
 					}
+					w.after(op)
 				default:
 					q := randPt(rng, d, 60)
 					id, _, distSq, ok := tr.Nearest(q)
@@ -82,6 +85,7 @@ func TestNearestAgainstNaive(t *testing.T) {
 					t.Fatalf("op %d: Len=%d want %d", op, tr.Len(), len(m.pts))
 				}
 			}
+			w.done()
 		})
 	}
 }
@@ -96,6 +100,7 @@ func TestProbeContract(t *testing.T) {
 			t.Run(fmt.Sprintf("d%d rho%v", d, rho), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(100*d) + int64(rho*1000)))
 				tr := New(d)
+				w := newShapeWatch(t, tr)
 				m := &model{d: d, pts: make(map[int64]geom.Point)}
 				next := int64(0)
 				const rLow = 5.0
@@ -107,12 +112,14 @@ func TestProbeContract(t *testing.T) {
 						tr.Insert(next, p)
 						m.pts[next] = p
 						next++
+						w.after(op)
 					case r < 0.7 && len(m.pts) > 0:
 						for id := range m.pts {
 							tr.Delete(id)
 							delete(m.pts, id)
 							break
 						}
+						w.after(op)
 					default:
 						q := randPt(rng, d, 35)
 						id, pt, ok := tr.Probe(q, rLow, rHigh)
@@ -129,6 +136,7 @@ func TestProbeContract(t *testing.T) {
 						}
 					}
 				}
+				w.done()
 			})
 		}
 	}
@@ -199,14 +207,20 @@ func TestPanics(t *testing.T) {
 // orders, which unbalance naive kd-trees; rebuilds must keep queries correct.
 func TestDegenerateInsertionOrders(t *testing.T) {
 	tr := New(2)
+	w := newShapeWatch(t, tr)
 	m := &model{d: 2, pts: make(map[int64]geom.Point)}
 	id := int64(0)
-	// Sorted line.
+	// Sorted line: every insert lands in the rightmost leaf, so only full
+	// rebuilds keep the depth logarithmic.
 	for i := 0; i < 500; i++ {
 		p := geom.Point{float64(i), float64(i)}
 		tr.Insert(id, p)
 		m.pts[id] = p
 		id++
+		w.after(i)
+	}
+	if d := depth(tr.root); d > 12 {
+		t.Fatalf("sorted inserts left depth %d for %d leaves", d, countLeaves(tr.root))
 	}
 	// Tight cluster of near-duplicates.
 	for i := 0; i < 300; i++ {
@@ -224,6 +238,7 @@ func TestDegenerateInsertionOrders(t *testing.T) {
 			t.Fatalf("query %d: dist %v want %v", i, distSq, wantSq)
 		}
 	}
+	w.done()
 }
 
 func TestForEach(t *testing.T) {
