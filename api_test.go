@@ -8,22 +8,22 @@ import (
 	"dyndbscan"
 )
 
-// TestPublicAPIRoundTrip exercises the whole exported surface through the
-// Clusterer interface for each algorithm.
+// TestPublicAPIRoundTrip exercises the basic update and query surface of an
+// Engine for each algorithm.
 func TestPublicAPIRoundTrip(t *testing.T) {
-	cfg := dyndbscan.Config{Dims: 2, Eps: 2, MinPts: 3, Rho: 0.001}
-	mk := map[string]func() (dyndbscan.Clusterer, error){
-		"semi":      func() (dyndbscan.Clusterer, error) { return dyndbscan.NewSemiDynamic(cfg) },
-		"full":      func() (dyndbscan.Clusterer, error) { return dyndbscan.NewFullyDynamic(cfg) },
-		"inc":       func() (dyndbscan.Clusterer, error) { return dyndbscan.NewIncDBSCAN(cfg) },
-		"inc-rtree": func() (dyndbscan.Clusterer, error) { return dyndbscan.NewIncDBSCANRTree(cfg) },
+	algos := map[string]dyndbscan.Algorithm{
+		"semi": dyndbscan.AlgoSemiDynamic,
+		"full": dyndbscan.AlgoFullyDynamic,
+		"inc":  dyndbscan.AlgoIncDBSCAN,
 	}
-	for name, factory := range mk {
+	for name, algo := range algos {
 		t.Run(name, func(t *testing.T) {
-			cl, err := factory()
+			cl, err := dyndbscan.New(dyndbscan.WithAlgorithm(algo),
+				dyndbscan.WithEps(2), dyndbscan.WithMinPts(3), dyndbscan.WithRho(0.001))
 			if err != nil {
 				t.Fatal(err)
 			}
+			defer cl.Close()
 			if got := cl.Config().MinPts; got != 3 {
 				t.Fatalf("Config().MinPts = %d", got)
 			}
@@ -78,16 +78,17 @@ func TestPublicStaticOracle(t *testing.T) {
 	}
 }
 
-// TestPublicDynamicMatchesStatic drives the public fully-dynamic clusterer
-// at ρ=0 and compares group counts against the public oracle — an
-// end-to-end check through the exported API only.
+// TestPublicDynamicMatchesStatic drives a fully-dynamic Engine at ρ=0 and
+// compares group counts against the public oracle — an end-to-end check
+// through the exported API only.
 func TestPublicDynamicMatchesStatic(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	cfg := dyndbscan.Config{Dims: 2, Eps: 5, MinPts: 4, Rho: 0}
-	cl, err := dyndbscan.NewFullyDynamic(cfg)
+	cl, err := dyndbscan.New(dyndbscan.WithEps(cfg.Eps), dyndbscan.WithMinPts(cfg.MinPts), dyndbscan.WithRho(cfg.Rho))
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer cl.Close()
 	var pts []dyndbscan.Point
 	var ids []dyndbscan.PointID
 	for i := 0; i < 400; i++ {

@@ -1,10 +1,6 @@
 package dyndbscan
 
-import (
-	"fmt"
-
-	"dyndbscan/internal/core"
-)
+import "fmt"
 
 // OpKind discriminates the operations an Apply batch can carry.
 type OpKind uint8
@@ -59,10 +55,9 @@ func DeleteOp(id PointID) Op { return Op{Kind: OpDelete, ID: id} }
 // The result has one entry per op: the freshly minted handle for an
 // insertion, the (now dead) target handle for a deletion.
 //
-// On a backend that rejects an op mid-commit (deletions on a wrapped
-// semi-dynamic clusterer, foreign failures) the work already applied
-// commits, and the error reports the aborting index — the same partial-
-// commit contract as InsertBatch/DeleteBatch on foreign backends.
+// Should the backend reject an op mid-commit anyway, the work already
+// applied commits, and the error reports the aborting index — the same
+// partial-commit contract as InsertBatch/DeleteBatch.
 func (e *Engine) Apply(ops []Op) ([]PointID, error) {
 	if len(ops) == 0 {
 		return nil, nil
@@ -116,13 +111,10 @@ func (e *Engine) Apply(ops []Op) ([]PointID, error) {
 	var (
 		inserted []PointID
 		deleted  []PointID
-		next     int // index into staged/inserts
+		next     int // index into staged
 	)
 	abort := func(i int, err error) ([]PointID, error) {
 		if len(inserted) > 0 || len(deleted) > 0 {
-			// Deletions first: a foreign backend that re-mints a just-freed
-			// id in the same batch then takes noteInserted's resurrect path
-			// instead of appending a duplicate.
 			e.noteDeleted(deleted)
 			e.noteInserted(inserted)
 			e.release(e.finishUpdate())
@@ -134,7 +126,7 @@ func (e *Engine) Apply(ops []Op) ([]PointID, error) {
 	for i, op := range ops {
 		switch op.Kind {
 		case OpInsert:
-			id, err := e.commitInsert(staged, inserts, next)
+			id, err := e.c.InsertStaged(staged[next])
 			next++
 			if err != nil {
 				return abort(i, err)
@@ -157,10 +149,3 @@ func (e *Engine) Apply(ops []Op) ([]PointID, error) {
 	}
 	return out, nil
 }
-
-// compile-time check: the staged capability stays satisfied by the built-ins.
-var (
-	_ stagedInserter = (*core.SemiDynamic)(nil)
-	_ stagedInserter = (*core.FullyDynamic)(nil)
-	_ stagedInserter = (*core.IncDBSCAN)(nil)
-)

@@ -279,22 +279,22 @@ func (e *Engine) checkpointPayloadSingle(wantDelta bool) (seq uint64, payload []
 		return 0, nil, false
 	}
 	d := w.takeDirty()
-	cells := w.upd.TakeDirtyUpdateCells()
+	cells := e.c.TakeDirtyUpdateCells()
 	if wantDelta && !d.full {
 		if b, ok := e.deltaPayloadSingleLocked(&d, cells); ok {
 			return seq, b, true
 		}
 	}
 	ids := e.liveIDs()
-	snap, _ := e.buildSnapshot() // built-in backends cannot fail the build
-	nextGID := w.rb.NextClusterID()
+	snap := e.buildSnapshot()
+	nextGID := e.c.NextClusterID()
 	if r := e.remap; r != nil {
 		nextGID = r.loGlobal + (nextGID - r.loBack)
 	}
 	b := []byte{ckptVersion, ckptSingle}
-	b = encodeCheckpointCommon(b, e.cfg.Dims, w.rb.NextPointID(), nextGID, ids,
+	b = encodeCheckpointCommon(b, e.cfg.Dims, e.c.NextPointID(), nextGID, ids,
 		func(i int) Point {
-			pt, ok := w.look.PointAt(ids[i])
+			pt, ok := e.c.PointAt(ids[i])
 			if !ok {
 				// Unreachable: ids came from the live-id cache under the lock.
 				panic(fmt.Sprintf("dyndbscan: checkpoint: live id %d has no point", ids[i]))
@@ -334,7 +334,7 @@ func (ss *shardSet) checkpointPayload(log *wal.Log, wantDelta bool) (seq uint64,
 	d := ss.e.wal.takeDirty()
 	dirtyCells := make([][]grid.Coord, len(ss.shards))
 	for si, sh := range ss.shards {
-		dirtyCells[si] = sh.upd.TakeDirtyUpdateCells()
+		dirtyCells[si] = sh.c.TakeDirtyUpdateCells()
 	}
 	if wantDelta && !d.full {
 		if b, ok := ss.deltaPayloadLocked(&d, dirtyCells); ok {
@@ -348,12 +348,12 @@ func (ss *shardSet) checkpointPayload(log *wal.Log, wantDelta bool) (seq uint64,
 	for i, id := range ids {
 		owner := ss.routes[id].copies[0]
 		sh := ss.shards[owner.shard]
-		pt, ok := sh.look.PointAt(owner.local)
+		pt, ok := sh.c.PointAt(owner.local)
 		if !ok {
 			panic(fmt.Sprintf("dyndbscan: checkpoint: live id %d has no owner copy", id))
 		}
 		coords[i] = pt
-		cids, ok := sh.ext.ClusterOf(owner.local)
+		cids, ok := sh.c.ClusterOf(owner.local)
 		if !ok || len(cids) == 0 {
 			continue
 		}
@@ -407,9 +407,8 @@ func (e *Engine) restoreCheckpoint(ck *ckptData) error {
 // restoreSingle re-inserts the checkpointed points with forced handles, pins
 // the counters, and installs the identity graft as the engine's gidRemap.
 func (e *Engine) restoreSingle(ck *ckptData) error {
-	w := e.wal
 	for i, id := range ck.ids {
-		w.rb.SetNextPointID(id)
+		e.c.SetNextPointID(id)
 		got, err := e.c.Insert(ck.coords[i])
 		if err != nil {
 			return fmt.Errorf("dyndbscan: checkpoint restore: point %d: %w", id, err)
@@ -418,17 +417,16 @@ func (e *Engine) restoreSingle(ck *ckptData) error {
 			return fmt.Errorf("%w: point ids not strictly ascending (minted %d, stored %d)", errCorruptCkpt, got, id)
 		}
 	}
-	w.rb.SetNextPointID(ck.nextPt)
+	e.c.SetNextPointID(ck.nextPt)
 	e.sortedIDs = append(e.sortedIDs[:0], ck.ids...)
-	e.idsSorted = true
 
 	// Graft the stored identities. Backend cluster ids minted from here on
 	// (≥ loBack) translate linearly into the range above every stored and
 	// freshly minted global id.
-	loBack := w.rb.NextClusterID()
+	loBack := e.c.NextClusterID()
 	byCID := make(map[ClusterID][]PointID)
 	for _, id := range ck.ids {
-		cids, ok := e.ext.ClusterOf(id)
+		cids, ok := e.c.ClusterOf(id)
 		if !ok {
 			continue
 		}
@@ -512,7 +510,7 @@ func (ss *shardSet) restore(ck *ckptData) error {
 	byTemp := make(map[ClusterID][]PointID)
 	for _, id := range ids {
 		owner := ss.routes[id].copies[0]
-		cids, ok := ss.shards[owner.shard].ext.ClusterOf(owner.local)
+		cids, ok := ss.shards[owner.shard].c.ClusterOf(owner.local)
 		if !ok || len(cids) == 0 {
 			continue
 		}
@@ -557,7 +555,7 @@ func (ss *shardSet) restore(ck *ckptData) error {
 	// scan order is unrelated to the log.
 	for _, sh := range ss.shards {
 		sh.pending = sh.pending[:0]
-		sh.tracker.TakeDirtySeamCells()
+		sh.c.TakeDirtySeamCells()
 	}
 	ss.populateSeamLocked()
 	return nil

@@ -6,6 +6,7 @@ package dyndbscan_test
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -15,137 +16,87 @@ import (
 	"dyndbscan"
 )
 
-// leakyBackend is a minimal foreign Clusterer with event support that
-// misbehaves in one specific way: it emits an event from inside Has — the
-// probe DeleteBatch/Apply validation issues before any state change. A
-// correct Engine must drop those events when the validation fails, not leak
-// them into the next successful commit's publication.
-type leakyBackend struct {
-	pts    map[dyndbscan.PointID]dyndbscan.Point
-	nextID dyndbscan.PointID
-	emit   func(dyndbscan.Event)
-}
-
-func newLeakyBackend() *leakyBackend {
-	return &leakyBackend{pts: make(map[dyndbscan.PointID]dyndbscan.Point)}
-}
-
-const leakMarker = dyndbscan.ClusterID(9999)
-
-func (b *leakyBackend) Insert(pt dyndbscan.Point) (dyndbscan.PointID, error) {
-	id := b.nextID
-	b.nextID++
-	b.pts[id] = append(dyndbscan.Point(nil), pt...)
-	if b.emit != nil {
-		b.emit(dyndbscan.Event{Kind: dyndbscan.EventPointBecameCore, Point: id})
-	}
-	return id, nil
-}
-
-func (b *leakyBackend) Delete(id dyndbscan.PointID) error {
-	if _, ok := b.pts[id]; !ok {
-		return dyndbscan.ErrUnknownPoint
-	}
-	delete(b.pts, id)
-	return nil
-}
-
-func (b *leakyBackend) Has(id dyndbscan.PointID) bool {
-	if b.emit != nil {
-		// The misbehavior under test: an event emitted during a read probe.
-		b.emit(dyndbscan.Event{Kind: dyndbscan.EventClusterFormed, Cluster: leakMarker})
-	}
-	_, ok := b.pts[id]
-	return ok
-}
-
-func (b *leakyBackend) GroupBy(q []dyndbscan.PointID) (dyndbscan.Result, error) {
-	var res dyndbscan.Result
-	for _, id := range q {
-		if _, ok := b.pts[id]; !ok {
-			return dyndbscan.Result{}, dyndbscan.ErrUnknownPoint
-		}
-		res.Noise = append(res.Noise, id)
-	}
-	res.Normalize()
-	return res, nil
-}
-
-func (b *leakyBackend) Len() int { return len(b.pts) }
-
-func (b *leakyBackend) IDs() []dyndbscan.PointID {
-	out := make([]dyndbscan.PointID, 0, len(b.pts))
-	for id := range b.pts {
-		out = append(out, id)
-	}
-	return out
-}
-
-func (b *leakyBackend) Config() dyndbscan.Config {
-	return dyndbscan.Config{Dims: 2, Eps: 1, MinPts: 1}
-}
-
-func (b *leakyBackend) ClusterOf(id dyndbscan.PointID) ([]dyndbscan.ClusterID, bool) {
-	_, ok := b.pts[id]
-	return nil, ok
-}
-
-func (b *leakyBackend) SetEventFunc(fn func(dyndbscan.Event)) { b.emit = fn }
-
-// TestFailedUpdateDropsLeakedEvents drives every validation-failure exit of
-// the update paths against the leaky backend and asserts none of the events
-// it emitted mid-validation surface in a later commit's publication.
+// TestFailedUpdateDropsLeakedEvents drives the validation-failure exits of
+// the batch update paths with a subscriber attached, on a single-backend and
+// a sharded Engine. No failure may advance the version, and none may leave
+// events behind: the next successful insert must publish exactly what the
+// same insert publishes on an engine that never saw the failures.
 func TestFailedUpdateDropsLeakedEvents(t *testing.T) {
-	e := dyndbscan.Wrap(newLeakyBackend())
-	defer e.Close()
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			newSubscribed := func() (*dyndbscan.Engine, func() []dyndbscan.Event) {
+				e, err := dyndbscan.New(dyndbscan.WithEps(1), dyndbscan.WithMinPts(1),
+					dyndbscan.WithRho(0), dyndbscan.WithShards(shards))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var mu sync.Mutex
+				var got []dyndbscan.Event
+				cancel := e.Subscribe(func(ev dyndbscan.Event) {
+					mu.Lock()
+					got = append(got, ev)
+					mu.Unlock()
+				})
+				t.Cleanup(func() { cancel(); e.Close() })
+				take := func() []dyndbscan.Event {
+					e.Sync()
+					mu.Lock()
+					defer mu.Unlock()
+					out := got
+					got = nil
+					return out
+				}
+				return e, take
+			}
 
-	var mu sync.Mutex
-	var got []dyndbscan.Event
-	cancel := e.Subscribe(func(ev dyndbscan.Event) {
-		mu.Lock()
-		got = append(got, ev)
-		mu.Unlock()
-	})
-	defer cancel()
+			ref, refTake := newSubscribed()
+			if _, err := ref.Insert(dyndbscan.Point{1, 2}); err != nil {
+				t.Fatal(err)
+			}
+			refTake()
+			refID, err := ref.Insert(dyndbscan.Point{5, 6})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := refTake()
+			if len(want) == 0 {
+				t.Fatal("reference insert published no events; the comparison below would be vacuous")
+			}
 
-	id, err := e.Insert(dyndbscan.Point{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Sync()
-	mu.Lock()
-	got = got[:0]
-	mu.Unlock()
+			e, take := newSubscribed()
+			id, err := e.Insert(dyndbscan.Point{1, 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			take()
+			v := e.Version()
+			if err := e.DeleteBatch([]dyndbscan.PointID{id, id + 100}); !errors.Is(err, dyndbscan.ErrUnknownPoint) {
+				t.Fatalf("DeleteBatch unknown: %v", err)
+			}
+			if err := e.DeleteBatch([]dyndbscan.PointID{id, id}); !errors.Is(err, dyndbscan.ErrDuplicateID) {
+				t.Fatalf("DeleteBatch dup: %v", err)
+			}
+			if _, err := e.Apply([]dyndbscan.Op{
+				dyndbscan.InsertOp(dyndbscan.Point{3, 4}),
+				dyndbscan.DeleteOp(id + 100),
+			}); !errors.Is(err, dyndbscan.ErrUnknownPoint) {
+				t.Fatalf("Apply unknown delete: %v", err)
+			}
+			if got := e.Version(); got != v {
+				t.Fatalf("failed updates advanced Version from %d to %d", v, got)
+			}
 
-	// Each of these fails validation after Has probes emitted leak markers.
-	if err := e.DeleteBatch([]dyndbscan.PointID{id, id + 100}); !errors.Is(err, dyndbscan.ErrUnknownPoint) {
-		t.Fatalf("DeleteBatch unknown: %v", err)
-	}
-	if err := e.DeleteBatch([]dyndbscan.PointID{id, id}); !errors.Is(err, dyndbscan.ErrDuplicateID) {
-		t.Fatalf("DeleteBatch dup: %v", err)
-	}
-	if _, err := e.Apply([]dyndbscan.Op{
-		dyndbscan.InsertOp(dyndbscan.Point{3, 4}),
-		dyndbscan.DeleteOp(id + 100),
-	}); !errors.Is(err, dyndbscan.ErrUnknownPoint) {
-		t.Fatalf("Apply unknown delete: %v", err)
-	}
-
-	// The next successful commit must publish only its own events.
-	id2, err := e.Insert(dyndbscan.Point{5, 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Sync()
-	mu.Lock()
-	defer mu.Unlock()
-	if len(got) != 1 || got[0].Kind != dyndbscan.EventPointBecameCore || got[0].Point != id2 {
-		t.Fatalf("leaked events published alongside the insert: %v", got)
-	}
-	for _, ev := range got {
-		if ev.Cluster == leakMarker {
-			t.Fatalf("leak marker event escaped a failed validation: %v", ev)
-		}
+			id2, err := e.Insert(dyndbscan.Point{5, 6})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if id2 != refID {
+				t.Fatalf("insert after the failures minted id %d, reference minted %d", id2, refID)
+			}
+			if got := take(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("insert after the failures published %v, want only its own events %v", got, want)
+			}
+		})
 	}
 }
 
@@ -156,7 +107,7 @@ func TestFailedUpdateDropsLeakedEvents(t *testing.T) {
 func TestGroupByParity(t *testing.T) {
 	algos := []dyndbscan.Algorithm{
 		dyndbscan.AlgoFullyDynamic, dyndbscan.AlgoSemiDynamic,
-		dyndbscan.AlgoIncDBSCAN, dyndbscan.AlgoIncDBSCANRTree,
+		dyndbscan.AlgoIncDBSCAN,
 	}
 	for _, algo := range algos {
 		t.Run(algo.String(), func(t *testing.T) {

@@ -1000,48 +1000,6 @@ func TestSnapshotGroupByEquivalence(t *testing.T) {
 	}
 }
 
-// TestWrapPrepopulated checks that an Engine wrapped around an already-
-// populated clusterer serves correct snapshots (the sorted-id cache must be
-// seeded, not assumed empty).
-func TestWrapPrepopulated(t *testing.T) {
-	c, err := dyndbscan.NewFullyDynamic(dyndbscan.Config{Dims: 2, Eps: 2, MinPts: 2, Rho: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ids []dyndbscan.PointID
-	for i := 0; i < 10; i++ {
-		id, err := c.Insert(dyndbscan.Point{float64(i % 5), float64(i / 5)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, id)
-	}
-	e := dyndbscan.Wrap(c)
-	snap := e.Snapshot()
-	for _, id := range ids {
-		if _, ok := snap.ClusterOf(id); !ok {
-			t.Fatalf("pre-existing point %d missing from wrapped snapshot", id)
-		}
-	}
-	ga, err := e.GroupAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := len(ga.Noise)
-	for _, g := range ga.Groups {
-		seen := map[dyndbscan.PointID]bool{}
-		for _, id := range g {
-			if !seen[id] {
-				seen[id] = true
-			}
-		}
-		total += len(seen)
-	}
-	if total < len(ids) {
-		t.Fatalf("wrapped GroupAll covers %d of %d points", total, len(ids))
-	}
-}
-
 // TestWithWorkersValidation checks the option's validation and resolution.
 func TestWithWorkersValidation(t *testing.T) {
 	if _, err := dyndbscan.New(dyndbscan.WithEps(2), dyndbscan.WithMinPts(2), dyndbscan.WithWorkers(-1)); err == nil {

@@ -584,9 +584,8 @@ func mergeSortedIDs(a, b []PointID) []PointID {
 // engine's write lock. Returns ok=false when the patch set is so large a base
 // checkpoint would be cheaper.
 func (e *Engine) deltaPayloadSingleLocked(d *dirtyState, cells []grid.Coord) ([]byte, bool) {
-	w := e.wal
 	if split := closeSplitLineage(d); len(split) > 0 {
-		w.walker.ForEachCoreCell(func(coord grid.Coord, cid ClusterID) bool {
+		e.c.ForEachCoreCell(func(coord grid.Coord, cid ClusterID) bool {
 			g := cid
 			if r := e.remap; r != nil {
 				g = r.one(cid)
@@ -600,12 +599,12 @@ func (e *Engine) deltaPayloadSingleLocked(d *dirtyState, cells []grid.Coord) ([]
 	r := deltaPatchRadius(e.cfg)
 	patch := make(map[PointID][]ClusterID)
 	for _, c := range cells {
-		w.upd.ForEachPointNear(c, r, func(id PointID) bool {
+		e.c.ForEachPointNear(c, r, func(id PointID) bool {
 			if _, done := patch[id]; done {
 				return true
 			}
 			var gids []ClusterID
-			if cids, ok := e.ext.ClusterOf(id); ok && len(cids) > 0 {
+			if cids, ok := e.c.ClusterOf(id); ok && len(cids) > 0 {
 				gids = dedupSortedIDs(append([]ClusterID(nil), e.mapCIDs(cids)...))
 			}
 			patch[id] = gids
@@ -618,10 +617,10 @@ func (e *Engine) deltaPayloadSingleLocked(d *dirtyState, cells []grid.Coord) ([]
 	dl := &ckptDelta{
 		mode:   ckptDeltaSingle,
 		dims:   e.cfg.Dims,
-		nextPt: w.rb.NextPointID(),
+		nextPt: e.c.NextPointID(),
 		merges: d.merges,
 	}
-	dl.nextGID = w.rb.NextClusterID()
+	dl.nextGID = e.c.NextClusterID()
 	if r := e.remap; r != nil {
 		dl.nextGID = r.loGlobal + (dl.nextGID - r.loBack)
 	}
@@ -634,7 +633,7 @@ func (e *Engine) deltaPayloadSingleLocked(d *dirtyState, cells []grid.Coord) ([]
 	sort.Slice(dl.upIDs, func(i, j int) bool { return dl.upIDs[i] < dl.upIDs[j] })
 	dl.upCoords = make([]Point, len(dl.upIDs))
 	for i, id := range dl.upIDs {
-		pt, ok := w.look.PointAt(id)
+		pt, ok := e.c.PointAt(id)
 		if !ok {
 			panic(fmt.Sprintf("dyndbscan: delta checkpoint: live id %d has no point", id))
 		}
@@ -663,7 +662,7 @@ func (ss *shardSet) deltaPayloadLocked(d *dirtyState, cells [][]grid.Coord) ([]b
 	if split := closeSplitLineage(d); len(split) > 0 {
 		for si := range ss.shards {
 			sh := ss.shards[si]
-			sh.walker.ForEachCoreCell(func(coord grid.Coord, cid ClusterID) bool {
+			sh.c.ForEachCoreCell(func(coord grid.Coord, cid ClusterID) bool {
 				if g, ok := gidOf[stitchKey{int32(si), cid}]; ok {
 					if _, in := split[g]; in {
 						cells[si] = append(cells[si], coord)
@@ -677,7 +676,7 @@ func (ss *shardSet) deltaPayloadLocked(d *dirtyState, cells [][]grid.Coord) ([]b
 	patch := make(map[PointID][]ClusterID)
 	for si, sh := range ss.shards {
 		for _, c := range cells[si] {
-			sh.upd.ForEachPointNear(c, r, func(lid PointID) bool {
+			sh.c.ForEachPointNear(c, r, func(lid PointID) bool {
 				gid, owned := sh.ownerGlobal[lid]
 				if !owned {
 					return true // ghost copy; its owner shard patches it
@@ -686,7 +685,7 @@ func (ss *shardSet) deltaPayloadLocked(d *dirtyState, cells [][]grid.Coord) ([]b
 					return true
 				}
 				var gids []ClusterID
-				if cids, ok := sh.ext.ClusterOf(lid); ok && len(cids) > 0 {
+				if cids, ok := sh.c.ClusterOf(lid); ok && len(cids) > 0 {
 					out := make([]ClusterID, 0, len(cids))
 					for _, cid := range cids {
 						if g, ok2 := gidOf[stitchKey{int32(si), cid}]; ok2 {
@@ -719,7 +718,7 @@ func (ss *shardSet) deltaPayloadLocked(d *dirtyState, cells [][]grid.Coord) ([]b
 	dl.upCoords = make([]Point, len(dl.upIDs))
 	for i, id := range dl.upIDs {
 		owner := ss.routes[id].copies[0]
-		pt, ok := ss.shards[owner.shard].look.PointAt(owner.local)
+		pt, ok := ss.shards[owner.shard].c.PointAt(owner.local)
 		if !ok {
 			panic(fmt.Sprintf("dyndbscan: delta checkpoint: live id %d has no owner copy", id))
 		}

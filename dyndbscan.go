@@ -18,7 +18,7 @@
 //
 // # Quick start
 //
-// Engine is the recommended entry point; construct one with New and
+// Engine is the entry point; construct one with New and
 // functional options:
 //
 //	e, err := dyndbscan.New(
@@ -69,11 +69,8 @@
 // always identical to exact DBSCAN (formally: identical whenever the exact
 // clustering is stable under perturbing Eps by a factor 1+Rho).
 //
-// The NewSemiDynamic / NewFullyDynamic / NewIncDBSCAN constructors remain as
-// the low-level SPI: they return bare single-threaded clusterers with no
-// batching, snapshots, or events. Config carries the raw parameters for
-// them. New code should use New; existing callers can adopt the Engine
-// features by wrapping a bare clusterer with Wrap.
+// These three are the only backends an Engine runs; there is no hook for a
+// caller-supplied clusterer.
 package dyndbscan
 
 import (
@@ -89,7 +86,8 @@ type Point = geom.Point
 // GroupBy.
 type PointID = core.PointID
 
-// Config carries the DBSCAN parameters.
+// Config carries the DBSCAN parameters, as Engine.Config reports them; New
+// takes them through WithDims, WithEps, WithMinPts, and WithRho.
 //
 // Dims is the dimensionality d (1..8; the paper evaluates 2, 3, 5, 7).
 // Eps is the density radius ε. MinPts is the density threshold. Rho is the
@@ -102,97 +100,12 @@ type Config = core.Config
 // groups.
 type Result = core.Result
 
-// Stats is a snapshot of a clusterer's structural counters.
-type Stats = core.Stats
-
-// Errors returned by the clusterers.
+// Errors returned by the Engine's update and query paths.
 var (
 	ErrDeletesUnsupported = core.ErrDeletesUnsupported
 	ErrUnknownPoint       = core.ErrUnknownPoint
 	ErrBadPoint           = core.ErrBadPoint
 )
-
-// Clusterer is the common interface of the three dynamic clustering
-// algorithms.
-type Clusterer interface {
-	// Insert adds a point and returns its handle.
-	Insert(pt Point) (PointID, error)
-	// Delete removes a point. Semi-dynamic clusterers return
-	// ErrDeletesUnsupported.
-	Delete(id PointID) error
-	// GroupBy answers a C-group-by query over the given handles.
-	GroupBy(q []PointID) (Result, error)
-	// Len returns the number of points currently stored.
-	Len() int
-	// IDs returns every live handle (for the degenerate query Q = P).
-	IDs() []PointID
-	// Has reports whether the handle is live.
-	Has(id PointID) bool
-	// Config returns the clusterer's configuration.
-	Config() Config
-}
-
-// SemiDynamic is the insertion-only ρ-approximate clusterer (Theorem 1).
-type SemiDynamic struct{ *core.SemiDynamic }
-
-// NewSemiDynamic returns an empty semi-dynamic clusterer.
-//
-// Deprecated: use New(WithAlgorithm(AlgoSemiDynamic), ...) to get an Engine
-// with batching, snapshots, and events; NewSemiDynamic remains as the
-// low-level SPI.
-func NewSemiDynamic(cfg Config) (*SemiDynamic, error) {
-	s, err := core.NewSemiDynamic(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &SemiDynamic{s}, nil
-}
-
-// FullyDynamic is the fully dynamic ρ-double-approximate clusterer
-// (Theorem 4).
-type FullyDynamic struct{ *core.FullyDynamic }
-
-// NewFullyDynamic returns an empty fully-dynamic clusterer.
-//
-// Deprecated: use New(...) — AlgoFullyDynamic is the default algorithm — to
-// get an Engine with batching, snapshots, and events; NewFullyDynamic
-// remains as the low-level SPI.
-func NewFullyDynamic(cfg Config) (*FullyDynamic, error) {
-	f, err := core.NewFullyDynamic(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &FullyDynamic{f}, nil
-}
-
-// IncDBSCAN is the incremental exact DBSCAN baseline of Ester et al. (1998).
-type IncDBSCAN struct{ *core.IncDBSCAN }
-
-// NewIncDBSCAN returns an empty IncDBSCAN instance. Rho is ignored (the
-// algorithm is exact). Range queries are served from the grid, the faster
-// configuration.
-//
-// Deprecated: use New(WithAlgorithm(AlgoIncDBSCAN), ...) to get an Engine
-// with batching, snapshots, and events; NewIncDBSCAN remains as the
-// low-level SPI.
-func NewIncDBSCAN(cfg Config) (*IncDBSCAN, error) {
-	ic, err := core.NewIncDBSCAN(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &IncDBSCAN{ic}, nil
-}
-
-// NewIncDBSCANRTree returns an IncDBSCAN whose range queries run against a
-// Guttman R-tree, matching the original 1998 system's setup. Slower than
-// NewIncDBSCAN; provided for historical fidelity and ablations.
-func NewIncDBSCANRTree(cfg Config) (*IncDBSCAN, error) {
-	ic, err := core.NewIncDBSCANRTree(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &IncDBSCAN{ic}, nil
-}
 
 // Static clustering oracle.
 
@@ -206,10 +119,3 @@ type StaticClustering = core.StaticClustering
 func StaticDBSCAN(pts []Point, dims int, eps float64, minPts int) *StaticClustering {
 	return core.StaticDBSCAN(pts, dims, eps, minPts)
 }
-
-// Compile-time interface checks.
-var (
-	_ Clusterer = (*SemiDynamic)(nil)
-	_ Clusterer = (*FullyDynamic)(nil)
-	_ Clusterer = (*IncDBSCAN)(nil)
-)

@@ -3,7 +3,6 @@ package dyndbscan
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -39,29 +38,44 @@ const (
 	EventPointBecameNoise = core.EventPointBecameNoise
 )
 
-// extendedClusterer is the capability surface the built-in algorithms
-// provide beyond the plain Clusterer contract: stable cluster identities and
-// an event stream. Foreign Clusterer implementations wrapped with Wrap may
-// lack it, in which case the Engine degrades gracefully (snapshot cluster
-// ids are per-snapshot group indices and no events are emitted).
-type extendedClusterer interface {
-	Clusterer
+// backend is the surface the Engine drives on each built-in clustering
+// algorithm: the point-set and query operations, stable cluster identities
+// and the event sink, staged insertion for the pipelined commit, the id-mint
+// counters that checkpoints record and restore pins, and the per-cell walks
+// and change trackers behind the seam fold and the delta checkpoints. Every
+// algorithm in internal/core implements all of it.
+type backend interface {
+	Insert(pt Point) (PointID, error)
+	InsertStaged(core.StagedPoint) (PointID, error)
+	Delete(id PointID) error
+	GroupBy(q []PointID) (Result, error)
 	ClusterOf(PointID) ([]ClusterID, bool)
 	SetEventFunc(func(Event))
+	Len() int
+	IDs() []PointID
+	Has(id PointID) bool
+	Config() Config
+
+	NextPointID() PointID
+	SetNextPointID(PointID)
+	NextClusterID() ClusterID
+
+	core.PointLookup
+	core.CoreCellWalker
+	core.SeamTracker
+	core.UpdateTracker
 }
 
-// stagedInserter is the capability behind pipelined ingestion: a backend
-// that accepts points whose validation, cloning, and grid cell assignment
-// already happened in the parallel pre-commit phase. All built-in algorithms
-// provide it.
-type stagedInserter interface {
-	InsertStaged(core.StagedPoint) (PointID, error)
-}
+var (
+	_ backend = (*core.FullyDynamic)(nil)
+	_ backend = (*core.SemiDynamic)(nil)
+	_ backend = (*core.IncDBSCAN)(nil)
+)
 
-// Engine is the recommended entry point of this package: a service-ready
-// facade over one of the dynamic clustering algorithms, adding batch
-// updates, stable cluster identities, versioned snapshots, a change-event
-// stream, and (by default) thread safety.
+// Engine is the entry point of this package: a service-ready facade over
+// one of the dynamic clustering algorithms, adding batch updates, stable
+// cluster identities, versioned snapshots, a change-event stream, and (by
+// default) thread safety.
 //
 // Construct one with New:
 //
@@ -123,7 +137,7 @@ type Engine struct {
 
 	// sh is non-nil when the Engine runs in sharded mode (WithShards(n>1)):
 	// every update and query path then routes through it, and the
-	// single-backend fields below (c, ext, staged, ...) are unused. The
+	// single-backend fields below (c, stager, ...) are unused. The
 	// event fan-out state at the bottom of the struct is shared by both
 	// modes.
 	sh *shardSet
@@ -137,11 +151,9 @@ type Engine struct {
 
 	//dynlint:lock-level 70
 	mu      sync.RWMutex
-	c       Clusterer
-	ext     extendedClusterer // nil when the backend lacks the capability
-	staged  stagedInserter    // nil when the backend lacks the capability
-	stager  core.Stager       // valid iff staged != nil
-	pending []Event           // events collected during the in-flight update
+	c       backend
+	stager  core.Stager
+	pending []Event // events collected during the in-flight update
 	// evsOn mirrors "subscribers exist" for the single-backend event sink.
 	// Without a WAL the sink itself is installed and removed with the first
 	// and last subscriber; with one the sink is permanent (it feeds the delta
@@ -154,7 +166,6 @@ type Engine struct {
 	// so inserts append in order; deletions tombstone into pendingDead and
 	// one O(n) compaction pass runs at the next snapshot build.
 	sortedIDs   []PointID
-	idsSorted   bool
 	pendingDead map[PointID]struct{}
 
 	// Event fan-out state; see events.go. Publications are ordered by
@@ -207,42 +218,30 @@ func New(opts ...Option) (*Engine, error) {
 	return e, nil
 }
 
-// newBackend constructs one bare clusterer for the algorithm — the factory
-// shared by the single-backend Engine and the per-shard backends.
-func newBackend(algo Algorithm, cfg Config) (Clusterer, error) {
+// newBackend constructs one clustering backend for the algorithm — the
+// factory shared by the single-backend Engine and the per-shard backends.
+func newBackend(algo Algorithm, cfg Config) (backend, error) {
+	var (
+		b   backend
+		err error
+	)
 	switch algo {
 	case AlgoFullyDynamic:
-		return NewFullyDynamic(cfg)
+		b, err = core.NewFullyDynamic(cfg)
 	case AlgoSemiDynamic:
-		return NewSemiDynamic(cfg)
+		b, err = core.NewSemiDynamic(cfg)
 	case AlgoIncDBSCAN:
-		return NewIncDBSCAN(cfg)
-	case AlgoIncDBSCANRTree:
-		return NewIncDBSCANRTree(cfg)
+		b, err = core.NewIncDBSCAN(cfg)
 	default:
 		return nil, fmt.Errorf("dyndbscan: unknown algorithm %v", algo)
 	}
-}
-
-// Wrap adapts an existing Clusterer — including the deprecated NewSemiDynamic /
-// NewFullyDynamic / NewIncDBSCAN values — into an Engine with thread safety
-// on. The Engine assumes exclusive ownership: mutate the clusterer only
-// through the Engine from then on. Prefer New unless you already hold a
-// clusterer.
-func Wrap(c Clusterer) *Engine {
-	algo := AlgoCustom
-	switch c.(type) {
-	case *FullyDynamic:
-		algo = AlgoFullyDynamic
-	case *SemiDynamic:
-		algo = AlgoSemiDynamic
-	case *IncDBSCAN:
-		algo = AlgoIncDBSCAN
+	if err != nil {
+		return nil, err
 	}
-	return newEngine(c, algo, true, 0)
+	return b, nil
 }
 
-func newEngine(c Clusterer, algo Algorithm, threadSafe bool, workers int) *Engine {
+func newEngine(c backend, algo Algorithm, threadSafe bool, workers int) *Engine {
 	e := &Engine{
 		threadSafe:  threadSafe,
 		roQueries:   algo == AlgoFullyDynamic,
@@ -250,24 +249,15 @@ func newEngine(c Clusterer, algo Algorithm, threadSafe bool, workers int) *Engin
 		cfg:         c.Config(),
 		workers:     pipeline.Workers(workers),
 		c:           c,
+		stager:      core.NewStager(c.Config()),
 		pendingDead: make(map[PointID]struct{}),
 		subs:        make(map[int]*subscriber),
 	}
 	e.pubCond.L = &e.pubMu
-	e.ext, _ = c.(extendedClusterer)
-	if si, ok := c.(stagedInserter); ok {
-		e.staged = si
-		e.stager = core.NewStager(e.cfg)
-	}
-	// A wrapped clusterer may come pre-populated; seed the sorted-id cache.
-	e.sortedIDs = c.IDs()
-	sort.Slice(e.sortedIDs, func(i, j int) bool { return e.sortedIDs[i] < e.sortedIDs[j] })
-	e.idsSorted = true
 	return e
 }
 
-// Algorithm returns which algorithm the Engine runs (AlgoCustom for foreign
-// backends adopted via Wrap).
+// Algorithm returns which algorithm the Engine runs.
 func (e *Engine) Algorithm() Algorithm { return e.algo }
 
 // Config returns the clustering parameters.
@@ -325,18 +315,7 @@ func (e *Engine) rqlock() func() {
 // single-backend commit path funnels its minted handles through here).
 func (e *Engine) noteInserted(ids []PointID) {
 	e.wal.noteDirtyUpdates(ids, nil)
-	for _, id := range ids {
-		if _, dead := e.pendingDead[id]; dead {
-			// A foreign backend re-issued a tombstoned id; it is already in
-			// sortedIDs, so just resurrect it.
-			delete(e.pendingDead, id)
-			continue
-		}
-		if n := len(e.sortedIDs); n > 0 && id <= e.sortedIDs[n-1] {
-			e.idsSorted = false // foreign backend with non-monotone ids
-		}
-		e.sortedIDs = append(e.sortedIDs, id)
-	}
+	e.sortedIDs = append(e.sortedIDs, ids...) // backends mint ascending ids
 }
 
 // noteDeleted tombstones removed handles; the next snapshot build compacts.
@@ -348,38 +327,28 @@ func (e *Engine) noteDeleted(ids []PointID) {
 	}
 }
 
-// compactLiveIDs removes tombstoned handles from ids and restores ascending
-// order lazily — the maintenance step shared by the single-backend and
-// sharded sorted-id caches.
-func compactLiveIDs(ids []PointID, dead map[PointID]struct{}, sorted *bool) []PointID {
-	if len(dead) > 0 {
-		w := 0
-		for _, id := range ids {
-			if _, d := dead[id]; !d {
-				ids[w] = id
-				w++
-			}
+// compactLiveIDs removes tombstoned handles from ids, preserving order — the
+// maintenance step shared by the single-backend and sharded sorted-id
+// caches.
+func compactLiveIDs(ids []PointID, dead map[PointID]struct{}) []PointID {
+	if len(dead) == 0 {
+		return ids
+	}
+	w := 0
+	for _, id := range ids {
+		if _, d := dead[id]; !d {
+			ids[w] = id
+			w++
 		}
-		ids = ids[:w]
-		clear(dead)
 	}
-	if !*sorted {
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		*sorted = true
-	}
-	return ids
+	clear(dead)
+	return ids[:w]
 }
 
-// liveIDs returns the ascending live-id slice, compacting tombstones and
-// restoring sortedness lazily. Must run inside the update critical section.
+// liveIDs returns the ascending live-id slice, compacting tombstones lazily.
+// Must run inside the update critical section.
 func (e *Engine) liveIDs() []PointID {
-	e.sortedIDs = compactLiveIDs(e.sortedIDs, e.pendingDead, &e.idsSorted)
-	if len(e.sortedIDs) != e.c.Len() {
-		// The backend disagrees with the cache (it was mutated behind the
-		// Engine's back); rebuild rather than serve a corrupt snapshot.
-		e.sortedIDs = e.c.IDs()
-		sort.Slice(e.sortedIDs, func(i, j int) bool { return e.sortedIDs[i] < e.sortedIDs[j] })
-	}
+	e.sortedIDs = compactLiveIDs(e.sortedIDs, e.pendingDead)
 	return e.sortedIDs
 }
 
@@ -394,10 +363,9 @@ func (e *Engine) finishUpdate() []Event {
 }
 
 // failUpdate abandons an in-flight update from inside the critical section:
-// no version advance, no publication — and, crucially, no residue. Events a
-// misbehaving backend emitted before the failure (for example during the
-// Has probes of batch validation) are dropped here; leaving them in
-// e.pending would smuggle them into the next successful commit's
+// no version advance, no publication — and, crucially, no residue. Any
+// event collected before the failure is dropped here; leaving it in
+// e.pending would smuggle it into the next successful commit's
 // publication. Every update failure path that applied no state change must
 // exit through this helper (paths that partially committed go through
 // finishUpdate + release instead, so the applied work publishes).
@@ -474,12 +442,12 @@ func (e *Engine) InsertBatch(pts []Point) ([]PointID, error) {
 		e.failUpdate()
 		return nil, werr
 	}
-	for i := range pts {
-		id, err := e.commitInsert(staged, pts, i)
+	for i := range staged {
+		id, err := e.c.InsertStaged(staged[i])
 		if err != nil {
-			// Unreachable for the built-in algorithms (points were staged),
-			// possible for foreign backends: commit the partial work, if
-			// any, and report where the batch stopped.
+			// The points were staged, so the backend has no reason left to
+			// refuse one; should it, commit the partial work, if any, and
+			// report where the batch stopped.
 			if i > 0 {
 				e.noteInserted(ids)
 				e.release(e.finishUpdate())
@@ -498,12 +466,11 @@ func (e *Engine) InsertBatch(pts []Point) ([]PointID, error) {
 	return ids, nil
 }
 
-// stageInserts runs the pre-commit phase of a batch insertion: validation
-// plus, when the backend supports staged insertion, coordinate cloning and
-// grid cell assignment, fanned out across the engine's workers. The returned
-// slice is nil when the backend lacks the capability (validation still ran).
-// Errors name the failing element as "<what> <index>"; idx, when non-nil,
-// remaps element positions to caller indices (Apply's op positions).
+// stageInserts runs the pre-commit phase of a batch insertion: validation,
+// coordinate cloning and grid cell assignment, fanned out across the
+// engine's workers. Errors name the failing element as "<what> <index>";
+// idx, when non-nil, remaps element positions to caller indices (Apply's op
+// positions).
 func (e *Engine) stageInserts(pts []Point, what string, idx []int) ([]core.StagedPoint, error) {
 	at := func(i int) int {
 		if idx != nil {
@@ -511,33 +478,13 @@ func (e *Engine) stageInserts(pts []Point, what string, idx []int) ([]core.Stage
 		}
 		return i
 	}
-	if e.staged == nil {
-		for i, pt := range pts {
-			if err := core.CheckPoint(pt, e.cfg.Dims); err != nil {
-				return nil, fmt.Errorf("dyndbscan: %s %d: %w", what, at(i), err)
-			}
-		}
-		return nil, nil
-	}
-	staged, err := pipeline.Map(e.workers, pts, func(i int, pt Point) (core.StagedPoint, error) {
+	return pipeline.Map(e.workers, pts, func(i int, pt Point) (core.StagedPoint, error) {
 		sp, err := e.stager.Stage(pt)
 		if err != nil {
 			return core.StagedPoint{}, fmt.Errorf("dyndbscan: %s %d: %w", what, at(i), err)
 		}
 		return sp, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return staged, nil
-}
-
-// commitInsert performs the commit-phase insertion of batch element i.
-func (e *Engine) commitInsert(staged []core.StagedPoint, pts []Point, i int) (PointID, error) {
-	if staged != nil {
-		return e.staged.InsertStaged(staged[i])
-	}
-	return e.c.Insert(pts[i])
 }
 
 // Delete removes one point.
@@ -589,8 +536,8 @@ func (e *Engine) DeleteBatch(ids []PointID) error {
 	}
 	for i, id := range ids {
 		if err := e.c.Delete(id); err != nil {
-			// Only reachable on a backend that rejects deletes (semi-dynamic
-			// via Wrap) or other foreign failures; ids were validated above.
+			// The ids were validated above, so only the semi-dynamic
+			// backend's ErrDeletesUnsupported lands here, on the first id.
 			if i > 0 {
 				e.noteDeleted(ids[:i])
 				e.release(e.finishUpdate())
@@ -651,7 +598,7 @@ func (e *Engine) GroupAll() (Result, error) {
 		return e.Snapshot().GroupAll(), nil
 	}
 	defer e.qlock()()
-	return GroupAll(e.c)
+	return e.c.GroupBy(e.c.IDs())
 }
 
 // Len returns the number of points currently stored.
@@ -709,6 +656,10 @@ func (e *Engine) Version() uint64 {
 // (empty for a live noise point; a border point may list several) and
 // whether the point is live. Served lock-free from the cached snapshot when
 // fresh, else from the live structure.
+//
+// The returned slice is shared and read-only: on the lock-free path it is
+// the snapshot's own entry, so a caller that mutates it corrupts the answer
+// every reader of that epoch sees. Copy it before modifying.
 func (e *Engine) ClusterOf(id PointID) ([]ClusterID, bool) {
 	if e.sh != nil && e.sh.stagedVisible() {
 		e.sh.joinAll(joinQuery)
@@ -716,9 +667,9 @@ func (e *Engine) ClusterOf(id PointID) ([]ClusterID, bool) {
 	if s := e.currentSnapshot(); s != nil {
 		return s.ClusterOf(id)
 	}
-	if e.sh == nil && e.ext != nil {
+	if e.sh == nil {
 		defer e.qlock()()
-		cids, ok := e.ext.ClusterOf(id)
+		cids, ok := e.c.ClusterOf(id)
 		return e.mapCIDs(cids), ok
 	}
 	return e.Snapshot().ClusterOf(id)
@@ -757,13 +708,8 @@ func (e *Engine) Snapshot() *Snapshot {
 	// writers wait behind a reader, which is the point.
 	//
 	//dynlint:ignore holdblock snapshot build quiesces writers by design; worker join is bounded and lock-free
-	s, ok := e.buildSnapshot()
-	if ok {
-		// Only a fully built snapshot is published: a foreign backend that
-		// failed mid-build yields a best-effort view to this caller alone,
-		// never an epoch-long lock-free source of wrong answers.
-		e.snap.Store(s)
-	}
+	s := e.buildSnapshot()
+	e.snap.Store(s)
 	e.unlock()
 	return s
 }
@@ -774,50 +720,27 @@ const parallelSnapshotMin = 2048
 
 // buildSnapshot computes the full clustering inside the update critical
 // section. On backends with read-only queries the per-point cluster
-// resolution fans out across the engine's workers. ok is false when a
-// foreign backend failed mid-build and the snapshot is incomplete.
-func (e *Engine) buildSnapshot() (_ *Snapshot, ok bool) {
+// resolution fans out across the engine's workers.
+func (e *Engine) buildSnapshot() *Snapshot {
 	s := &Snapshot{
 		Version:  e.version.Load(),
 		Clusters: make(map[ClusterID][]PointID),
 		byPoint:  make(map[PointID][]ClusterID, e.c.Len()),
 	}
 	ids := e.liveIDs()
-	if e.ext != nil {
-		workers := 1
-		if e.roQueries && e.workers > 1 && len(ids) >= parallelSnapshotMin {
-			workers = e.workers
-		}
-		resolve := e.ext.ClusterOf
-		if e.remap != nil {
-			resolve = func(id PointID) ([]ClusterID, bool) {
-				cids, ok := e.ext.ClusterOf(id)
-				return e.mapCIDs(cids), ok
-			}
-		}
-		resolveMembers(s, ids, workers, resolve)
-		return s, true
+	workers := 1
+	if e.roQueries && e.workers > 1 && len(ids) >= parallelSnapshotMin {
+		workers = e.workers
 	}
-	// Degraded path for foreign backends: cluster ids are the group indices
-	// of this snapshot only. The backend gets a copy of the id slice — the
-	// Clusterer contract does not forbid reordering or retaining q, and the
-	// original is the engine's long-lived sorted-id cache.
-	res, err := e.c.GroupBy(append([]PointID(nil), ids...))
-	if err != nil {
-		return s, false // misbehaving foreign backend; do not publish
-	}
-	for g, members := range res.Groups {
-		cid := ClusterID(g)
-		s.Clusters[cid] = append(s.Clusters[cid], members...)
-		for _, id := range members {
-			s.byPoint[id] = append(s.byPoint[id], cid)
+	resolve := e.c.ClusterOf
+	if e.remap != nil {
+		resolve = func(id PointID) ([]ClusterID, bool) {
+			cids, ok := e.c.ClusterOf(id)
+			return e.mapCIDs(cids), ok
 		}
 	}
-	for _, id := range res.Noise {
-		s.byPoint[id] = nil
-	}
-	s.Noise = res.Noise
-	return s, true
+	resolveMembers(s, ids, workers, resolve)
+	return s
 }
 
 // resolveMembers fills s with the memberships of ids (which must be
@@ -867,5 +790,3 @@ func resolveMembers(s *Snapshot, ids []PointID, workers int, resolve func(PointI
 		}
 	}
 }
-
-var _ Clusterer = (*Engine)(nil)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 
@@ -29,10 +28,10 @@ func TestNewOptionValidation(t *testing.T) {
 		{"bad dims", []dyndbscan.Option{dyndbscan.WithEps(2), dyndbscan.WithMinPts(3), dyndbscan.WithDims(99)}, false},
 		{"bad rho", []dyndbscan.Option{dyndbscan.WithEps(2), dyndbscan.WithMinPts(3), dyndbscan.WithRho(-0.5)}, false},
 		{"unknown algorithm", []dyndbscan.Option{dyndbscan.WithEps(2), dyndbscan.WithMinPts(3), dyndbscan.WithAlgorithm(dyndbscan.Algorithm(42))}, false},
-		{"custom not constructible", []dyndbscan.Option{dyndbscan.WithEps(2), dyndbscan.WithMinPts(3), dyndbscan.WithAlgorithm(dyndbscan.AlgoCustom)}, false},
-		{"config bundle", []dyndbscan.Option{dyndbscan.WithConfig(dyndbscan.Config{Dims: 3, Eps: 4, MinPts: 5, Rho: 0})}, true},
-		{"config then override", []dyndbscan.Option{dyndbscan.WithConfig(dyndbscan.Config{Dims: 3, Eps: 4, MinPts: 5}), dyndbscan.WithEps(9)}, true},
-		{"incomplete config", []dyndbscan.Option{dyndbscan.WithConfig(dyndbscan.Config{Dims: 3, Eps: 4})}, false},
+		// The retired values: 3 was IncDBSCANRTree, -1 marked Wrap's foreign
+		// backends. Neither names an algorithm any more.
+		{"retired algorithm 3", []dyndbscan.Option{dyndbscan.WithEps(2), dyndbscan.WithMinPts(3), dyndbscan.WithAlgorithm(dyndbscan.Algorithm(3))}, false},
+		{"retired algorithm -1", []dyndbscan.Option{dyndbscan.WithEps(2), dyndbscan.WithMinPts(3), dyndbscan.WithAlgorithm(dyndbscan.Algorithm(-1))}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -56,25 +55,6 @@ func TestNewOptionValidation(t *testing.T) {
 	if !errors.Is(err, dyndbscan.ErrMissingOption) {
 		t.Fatalf("missing MinPts: got %v, want ErrMissingOption", err)
 	}
-	// An explicitly provided Config owns its validation: out-of-range fields
-	// surface Config.Validate's range error, never a misleading "missing
-	// WithEps" (Eps: 0) or a silently different path (Eps: -1).
-	for _, cfg := range []dyndbscan.Config{
-		{Dims: 2, Eps: -1, MinPts: 2},
-		{Dims: 2, Eps: 0, MinPts: 2},
-		{Dims: 2, Eps: 1, MinPts: 0},
-	} {
-		_, err := dyndbscan.New(dyndbscan.WithConfig(cfg))
-		if err == nil {
-			t.Fatalf("WithConfig(%+v) accepted", cfg)
-		}
-		if errors.Is(err, dyndbscan.ErrMissingOption) {
-			t.Fatalf("WithConfig(%+v): got ErrMissingOption (%v), want the Config range error", cfg, err)
-		}
-		if !strings.Contains(err.Error(), "WithConfig") {
-			t.Fatalf("WithConfig(%+v): error %q does not name WithConfig", cfg, err)
-		}
-	}
 	// Defaults: fully dynamic, 2D, rho 0.001.
 	e, err := dyndbscan.New(dyndbscan.WithEps(2), dyndbscan.WithMinPts(3))
 	if err != nil {
@@ -95,7 +75,6 @@ func TestNewConstructsAllAlgorithms(t *testing.T) {
 		dyndbscan.AlgoFullyDynamic,
 		dyndbscan.AlgoSemiDynamic,
 		dyndbscan.AlgoIncDBSCAN,
-		dyndbscan.AlgoIncDBSCANRTree,
 	}
 	for _, algo := range algos {
 		t.Run(algo.String(), func(t *testing.T) {
@@ -665,27 +644,5 @@ func TestEngineConcurrentUse(t *testing.T) {
 	evMu.Unlock()
 	if n == 0 {
 		t.Fatal("no events observed under concurrent churn")
-	}
-}
-
-// TestWrap adapts a deprecated bare clusterer into an Engine.
-func TestWrap(t *testing.T) {
-	c, err := dyndbscan.NewFullyDynamic(dyndbscan.Config{Dims: 2, Eps: 2, MinPts: 2, Rho: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := dyndbscan.Wrap(c)
-	if e.Algorithm() != dyndbscan.AlgoFullyDynamic {
-		t.Fatalf("Wrap algorithm = %v", e.Algorithm())
-	}
-	ids, err := e.InsertBatch([]dyndbscan.Point{{0, 0}, {1, 0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cids, ok := e.ClusterOf(ids[0]); !ok || len(cids) != 1 {
-		t.Fatalf("ClusterOf through Wrap: %v %v", cids, ok)
-	}
-	if e.Snapshot().NumClusters() != 1 {
-		t.Fatal("snapshot through Wrap wrong")
 	}
 }

@@ -3,7 +3,7 @@ package dyndbscan_test
 // Randomized cross-mode equivalence harness: a seeded generator drives
 // identical mixed Insert/Delete/Apply streams through three engines —
 // single-shard, sharded without subscribers, and sharded with a subscriber
-// attached — across all four algorithms, asserting snapshot equality and
+// attached — across all three algorithms, asserting snapshot equality and
 // event-stream reconcilability every few commits. With Rho = 0 every
 // clustering decision is a pure function of the visible point set, so all
 // three modes must agree exactly; the subscribed engine additionally has its
@@ -509,7 +509,7 @@ func formatEqOps(ops []eqOp) string {
 }
 
 // TestCrossModeEquivalence is the acceptance harness of the incremental
-// cross-shard stitch: ≥10k ops per seed, all four algorithms, three modes.
+// cross-shard stitch: ≥10k ops per seed, all three algorithms, three modes.
 func TestCrossModeEquivalence(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -519,7 +519,6 @@ func TestCrossModeEquivalence(t *testing.T) {
 		{"FullyDynamic", dyndbscan.AlgoFullyDynamic, true},
 		{"SemiDynamic", dyndbscan.AlgoSemiDynamic, false},
 		{"IncDBSCAN", dyndbscan.AlgoIncDBSCAN, true},
-		{"IncDBSCANRTree", dyndbscan.AlgoIncDBSCANRTree, true},
 	}
 	seeds := []int64{42}
 	nops := 10_000

@@ -155,14 +155,10 @@ func (e *Engine) selfFeedLocked() bool {
 // may also perform updates — but only on a DropOldest subscription: under
 // BlockSubscriber a re-entrant update whose events hit the subscription's
 // own full queue is an unresolvable self-wait, which the Engine turns into
-// a panic (see OverflowPolicy). A backend without event support
-// (some Wrap targets) never emits. The cancel function is idempotent; it
+// a panic (see OverflowPolicy). The cancel function is idempotent; it
 // stops delivery, discards this subscription's undelivered events, and does
 // not wait for an in-flight callback (call Sync first for a clean drain).
 func (e *Engine) Subscribe(fn func(Event), opts ...SubscribeOption) (cancel func()) {
-	if e.ext == nil && e.sh == nil {
-		return func() {}
-	}
 	st := subSettings{buffer: DefaultEventBuffer, overflow: BlockSubscriber}
 	for _, opt := range opts {
 		opt(&st)
@@ -269,9 +265,9 @@ func (e *Engine) syncEventFunc() {
 	// subscriber-less engine pays nothing for the event machinery.
 	if e.wal == nil {
 		if want {
-			e.ext.SetEventFunc(func(ev Event) { e.pending = append(e.pending, e.mapEvent(ev)) })
+			e.c.SetEventFunc(func(ev Event) { e.pending = append(e.pending, e.mapEvent(ev)) })
 		} else {
-			e.ext.SetEventFunc(nil)
+			e.c.SetEventFunc(nil)
 		}
 	}
 	e.unlock()

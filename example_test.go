@@ -6,14 +6,13 @@ import (
 	"dyndbscan"
 )
 
-// ExampleNewFullyDynamic shows the full insert / query / delete cycle.
-func ExampleNewFullyDynamic() {
-	c, err := dyndbscan.NewFullyDynamic(dyndbscan.Config{
-		Dims: 2, Eps: 1.5, MinPts: 3, Rho: 0.001,
-	})
+// ExampleNew shows the full insert / query / delete cycle.
+func ExampleNew() {
+	c, err := dyndbscan.New(dyndbscan.WithEps(1.5), dyndbscan.WithMinPts(3))
 	if err != nil {
 		panic(err)
 	}
+	defer c.Close()
 	var ids []dyndbscan.PointID
 	for _, pt := range []dyndbscan.Point{
 		{0, 0}, {1, 0}, {0, 1}, // a small cluster
@@ -45,7 +44,9 @@ func ExampleNewFullyDynamic() {
 // ExampleResult_SameGroup answers the paper's motivating question:
 // "are X and Y in the same cluster?"
 func ExampleResult_SameGroup() {
-	c, _ := dyndbscan.NewSemiDynamic(dyndbscan.Config{Dims: 2, Eps: 2, MinPts: 2})
+	c, _ := dyndbscan.New(dyndbscan.WithAlgorithm(dyndbscan.AlgoSemiDynamic),
+		dyndbscan.WithEps(2), dyndbscan.WithMinPts(2), dyndbscan.WithRho(0))
+	defer c.Close()
 	x, _ := c.Insert(dyndbscan.Point{0, 0})
 	y, _ := c.Insert(dyndbscan.Point{1, 0})
 	z, _ := c.Insert(dyndbscan.Point{100, 100})

@@ -22,14 +22,6 @@ const (
 	// al. (1998). Exact at any dimensionality, but deletions can trigger
 	// cluster-wide BFS; use it for comparisons, not production traffic.
 	AlgoIncDBSCAN
-	// AlgoIncDBSCANRTree is AlgoIncDBSCAN with range queries served from a
-	// Guttman R-tree, matching the original 1998 system. Slower; provided
-	// for historical fidelity and ablations.
-	AlgoIncDBSCANRTree
-
-	// AlgoCustom marks an Engine whose backend was supplied by the caller
-	// through Wrap. It is not a valid argument to WithAlgorithm.
-	AlgoCustom Algorithm = -1
 )
 
 // String returns the algorithm's name.
@@ -41,10 +33,6 @@ func (a Algorithm) String() string {
 		return "SemiDynamic"
 	case AlgoIncDBSCAN:
 		return "IncDBSCAN"
-	case AlgoIncDBSCANRTree:
-		return "IncDBSCANRTree"
-	case AlgoCustom:
-		return "Custom"
 	default:
 		return fmt.Sprintf("Algorithm(%d)", int(a))
 	}
@@ -54,14 +42,12 @@ func (a Algorithm) String() string {
 // WithMinPts) was not provided.
 var ErrMissingOption = errors.New("dyndbscan: required option missing")
 
-// engineSettings accumulates the functional options of New. Config remains
-// the low-level SPI; the options are the supported way to fill it in.
+// engineSettings accumulates the functional options of New.
 type engineSettings struct {
 	algo         Algorithm
 	cfg          Config
 	epsSet       bool
 	minPtsSet    bool
-	cfgExplicit  bool // WithConfig was used: Config.Validate owns the errors
 	threadSafe   bool
 	workers      int             // staging/snapshot workers; 0 = one per CPU
 	shards       int             // spatial shards; 1 = single-backend mode
@@ -93,7 +79,7 @@ type Option func(*engineSettings)
 func WithAlgorithm(a Algorithm) Option {
 	return func(s *engineSettings) {
 		switch a {
-		case AlgoFullyDynamic, AlgoSemiDynamic, AlgoIncDBSCAN, AlgoIncDBSCANRTree:
+		case AlgoFullyDynamic, AlgoSemiDynamic, AlgoIncDBSCAN:
 			s.algo = a
 		default:
 			s.setErr(fmt.Errorf("dyndbscan: unknown algorithm %v", a))
@@ -241,21 +227,6 @@ func WithHotspot(p HotspotPolicy) Option {
 	}
 }
 
-// WithConfig replaces the whole parameter set at once — the escape hatch for
-// callers that already hold a Config (the low-level SPI). Individual options
-// applied after it still override single fields. A caller supplying a whole
-// Config has provided every parameter, so validation reports Config.Validate's
-// range errors (for example "Eps must be positive" on a zero or negative
-// Eps) rather than a misleading "missing WithEps".
-func WithConfig(cfg Config) Option {
-	return func(s *engineSettings) {
-		s.cfg = cfg
-		s.cfgExplicit = true
-		s.epsSet = true
-		s.minPtsSet = true
-	}
-}
-
 func (s *engineSettings) setErr(err error) {
 	if s.err == nil {
 		s.err = err
@@ -299,11 +270,5 @@ func (s *engineSettings) validate() error {
 	if err := s.validateWAL(); err != nil {
 		return err
 	}
-	if err := s.cfg.Validate(); err != nil {
-		if s.cfgExplicit {
-			return fmt.Errorf("dyndbscan: WithConfig: %w", err)
-		}
-		return err
-	}
-	return nil
+	return s.cfg.Validate()
 }

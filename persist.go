@@ -164,16 +164,6 @@ func (s *engineSettings) validateWAL() error {
 	return nil
 }
 
-// restorableBackend is the capability checkpoint restore requires of a
-// backend: reading and pinning the id-mint counters. All built-in algorithms
-// provide it through the shared core base.
-type restorableBackend interface {
-	NextPointID() core.PointID
-	SetNextPointID(core.PointID)
-	NextClusterID() core.ClusterID
-	SetNextClusterID(core.ClusterID)
-}
-
 // walState is the Engine's durability attachment.
 type walState struct {
 	log       *wal.Log
@@ -186,13 +176,6 @@ type walState struct {
 	// dirty accumulates the inter-checkpoint change set the delta capture
 	// serializes.
 	dirty ckptDirty
-
-	// Single-backend restore/checkpoint capabilities (nil in sharded mode,
-	// where the shards carry their own).
-	rb     restorableBackend
-	look   core.PointLookup
-	upd    core.UpdateTracker
-	walker core.CoreCellWalker
 
 	// recovering suppresses appends while Open replays the log through the
 	// ordinary Apply pipeline. Written only before the Engine escapes Open.
@@ -499,31 +482,11 @@ func (e *Engine) WALStats() WALStats {
 	}
 }
 
-// newWALState builds the engine's durability attachment after checking the
-// backend provides the restore capabilities (all built-in algorithms do;
-// foreign Wrap backends may not).
-func (e *Engine) newWALState() (*walState, error) {
-	if e.sh == nil {
-		rb, okRB := e.c.(restorableBackend)
-		look, okLook := e.c.(core.PointLookup)
-		upd, okUpd := e.c.(core.UpdateTracker)
-		walker, okWalk := e.c.(core.CoreCellWalker)
-		if !okRB || !okLook || !okUpd || !okWalk || e.ext == nil || e.staged == nil {
-			return nil, fmt.Errorf("dyndbscan: algorithm %v lacks the persistence capabilities", e.algo)
-		}
-		return &walState{rb: rb, look: look, upd: upd, walker: walker}, nil
-	}
-	return &walState{}, nil
-}
-
 // attachWAL wires a walState to a freshly constructed Engine. doRecover
 // selects the Open semantics: the log must exist, its checkpoint is
 // restored, and its records replay through Apply before the Engine escapes.
 func (e *Engine) attachWAL(s *engineSettings, dir string, doRecover bool) error {
-	w, err := e.newWALState()
-	if err != nil {
-		return err
-	}
+	w := &walState{}
 	e.wal = w
 	w.policy = s.walPolicy.normalize()
 	w.ckptEvery = defaultCheckpointEvery
@@ -585,11 +548,11 @@ func (e *Engine) attachWAL(s *engineSettings, dir string, doRecover bool) error 
 	// (sharded mode's per-shard sinks are permanent from construction).
 	if ss := e.sh; ss != nil {
 		for _, sh := range ss.shards {
-			sh.upd.SetUpdateTracking(true)
+			sh.c.SetUpdateTracking(true)
 		}
 	} else {
-		w.upd.SetUpdateTracking(true)
-		e.ext.SetEventFunc(func(ev Event) {
+		e.c.SetUpdateTracking(true)
+		e.c.SetEventFunc(func(ev Event) {
 			ev = e.mapEvent(ev)
 			w.noteDirtyEvent(ev)
 			if e.evsOn {
@@ -880,7 +843,7 @@ func engineFromLog(dir string, opts []Option) (*Engine, *engineSettings, error) 
 		switch {
 		case s.walDir != "":
 			s.setErr(errors.New("dyndbscan: Open: WithWAL conflicts with Open's directory argument; use WithWALSync to tune the policy"))
-		case s.cfgExplicit || s.epsSet || s.minPtsSet ||
+		case s.epsSet || s.minPtsSet ||
 			s.algo != def.algo || s.cfg.Dims != def.cfg.Dims || s.cfg.Rho != def.cfg.Rho ||
 			s.shards != def.shards || s.stripeCells != 0:
 			s.setErr(errors.New("dyndbscan: Open derives the algorithm, parameters, and shard topology from the log; pass only runtime options"))
@@ -888,7 +851,7 @@ func engineFromLog(dir string, opts []Option) (*Engine, *engineSettings, error) 
 	}
 	s.algo = mc.algo
 	s.cfg = mc.cfg
-	s.epsSet, s.minPtsSet, s.cfgExplicit = true, true, false
+	s.epsSet, s.minPtsSet = true, true
 	s.shards = mc.shards
 	s.stripeCells = mc.stripeCells
 	if err := s.validate(); err != nil {
@@ -913,6 +876,11 @@ func engineFromLog(dir string, opts []Option) (*Engine, *engineSettings, error) 
 // Engine meta payload: the shape New/Open must agree on.
 
 const engineMetaVersion = 1
+
+// retiredAlgoIncDBSCANRTree is the meta algorithm byte of the removed
+// R-tree-backed IncDBSCAN. Open refuses such a log rather than recover it
+// under a different range index.
+const retiredAlgoIncDBSCANRTree Algorithm = 3
 
 func encodeEngineMeta(e *Engine, s *engineSettings) []byte {
 	b := []byte{engineMetaVersion, byte(e.algo)}
@@ -949,7 +917,9 @@ func decodeEngineMeta(b []byte) (engineMeta, error) {
 		return mc, fmt.Errorf("dyndbscan: corrupt engine meta: %w", d.err)
 	}
 	switch mc.algo {
-	case AlgoFullyDynamic, AlgoSemiDynamic, AlgoIncDBSCAN, AlgoIncDBSCANRTree:
+	case AlgoFullyDynamic, AlgoSemiDynamic, AlgoIncDBSCAN:
+	case retiredAlgoIncDBSCANRTree:
+		return mc, errors.New("dyndbscan: engine meta names IncDBSCANRTree, which was removed; its replacement is AlgoIncDBSCAN (the same exact clustering on a grid range index), and Open does not recover a log under a different range index")
 	default:
 		return mc, fmt.Errorf("dyndbscan: engine meta names unknown algorithm %d", mc.algo)
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -100,7 +101,6 @@ var walAlgos = []struct {
 	{"FullyDynamic", AlgoFullyDynamic, true},
 	{"SemiDynamic", AlgoSemiDynamic, false},
 	{"IncDBSCAN", AlgoIncDBSCAN, true},
-	{"IncDBSCANRTree", AlgoIncDBSCANRTree, true},
 }
 
 // TestWALReplayRestoresState: a clean Close and Open must reproduce the
@@ -338,6 +338,44 @@ func TestOpenValidation(t *testing.T) {
 		t.Fatalf("recovered %d points, want 1", re.Len())
 	}
 	re.Close()
+}
+
+// TestOpenRefusesRetiredAlgorithm: a log whose meta record names the
+// removed IncDBSCANRTree algorithm (byte 3) is refused with an error that
+// names the replacement, instead of being recovered under a different
+// range index.
+func TestOpenRefusesRetiredAlgorithm(t *testing.T) {
+	e, err := New(WithAlgorithm(AlgoIncDBSCAN), WithEps(6), WithMinPts(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := encodeEngineMeta(e, newSettings())
+	meta[1] = 3
+	check := func(what string, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s accepted a meta record naming algorithm 3", what)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "IncDBSCANRTree") || !strings.Contains(msg, "removed") || !strings.Contains(msg, "AlgoIncDBSCAN") {
+			t.Fatalf("%s: error %q does not say IncDBSCANRTree was removed and name AlgoIncDBSCAN", what, msg)
+		}
+	}
+	_, err = decodeEngineMeta(meta)
+	check("decodeEngineMeta", err)
+
+	dir := t.TempDir()
+	log, err := wal.Open(dir, wal.Options{Meta: meta, MustCreate: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := log.Append([]wal.Op{{Kind: wal.OpInsert, Coord: []float64{1, 2}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Open(dir)
+	check("Open", err)
 }
 
 // TestCloseDurability: Close flushes the group-commit tail (an interval so

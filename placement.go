@@ -819,7 +819,7 @@ func (ss *shardSet) migrateStripeChunked(t int64, dst int32, chunk int) {
 						continue
 					}
 					owner := r.copies[0]
-					pt, ok := ss.shards[owner.shard].look.PointAt(owner.local)
+					pt, ok := ss.shards[owner.shard].c.PointAt(owner.local)
 					if !ok {
 						panic(fmt.Sprintf("dyndbscan: chunked migration lost the owner copy of point %d", gid))
 					}
@@ -827,7 +827,7 @@ func (ss *shardSet) migrateStripeChunked(t int64, dst int32, chunk int) {
 					if err != nil {
 						panic(fmt.Sprintf("dyndbscan: chunked migration re-staging point %d: %v", gid, err))
 					}
-					lid, err := ss.shards[s].st.InsertStaged(sp)
+					lid, err := ss.shards[s].c.InsertStaged(sp)
 					if err != nil {
 						panic(fmt.Sprintf("dyndbscan: shard %d rejected a migrated copy: %v", s, err))
 					}
@@ -1169,7 +1169,7 @@ func (ss *shardSet) reshapeLocked(loCol, hiCol int64, flip func()) (ticket uint6
 			}
 			if pt == nil {
 				owner := mv.old.copies[0]
-				p, ok := ss.shards[owner.shard].look.PointAt(owner.local)
+				p, ok := ss.shards[owner.shard].c.PointAt(owner.local)
 				if !ok {
 					panic(fmt.Sprintf("dyndbscan: migration lost the owner copy of point %d", mv.gid))
 				}
@@ -1179,7 +1179,7 @@ func (ss *shardSet) reshapeLocked(loCol, hiCol int64, flip func()) (ticket uint6
 			if err != nil {
 				panic(fmt.Sprintf("dyndbscan: migration re-staging point %d: %v", mv.gid, err))
 			}
-			lid, err := ss.shards[s].st.InsertStaged(sp)
+			lid, err := ss.shards[s].c.InsertStaged(sp)
 			if err != nil {
 				panic(fmt.Sprintf("dyndbscan: shard %d rejected a migrated copy: %v", s, err))
 			}
@@ -1232,7 +1232,7 @@ func (ss *shardSet) reshapeLocked(loCol, hiCol int64, flip func()) (ticket uint6
 		// derived from the stitch transition below instead.
 		for _, sh := range ss.shards {
 			sh.pending = sh.pending[:0]
-			sh.tracker.TakeDirtySeamCells()
+			sh.c.TakeDirtySeamCells()
 		}
 		comps, gidOf, prevGIDs := ss.restitchInfoLocked()
 		if ss.eventsOn {

@@ -119,11 +119,7 @@ func (r *Replica) rebuild() error {
 		rd.Close()
 		return err
 	}
-	w, err := e.newWALState()
-	if err != nil {
-		rd.Close()
-		return err
-	}
+	w := &walState{}
 	// recovering stays true for the replica's whole life: its engine applies
 	// log records but must never append any (the primary owns the log).
 	w.recovering = true

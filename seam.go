@@ -556,7 +556,7 @@ func (ss *shardSet) buildSeamLocked() {
 	// the seam was cold) on top of an already-exact baseline.
 	for _, sh := range ss.shards {
 		sh.pending = sh.pending[:0]
-		sh.tracker.TakeDirtySeamCells()
+		sh.c.TakeDirtySeamCells()
 	}
 	ss.restitchLocked()
 	ss.populateSeamLocked()
@@ -594,7 +594,7 @@ func (ss *shardSet) populateSeamLocked() {
 	}
 	for si, sh := range ss.shards {
 		s := int32(si)
-		sh.walker.ForEachCoreCell(func(coord grid.Coord, cid core.ClusterID) bool {
+		sh.c.ForEachCoreCell(func(coord grid.Coord, cid core.ClusterID) bool {
 			if !ss.replicated(coord) {
 				return true
 			}
@@ -634,7 +634,7 @@ func (ss *shardSet) auditSeamLocked() error {
 	freshKeys := make(map[stitchKey]struct{})
 	for si, sh := range ss.shards {
 		s := int32(si)
-		sh.walker.ForEachCoreCell(func(coord grid.Coord, cid core.ClusterID) bool {
+		sh.c.ForEachCoreCell(func(coord grid.Coord, cid core.ClusterID) bool {
 			freshKeys[stitchKey{s, cid}] = struct{}{}
 			if !ss.replicated(coord) {
 				return true

@@ -106,14 +106,8 @@ type route struct {
 type shard struct {
 	idx int32
 	//dynlint:lock-level 40 indexed
-	mu      sync.Mutex
-	c       Clusterer
-	ext     extendedClusterer
-	st      stagedInserter
-	walker  core.CoreCellWalker
-	tracker core.SeamTracker
-	look    core.PointLookup
-	upd     core.UpdateTracker // delta-checkpoint dirty cells; armed by attachWAL
+	mu sync.Mutex
+	c  backend // update tracking (delta-checkpoint dirty cells) armed by attachWAL
 
 	// ownerGlobal maps backend-local handles of *owned* copies back to their
 	// global handles — the translation table for point-level events. Ghost
@@ -195,8 +189,9 @@ type shardSet struct {
 	worldMu sync.RWMutex
 
 	// Global handle table; guarded by routesMu (commits on disjoint shards
-	// mutate it concurrently). sortedIDs/idsSorted/pendingDead mirror the
-	// single-backend engine's incremental sorted-id cache.
+	// mutate it concurrently). sortedIDs/pendingDead mirror the
+	// single-backend engine's incremental sorted-id cache; idsSorted is
+	// cleared when concurrent commits append their mints out of order.
 	//dynlint:lock-level 50
 	routesMu    sync.Mutex
 	routes      map[PointID]route
@@ -244,7 +239,7 @@ type shardSet struct {
 
 // newShardedEngine builds the Engine for WithShards(n>1).
 func newShardedEngine(s *engineSettings) (*Engine, error) {
-	backends := make([]Clusterer, s.shards)
+	backends := make([]backend, s.shards)
 	for i := range backends {
 		c, err := newBackend(s.algo, s.cfg)
 		if err != nil {
@@ -307,34 +302,17 @@ func newShardedEngine(s *engineSettings) (*Engine, error) {
 		}
 	}
 	for i, c := range backends {
-		ext, okExt := c.(extendedClusterer)
-		st, okSt := c.(stagedInserter)
-		walker, okWalk := c.(core.CoreCellWalker)
-		tracker, okTrack := c.(core.SeamTracker)
-		look, okLook := c.(core.PointLookup)
-		upd, okUpd := c.(core.UpdateTracker)
-		if !okExt || !okSt || !okWalk || !okTrack || !okLook || !okUpd {
-			return nil, fmt.Errorf("dyndbscan: algorithm %v lacks the sharding capabilities", s.algo)
-		}
-		ss.shards[i] = &shard{
+		sh := &shard{
 			idx:         int32(i),
 			c:           c,
-			ext:         ext,
-			st:          st,
-			walker:      walker,
-			tracker:     tracker,
-			look:        look,
-			upd:         upd,
 			ownerGlobal: make(map[core.PointID]PointID),
 		}
-	}
-	for _, sh := range ss.shards {
-		sh := sh
+		ss.shards[i] = sh
 		// Event collection and dirty-cell tracking are permanent: every
 		// commit folds its seam delta whether or not subscribers exist, so
 		// eventsOn only gates what is published, never what is maintained.
-		sh.ext.SetEventFunc(func(ev Event) { sh.pending = append(sh.pending, ev) })
-		sh.tracker.SetSeamTracking(true)
+		sh.c.SetEventFunc(func(ev Event) { sh.pending = append(sh.pending, ev) })
+		sh.c.SetSeamTracking(true)
 	}
 	// The seam is warm from birth: an empty world stitches trivially, and
 	// every commit folds its own delta from here on.
@@ -598,7 +576,7 @@ route:
 		for _, it := range perShard[s] {
 			op := &ops[it.op]
 			if op.insert {
-				lid, err := sh.st.InsertStaged(op.sp)
+				lid, err := sh.c.InsertStaged(op.sp)
 				if err != nil {
 					// Unreachable: the point was staged by a matching Stager.
 					panic(fmt.Sprintf("dyndbscan: shard %d rejected a staged insert: %v", s, err))
@@ -624,7 +602,7 @@ route:
 		// The tracker accumulates dirty cells whether or not the seam is
 		// live; draining unconditionally keeps a cold period (checkpoint
 		// restore, chunked migration) from growing the set without bound.
-		if dirty := sh.tracker.TakeDirtySeamCells(); seamOn {
+		if dirty := sh.c.TakeDirtySeamCells(); seamOn {
 			dirtyBuf[k] = dirty
 		}
 	}
@@ -703,7 +681,7 @@ route:
 		for k, s := range involved {
 			sh := ss.shards[s]
 			for _, ev := range clustBuf[k] {
-				tx.applyClusterEvent(s, ev, sh.walker)
+				tx.applyClusterEvent(s, ev, sh.c)
 			}
 		}
 		for k, s := range involved {
@@ -712,7 +690,7 @@ route:
 				if !ss.replicated(coord) {
 					continue // interior cell: no seam relevance
 				}
-				lab, ok := sh.walker.CoreCellCluster(coord)
+				lab, ok := sh.c.CoreCellCluster(coord)
 				tx.setEntry(s, coord, lab, ok)
 			}
 		}
@@ -1031,7 +1009,11 @@ func (ss *shardSet) ids() []PointID {
 func (ss *shardSet) liveIDsLocked() []PointID {
 	ss.routesMu.Lock()
 	defer ss.routesMu.Unlock()
-	ss.sortedIDs = compactLiveIDs(ss.sortedIDs, ss.pendingDead, &ss.idsSorted)
+	ss.sortedIDs = compactLiveIDs(ss.sortedIDs, ss.pendingDead)
+	if !ss.idsSorted {
+		sort.Slice(ss.sortedIDs, func(i, j int) bool { return ss.sortedIDs[i] < ss.sortedIDs[j] })
+		ss.idsSorted = true
+	}
 	return append([]PointID(nil), ss.sortedIDs...)
 }
 
@@ -1062,7 +1044,7 @@ func (ss *shardSet) snapshot() *Snapshot {
 	// stitch to one global cluster, hence the dedup.
 	resolve := func(id PointID) ([]ClusterID, bool) {
 		owner := ss.routes[id].copies[0]
-		cids, ok := ss.shards[owner.shard].ext.ClusterOf(owner.local)
+		cids, ok := ss.shards[owner.shard].c.ClusterOf(owner.local)
 		if !ok {
 			return nil, false
 		}
@@ -1159,14 +1141,14 @@ func (ss *shardSet) restitchInfoLocked() (comps [][]stitchKey, gidOf []ClusterID
 	}
 	for si, sh := range ss.shards {
 		s := int32(si)
-		sh.walker.ForEachCoreCell(func(coord grid.Coord, cid core.ClusterID) bool {
+		sh.c.ForEachCoreCell(func(coord grid.Coord, cid core.ClusterID) bool {
 			k := stitchKey{s, cid}
 			intern(k)
 			if owner := ss.ownerOf(coord); owner != s {
 				// The cell lives in another shard's territory: the owner's
 				// view of it is exact, so its local cluster there and our
 				// local cluster here are the same global cluster.
-				if ocid, ok := ss.shards[owner].walker.CoreCellCluster(coord); ok {
+				if ocid, ok := ss.shards[owner].c.CoreCellCluster(coord); ok {
 					edges = append(edges, edge{k, stitchKey{owner, ocid}})
 				}
 			}

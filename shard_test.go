@@ -115,7 +115,7 @@ func TestShardedEquivalence(t *testing.T) {
 		{"FullyDynamic/3D/4shards", dyndbscan.AlgoFullyDynamic, 3, 4, true},
 		{"SemiDynamic/2D/4shards", dyndbscan.AlgoSemiDynamic, 2, 4, false},
 		{"IncDBSCAN/2D/4shards", dyndbscan.AlgoIncDBSCAN, 2, 4, true},
-		{"IncDBSCANRTree/2D/3shards", dyndbscan.AlgoIncDBSCANRTree, 2, 3, true},
+		{"IncDBSCAN/2D/3shards", dyndbscan.AlgoIncDBSCAN, 2, 3, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

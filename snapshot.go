@@ -40,7 +40,9 @@ func (s *Snapshot) ClusterIDs() []ClusterID {
 func (s *Snapshot) Members(id ClusterID) []PointID { return s.Clusters[id] }
 
 // ClusterOf returns the cluster ids the point belonged to at the snapshot's
-// epoch (empty for noise) and whether the point was live then.
+// epoch (empty for noise) and whether the point was live then. The slice is
+// shared and read-only: it is the snapshot's own entry, so mutating it
+// corrupts the answer for every reader of this epoch.
 func (s *Snapshot) ClusterOf(id PointID) ([]ClusterID, bool) {
 	cids, ok := s.byPoint[id]
 	return cids, ok
