@@ -1,6 +1,10 @@
 package dyndbscan
 
-import "fmt"
+import (
+	"fmt"
+
+	"dyndbscan/internal/pipeline"
+)
 
 // OpKind discriminates the operations an Apply batch can carry.
 type OpKind uint8
@@ -54,98 +58,95 @@ func DeleteOp(id PointID) Op { return Op{Kind: OpDelete, ID: id} }
 //
 // The result has one entry per op: the freshly minted handle for an
 // insertion, the (now dead) target handle for a deletion.
-//
-// Should the backend reject an op mid-commit anyway, the work already
-// applied commits, and the error reports the aborting index — the same
-// partial-commit contract as InsertBatch/DeleteBatch.
 func (e *Engine) Apply(ops []Op) ([]PointID, error) {
-	if len(ops) == 0 {
-		return nil, nil
+	staged, err := stageOps(e, ops, &errsApply, func(op Op) Op { return op })
+	if err != nil || len(staged) == 0 {
+		return nil, err
 	}
-	// Pre-commit phase: split out the insertions, stage them in parallel,
-	// and validate delete targets for well-formedness and duplicates.
-	inserts := make([]Point, 0, len(ops))
-	insertAt := make([]int, 0, len(ops)) // op index of each staged insert
-	dels := make(map[PointID]int, 8)     // delete target -> first op index
-	for i, op := range ops {
-		switch op.Kind {
+	ok, err := e.commit(staged, errsApply.unknown)
+	if !ok {
+		return nil, err
+	}
+	return handles(staged), err
+}
+
+// The update front-end. Every entry point (Insert, InsertBatch, Delete,
+// DeleteBatch, Apply) turns its input into one staged op list, validated
+// once, and hands it to Engine.commit (engine.go), which runs the
+// single-backend commit core or shardSet.commitBatch (shard.go). The cores share the op
+// list, the WAL record (walOpsFromShOps) and the unknown-handle check under
+// the commit lock; only routing, locking and the seam fold differ.
+
+// opErrs words an entry point's validation failures. The checks are shared;
+// each entry point keeps its own long-standing messages.
+type opErrs struct {
+	bad     func(i int, err error) error         // op i's point failed staging
+	dup     func(i, first int, id PointID) error // op i deletes what op first already deletes
+	semi    func(i int) error                    // op i deletes on the insertion-only algorithm
+	unknown func(i int, id PointID) error        // op i's delete target is not live at commit
+}
+
+var (
+	errsInsertBatch = opErrs{
+		bad: func(i int, err error) error { return fmt.Errorf("dyndbscan: InsertBatch point %d: %w", i, err) },
+	}
+	errsDeleteBatch = opErrs{
+		dup: func(i, _ int, id PointID) error {
+			return fmt.Errorf("dyndbscan: DeleteBatch id %d duplicated at index %d: %w", id, i, ErrDuplicateID)
+		},
+		semi: func(int) error {
+			return fmt.Errorf("dyndbscan: DeleteBatch aborted at index 0: %w", ErrDeletesUnsupported)
+		},
+		unknown: func(i int, id PointID) error {
+			return fmt.Errorf("dyndbscan: DeleteBatch index %d: %w (id %d)", i, ErrUnknownPoint, id)
+		},
+	}
+	errsApply = opErrs{
+		bad: func(i int, err error) error { return fmt.Errorf("dyndbscan: Apply op %d: %w", i, err) },
+		dup: func(i, first int, id PointID) error {
+			return fmt.Errorf("dyndbscan: Apply op %d deletes id %d already deleted by op %d: %w", i, id, first, ErrDuplicateID)
+		},
+		semi: func(i int) error { return fmt.Errorf("dyndbscan: Apply op %d: %w", i, ErrDeletesUnsupported) },
+		unknown: func(i int, id PointID) error {
+			return fmt.Errorf("dyndbscan: Apply op %d: %w (id %d)", i, ErrUnknownPoint, id)
+		},
+	}
+)
+
+// stageOps is the pre-commit phase of the batch entry points: as converts
+// each input element to its Op. A sequential pass rejects invalid kinds,
+// deletes on AlgoSemiDynamic and duplicate delete targets; then the inserts
+// are staged (validation, cloning, grid cell assignment) across the engine's
+// workers. Either failure leaves the engine untouched.
+func stageOps[T any](e *Engine, in []T, w *opErrs, as func(T) Op) ([]shOp, error) {
+	var dels map[PointID]int // delete target -> first op index
+	for i, x := range in {
+		switch op := as(x); op.Kind {
 		case OpInsert:
-			inserts = append(inserts, op.Pt)
-			insertAt = append(insertAt, i)
 		case OpDelete:
 			if e.algo == AlgoSemiDynamic {
-				// Predictably doomed: fail the whole batch up front instead
-				// of partially committing the inserts before it.
-				return nil, fmt.Errorf("dyndbscan: Apply op %d: %w", i, ErrDeletesUnsupported)
+				return nil, w.semi(i)
+			}
+			if dels == nil {
+				dels = make(map[PointID]int, 8)
 			}
 			if j, dup := dels[op.ID]; dup {
-				return nil, fmt.Errorf("dyndbscan: Apply op %d deletes id %d already deleted by op %d: %w", i, op.ID, j, ErrDuplicateID)
+				return nil, w.dup(i, j, op.ID)
 			}
 			dels[op.ID] = i
 		default:
 			return nil, fmt.Errorf("dyndbscan: Apply op %d: invalid kind %v", i, op.Kind)
 		}
 	}
-	if e.sh != nil {
-		return e.sh.apply(ops, inserts, insertAt)
-	}
-	staged, err := e.stageInserts(inserts, "Apply op", insertAt)
-	if err != nil {
-		return nil, err
-	}
-
-	// Commit phase.
-	out := make([]PointID, len(ops))
-	e.lock()
-	for i, op := range ops {
-		if op.Kind == OpDelete && !e.c.Has(op.ID) {
-			e.failUpdate()
-			return nil, fmt.Errorf("dyndbscan: Apply op %d: %w (id %d)", i, ErrUnknownPoint, op.ID)
+	return pipeline.Map(e.workers, in, func(i int, x T) (shOp, error) {
+		op := as(x)
+		if op.Kind == OpDelete {
+			return shOp{gid: op.ID}, nil
 		}
-	}
-	seq, werr := e.walAppendOps(ops)
-	if werr != nil {
-		e.failUpdate()
-		return nil, werr
-	}
-	var (
-		inserted []PointID
-		deleted  []PointID
-		next     int // index into staged
-	)
-	abort := func(i int, err error) ([]PointID, error) {
-		if len(inserted) > 0 || len(deleted) > 0 {
-			e.noteDeleted(deleted)
-			e.noteInserted(inserted)
-			e.release(e.finishUpdate())
-		} else {
-			e.failUpdate()
+		sp, err := e.stager.Stage(op.Pt)
+		if err != nil {
+			return shOp{}, w.bad(i, err)
 		}
-		return out[:i], fmt.Errorf("dyndbscan: Apply aborted at op %d: %w", i, err)
-	}
-	for i, op := range ops {
-		switch op.Kind {
-		case OpInsert:
-			id, err := e.c.InsertStaged(staged[next])
-			next++
-			if err != nil {
-				return abort(i, err)
-			}
-			inserted = append(inserted, id)
-			out[i] = id
-		case OpDelete:
-			if err := e.c.Delete(op.ID); err != nil {
-				return abort(i, err)
-			}
-			deleted = append(deleted, op.ID)
-			out[i] = op.ID
-		}
-	}
-	e.noteDeleted(deleted)
-	e.noteInserted(inserted)
-	evs := e.finishUpdate()
-	if err := e.releaseLogged(seq, evs); err != nil {
-		return out, err
-	}
-	return out, nil
+		return shOp{insert: true, sp: sp}, nil
+	})
 }

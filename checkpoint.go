@@ -16,20 +16,26 @@ package dyndbscan
 // differently, so identities transfer by maximum member overlap — clients
 // keep their ClusterIDs wherever the clusters are recognizably the same.
 //
-// In single-backend mode the graft is a read-only translation layer
-// (gidRemap in persist.go) applied at the query surface; in sharded mode the
-// stitch's keyGID table is rewritten in place, since it already is exactly
-// such a translation layer.
+// In single-backend mode the backend adopts the stored identities itself
+// (AdoptClusterIDs), so every later merge, split and event speaks the ids
+// clients saw; in sharded mode the stitch's keyGID table is rewritten in
+// place, since it already is the translation layer between shard-local and
+// global ids.
+//
+// Capture and restore read the engine through one shape-independent view,
+// ckptSource: every live handle has an owner copy — a backend and the local
+// handle the point has there — whose backend's view of the point is exact.
+// The single-backend engine is the one-backend case with identity mappings.
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 
 	"dyndbscan/internal/grid"
-	"dyndbscan/internal/wal"
 )
 
 const (
@@ -263,126 +269,206 @@ func decodeCheckpoint(b []byte) (*ckptData, error) {
 	return ck, nil
 }
 
-// checkpointPayloadSingle captures the single-backend engine's state under
-// its write lock; seq 0 means nothing was ever logged. With wantDelta the
-// capture first tries to serialize only the changes since the previous
-// checkpoint (isDelta true on success, see deltackpt.go); either way the
-// change trackers are drained, resetting the next delta's baseline.
-func (e *Engine) checkpointPayloadSingle(wantDelta bool) (seq uint64, payload []byte, isDelta bool) {
-	w := e.wal
-	e.lock()
-	defer e.unlock()
-	// LastSeq is read inside the critical section: single-backend appends
-	// happen under the same lock, so the sequence and the state agree.
-	seq = w.log.LastSeq()
-	if seq == 0 {
-		return 0, nil, false
-	}
-	d := w.takeDirty()
-	cells := e.c.TakeDirtyUpdateCells()
-	if wantDelta && !d.full {
-		if b, ok := e.deltaPayloadSingleLocked(&d, cells); ok {
-			return seq, b, true
-		}
-	}
-	ids := e.liveIDs()
-	snap := e.buildSnapshot()
-	nextGID := e.c.NextClusterID()
-	if r := e.remap; r != nil {
-		nextGID = r.loGlobal + (nextGID - r.loBack)
-	}
-	b := []byte{ckptVersion, ckptSingle}
-	b = encodeCheckpointCommon(b, e.cfg.Dims, e.c.NextPointID(), nextGID, ids,
-		func(i int) Point {
-			pt, ok := e.c.PointAt(ids[i])
-			if !ok {
-				// Unreachable: ids came from the live-id cache under the lock.
-				panic(fmt.Sprintf("dyndbscan: checkpoint: live id %d has no point", ids[i]))
-			}
-			return pt
-		}, snap.Clusters)
-	return seq, b, false
+// ckptSource is the quiesced engine state a checkpoint capture or a restore
+// reads; see the file comment.
+type ckptSource struct {
+	mode, deltaMode byte // payload modes: ckptSingle/ckptDeltaSingle or the sharded pair
+	cfg             Config
+	backends        []backend // indexed by copyRef.shard
+	live            int       // live handle count
+	nextPt          PointID
+	nextGID         ClusterID
+
+	ids     func() []PointID                                   // ascending live handles
+	owner   func(id PointID) (copyRef, bool)                   // owner copy; ok=false for a dead handle
+	global  func(shard int32, local PointID) (PointID, bool)   // owner copy → handle; ok=false for a ghost copy
+	cluster func(shard int32, cid ClusterID) (ClusterID, bool) // backend-local cluster → global id
+
+	// Sharded placement tail (nil/zero in single-backend payloads).
+	stripeCells int64
+	assign      map[int64]int32
+	splits      map[int64]int64
 }
 
-// checkpointPayload captures the sharded engine's state. Holding worldMu
-// exclusively quiesces every commit (appends happen inside commits), so the
-// log sequence and the shard states agree. With wantDelta the capture first
-// tries the incremental path (isDelta true on success, see deltackpt.go);
-// either way the change trackers are drained, resetting the next delta's
-// baseline.
-func (ss *shardSet) checkpointPayload(log *wal.Log, wantDelta bool) (seq uint64, payload []byte, isDelta bool) {
-	ss.worldMu.Lock()
-	defer ss.worldMu.Unlock()
-	// The LastSeq read is the payload's coverage claim: every record at or
-	// below it must be reflected in the payload. Ordinary appends happen
-	// under worldMu.RLock, so the exclusive hold quiesces them; staged-delta
-	// appends happen under routesMu alone, so Engine.Checkpoint pauses
-	// staging and folds everything staged before calling here. Assert that
-	// coupling — a staged insert at this point would be covered by seq but
-	// missing from the payload, and silently lost on trim.
-	if hs := ss.hs; hs != nil && hs.stagedTotal.Load() != 0 {
-		panic("dyndbscan: checkpoint: staged hotspot deltas present during payload capture")
+// singleSource views the single-backend engine as a checkpoint source; the
+// caller holds the update lock.
+func (e *Engine) singleSource() *ckptSource {
+	return &ckptSource{
+		mode:      ckptSingle,
+		deltaMode: ckptDeltaSingle,
+		cfg:       e.cfg,
+		backends:  []backend{e.c},
+		live:      e.c.Len(),
+		nextPt:    e.c.NextPointID(),
+		nextGID:   e.c.NextClusterID(),
+		ids:       e.liveIDs,
+		owner:     func(id PointID) (copyRef, bool) { return copyRef{local: id}, e.c.Has(id) },
+		global:    func(_ int32, local PointID) (PointID, bool) { return local, true },
+		cluster:   func(_ int32, cid ClusterID) (ClusterID, bool) { return cid, true },
 	}
-	// Re-warm the seam if a restore or a chunked migration left it cold: from
-	// here on commits fold incrementally again, feeding the merge ledger the
-	// next delta capture composes from.
-	ss.ensureSeamLocked()
-	seq = log.LastSeq()
-	if seq == 0 {
-		return 0, nil, false
-	}
-	d := ss.e.wal.takeDirty()
-	dirtyCells := make([][]grid.Coord, len(ss.shards))
-	for si, sh := range ss.shards {
-		dirtyCells[si] = sh.c.TakeDirtyUpdateCells()
-	}
-	if wantDelta && !d.full {
-		if b, ok := ss.deltaPayloadLocked(&d, dirtyCells); ok {
-			return seq, b, true
-		}
-	}
+}
+
+// sourceLocked views the sharded engine as a checkpoint source: owner copies
+// come from the route table, global cluster ids from the stitch. Caller
+// holds worldMu exclusively, which quiesces every commit.
+func (ss *shardSet) sourceLocked() *ckptSource {
 	gidOf := ss.stitchLocked()
-	ids := ss.liveIDsLocked()
+	src := &ckptSource{
+		mode:      ckptSharded,
+		deltaMode: ckptDeltaSharded,
+		cfg:       ss.cfg,
+		backends:  make([]backend, len(ss.shards)),
+		nextGID:   ss.nextGID,
+		ids:       ss.liveIDsLocked,
+		owner: func(id PointID) (copyRef, bool) {
+			r, ok := ss.routes[id]
+			if !ok {
+				return copyRef{}, false
+			}
+			return r.copies[0], true
+		},
+		global: func(shard int32, local PointID) (PointID, bool) {
+			id, ok := ss.shards[shard].ownerGlobal[local]
+			return id, ok
+		},
+		cluster: func(shard int32, cid ClusterID) (ClusterID, bool) {
+			g, ok := gidOf[stitchKey{shard, cid}]
+			return g, ok
+		},
+	}
+	for i, sh := range ss.shards {
+		src.backends[i] = sh.c
+	}
+	ss.routesMu.Lock()
+	src.live = len(ss.routes)
+	src.nextPt = ss.nextID
+	src.stripeCells = ss.stripeCells
+	src.assign = maps.Clone(ss.assign)
+	src.splits = make(map[int64]int64, len(ss.splits))
+	for st, sp := range ss.splits {
+		src.splits[st] = sp.parts
+	}
+	ss.routesMu.Unlock()
+	return src
+}
+
+// liveOwner returns the owner copy of a handle live in the source.
+func (src *ckptSource) liveOwner(id PointID) copyRef {
+	o, ok := src.owner(id)
+	if !ok {
+		// Unreachable: callers pass handles live in the quiesced source.
+		panic(fmt.Sprintf("dyndbscan: checkpoint: live id %d has no owner copy", id))
+	}
+	return o
+}
+
+// pointAt returns the coordinates of a live owner copy.
+func (src *ckptSource) pointAt(o copyRef) Point {
+	pt, ok := src.backends[o.shard].PointAt(o.local)
+	if !ok {
+		panic(fmt.Sprintf("dyndbscan: checkpoint: owner copy %v has no point", o))
+	}
+	return pt
+}
+
+// clustersOf returns the global cluster ids of an owner copy, ascending and
+// deduplicated (two local clusters may stitch to one global cluster); nil
+// for a noise point.
+func (src *ckptSource) clustersOf(o copyRef) []ClusterID {
+	cids, ok := src.backends[o.shard].ClusterOf(o.local)
+	if !ok || len(cids) == 0 {
+		return nil
+	}
+	out := make([]ClusterID, 0, len(cids))
+	for _, cid := range cids {
+		if g, ok := src.cluster(o.shard, cid); ok {
+			out = append(out, g)
+		}
+	}
+	return dedupSortedIDs(out)
+}
+
+// groupClusters lists the live handles ids (ascending) under every global
+// cluster their owner copies belong to, each member list ascending — the
+// cluster section of a full payload, and the rebuilt side of a restore's
+// identity match. A non-nil coords (parallel to ids) also receives each
+// handle's coordinates, so a full capture reads every owner copy once.
+func (src *ckptSource) groupClusters(ids []PointID, coords []Point) map[ClusterID][]PointID {
 	clusters := make(map[ClusterID][]PointID)
-	coords := make([]Point, len(ids))
 	for i, id := range ids {
-		owner := ss.routes[id].copies[0]
-		sh := ss.shards[owner.shard]
-		pt, ok := sh.c.PointAt(owner.local)
-		if !ok {
-			panic(fmt.Sprintf("dyndbscan: checkpoint: live id %d has no owner copy", id))
+		o := src.liveOwner(id)
+		if coords != nil {
+			coords[i] = src.pointAt(o)
 		}
-		coords[i] = pt
-		cids, ok := sh.c.ClusterOf(owner.local)
-		if !ok || len(cids) == 0 {
-			continue
-		}
-		out := make([]ClusterID, 0, len(cids))
-		for _, cid := range cids {
-			out = append(out, gidOf[stitchKey{owner.shard, cid}])
-		}
-		for _, g := range dedupSortedIDs(out) {
+		for _, g := range src.clustersOf(o) {
 			clusters[g] = append(clusters[g], id)
 		}
 	}
-	ss.routesMu.Lock()
-	nextPt := ss.nextID
-	stripeCells := ss.stripeCells
-	assign := make(map[int64]int32, len(ss.assign))
-	for st, sh := range ss.assign {
-		assign[st] = sh
-	}
-	splits := make(map[int64]int64, len(ss.splits))
-	for st, sp := range ss.splits {
-		splits[st] = sp.parts
-	}
-	ss.routesMu.Unlock()
+	return clusters
+}
 
-	b := []byte{ckptVersion, ckptSharded}
-	b = encodeCheckpointCommon(b, ss.cfg.Dims, nextPt, ss.nextGID, ids,
+// fullPayload serializes the whole live state.
+func (src *ckptSource) fullPayload() []byte {
+	ids := src.ids()
+	coords := make([]Point, len(ids))
+	clusters := src.groupClusters(ids, coords)
+	b := []byte{ckptVersion, src.mode}
+	b = encodeCheckpointCommon(b, src.cfg.Dims, src.nextPt, src.nextGID, ids,
 		func(i int) Point { return coords[i] }, clusters)
-	b = appendPlacement(b, stripeCells, assign, splits)
-	return seq, b, false
+	if src.mode == ckptSharded {
+		b = appendPlacement(b, src.stripeCells, src.assign, src.splits)
+	}
+	return b
+}
+
+// capture quiesces the engine and serializes its state; seq 0 means nothing
+// was ever logged. With wantDelta the capture first tries to serialize only
+// the changes since the previous checkpoint (isDelta true on success, see
+// deltackpt.go); either way the change trackers are drained, resetting the
+// next delta's baseline.
+func (e *Engine) capture(wantDelta bool) (seq uint64, payload []byte, isDelta bool) {
+	var src *ckptSource
+	if ss := e.sh; ss != nil {
+		ss.worldMu.Lock()
+		defer ss.worldMu.Unlock()
+		// The LastSeq read below is the payload's coverage claim: every
+		// record at or below it must be reflected in the payload. Ordinary
+		// appends happen under worldMu.RLock, so the exclusive hold quiesces
+		// them; staged-delta appends happen under routesMu alone, so
+		// Engine.Checkpoint pauses staging and folds everything staged
+		// before calling here. Assert that coupling — a staged insert at this
+		// point would be covered by seq but missing from the payload, and
+		// silently lost on trim.
+		if hs := ss.hs; hs != nil && hs.stagedTotal.Load() != 0 {
+			panic("dyndbscan: checkpoint: staged hotspot deltas present during payload capture")
+		}
+		// Re-warm the seam if a restore or a chunked migration left it
+		// cold: from here on commits fold incrementally again, feeding the
+		// merge ledger the next delta capture composes from.
+		ss.ensureSeamLocked()
+		src = ss.sourceLocked()
+	} else {
+		// Single-backend appends happen under the update lock, so the
+		// sequence and the state agree.
+		e.lock()
+		defer e.unlock()
+		src = e.singleSource()
+	}
+	seq = e.wal.log.LastSeq()
+	if seq == 0 {
+		return 0, nil, false
+	}
+	d := e.wal.takeDirty()
+	cells := make([][]grid.Coord, len(src.backends))
+	for i, c := range src.backends {
+		cells[i] = c.TakeDirtyUpdateCells()
+	}
+	if wantDelta && !d.full {
+		if b, ok := src.deltaPayload(&d, cells); ok {
+			return seq, b, true
+		}
+	}
+	return seq, src.fullPayload(), false
 }
 
 // restoreCheckpoint rebuilds the freshly constructed engine from a composed
@@ -405,7 +491,7 @@ func (e *Engine) restoreCheckpoint(ck *ckptData) error {
 }
 
 // restoreSingle re-inserts the checkpointed points with forced handles, pins
-// the counters, and installs the identity graft as the engine's gidRemap.
+// the handle counter, and has the backend adopt the stored cluster ids.
 func (e *Engine) restoreSingle(ck *ckptData) error {
 	for i, id := range ck.ids {
 		e.c.SetNextPointID(id)
@@ -419,24 +505,8 @@ func (e *Engine) restoreSingle(ck *ckptData) error {
 	}
 	e.c.SetNextPointID(ck.nextPt)
 	e.sortedIDs = append(e.sortedIDs[:0], ck.ids...)
-
-	// Graft the stored identities. Backend cluster ids minted from here on
-	// (≥ loBack) translate linearly into the range above every stored and
-	// freshly minted global id.
-	loBack := e.c.NextClusterID()
-	byCID := make(map[ClusterID][]PointID)
-	for _, id := range ck.ids {
-		cids, ok := e.c.ClusterOf(id)
-		if !ok {
-			continue
-		}
-		for _, c := range cids {
-			byCID[c] = append(byCID[c], id)
-		}
-	}
-	m, next := matchClusters(byCID, ck.clusters, ck.nextGID)
-	e.remap = &gidRemap{m: m, loBack: loBack, loGlobal: next}
-	return nil
+	m, next := matchClusters(e.singleSource().groupClusters(ck.ids, nil), ck.clusters, ck.nextGID)
+	return e.c.AdoptClusterIDs(m, next)
 }
 
 // restore rebuilds the sharded engine: placement first (so routing matches
@@ -483,13 +553,13 @@ func (ss *shardSet) restore(ck *ckptData) error {
 	if len(ck.ids) > 0 {
 		ops := make([]shOp, len(ck.ids))
 		for i, id := range ck.ids {
-			sp, err := ss.stager.Stage(ck.coords[i])
+			sp, err := ss.e.stager.Stage(ck.coords[i])
 			if err != nil {
 				return fmt.Errorf("dyndbscan: checkpoint restore: point %d: %w", id, err)
 			}
 			ops[i] = shOp{insert: true, forceGID: true, sp: sp, gid: id}
 		}
-		if _, err := ss.commitBatch(ops, nil); err != nil {
+		if _, err := ss.commitRouted(ops, nil); err != nil {
 			return err
 		}
 	}
@@ -501,28 +571,12 @@ func (ss *shardSet) restore(ck *ckptData) error {
 
 	// Graft: stitch the rebuilt world (minting temporary global ids), match
 	// the temporary clusters against the stored ones, and rewrite keyGID —
-	// the stitch table is already the translation layer, so no query-time
-	// remap is needed in sharded mode.
+	// the stitch table is the translation layer between shard-local and
+	// global ids.
 	ss.worldMu.Lock()
 	defer ss.worldMu.Unlock()
-	gidOf := ss.stitchLocked()
-	ids := ss.liveIDsLocked()
-	byTemp := make(map[ClusterID][]PointID)
-	for _, id := range ids {
-		owner := ss.routes[id].copies[0]
-		cids, ok := ss.shards[owner.shard].c.ClusterOf(owner.local)
-		if !ok || len(cids) == 0 {
-			continue
-		}
-		out := make([]ClusterID, 0, len(cids))
-		for _, cid := range cids {
-			out = append(out, gidOf[stitchKey{owner.shard, cid}])
-		}
-		for _, g := range dedupSortedIDs(out) {
-			byTemp[g] = append(byTemp[g], id)
-		}
-	}
-	m, next := matchClusters(byTemp, ck.clusters, ck.nextGID)
+	src := ss.sourceLocked()
+	m, next := matchClusters(src.groupClusters(src.ids(), nil), ck.clusters, ck.nextGID)
 	// Temporary ids that never surfaced through an owned member (possible
 	// only for degenerate pure-ghost components) still need a stable, unique
 	// identity; mint in ascending temp order for determinism.
@@ -542,7 +596,6 @@ func (ss *shardSet) restore(ck *ckptData) error {
 		fresh[k] = m[g]
 	}
 	ss.keyGID = fresh
-	ss.stitched = fresh
 	ss.nextGID = next
 	ss.stitchVersion = ss.e.version.Load()
 	ss.stitchValid = true

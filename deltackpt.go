@@ -99,19 +99,20 @@ type dirtyState struct {
 }
 
 // ckptDirty is dirtyState behind its leaf mutex. Commits record into it from
-// inside their critical sections (publish loop, seam fold, single-backend
-// note hooks), captures drain it while the world is quiesced.
+// inside their critical sections (commit cores, seam fold, single-backend
+// event sink), captures drain it while the world is quiesced.
 type ckptDirty struct {
 	//dynlint:lock-level 120
 	mu sync.Mutex
 	dirtyState
 }
 
-// noteDirtyUpdates records committed handle churn. Nil-safe; a recovering
-// engine (replay, replica) never accumulates — recovery ends with an explicit
+// noteDirtyOps records a committed op list's handle churn: the handles its
+// inserts minted and its deletes removed. Nil-safe; a recovering engine
+// (replay, replica) never accumulates — recovery ends with an explicit
 // markDirtyFull instead.
-func (w *walState) noteDirtyUpdates(ins, del []PointID) {
-	if w == nil || w.recovering || (len(ins) == 0 && len(del) == 0) {
+func (w *walState) noteDirtyOps(ops []shOp) {
+	if w == nil || w.recovering || len(ops) == 0 {
 		return
 	}
 	d := &w.dirty
@@ -124,13 +125,13 @@ func (w *walState) noteDirtyUpdates(ins, del []PointID) {
 		d.ins = make(map[PointID]struct{})
 		d.del = make(map[PointID]struct{})
 	}
-	for _, id := range ins {
-		d.ins[id] = struct{}{}
-	}
-	for _, id := range del {
-		// Handles are never reused, so an id inserted since the last capture
-		// and deleted again cancels out entirely.
-		if _, fresh := d.ins[id]; fresh {
+	for i := range ops {
+		id := ops[i].gid
+		if ops[i].insert {
+			d.ins[id] = struct{}{}
+		} else if _, fresh := d.ins[id]; fresh {
+			// Handles are never reused, so an id inserted since the last
+			// capture and deleted again cancels out entirely.
 			delete(d.ins, id)
 		} else {
 			d.del[id] = struct{}{}
@@ -580,90 +581,18 @@ func mergeSortedIDs(a, b []PointID) []PointID {
 	return out
 }
 
-// deltaPayloadSingleLocked builds a single-backend delta payload under the
-// engine's write lock. Returns ok=false when the patch set is so large a base
-// checkpoint would be cheaper.
-func (e *Engine) deltaPayloadSingleLocked(d *dirtyState, cells []grid.Coord) ([]byte, bool) {
+// deltaPayload builds a delta payload from a quiesced source. Returns
+// ok=false when the patch set is so large a base checkpoint would be cheaper.
+// Membership is read from owner copies only: in a sharded engine the ghost
+// band guarantees the owner shard's backend recorded a dirty cell for every
+// change relevant to a point it owns, and its UpdateTracker visits only its
+// own residents, so each live point is patched from exactly one backend.
+// cells holds each backend's drained dirty cells.
+func (src *ckptSource) deltaPayload(d *dirtyState, cells [][]grid.Coord) ([]byte, bool) {
 	if split := closeSplitLineage(d); len(split) > 0 {
-		e.c.ForEachCoreCell(func(coord grid.Coord, cid ClusterID) bool {
-			g := cid
-			if r := e.remap; r != nil {
-				g = r.one(cid)
-			}
-			if _, in := split[g]; in {
-				cells = append(cells, coord)
-			}
-			return true
-		})
-	}
-	r := deltaPatchRadius(e.cfg)
-	patch := make(map[PointID][]ClusterID)
-	for _, c := range cells {
-		e.c.ForEachPointNear(c, r, func(id PointID) bool {
-			if _, done := patch[id]; done {
-				return true
-			}
-			var gids []ClusterID
-			if cids, ok := e.c.ClusterOf(id); ok && len(cids) > 0 {
-				gids = dedupSortedIDs(append([]ClusterID(nil), e.mapCIDs(cids)...))
-			}
-			patch[id] = gids
-			return true
-		})
-	}
-	if len(patch)*2 > e.c.Len() {
-		return nil, false
-	}
-	dl := &ckptDelta{
-		mode:   ckptDeltaSingle,
-		dims:   e.cfg.Dims,
-		nextPt: e.c.NextPointID(),
-		merges: d.merges,
-	}
-	dl.nextGID = e.c.NextClusterID()
-	if r := e.remap; r != nil {
-		dl.nextGID = r.loGlobal + (dl.nextGID - r.loBack)
-	}
-	dl.del = sortedIDSet(d.del)
-	for id := range d.ins {
-		if e.c.Has(id) {
-			dl.upIDs = append(dl.upIDs, id)
-		}
-	}
-	sort.Slice(dl.upIDs, func(i, j int) bool { return dl.upIDs[i] < dl.upIDs[j] })
-	dl.upCoords = make([]Point, len(dl.upIDs))
-	for i, id := range dl.upIDs {
-		pt, ok := e.c.PointAt(id)
-		if !ok {
-			panic(fmt.Sprintf("dyndbscan: delta checkpoint: live id %d has no point", id))
-		}
-		dl.upCoords[i] = pt
-	}
-	dl.patchIDs = make([]PointID, 0, len(patch))
-	for id := range patch {
-		dl.patchIDs = append(dl.patchIDs, id)
-	}
-	sort.Slice(dl.patchIDs, func(i, j int) bool { return dl.patchIDs[i] < dl.patchIDs[j] })
-	dl.patchGIDs = make([][]ClusterID, len(dl.patchIDs))
-	for i, id := range dl.patchIDs {
-		dl.patchGIDs[i] = patch[id]
-	}
-	return encodeCkptDelta(dl), true
-}
-
-// deltaPayloadLocked builds a sharded delta payload; the caller holds worldMu
-// exclusively with the seam warm, so the stitch is O(1) and the routes are
-// stable. Membership is read from owner copies only: the ghost band
-// guarantees the owner shard's backend recorded a dirty cell for every change
-// relevant to a point it owns, and its UpdateTracker visits only its own
-// residents, so each live point is patched from exactly one shard.
-func (ss *shardSet) deltaPayloadLocked(d *dirtyState, cells [][]grid.Coord) ([]byte, bool) {
-	gidOf := ss.stitchLocked()
-	if split := closeSplitLineage(d); len(split) > 0 {
-		for si := range ss.shards {
-			sh := ss.shards[si]
-			sh.c.ForEachCoreCell(func(coord grid.Coord, cid ClusterID) bool {
-				if g, ok := gidOf[stitchKey{int32(si), cid}]; ok {
+		for si, c := range src.backends {
+			c.ForEachCoreCell(func(coord grid.Coord, cid ClusterID) bool {
+				if g, ok := src.cluster(int32(si), cid); ok {
 					if _, in := split[g]; in {
 						cells[si] = append(cells[si], coord)
 					}
@@ -672,57 +601,45 @@ func (ss *shardSet) deltaPayloadLocked(d *dirtyState, cells [][]grid.Coord) ([]b
 			})
 		}
 	}
-	r := deltaPatchRadius(ss.cfg)
+	r := deltaPatchRadius(src.cfg)
 	patch := make(map[PointID][]ClusterID)
-	for si, sh := range ss.shards {
-		for _, c := range cells[si] {
-			sh.c.ForEachPointNear(c, r, func(lid PointID) bool {
-				gid, owned := sh.ownerGlobal[lid]
+	for si, c := range src.backends {
+		for _, cell := range cells[si] {
+			c.ForEachPointNear(cell, r, func(lid PointID) bool {
+				id, owned := src.global(int32(si), lid)
 				if !owned {
 					return true // ghost copy; its owner shard patches it
 				}
-				if _, done := patch[gid]; done {
-					return true
+				if _, done := patch[id]; !done {
+					patch[id] = src.clustersOf(copyRef{int32(si), lid})
 				}
-				var gids []ClusterID
-				if cids, ok := sh.c.ClusterOf(lid); ok && len(cids) > 0 {
-					out := make([]ClusterID, 0, len(cids))
-					for _, cid := range cids {
-						if g, ok2 := gidOf[stitchKey{int32(si), cid}]; ok2 {
-							out = append(out, g)
-						}
-					}
-					gids = dedupSortedIDs(out)
-				}
-				patch[gid] = gids
 				return true
 			})
 		}
 	}
-	if len(patch)*2 > len(ss.routes) {
+	if len(patch)*2 > src.live {
 		return nil, false
 	}
 	dl := &ckptDelta{
-		mode:    ckptDeltaSharded,
-		dims:    ss.cfg.Dims,
-		nextGID: ss.nextGID,
-		merges:  d.merges,
+		mode:        src.deltaMode,
+		dims:        src.cfg.Dims,
+		nextPt:      src.nextPt,
+		nextGID:     src.nextGID,
+		merges:      d.merges,
+		stripeCells: src.stripeCells,
+		assign:      src.assign,
+		splits:      src.splits,
 	}
 	dl.del = sortedIDSet(d.del)
 	for id := range d.ins {
-		if _, live := ss.routes[id]; live {
+		if _, live := src.owner(id); live {
 			dl.upIDs = append(dl.upIDs, id)
 		}
 	}
 	sort.Slice(dl.upIDs, func(i, j int) bool { return dl.upIDs[i] < dl.upIDs[j] })
 	dl.upCoords = make([]Point, len(dl.upIDs))
 	for i, id := range dl.upIDs {
-		owner := ss.routes[id].copies[0]
-		pt, ok := ss.shards[owner.shard].c.PointAt(owner.local)
-		if !ok {
-			panic(fmt.Sprintf("dyndbscan: delta checkpoint: live id %d has no owner copy", id))
-		}
-		dl.upCoords[i] = pt
+		dl.upCoords[i] = src.pointAt(src.liveOwner(id))
 	}
 	dl.patchIDs = make([]PointID, 0, len(patch))
 	for id := range patch {
@@ -733,18 +650,6 @@ func (ss *shardSet) deltaPayloadLocked(d *dirtyState, cells [][]grid.Coord) ([]b
 	for i, id := range dl.patchIDs {
 		dl.patchGIDs[i] = patch[id]
 	}
-	ss.routesMu.Lock()
-	dl.nextPt = ss.nextID
-	dl.stripeCells = ss.stripeCells
-	dl.assign = make(map[int64]int32, len(ss.assign))
-	for st, sh := range ss.assign {
-		dl.assign[st] = sh
-	}
-	dl.splits = make(map[int64]int64, len(ss.splits))
-	for st, sp := range ss.splits {
-		dl.splits[st] = sp.parts
-	}
-	ss.routesMu.Unlock()
 	return encodeCkptDelta(dl), true
 }
 

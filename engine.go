@@ -41,7 +41,8 @@ const (
 // backend is the surface the Engine drives on each built-in clustering
 // algorithm: the point-set and query operations, stable cluster identities
 // and the event sink, staged insertion for the pipelined commit, the id-mint
-// counters that checkpoints record and restore pins, and the per-cell walks
+// counters that checkpoints record and restore pins (a restored backend
+// adopts the cluster ids its clients saw), and the per-cell walks
 // and change trackers behind the seam fold and the delta checkpoints. Every
 // algorithm in internal/core implements all of it.
 type backend interface {
@@ -59,6 +60,7 @@ type backend interface {
 	NextPointID() PointID
 	SetNextPointID(PointID)
 	NextClusterID() ClusterID
+	AdoptClusterIDs(m map[ClusterID]ClusterID, next ClusterID) error
 
 	core.PointLookup
 	core.CoreCellWalker
@@ -135,24 +137,24 @@ type Engine struct {
 	//dynlint:visibility
 	snap atomic.Pointer[Snapshot]
 
+	// stager runs the pre-commit phase of every insertion (validation,
+	// cloning, grid cell assignment) in both engine shapes; immutable.
+	stager core.Stager
+
 	// sh is non-nil when the Engine runs in sharded mode (WithShards(n>1)):
-	// every update and query path then routes through it, and the
-	// single-backend fields below (c, stager, ...) are unused. The
+	// every commit and query path then routes through it, and the
+	// single-backend fields below (c, pending, ...) are unused. The
 	// event fan-out state at the bottom of the struct is shared by both
 	// modes.
 	sh *shardSet
 
 	// wal is the durability attachment (WithWAL / Open), nil otherwise; see
-	// persist.go. remap is the read-only cluster-id translation installed by
-	// single-backend checkpoint restore (always nil in sharded mode, where
-	// the stitch table plays that role).
-	wal   *walState
-	remap *gidRemap
+	// persist.go.
+	wal *walState
 
 	//dynlint:lock-level 70
 	mu      sync.RWMutex
 	c       backend
-	stager  core.Stager
 	pending []Event // events collected during the in-flight update
 	// evsOn mirrors "subscribers exist" for the single-backend event sink.
 	// Without a WAL the sink itself is installed and removed with the first
@@ -196,19 +198,9 @@ func New(opts ...Option) (*Engine, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	var e *Engine
-	if s.shards > 1 {
-		var err error
-		e, err = newShardedEngine(s)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		c, err := newBackend(s.algo, s.cfg)
-		if err != nil {
-			return nil, err
-		}
-		e = newEngine(c, s.algo, s.threadSafe, s.workers)
+	e, err := newEngineShape(s)
+	if err != nil {
+		return nil, err
 	}
 	if s.walDir != "" {
 		if err := e.attachWAL(s, s.walDir, false); err != nil {
@@ -216,6 +208,20 @@ func New(opts ...Option) (*Engine, error) {
 		}
 	}
 	return e, nil
+}
+
+// newEngineShape builds the bare Engine the settings describe: sharded for
+// WithShards(n>1), single-backend otherwise — the constructor shared by New,
+// Open and OpenReplica.
+func newEngineShape(s *engineSettings) (*Engine, error) {
+	if s.shards > 1 {
+		return newShardedEngine(s)
+	}
+	c, err := newBackend(s.algo, s.cfg)
+	if err != nil {
+		return nil, err
+	}
+	return newEngine(c, s.algo, s.threadSafe, s.workers), nil
 }
 
 // newBackend constructs one clustering backend for the algorithm — the
@@ -307,26 +313,6 @@ func (e *Engine) rqlock() func() {
 	return e.mu.RUnlock
 }
 
-// Sorted-id cache maintenance; all three run inside the update critical
-// section.
-
-// noteInserted records freshly minted handles in the sorted-id cache (and,
-// with a WAL attached, in the delta-checkpoint change set — every
-// single-backend commit path funnels its minted handles through here).
-func (e *Engine) noteInserted(ids []PointID) {
-	e.wal.noteDirtyUpdates(ids, nil)
-	e.sortedIDs = append(e.sortedIDs, ids...) // backends mint ascending ids
-}
-
-// noteDeleted tombstones removed handles; the next snapshot build compacts.
-// The WAL hook mirrors noteInserted's.
-func (e *Engine) noteDeleted(ids []PointID) {
-	e.wal.noteDirtyUpdates(nil, ids)
-	for _, id := range ids {
-		e.pendingDead[id] = struct{}{}
-	}
-}
-
 // compactLiveIDs removes tombstoned handles from ids, preserving order — the
 // maintenance step shared by the single-backend and sharded sorted-id
 // caches.
@@ -366,58 +352,65 @@ func (e *Engine) finishUpdate() []Event {
 // no version advance, no publication — and, crucially, no residue. Any
 // event collected before the failure is dropped here; leaving it in
 // e.pending would smuggle it into the next successful commit's
-// publication. Every update failure path that applied no state change must
-// exit through this helper (paths that partially committed go through
-// finishUpdate + release instead, so the applied work publishes).
+// publication. Every update failure path exits through this helper.
 func (e *Engine) failUpdate() {
 	e.pending = nil
-	e.release(nil)
+	e.unlock()
 }
 
-// release ends the update critical section begun by lock(), publishing evs
-// to the subscriber queues. A publication ticket is taken while the write
-// lock is still held, and publishers enter the enqueue phase strictly in
-// ticket order — so concurrent updates cannot reorder their event streams
-// (per subscriber, events always arrive in commit order), yet no engine
-// lock is held while a BlockSubscriber enqueue waits: a backpressured
+// release ends the update critical section begun by lock(), makes the
+// commit's WAL record (seq; 0 when none was written) durable per the
+// policy, then publishes evs to the subscriber queues — records hit the log
+// (and, under SyncAlways, the disk) strictly before the commit's events or
+// return value are observable. A publication ticket is taken while the
+// write lock is still held, and publishers enter the enqueue phase strictly
+// in ticket order — so concurrent updates cannot reorder their event
+// streams (per subscriber, events always arrive in commit order), yet no
+// engine lock is held while a BlockSubscriber enqueue waits: a backpressured
 // publisher never prevents subscriber callbacks from querying the Engine.
-func (e *Engine) release(evs []Event) {
-	if len(evs) == 0 {
-		e.unlock()
-		return
-	}
+// The returned error reports a durability failure; the in-memory state has
+// already advanced when it is non-nil, and the log is poisoned, so every
+// later update will fail cleanly.
+func (e *Engine) release(seq uint64, evs []Event) error {
 	if !e.threadSafe {
 		// Thread safety off means the Engine is confined to one goroutine;
 		// delivery is synchronous on it (recursion-safe: a callback's own
 		// updates simply nest), keeping the confinement contract intact.
 		e.unlock()
-		e.deliverSync(evs)
-		return
+		err := e.wal.finish(seq)
+		if len(evs) > 0 {
+			e.deliverSync(evs)
+		}
+		e.maybeCheckpoint()
+		return err
 	}
-	ticket := e.pubTicket
-	e.pubTicket++
+	var ticket uint64
+	pub := len(evs) > 0
+	if pub {
+		ticket = e.pubTicket
+		e.pubTicket++
+	}
 	e.unlock()
-	e.publishOrdered(ticket, evs)
+	err := e.wal.finish(seq)
+	if pub {
+		e.publishOrdered(ticket, evs)
+	}
+	e.maybeCheckpoint()
+	return err
 }
 
 // Insert adds one point and returns its handle.
 func (e *Engine) Insert(pt Point) (PointID, error) {
-	if e.sh != nil {
-		return e.sh.insert(pt)
-	}
-	e.lock()
-	seq, werr := e.walAppendInsert(pt)
-	if werr != nil {
-		e.failUpdate()
-		return 0, werr
-	}
-	id, err := e.c.Insert(pt)
+	sp, err := e.stager.Stage(pt)
 	if err != nil {
-		e.failUpdate()
-		return id, err
+		return 0, err
 	}
-	e.noteInserted([]PointID{id})
-	return id, e.releaseLogged(seq, e.finishUpdate())
+	ops := [1]shOp{{insert: true, sp: sp}}
+	ok, err := e.commit(ops[:], nil)
+	if !ok {
+		return 0, err
+	}
+	return ops[0].gid, err
 }
 
 // InsertBatch adds many points under one commit, validating and staging
@@ -425,131 +418,102 @@ func (e *Engine) Insert(pt Point) (PointID, error) {
 // — before the first insertion, so a malformed point fails the batch cleanly
 // (no state change, ErrBadPoint with the offending index).
 func (e *Engine) InsertBatch(pts []Point) ([]PointID, error) {
-	if e.sh != nil {
-		return e.sh.insertBatch(pts)
-	}
-	staged, err := e.stageInserts(pts, "InsertBatch point", nil)
-	if err != nil {
+	ops, err := stageOps(e, pts, &errsInsertBatch, InsertOp)
+	if err != nil || len(ops) == 0 {
 		return nil, err
 	}
-	if len(pts) == 0 {
-		return nil, nil
+	ok, err := e.commit(ops, nil)
+	if !ok {
+		return nil, err
 	}
-	ids := make([]PointID, 0, len(pts))
-	e.lock()
-	seq, werr := e.walAppendInsertBatch(pts)
-	if werr != nil {
-		e.failUpdate()
-		return nil, werr
-	}
-	for i := range staged {
-		id, err := e.c.InsertStaged(staged[i])
-		if err != nil {
-			// The points were staged, so the backend has no reason left to
-			// refuse one; should it, commit the partial work, if any, and
-			// report where the batch stopped.
-			if i > 0 {
-				e.noteInserted(ids)
-				e.release(e.finishUpdate())
-			} else {
-				e.failUpdate()
-			}
-			return ids, fmt.Errorf("dyndbscan: InsertBatch aborted at point %d: %w", i, err)
-		}
-		ids = append(ids, id)
-	}
-	e.noteInserted(ids)
-	evs := e.finishUpdate()
-	if err := e.releaseLogged(seq, evs); err != nil {
-		return ids, err
-	}
-	return ids, nil
-}
-
-// stageInserts runs the pre-commit phase of a batch insertion: validation,
-// coordinate cloning and grid cell assignment, fanned out across the
-// engine's workers. Errors name the failing element as "<what> <index>";
-// idx, when non-nil, remaps element positions to caller indices (Apply's op
-// positions).
-func (e *Engine) stageInserts(pts []Point, what string, idx []int) ([]core.StagedPoint, error) {
-	at := func(i int) int {
-		if idx != nil {
-			return idx[i]
-		}
-		return i
-	}
-	return pipeline.Map(e.workers, pts, func(i int, pt Point) (core.StagedPoint, error) {
-		sp, err := e.stager.Stage(pt)
-		if err != nil {
-			return core.StagedPoint{}, fmt.Errorf("dyndbscan: %s %d: %w", what, at(i), err)
-		}
-		return sp, nil
-	})
+	return handles(ops), err
 }
 
 // Delete removes one point.
 func (e *Engine) Delete(id PointID) error {
-	if e.sh != nil {
-		return e.sh.delete(id)
+	if e.algo == AlgoSemiDynamic {
+		return ErrDeletesUnsupported
 	}
-	e.lock()
-	seq, werr := e.walAppendDelete(id)
-	if werr != nil {
-		e.failUpdate()
-		return werr
-	}
-	if err := e.c.Delete(id); err != nil {
-		e.failUpdate()
-		return err
-	}
-	e.noteDeleted([]PointID{id})
-	return e.releaseLogged(seq, e.finishUpdate())
+	ops := [1]shOp{{gid: id}}
+	_, err := e.commit(ops[:], unknownPoint)
+	return err
 }
+
+// unknownPoint is Delete's wording of a vanished target: the bare sentinel.
+func unknownPoint(int, PointID) error { return ErrUnknownPoint }
 
 // DeleteBatch removes many points under one commit. The whole batch is
 // validated first: an unknown or duplicated id fails the batch with
 // ErrUnknownPoint / ErrDuplicateID before any point is removed.
 func (e *Engine) DeleteBatch(ids []PointID) error {
-	if e.sh != nil {
-		return e.sh.deleteBatch(ids)
+	ops, err := stageOps(e, ids, &errsDeleteBatch, DeleteOp)
+	if err != nil || len(ops) == 0 {
+		return err
 	}
-	if len(ids) == 0 {
-		return nil
+	_, err = e.commit(ops, errsDeleteBatch.unknown)
+	return err
+}
+
+// commit hands a staged, validated op list to the engine shape's commit
+// core and writes the minted handles into ops[i].gid. ok=false means the
+// commit was refused with no state change (a delete target no longer live,
+// reported through unknown, or a refused WAL append); ok=true with a
+// non-nil error is a durability failure of a commit that did apply.
+//
+// A sharded engine commits through shardSet.commitBatch. The single-backend
+// core follows: one critical section under the engine lock checks that
+// every delete target is live, logs the batch, applies it in order and
+// publishes its events. The list was staged and validated by the front-end
+// (apply.go), so the built-in backend cannot refuse an op once the
+// existence check passed.
+func (e *Engine) commit(ops []shOp, unknown func(i int, id PointID) error) (ok bool, err error) {
+	if e.sh != nil {
+		return e.sh.commitBatch(ops, unknown)
 	}
 	e.lock()
-	seen := make(map[PointID]struct{}, len(ids))
-	for i, id := range ids {
-		if _, dup := seen[id]; dup {
+	for i := range ops {
+		if !ops[i].insert && !e.c.Has(ops[i].gid) {
 			e.failUpdate()
-			return fmt.Errorf("dyndbscan: DeleteBatch id %d duplicated at index %d: %w", id, i, ErrDuplicateID)
-		}
-		seen[id] = struct{}{}
-		if !e.c.Has(id) {
-			e.failUpdate()
-			return fmt.Errorf("dyndbscan: DeleteBatch index %d: %w (id %d)", i, ErrUnknownPoint, id)
+			return false, unknown(i, ops[i].gid)
 		}
 	}
-	seq, werr := e.walAppendDeleteBatch(ids)
-	if werr != nil {
-		e.failUpdate()
-		return werr
+	var seq uint64
+	if e.logging() {
+		if seq, err = e.wal.append(walOpsFromShOps(ops, e.cfg.Dims, false)); err != nil {
+			e.failUpdate()
+			return false, err
+		}
 	}
-	for i, id := range ids {
-		if err := e.c.Delete(id); err != nil {
-			// The ids were validated above, so only the semi-dynamic
-			// backend's ErrDeletesUnsupported lands here, on the first id.
-			if i > 0 {
-				e.noteDeleted(ids[:i])
-				e.release(e.finishUpdate())
-			} else {
-				e.failUpdate()
+	for i := range ops {
+		op := &ops[i]
+		if !op.insert {
+			if err := e.c.Delete(op.gid); err != nil {
+				panic(fmt.Sprintf("dyndbscan: backend rejected a validated delete: %v", err))
 			}
-			return fmt.Errorf("dyndbscan: DeleteBatch aborted at index %d: %w", i, err)
+			// Tombstone for the sorted-id cache; the next snapshot build
+			// compacts.
+			e.pendingDead[op.gid] = struct{}{}
+			continue
 		}
+		id, err := e.c.InsertStaged(op.sp)
+		if err != nil {
+			panic(fmt.Sprintf("dyndbscan: backend rejected a staged insert: %v", err))
+		}
+		op.gid = id
+		e.sortedIDs = append(e.sortedIDs, id) // backends mint ascending ids
 	}
-	e.noteDeleted(ids)
-	evs := e.finishUpdate()
-	return e.releaseLogged(seq, evs)
+	e.wal.noteDirtyOps(ops)
+	return true, e.release(seq, e.finishUpdate())
+}
+
+// handles returns one handle per committed op: the minted handle of an
+// insertion, the target of a deletion.
+func handles(ops []shOp) []PointID {
+	out := make([]PointID, len(ops))
+	for i := range ops {
+		out[i] = ops[i].gid
+	}
+	return out
 }
 
 // currentSnapshot returns the published snapshot when it matches the current
@@ -669,8 +633,7 @@ func (e *Engine) ClusterOf(id PointID) ([]ClusterID, bool) {
 	}
 	if e.sh == nil {
 		defer e.qlock()()
-		cids, ok := e.c.ClusterOf(id)
-		return e.mapCIDs(cids), ok
+		return e.c.ClusterOf(id)
 	}
 	return e.Snapshot().ClusterOf(id)
 }
@@ -732,14 +695,7 @@ func (e *Engine) buildSnapshot() *Snapshot {
 	if e.roQueries && e.workers > 1 && len(ids) >= parallelSnapshotMin {
 		workers = e.workers
 	}
-	resolve := e.c.ClusterOf
-	if e.remap != nil {
-		resolve = func(id PointID) ([]ClusterID, bool) {
-			cids, ok := e.c.ClusterOf(id)
-			return e.mapCIDs(cids), ok
-		}
-	}
-	resolveMembers(s, ids, workers, resolve)
+	resolveMembers(s, ids, workers, e.c.ClusterOf)
 	return s
 }
 

@@ -265,7 +265,7 @@ func (e *Engine) syncEventFunc() {
 	// subscriber-less engine pays nothing for the event machinery.
 	if e.wal == nil {
 		if want {
-			e.c.SetEventFunc(func(ev Event) { e.pending = append(e.pending, e.mapEvent(ev)) })
+			e.c.SetEventFunc(func(ev Event) { e.pending = append(e.pending, ev) })
 		} else {
 			e.c.SetEventFunc(nil)
 		}

@@ -338,12 +338,12 @@ func (e *Engine) HotspotStats() HotspotStats {
 // any staged state is written — log-before-visible holds on the staged path
 // exactly as on the ordinary one. walSeq is that record's sequence (0 when
 // nothing was logged); the caller owes it a wal.finish before acking.
-// out receives every handle; rest is nil when nothing was diverted, in which
-// case no handle was minted either and the caller commits the batch through
-// the ordinary minting path. A non-nil error is a refused staged-delta
-// append: nothing was staged or applied (the minted ids are burned, which is
-// harmless — replay reads handles instead of re-minting).
-func (ss *shardSet) hotRoute(sps []core.StagedPoint, out []PointID) (rest []shOp, diverted int, walSeq uint64, err error) {
+// Every op's gid receives its handle; rest is nil when nothing was
+// diverted, in which case no handle was minted either and the caller commits
+// the batch through the ordinary minting path. A non-nil error is a refused
+// staged-delta append: nothing was staged or applied (the minted ids are
+// burned, which is harmless — replay reads handles instead of re-minting).
+func (ss *shardSet) hotRoute(ops []shOp) (rest []shOp, diverted int, walSeq uint64, err error) {
 	hs := ss.hs
 	if hs == nil || hs.hotCount.Load() == 0 || hs.closing.Load() {
 		return nil, 0, 0, nil
@@ -365,8 +365,8 @@ func (ss *shardSet) hotRoute(sps []core.StagedPoint, out []PointID) (rest []shOp
 		return nil, 0, 0, nil
 	}
 	anyHot := false
-	for _, sp := range sps {
-		if _, hot := hs.hot[floorDiv(int64(sp.Coord()[0]), ss.stripeCells)]; hot {
+	for i := range ops {
+		if _, hot := hs.hot[floorDiv(int64(ops[i].sp.Coord()[0]), ss.stripeCells)]; hot {
 			anyHot = true
 			break
 		}
@@ -377,7 +377,7 @@ func (ss *shardSet) hotRoute(sps []core.StagedPoint, out []PointID) (rest []shOp
 	}
 	// Pass 1: mint in op order and partition. Nothing is published yet —
 	// the staged-delta record must hit the log first.
-	rest = make([]shOp, 0, len(sps))
+	rest = make([]shOp, 0, len(ops))
 	var (
 		staged  []stagedIns
 		stripes []int64 // staged[i] targets stripes[i]
@@ -385,10 +385,11 @@ func (ss *shardSet) hotRoute(sps []core.StagedPoint, out []PointID) (rest []shOp
 	)
 	logging := ss.e.logging()
 	dims := ss.cfg.Dims
-	for i, sp := range sps {
+	for i := range ops {
+		sp := ops[i].sp
 		gid := ss.nextID
 		ss.nextID++
-		out[i] = gid
+		ops[i].gid = gid
 		t := floorDiv(int64(sp.Coord()[0]), ss.stripeCells)
 		if _, hot := hs.hot[t]; hot {
 			staged = append(staged, stagedIns{gid, sp})
@@ -535,10 +536,10 @@ func (ss *shardSet) reconcileStripe(t int64, cause string) {
 	// OpStagedInsert record was written at staging time, and re-logging
 	// would double-apply on replay. With no append and no delete to
 	// re-validate, the commit has no failure mode left: backends cannot
-	// reject staged pre-validated inserts. The NoCkpt variant is required
-	// here — reconcileMu is held, and the checkpoint cadence would take a
-	// blocking join on it.
-	if _, err := ss.commitBatchNoCkpt(ops, nil); err != nil {
+	// reject staged pre-validated inserts. commitRouted, which skips the
+	// checkpoint cadence, is required here — reconcileMu is held, and the
+	// cadence would take a blocking join on it.
+	if _, err := ss.commitRouted(ops, nil); err != nil {
 		panic(fmt.Sprintf("dyndbscan: reconcile fold failed on an append-free commit: %v", err))
 	}
 
@@ -564,41 +565,39 @@ func (ss *shardSet) reconcileStripe(t int64, cause string) {
 }
 
 // hotCommit commits a pure-insert staged batch through the split-phase
-// diversion. ok=false means no op targeted a hot stripe (and no handle was
-// minted): the caller commits through the ordinary path. With ok=true and a
-// nil err every handle in out is live and its record is in the log. A
-// non-nil err with ok=true is either a refused staged-delta append (nothing
-// staged, nothing applied) or a durability failure of the committed parts
-// (staged deltas logged, remainder committed, fsync refused) — in every case
-// the log never acks less than the caller was told.
-func (ss *shardSet) hotCommit(sps []core.StagedPoint) (out []PointID, ok bool, err error) {
-	out = make([]PointID, len(sps))
-	rest, diverted, walSeq, err := ss.hotRoute(sps, out)
+// diversion, writing every handle into ops[i].gid. diverted=false means no
+// op targeted a hot stripe (and no handle was minted): the caller commits
+// through the ordinary path. Otherwise ok and err follow Engine.commit:
+// ok=false is a refused staged-delta append (nothing staged, nothing
+// applied); ok=true with a non-nil err is a durability failure of the
+// committed parts (staged deltas logged, remainder committed, fsync
+// refused) — in every case the log never acks less than the caller was
+// told.
+func (ss *shardSet) hotCommit(ops []shOp) (diverted, ok bool, err error) {
+	rest, n, walSeq, err := ss.hotRoute(ops)
 	if err != nil {
-		return nil, true, err
+		return true, false, err
 	}
-	if diverted == 0 {
-		return nil, false, nil
+	if n == 0 {
+		return false, false, nil
 	}
-	// Durability barrier for the staged-delta record, mirroring commitBatch:
+	// Durability barrier for the staged-delta record, mirroring commitRouted:
 	// under SyncAlways the ack waits for the record's fsync, so no staged
 	// handle is ever returned ahead of its durability.
 	werr := ss.e.wal.finish(walSeq)
 	if len(rest) > 0 {
-		_, err = ss.commitBatch(rest, nil)
+		_, err = ss.commitRouted(rest, nil)
 	} else {
-		// Fully diverted batches never reach commitBatch, whose epilogue
-		// normally runs the deferred hotspot and checkpoint work; run it
-		// from here so a pure hot-stripe workload still reconciles and
-		// checkpoints on cadence. (Safe: this goroutine holds no lock, and
-		// in particular not reconcileMu.)
+		// Fully diverted batches never reach commitRouted, whose epilogue
+		// normally runs the deferred hotspot work; run it from here so a
+		// pure hot-stripe workload still reconciles on cadence. (Safe: this
+		// goroutine holds no lock, and in particular not reconcileMu.)
 		ss.maybeHotspotReconcile()
-		ss.e.maybeCheckpoint()
 	}
 	if err == nil {
 		err = werr
 	}
-	return out, true, err
+	return true, true, err
 }
 
 // joinForDelete reconciles staged delta buffers until none of the delete
@@ -611,7 +610,7 @@ func (ss *shardSet) hotCommit(sps []core.StagedPoint) (out []PointID, ok bool, e
 // the call (they cannot re-stage — handles are never re-minted), so one
 // barrier join folds them all; the re-check only spins if the fold's
 // publication has not reached the routes yet.
-func (ss *shardSet) joinForDelete(ids []PointID) {
+func (ss *shardSet) joinForDelete(ops []shOp) {
 	hs := ss.hs
 	if hs == nil {
 		return
@@ -619,9 +618,12 @@ func (ss *shardSet) joinForDelete(ids []PointID) {
 	for {
 		ss.routesMu.Lock()
 		pending := false
-		for _, id := range ids {
-			if _, st := ss.stagedRoutes[id]; st {
-				if _, routed := ss.routes[id]; !routed {
+		for i := range ops {
+			if ops[i].insert {
+				continue
+			}
+			if _, st := ss.stagedRoutes[ops[i].gid]; st {
+				if _, routed := ss.routes[ops[i].gid]; !routed {
 					pending = true
 					break
 				}

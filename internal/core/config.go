@@ -117,11 +117,6 @@ func (r *Result) SameGroup(a, b PointID) bool {
 	return false
 }
 
-// CheckPoint validates an input point against a dimensionality: at least
-// dims finite coordinates. It is the exact predicate the clusterers apply on
-// Insert, exported so facades can pre-validate batches without drift.
-func CheckPoint(pt geom.Point, dims int) error { return checkPoint(pt, dims) }
-
 // checkPoint validates an input point against the configuration.
 func checkPoint(pt geom.Point, dims int) error {
 	if len(pt) < dims {

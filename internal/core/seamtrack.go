@@ -18,8 +18,9 @@ import "dyndbscan/internal/grid"
 //     EventClusterSplit names the source cluster, letting the consumer
 //     re-read exactly that cluster's cells).
 //
-// Tracking is off by default and costs nothing; the sharded engine enables it
-// only while subscribers keep the seam structure live.
+// Tracking is off by default and costs nothing. The sharded engine enables
+// it on every shard backend at construction: each commit folds its seam
+// delta whether or not subscribers exist.
 
 // SeamTracker is the per-commit change-set capability the sharded engine's
 // incremental stitch requires of its backends. All built-in algorithms

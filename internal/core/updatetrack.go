@@ -58,7 +58,10 @@ func (b *base) TakeDirtyUpdateCells() []grid.Coord {
 	for c := range b.dirtyUpd {
 		out = append(out, c)
 	}
-	clear(b.dirtyUpd)
+	// A fresh map rather than clear: clearing, and the next take's walk, cost
+	// the map's capacity, which a bulk load leaves far above the change set
+	// of a typical checkpoint interval.
+	b.dirtyUpd = make(map[grid.Coord]struct{})
 	return out
 }
 

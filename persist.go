@@ -33,12 +33,10 @@ package dyndbscan
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"dyndbscan/internal/core"
 	"dyndbscan/internal/wal"
 )
 
@@ -229,112 +227,6 @@ func (e *Engine) logging() bool {
 	return e.wal != nil && !e.wal.recovering
 }
 
-// WAL append helpers for the single-backend update paths. Each returns
-// (0, nil) when no record should be written; a non-nil error aborts the
-// commit before any state change.
-
-// walAppendInsert validates and logs one insertion. Validation runs here —
-// before the append — because the record must only exist for ops that will
-// succeed: the built-in backends cannot fail a pre-validated insert.
-func (e *Engine) walAppendInsert(pt Point) (uint64, error) {
-	if !e.logging() {
-		return 0, nil
-	}
-	if err := core.CheckPoint(pt, e.cfg.Dims); err != nil {
-		return 0, err
-	}
-	return e.wal.append([]wal.Op{{Kind: wal.OpInsert, Coord: pt[:e.cfg.Dims]}})
-}
-
-// walAppendInsertBatch logs a staged (already validated) insert batch.
-func (e *Engine) walAppendInsertBatch(pts []Point) (uint64, error) {
-	if !e.logging() {
-		return 0, nil
-	}
-	ops := make([]wal.Op, len(pts))
-	for i, pt := range pts {
-		ops[i] = wal.Op{Kind: wal.OpInsert, Coord: pt[:e.cfg.Dims]}
-	}
-	return e.wal.append(ops)
-}
-
-// walAppendDelete logs one deletion iff it is certain to succeed; a doomed
-// delete (unsupported algorithm, unknown handle) writes nothing and lets the
-// backend report its usual error.
-func (e *Engine) walAppendDelete(id PointID) (uint64, error) {
-	if !e.logging() || e.algo == AlgoSemiDynamic || !e.c.Has(id) {
-		return 0, nil
-	}
-	return e.wal.append([]wal.Op{{Kind: wal.OpDelete, ID: int64(id)}})
-}
-
-// walAppendDeleteBatch logs a validated delete batch. On AlgoSemiDynamic the
-// batch is doomed (the backend rejects the first delete before any state
-// change) so nothing is logged.
-func (e *Engine) walAppendDeleteBatch(ids []PointID) (uint64, error) {
-	if !e.logging() || e.algo == AlgoSemiDynamic {
-		return 0, nil
-	}
-	ops := make([]wal.Op, len(ids))
-	for i, id := range ids {
-		ops[i] = wal.Op{Kind: wal.OpDelete, ID: int64(id)}
-	}
-	return e.wal.append(ops)
-}
-
-// walAppendOps logs a validated Apply batch (inserts staged, deletes
-// existence-checked, semi-dynamic deletes already rejected).
-func (e *Engine) walAppendOps(ops []Op) (uint64, error) {
-	if !e.logging() {
-		return 0, nil
-	}
-	wops := make([]wal.Op, len(ops))
-	for i, op := range ops {
-		if op.Kind == OpInsert {
-			wops[i] = wal.Op{Kind: wal.OpInsert, Coord: op.Pt[:e.cfg.Dims]}
-		} else {
-			wops[i] = wal.Op{Kind: wal.OpDelete, ID: int64(op.ID)}
-		}
-	}
-	return e.wal.append(wops)
-}
-
-// releaseLogged is release for commits that may have logged a record: it
-// ends the critical section, makes the record durable per the policy, then
-// publishes the events — records hit the log (and, under SyncAlways, the
-// disk) strictly before the commit's events or return value are observable.
-// The returned error reports a durability failure; the in-memory state has
-// already advanced when it is non-nil, and the log is poisoned, so every
-// later update will fail cleanly.
-func (e *Engine) releaseLogged(seq uint64, evs []Event) error {
-	if e.wal == nil || seq == 0 {
-		e.release(evs)
-		return nil
-	}
-	if !e.threadSafe {
-		e.unlock()
-		err := e.wal.finish(seq)
-		if len(evs) > 0 {
-			e.deliverSync(evs)
-		}
-		e.maybeCheckpoint()
-		return err
-	}
-	var ticket uint64
-	pub := len(evs) > 0
-	if pub {
-		ticket = e.pubTicket
-		e.pubTicket++
-	}
-	e.unlock()
-	err := e.wal.finish(seq)
-	if pub {
-		e.publishOrdered(ticket, evs)
-	}
-	e.maybeCheckpoint()
-	return err
-}
-
 // maybeCheckpoint runs an automatic checkpoint when the commit counter
 // passed the cadence; at most one runs at a time (CAS), on the committing
 // goroutine, holding no engine lock on entry. Failures are deliberately
@@ -377,9 +269,9 @@ func (e *Engine) Checkpoint() error {
 		// staged-delta record under routesMu alone — below the LastSeq the
 		// payload will claim to cover, yet absent from the payload. Paused
 		// batches fall through to the ordinary commit path, which blocks on
-		// worldMu while checkpointPayload holds it exclusively.
-		// (A fold's own nested commit never re-enters here: commitBatch
-		// skips maybeCheckpoint for folded batches, so the blocking join
+		// worldMu while the capture holds it exclusively.
+		// (A fold's own nested commit never re-enters here: folds run
+		// commitRouted, which skips maybeCheckpoint, so the blocking join
 		// cannot self-deadlock on reconcileMu.)
 		ss.routesMu.Lock()
 		ss.hs.pausedStaging++
@@ -405,16 +297,7 @@ func (e *Engine) Checkpoint() error {
 		// advance the chain).
 		return nil
 	}
-	var (
-		seq     uint64
-		payload []byte
-		isDelta bool
-	)
-	if e.sh != nil {
-		seq, payload, isDelta = e.sh.checkpointPayload(w.log, wantDelta)
-	} else {
-		seq, payload, isDelta = e.checkpointPayloadSingle(wantDelta)
-	}
+	seq, payload, isDelta := e.capture(wantDelta)
 	if seq == 0 {
 		return nil
 	}
@@ -553,7 +436,6 @@ func (e *Engine) attachWAL(s *engineSettings, dir string, doRecover bool) error 
 	} else {
 		e.c.SetUpdateTracking(true)
 		e.c.SetEventFunc(func(ev Event) {
-			ev = e.mapEvent(ev)
 			w.noteDirtyEvent(ev)
 			if e.evsOn {
 				e.pending = append(e.pending, ev)
@@ -760,7 +642,7 @@ func (e *Engine) applyExplicit(wops []wal.Op) error {
 			// apply it directly — they never re-stage (hotRoute declines to
 			// divert while wal.recovering), which keeps replay deterministic
 			// and keeps replicas apply-only.
-			sp, err := ss.stager.Stage(Point(wop.Coord))
+			sp, err := e.stager.Stage(Point(wop.Coord))
 			if err != nil {
 				return fmt.Errorf("dyndbscan: wal: bad explicit insert: %w", err)
 			}
@@ -774,7 +656,7 @@ func (e *Engine) applyExplicit(wops []wal.Op) error {
 			return fmt.Errorf("dyndbscan: wal: op kind %d inside an explicit-handle record", wop.Kind)
 		}
 	}
-	if _, err := ss.commitBatch(shOps, func(i int, id PointID) error {
+	if _, err := ss.commitRouted(shOps, func(i int, id PointID) error {
 		return fmt.Errorf("dyndbscan: wal: replayed delete targets unknown handle %d", id)
 	}); err != nil {
 		return err
@@ -857,18 +739,9 @@ func engineFromLog(dir string, opts []Option) (*Engine, *engineSettings, error) 
 	if err := s.validate(); err != nil {
 		return nil, nil, err
 	}
-	var e *Engine
-	if s.shards > 1 {
-		e, err = newShardedEngine(s)
-		if err != nil {
-			return nil, nil, err
-		}
-	} else {
-		c, err := newBackend(s.algo, s.cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		e = newEngine(c, s.algo, s.threadSafe, s.workers)
+	e, err := newEngineShape(s)
+	if err != nil {
+		return nil, nil, err
 	}
 	return e, s, nil
 }
@@ -924,70 +797,4 @@ func decodeEngineMeta(b []byte) (engineMeta, error) {
 		return mc, fmt.Errorf("dyndbscan: engine meta names unknown algorithm %d", mc.algo)
 	}
 	return mc, nil
-}
-
-// gidRemap translates backend cluster ids to the global ids clients saw
-// before a restart. Built once during single-backend checkpoint restore and
-// read-only afterwards, so the lock-free snapshot path can apply it from any
-// goroutine. Backend ids minted after the restore (≥ loBack) map linearly
-// into a fresh range above every restored id; ids from the rebuild map
-// through m to the stored identity they matched.
-type gidRemap struct {
-	m        map[ClusterID]ClusterID
-	loBack   ClusterID
-	loGlobal ClusterID
-}
-
-func (r *gidRemap) one(c ClusterID) ClusterID {
-	if c >= r.loBack {
-		return c - r.loBack + r.loGlobal
-	}
-	if g, ok := r.m[c]; ok {
-		return g
-	}
-	// Unreachable: every backend cluster live at restore time is in m, and
-	// dead ones are never referenced again (no subscribers exist during
-	// restore to have observed them).
-	return c
-}
-
-// mapCIDs translates a backend ClusterOf answer through the restore remap;
-// the identity when no restore happened.
-func (e *Engine) mapCIDs(cids []ClusterID) []ClusterID {
-	r := e.remap
-	if r == nil || len(cids) == 0 {
-		return cids
-	}
-	out := make([]ClusterID, len(cids))
-	for i, c := range cids {
-		out[i] = r.one(c)
-	}
-	if len(out) > 1 {
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	}
-	return out
-}
-
-// mapEvent translates the cluster identities an event carries. Point fields
-// are handles, never remapped; Cluster is only meaningful on cluster events.
-func (e *Engine) mapEvent(ev Event) Event {
-	r := e.remap
-	if r == nil {
-		return ev
-	}
-	switch ev.Kind {
-	case EventClusterFormed, EventClusterMerged, EventClusterSplit, EventClusterDissolved:
-		ev.Cluster = r.one(ev.Cluster)
-		if ev.Kind == EventClusterMerged {
-			ev.Absorbed = r.one(ev.Absorbed)
-		}
-		if len(ev.Fragments) > 0 {
-			frags := make([]ClusterID, len(ev.Fragments))
-			for i, f := range ev.Fragments {
-				frags[i] = r.one(f)
-			}
-			ev.Fragments = frags
-		}
-	}
-	return ev
 }

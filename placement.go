@@ -823,7 +823,7 @@ func (ss *shardSet) migrateStripeChunked(t int64, dst int32, chunk int) {
 					if !ok {
 						panic(fmt.Sprintf("dyndbscan: chunked migration lost the owner copy of point %d", gid))
 					}
-					sp, err := ss.stager.Stage(pt)
+					sp, err := ss.e.stager.Stage(pt)
 					if err != nil {
 						panic(fmt.Sprintf("dyndbscan: chunked migration re-staging point %d: %v", gid, err))
 					}
@@ -1175,7 +1175,7 @@ func (ss *shardSet) reshapeLocked(loCol, hiCol int64, flip func()) (ticket uint6
 				}
 				pt = p
 			}
-			sp, err := ss.stager.Stage(pt)
+			sp, err := ss.e.stager.Stage(pt)
 			if err != nil {
 				panic(fmt.Sprintf("dyndbscan: migration re-staging point %d: %v", mv.gid, err))
 			}
@@ -1217,7 +1217,7 @@ func (ss *shardSet) reshapeLocked(loCol, hiCol int64, flip func()) (ticket uint6
 	// union-find bridges every source local cluster with its target
 	// counterpart through their co-located core cells, and the previous
 	// global ids flow onto the target keys before the source copies vanish.
-	ss.restitchLocked()
+	ss.restitchInfoLocked()
 
 	// Trim.
 	for _, rm := range removals {
@@ -1262,7 +1262,7 @@ func (ss *shardSet) reshapeLocked(loCol, hiCol int64, flip func()) (ticket uint6
 		//
 		//dynlint:ignore logvisible reshape is an in-memory reorganization; constituent ops are already logged and recovery recomputes placement
 		e.version.Add(1)
-		// restitchInfoLocked left stitched == keyGID; stamp it current.
+		// restitchInfoLocked left keyGID fresh; stamp it current.
 		ss.stitchVersion = e.version.Load()
 		ss.stitchValid = true
 		if len(evs) > 0 {

@@ -430,7 +430,7 @@ func (tx *seamTxn) finalize() []Event {
 	sort.Slice(comps, func(a, b int) bool { return stitchKeyLess(comps[a][0], comps[b][0]) })
 
 	// Attribute previous gids to the components their keys' identities flowed
-	// into, through the commit's lineage — restitchLocked's rule, scoped.
+	// into, through the commit's lineage — restitchInfoLocked's rule, scoped.
 	keyComp := make(map[stitchKey]int, len(scopedKeys))
 	for ci, comp := range comps {
 		for _, k := range comp {
@@ -558,7 +558,7 @@ func (ss *shardSet) buildSeamLocked() {
 		sh.pending = sh.pending[:0]
 		sh.c.TakeDirtySeamCells()
 	}
-	ss.restitchLocked()
+	ss.restitchInfoLocked()
 	ss.populateSeamLocked()
 }
 

@@ -38,13 +38,14 @@ package dyndbscan
 // (shard, local cluster id) keys — one union per core cell observed in a
 // foreign shard's territory — and maps each component to a stable global
 // ClusterID (persisted across epochs in keyGID, so ids survive every update
-// that does not merge or split a stitched cluster). While subscribers exist
-// the same structure is maintained incrementally instead of recomputed: each
+// that does not merge or split a stitched cluster). The same structure is
+// maintained incrementally from engine creation on, subscribers or not: each
 // commit folds its seam delta into the live seam union-find and derives its
-// global cluster events from the transition (see seam.go). With Rho = 0 the
-// stitched clustering is exactly the single-shard clustering; with Rho > 0
-// both are legal ρ-approximate clusterings that may resolve don't-care-band
-// points differently.
+// global cluster events from the transition (see seam.go); the full pass
+// runs only to re-warm a seam a restore or chunked migration left cold, and
+// inside stripe migrations. With Rho = 0 the stitched clustering is exactly
+// the single-shard clustering; with Rho > 0 both are legal ρ-approximate
+// clusterings that may resolve don't-care-band points differently.
 //
 // # Locking
 //
@@ -122,9 +123,8 @@ type shard struct {
 // shardSet is the sharded engine: router, per-shard backends, the global
 // route table, and the stitching state.
 type shardSet struct {
-	e      *Engine
-	cfg    Config
-	stager core.Stager
+	e   *Engine
+	cfg Config
 
 	stripeCells int64 // stripe width in cells along dimension 0
 	bandCells   int64 // ghost band width in cells (covers 2(1+ρ)ε)
@@ -227,12 +227,12 @@ type shardSet struct {
 	restitches uint64
 
 	// Stitch state. keyGID persists the (shard, local cluster) → global id
-	// assignment across epochs — the source of global id stability — fed by
-	// full restitches while no subscribers exist and maintained per commit by
-	// the seam transactions while they do.
+	// assignment across epochs — the source of global id stability. Every
+	// commit's seam fold keeps it current while the seam is warm; full
+	// restitches rebuild it when the seam went cold and during stripe
+	// migrations. stitchVersion/stitchValid record the epoch it is exact at.
 	keyGID        map[stitchKey]ClusterID
 	nextGID       ClusterID
-	stitched      map[stitchKey]ClusterID
 	stitchVersion uint64
 	stitchValid   bool
 }
@@ -254,6 +254,7 @@ func newShardedEngine(s *engineSettings) (*Engine, error) {
 		algo:       s.algo,
 		cfg:        cfg,
 		workers:    pipeline.Workers(s.workers),
+		stager:     core.NewStager(cfg),
 		subs:       make(map[int]*subscriber),
 	}
 	e.pubCond.L = &e.pubMu
@@ -261,9 +262,8 @@ func newShardedEngine(s *engineSettings) (*Engine, error) {
 	side := grid.NewParams(cfg.Dims, cfg.Eps).Side
 	band := 2 * cfg.Eps * (1 + cfg.Rho)
 	ss := &shardSet{
-		e:      e,
-		cfg:    cfg,
-		stager: core.NewStager(cfg),
+		e:   e,
+		cfg: cfg,
 		// Cells at column distance k have box distance (k-1)·side; +2 keeps
 		// the rounding conservative (over-replication is a perf cost only).
 		bandCells:    int64(math.Floor(band/side)) + 2,
@@ -325,27 +325,10 @@ func newShardedEngine(s *engineSettings) (*Engine, error) {
 // [t·W, (t+1)·W) of dimension 0 and resolves to a shard through the
 // assignment table (round-robin by default, overridden by migrations).
 
-// stage runs the sharded pre-commit phase: validation, cloning, and cell
-// assignment across the engine's workers (sharded backends always accept
-// staged points). Error naming mirrors Engine.stageInserts.
-func (ss *shardSet) stage(pts []Point, what string, idx []int) ([]core.StagedPoint, error) {
-	at := func(i int) int {
-		if idx != nil {
-			return idx[i]
-		}
-		return i
-	}
-	return pipeline.Map(ss.e.workers, pts, func(i int, pt Point) (core.StagedPoint, error) {
-		sp, err := ss.stager.Stage(pt)
-		if err != nil {
-			return core.StagedPoint{}, fmt.Errorf("dyndbscan: %s %d: %w", what, at(i), err)
-		}
-		return sp, nil
-	})
-}
-
-// shOp is one routed operation of a sharded commit: an insertion carrying
-// its staged point, or a deletion carrying the global target handle.
+// shOp is one staged operation of an update — the op list the front-end
+// (apply.go) builds and both commit cores consume: an insertion carrying its
+// staged point, or a deletion carrying the target handle. Commits write each
+// insert's minted handle back into gid.
 type shOp struct {
 	insert   bool
 	forceGID bool // insert: gid is pre-assigned (checkpoint restore), skip minting
@@ -354,35 +337,65 @@ type shOp struct {
 	gid      PointID // delete: target; insert: assigned during commit
 }
 
-// shardItem is one op's application on one particular shard.
+// shardItem is one op's application on one particular shard. It carries
+// the op's fields by value: the per-shard goroutines never reference the
+// caller's op list, which therefore does not escape — a single Insert or
+// Delete keeps its one-op list on the stack.
 type shardItem struct {
-	op    int  // index into the shOp slice
-	owner bool // this shard holds the owner copy
-	slot  int  // insert: index into the op's copies slice
-	local core.PointID
+	op     int  // index into the shOp slice
+	owner  bool // this shard holds the owner copy
+	slot   int  // insert: index into the op's copies slice
+	local  core.PointID
+	insert bool
+	sp     core.StagedPoint // insert: the staged point
+	gid    PointID          // insert: the minted global handle
 }
 
-// commitBatch applies a staged, pre-validated batch as one epoch: one
+// commitBatch is the sharded commit core behind Engine.commit. With a
+// hotspot path, a pure-insert batch may divert into split-phase staging and
+// a batch with deletes first joins the staged inserts it targets; everything
+// else commits as one routed epoch (commitRouted). See Engine.commit for the
+// result contract.
+func (ss *shardSet) commitBatch(ops []shOp, errUnknown func(i int, id PointID) error) (ok bool, err error) {
+	diverted := false
+	if ss.hs != nil {
+		if hasDeletes(ops) {
+			ss.joinForDelete(ops)
+		} else {
+			diverted, ok, err = ss.hotCommit(ops)
+		}
+	}
+	if !diverted {
+		ok, err = ss.commitRouted(ops, errUnknown)
+	}
+	// Checkpoint cadence runs here, outside the fold-safe routed commit: a
+	// reconcile fold holds reconcileMu, and Checkpoint is a blocking join
+	// (joinAllWait) — an auto-checkpoint from inside the fold would
+	// self-deadlock. Folds call commitRouted directly; their triggering path
+	// (this function, or the join caller) owns the cadence check once the
+	// fold has released.
+	ss.e.maybeCheckpoint()
+	return ok, err
+}
+
+// hasDeletes reports whether the op list deletes anything.
+func hasDeletes(ops []shOp) bool {
+	for i := range ops {
+		if !ops[i].insert {
+			return true
+		}
+	}
+	return false
+}
+
+// commitRouted applies a staged, pre-validated batch as one epoch: one
 // version advance, one event publication. Delete targets are looked up and
 // re-validated under the shard locks, so a batch with a vanished target
 // fails atomically with errUnknown(opIndex, id) and no state change.
 // Backends are built-in and the ops validated, so the commit itself cannot
-// fail part-way.
-func (ss *shardSet) commitBatch(ops []shOp, errUnknown func(i int, id PointID) error) ([]PointID, error) {
-	out, err := ss.commitBatchNoCkpt(ops, errUnknown)
-	// Checkpoint cadence runs here, outside the fold-safe inner commit: a
-	// reconcile fold holds reconcileMu, and Checkpoint is a blocking join
-	// (joinAllWait) — an auto-checkpoint from inside the fold would
-	// self-deadlock. Folds call commitBatchNoCkpt directly; their
-	// triggering path (hotCommit, or the join caller) owns the cadence
-	// check once the fold has released.
-	ss.e.maybeCheckpoint()
-	return out, err
-}
-
-// commitBatchNoCkpt is commitBatch without the trailing checkpoint-cadence
-// check — the variant a reconcile fold may run while holding reconcileMu.
-func (ss *shardSet) commitBatchNoCkpt(ops []shOp, errUnknown func(i int, id PointID) error) ([]PointID, error) {
+// fail part-way. It skips the checkpoint-cadence check, so a reconcile fold
+// may run it while holding reconcileMu.
+func (ss *shardSet) commitRouted(ops []shOp, errUnknown func(i int, id PointID) error) (bool, error) {
 	e := ss.e
 
 	// Routing runs against one placement epoch: the epoch is snapshotted
@@ -394,7 +407,6 @@ func (ss *shardSet) commitBatchNoCkpt(ops []shOp, errUnknown func(i int, id Poin
 		copies   [][]copyRef
 		cols     []int32
 		involved []int32
-		perShard map[int32][]shardItem
 		evsOn    bool
 		seamOn   bool
 		unlock   func()
@@ -429,7 +441,7 @@ route:
 			r, ok := ss.routes[op.gid]
 			if !ok {
 				ss.routesMu.Unlock()
-				return nil, errUnknown(i, op.gid)
+				return false, errUnknown(i, op.gid)
 			}
 			copies[i] = r.copies
 			cols[i] = r.col
@@ -454,13 +466,9 @@ route:
 			}
 			involved = append(involved, s)
 		}
-		perShard = make(map[int32][]shardItem, 4)
 		for i := range ops {
-			for j, c := range copies[i] {
+			for _, c := range copies[i] {
 				mark(c.shard)
-				perShard[c.shard] = append(perShard[c.shard], shardItem{
-					op: i, owner: j == 0, slot: j, local: c.local,
-				})
 			}
 		}
 		sort.Slice(involved, func(a, b int) bool { return involved[a] < involved[b] })
@@ -515,7 +523,7 @@ route:
 				if _, ok := ss.routes[ops[i].gid]; !ok {
 					ss.routesMu.Unlock()
 					unlock()
-					return nil, errUnknown(i, ops[i].gid)
+					return false, errUnknown(i, ops[i].gid)
 				}
 			}
 		}
@@ -549,7 +557,7 @@ route:
 				if werr != nil {
 					ss.routesMu.Unlock()
 					unlock()
-					return nil, werr
+					return false, werr
 				}
 				walSeq = seq
 			}
@@ -567,23 +575,45 @@ route:
 	}
 
 	// Apply each shard's op subsequence; shards proceed in parallel. The
-	// fanout is skipped for the common single-shard op.
+	// fanout is skipped for the common single-shard op. The subsequences
+	// share one exactly sized array, grouped by shard in op order: shard s
+	// owns items[bound[s]:bound[s+1]].
+	bound := make([]int, len(ss.shards)+1)
+	for i := range ops {
+		for _, c := range copies[i] {
+			bound[c.shard+1]++
+		}
+	}
+	for s := 1; s < len(bound); s++ {
+		bound[s] += bound[s-1]
+	}
+	items := make([]shardItem, bound[len(ss.shards)])
+	fill := append([]int(nil), bound[:len(ss.shards)]...)
+	for i := range ops {
+		op := &ops[i]
+		for j, c := range copies[i] {
+			items[fill[c.shard]] = shardItem{
+				op: i, owner: j == 0, slot: j, local: c.local,
+				insert: op.insert, sp: op.sp, gid: op.gid,
+			}
+			fill[c.shard]++
+		}
+	}
 	evsBuf := make([][]Event, len(involved))
 	clustBuf := make([][]Event, len(involved))
 	dirtyBuf := make([][]grid.Coord, len(involved))
 	runShard := func(k int, s int32) {
 		sh := ss.shards[s]
-		for _, it := range perShard[s] {
-			op := &ops[it.op]
-			if op.insert {
-				lid, err := sh.c.InsertStaged(op.sp)
+		for _, it := range items[bound[s]:bound[s+1]] {
+			if it.insert {
+				lid, err := sh.c.InsertStaged(it.sp)
 				if err != nil {
 					// Unreachable: the point was staged by a matching Stager.
 					panic(fmt.Sprintf("dyndbscan: shard %d rejected a staged insert: %v", s, err))
 				}
 				copies[it.op][it.slot].local = lid
 				if it.owner {
-					sh.ownerGlobal[lid] = op.gid
+					sh.ownerGlobal[lid] = it.gid
 				}
 				sh.drainEvents(&evsBuf[k], &clustBuf[k], evsOn, seamOn)
 				continue
@@ -622,14 +652,10 @@ route:
 
 	// Publish the routes and the sorted-id cache, and charge the commit to
 	// its owner stripes' load accounts.
-	out := make([]PointID, len(ops))
-	var dins, ddel []PointID
-	track := e.logging()
 	ss.routesMu.Lock()
 	ss.commitSeq++
 	for i := range ops {
 		op := &ops[i]
-		out[i] = op.gid
 		ss.noteLoadLocked(cols[i], op.insert, waited[copies[i][0].shard])
 		if op.insert {
 			ss.routes[op.gid] = route{col: cols[i], copies: copies[i]}
@@ -637,15 +663,9 @@ route:
 				ss.idsSorted = false // concurrent commits may interleave mints
 			}
 			ss.sortedIDs = append(ss.sortedIDs, op.gid)
-			if track {
-				dins = append(dins, op.gid)
-			}
 		} else {
 			delete(ss.routes, op.gid)
 			ss.pendingDead[op.gid] = struct{}{}
-			if track {
-				ddel = append(ddel, op.gid)
-			}
 		}
 	}
 	if ss.hs != nil {
@@ -655,7 +675,7 @@ route:
 	// Record the commit's handle churn for the delta-checkpoint change set —
 	// still under the shared worldMu, so a capture (worldMu exclusive) either
 	// sees this commit's routes and its churn, or neither.
-	e.wal.noteDirtyUpdates(dins, ddel)
+	e.wal.noteDirtyOps(ops)
 
 	// Seam fold: the global cluster transitions obtained by folding this
 	// commit's seam delta (the backends' cluster-event lineage plus their
@@ -703,7 +723,6 @@ route:
 			evs = append(evs, cevs...)
 		}
 		e.version.Add(1)
-		ss.stitched = ss.keyGID
 		ss.stitchVersion = e.version.Load()
 		ss.stitchValid = true
 		if evsOn && len(evs) > 0 {
@@ -748,10 +767,11 @@ route:
 	// Adaptive-width re-derivation cadence: same discipline (committing
 	// goroutine, no lock pinned; self-gating and TryLock-protected inside).
 	ss.maybeAdaptWidth()
-	return out, werr
+	return true, werr
 }
 
-// walOpsFromShOps converts a routed batch to its log record. Insert coords
+// walOpsFromShOps converts a staged batch to its log record — the one record
+// builder of both commit cores. Insert coords
 // come from the staged clone (dims-length, validated); the log serializes
 // them during Append, so handing out the slice is safe. With explicit set
 // (hotspot engines) inserts are logged as OpInsertAt carrying their already-
@@ -825,134 +845,6 @@ func (sh *shard) drainEvents(buf *[]Event, clust *[]Event, evsOn, seamOn bool) {
 		}
 	}
 	sh.pending = sh.pending[:0]
-}
-
-// Update entry points; the public Engine methods delegate here in sharded
-// mode.
-
-func (ss *shardSet) insert(pt Point) (PointID, error) {
-	sp, err := ss.stager.Stage(pt)
-	if err != nil {
-		return 0, err
-	}
-	if ss.hs != nil {
-		if out, ok, err := ss.hotCommit([]core.StagedPoint{sp}); ok {
-			if err != nil {
-				return 0, err
-			}
-			return out[0], nil
-		}
-	}
-	out, err := ss.commitBatch([]shOp{{insert: true, sp: sp}}, nil)
-	if err != nil {
-		return 0, err
-	}
-	return out[0], nil
-}
-
-func (ss *shardSet) delete(id PointID) error {
-	if ss.e.algo == AlgoSemiDynamic {
-		return ErrDeletesUnsupported
-	}
-	ss.joinForDelete([]PointID{id})
-	_, err := ss.commitBatch([]shOp{{gid: id}}, func(int, PointID) error {
-		return ErrUnknownPoint
-	})
-	return err
-}
-
-func (ss *shardSet) insertBatch(pts []Point) ([]PointID, error) {
-	staged, err := ss.stage(pts, "InsertBatch point", nil)
-	if err != nil {
-		return nil, err
-	}
-	if len(pts) == 0 {
-		return nil, nil
-	}
-	if ss.hs != nil {
-		if out, ok, err := ss.hotCommit(staged); ok {
-			return out, err
-		}
-	}
-	ops := make([]shOp, len(staged))
-	for i, sp := range staged {
-		ops[i] = shOp{insert: true, sp: sp}
-	}
-	return ss.commitBatch(ops, nil)
-}
-
-func (ss *shardSet) deleteBatch(ids []PointID) error {
-	if len(ids) == 0 {
-		return nil
-	}
-	ss.joinForDelete(ids)
-	// Mirror the single-backend validation order (ascending index, duplicate
-	// before existence) so the two modes report the same failure.
-	seen := make(map[PointID]struct{}, len(ids))
-	ss.routesMu.Lock()
-	for i, id := range ids {
-		if _, dup := seen[id]; dup {
-			ss.routesMu.Unlock()
-			return fmt.Errorf("dyndbscan: DeleteBatch id %d duplicated at index %d: %w", id, i, ErrDuplicateID)
-		}
-		seen[id] = struct{}{}
-		if _, ok := ss.routes[id]; !ok {
-			ss.routesMu.Unlock()
-			return fmt.Errorf("dyndbscan: DeleteBatch index %d: %w (id %d)", i, ErrUnknownPoint, id)
-		}
-	}
-	ss.routesMu.Unlock()
-	if ss.e.algo == AlgoSemiDynamic {
-		// Same failure the single-backend engine reports when the backend
-		// rejects the first delete; no state has changed at that point.
-		return fmt.Errorf("dyndbscan: DeleteBatch aborted at index 0: %w", ErrDeletesUnsupported)
-	}
-	ops := make([]shOp, len(ids))
-	for i, id := range ids {
-		ops[i] = shOp{gid: id}
-	}
-	_, err := ss.commitBatch(ops, func(i int, id PointID) error {
-		return fmt.Errorf("dyndbscan: DeleteBatch index %d: %w (id %d)", i, ErrUnknownPoint, id)
-	})
-	return err
-}
-
-// apply commits a mixed batch; Engine.Apply has already validated kinds and
-// duplicate deletes and split out the insertions.
-func (ss *shardSet) apply(ops []Op, inserts []Point, insertAt []int) ([]PointID, error) {
-	staged, err := ss.stage(inserts, "Apply op", insertAt)
-	if err != nil {
-		return nil, err
-	}
-	if ss.hs != nil {
-		if len(inserts) == len(ops) {
-			// Pure-insert batch: eligible for split-phase diversion.
-			if out, ok, err := ss.hotCommit(staged); ok {
-				return out, err
-			}
-		} else {
-			targets := make([]PointID, 0, len(ops)-len(inserts))
-			for _, op := range ops {
-				if op.Kind != OpInsert {
-					targets = append(targets, op.ID)
-				}
-			}
-			ss.joinForDelete(targets)
-		}
-	}
-	shOps := make([]shOp, len(ops))
-	next := 0
-	for i, op := range ops {
-		if op.Kind == OpInsert {
-			shOps[i] = shOp{insert: true, sp: staged[next]}
-			next++
-		} else {
-			shOps[i] = shOp{gid: op.ID}
-		}
-	}
-	return ss.commitBatch(shOps, func(i int, id PointID) error {
-		return fmt.Errorf("dyndbscan: Apply op %d: %w (id %d)", i, ErrUnknownPoint, id)
-	})
 }
 
 // Read surface. The handle views (len, has, ids) count staged-but-
@@ -1093,23 +985,16 @@ func dedupSortedIDs(ids []ClusterID) []ClusterID {
 
 // stitchLocked returns the current (shard, local cluster) → global id map,
 // reusing the cached stitch when it matches the engine epoch — which, while
-// the seam is live, is every epoch: subscribed commits keep keyGID current
-// as they fold their deltas. Caller holds worldMu exclusively.
+// the seam is warm, is every epoch: every commit keeps keyGID current as it
+// folds its delta. Caller holds worldMu exclusively.
 func (ss *shardSet) stitchLocked() map[stitchKey]ClusterID {
 	v := ss.e.version.Load()
-	if ss.stitchValid && ss.stitchVersion == v {
-		return ss.stitched
+	if !ss.stitchValid || ss.stitchVersion != v {
+		ss.restitchInfoLocked()
+		ss.stitchVersion = v
+		ss.stitchValid = true
 	}
-	ss.restitchLocked()
-	ss.stitchVersion = v
-	ss.stitchValid = true
-	return ss.stitched
-}
-
-// restitchLocked recomputes the stitch from the live shard states; see
-// restitchInfoLocked for the algorithm.
-func (ss *shardSet) restitchLocked() {
-	ss.restitchInfoLocked()
+	return ss.keyGID
 }
 
 // restitchInfoLocked recomputes the stitch from the live shard states: it
@@ -1119,7 +1004,7 @@ func (ss *shardSet) restitchLocked() {
 // component to a stable global id via the previous keyGID assignment (the
 // smallest unclaimed previous id of the component survives, mirroring the
 // older-id-wins merge rule of the backends; a component with no history
-// mints). It leaves the fresh assignment in ss.stitched/ss.keyGID and
+// mints). It leaves the fresh assignment in ss.keyGID and
 // returns the transition's raw material — the sorted components, their
 // claimed global ids, and the previous ids attributed to each — which stripe
 // migration feeds to netTransitions to derive its global cluster events.
@@ -1226,7 +1111,6 @@ func (ss *shardSet) restitchInfoLocked() (comps [][]stitchKey, gidOf []ClusterID
 		}
 	}
 	ss.keyGID = fresh
-	ss.stitched = fresh
 	return comps, gidOf, prevGIDs
 }
 
@@ -1300,7 +1184,6 @@ func (ss *shardSet) syncEvents() {
 	// While the seam is warm every commit's fold leaves the stitch exact at
 	// its epoch, and a just-rebuilt cold seam refreshed it through the full
 	// stitch — either way this quiesced instant is current.
-	ss.stitched = ss.keyGID
 	ss.stitchVersion = e.version.Load()
 	ss.stitchValid = true
 	ss.eventsOn = true
