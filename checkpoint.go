@@ -312,7 +312,6 @@ func (e *Engine) singleSource() *ckptSource {
 // come from the route table, global cluster ids from the stitch. Caller
 // holds worldMu exclusively, which quiesces every commit.
 func (ss *shardSet) sourceLocked() *ckptSource {
-	gidOf := ss.stitchLocked()
 	src := &ckptSource{
 		mode:      ckptSharded,
 		deltaMode: ckptDeltaSharded,
@@ -332,7 +331,7 @@ func (ss *shardSet) sourceLocked() *ckptSource {
 			return id, ok
 		},
 		cluster: func(shard int32, cid ClusterID) (ClusterID, bool) {
-			g, ok := gidOf[stitchKey{shard, cid}]
+			g, ok := ss.keyGID[stitchKey{shard, cid}]
 			return g, ok
 		},
 	}
@@ -442,10 +441,6 @@ func (e *Engine) capture(wantDelta bool) (seq uint64, payload []byte, isDelta bo
 		if hs := ss.hs; hs != nil && hs.stagedTotal.Load() != 0 {
 			panic("dyndbscan: checkpoint: staged hotspot deltas present during payload capture")
 		}
-		// Re-warm the seam if a restore or a chunked migration left it
-		// cold: from here on commits fold incrementally again, feeding the
-		// merge ledger the next delta capture composes from.
-		ss.ensureSeamLocked()
 		src = ss.sourceLocked()
 	} else {
 		// Single-backend appends happen under the update lock, so the
@@ -511,17 +506,9 @@ func (e *Engine) restoreSingle(ck *ckptData) error {
 
 // restore rebuilds the sharded engine: placement first (so routing matches
 // the checkpointed stripes), then one forced-handle commit through the
-// ordinary commit pipeline, then the stitch's keyGID table is rewritten to
-// the stored identities.
+// ordinary commit pipeline — its seam fold mints temporary global ids — then
+// the temporary ids are renamed to the stored identities in place.
 func (ss *shardSet) restore(ck *ckptData) error {
-	// Drop the warm seam for the duration of the rebuild: the forced-handle
-	// commit below must not fold (its events describe the rebuild, not real
-	// cluster evolution), and the keyGID rewrite at the end would invalidate
-	// any seam labels minted meanwhile. The next Subscribe or checkpoint
-	// capture re-warms it through ensureSeamLocked.
-	ss.worldMu.Lock()
-	ss.seam = nil
-	ss.worldMu.Unlock()
 	ss.routesMu.Lock()
 	ss.stripeCells = ck.stripeCells
 	ss.adaptivePending = false
@@ -562,6 +549,9 @@ func (ss *shardSet) restore(ck *ckptData) error {
 		if _, err := ss.commitRouted(ops, nil); err != nil {
 			return err
 		}
+		// The rebuild happened outside the delta trackers' sight: the first
+		// checkpoint after a restore is a full one.
+		ss.e.wal.markDirtyFull()
 	}
 	ss.routesMu.Lock()
 	if ck.nextPt > ss.nextID {
@@ -569,10 +559,12 @@ func (ss *shardSet) restore(ck *ckptData) error {
 	}
 	ss.routesMu.Unlock()
 
-	// Graft: stitch the rebuilt world (minting temporary global ids), match
-	// the temporary clusters against the stored ones, and rewrite keyGID —
-	// the stitch table is the translation layer between shard-local and
-	// global ids.
+	// Graft: match the clusters the fold stitched under temporary ids
+	// against the stored ones, and rename the temporary ids in place — the
+	// stitch table is the translation layer between shard-local and global
+	// ids. Replayed suffix records then fold incrementally on top, minting
+	// new cluster ids in commit order — the order the crashed engine minted
+	// them.
 	ss.worldMu.Lock()
 	defer ss.worldMu.Unlock()
 	src := ss.sourceLocked()
@@ -580,9 +572,9 @@ func (ss *shardSet) restore(ck *ckptData) error {
 	// Temporary ids that never surfaced through an owned member (possible
 	// only for degenerate pure-ghost components) still need a stable, unique
 	// identity; mint in ascending temp order for determinism.
-	temps := make([]ClusterID, 0, len(ss.keyGID))
-	for _, g := range ss.keyGID {
-		if _, ok := m[g]; !ok && !containsID(temps, g) {
+	temps := make([]ClusterID, 0, len(ss.seam.gidKeys))
+	for g := range ss.seam.gidKeys {
+		if _, ok := m[g]; !ok {
 			temps = append(temps, g)
 		}
 	}
@@ -591,26 +583,15 @@ func (ss *shardSet) restore(ck *ckptData) error {
 		m[g] = next
 		next++
 	}
-	fresh := make(map[stitchKey]ClusterID, len(ss.keyGID))
 	for k, g := range ss.keyGID {
-		fresh[k] = m[g]
+		ss.keyGID[k] = m[g]
 	}
-	ss.keyGID = fresh
+	renamed := make(map[ClusterID]map[stitchKey]struct{}, len(ss.seam.gidKeys))
+	for g, set := range ss.seam.gidKeys {
+		renamed[m[g]] = set
+	}
+	ss.seam.gidKeys = renamed
 	ss.nextGID = next
-	ss.stitchVersion = ss.e.version.Load()
-	ss.stitchValid = true
-	// Re-warm the seam before the Engine sees replay or commits: the drain
-	// discards the rebuild's own pending events and dirty cells, and with the
-	// stitch table just rewritten every component already holds its stored id,
-	// so nothing mints here. Replayed suffix records then fold incrementally,
-	// minting new cluster ids in commit order — the order the crashed engine
-	// minted them — instead of deferring to a later restitch whose spatial
-	// scan order is unrelated to the log.
-	for _, sh := range ss.shards {
-		sh.pending = sh.pending[:0]
-		sh.c.TakeDirtySeamCells()
-	}
-	ss.populateSeamLocked()
 	return nil
 }
 

@@ -4,9 +4,8 @@ package dyndbscan
 
 // SeamAudit cross-checks the sharded engine's incrementally maintained seam
 // structure against a fresh recomputation from the live backends, under a
-// quiesced world. It returns nil on a single-backend engine or while no
-// subscribers keep the seam live — there is nothing incremental to audit
-// then. Tests (the randomized cross-mode equivalence harness in particular)
+// quiesced world. It returns nil on a single-backend engine, which has no
+// seam. Tests (the randomized cross-mode equivalence harness in particular)
 // call it at every checkpoint: any divergence between the folded deltas and
 // the ground truth is reported at the first commit that introduced it.
 func (e *Engine) SeamAudit() error {
@@ -16,9 +15,6 @@ func (e *Engine) SeamAudit() error {
 	ss := e.sh
 	ss.worldMu.Lock()
 	defer ss.worldMu.Unlock()
-	if ss.seam == nil {
-		return nil
-	}
 	return ss.auditSeamLocked()
 }
 
@@ -46,16 +42,6 @@ func (e *Engine) StripeOwner(stripe int64) int {
 // DefaultStripeCells exposes the provisional/default stripe width (also the
 // adaptive cap) so tests assert against the real constant.
 const DefaultStripeCells = defaultStripeCells
-
-// Restitches reports how many full seam restitch passes the sharded engine
-// has run — the observable of the Subscribe seam-reuse fast path (a
-// resubscribe before the next commit must not add one).
-func (e *Engine) Restitches() uint64 {
-	ss := e.sh
-	ss.worldMu.Lock()
-	defer ss.worldMu.Unlock()
-	return ss.restitches
-}
 
 // StagedOps reports how many acknowledged inserts currently sit in hotspot
 // staging buffers, awaiting reconciliation.

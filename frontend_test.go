@@ -92,6 +92,10 @@ func TestRestartKeepsClusterIDs(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer re.Close()
+				// The restore folds through the seam; audit what it left.
+				if err := re.SeamAudit(); err != nil {
+					t.Fatalf("restored seam: %v", err)
+				}
 				after(t, re)
 				if got := re.Snapshot().ClusterIDs(); !reflect.DeepEqual(got, want) {
 					t.Fatalf("recovered engine reports clusters %v, never-restarted engine %v", got, want)
@@ -111,6 +115,9 @@ func TestRestartKeepsClusterIDs(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer w.Close()
+				if err := w.SeamAudit(); err != nil {
+					t.Fatalf("restored seam: %v", err)
+				}
 				after(t, w)
 				last := w.WALStats().LastSeq
 				deadline := time.Now().Add(10 * time.Second)

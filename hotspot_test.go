@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"dyndbscan"
+	"dyndbscan/internal/evcheck"
 )
 
 // hairTrigger returns a policy under which a handful of inserts puts a
@@ -478,6 +479,18 @@ func TestHotspotStripeSplitEscalation(t *testing.T) {
 // be lost, and the final clustering must match a quiet reference. Run with
 // -race.
 func TestHotspotChunkedMigrationVsWriters(t *testing.T) {
+	testChunkedMigrationVsWriters(t, false)
+}
+
+// TestHotspotChunkedMigrationVsWritersSubscribed is the same race with an
+// event validator attached before the move: the chunked tier runs with
+// subscribers, every round folds into the seam, and the published stream
+// must stay valid and agree with the snapshot.
+func TestHotspotChunkedMigrationVsWritersSubscribed(t *testing.T) {
+	testChunkedMigrationVsWriters(t, true)
+}
+
+func testChunkedMigrationVsWriters(t *testing.T, subscribed bool) {
 	e := newHotEngine(t, hairTrigger())
 	defer e.Close()
 
@@ -488,6 +501,12 @@ func TestHotspotChunkedMigrationVsWriters(t *testing.T) {
 		t.Fatalf("InsertBatch: %v", err)
 	}
 	e.Sync()
+	var val *evcheck.Validator
+	if subscribed {
+		val = evcheck.New()
+		val.Seed(e.Snapshot().ClusterIDs())
+		defer e.Subscribe(val.Observe)()
+	}
 	src := e.StripeOwner(0)
 	dst := 1 - src
 	var (
@@ -549,13 +568,21 @@ func TestHotspotChunkedMigrationVsWriters(t *testing.T) {
 	if _, err := e.GroupAll(); err != nil {
 		t.Fatalf("GroupAll after chunked migration: %v", err)
 	}
+	if val != nil {
+		if err := val.Err(); err != nil {
+			t.Fatalf("event stream invalid: %v", err)
+		}
+		if err := val.ReconcileLive(e.Snapshot().ClusterIDs()); err != nil {
+			t.Fatalf("events vs snapshot: %v", err)
+		}
+	}
 }
 
 // TestSubscribeSeamReuse pins the warm-seam subscribe invariant: a sharded
 // engine's seam is warm from birth and folded by every commit, so Subscribe —
-// first, repeated, or after interleaved commits — attaches without ever
-// paying a full O(N) restitch. Restitches() must stay at zero throughout,
-// and the seam every Subscribe attaches to must pass its audit.
+// first, repeated, or after interleaved commits — attaches to a seam that
+// must pass its audit. (No restitch code exists, so the O(1) attach holds by
+// construction.)
 func TestSubscribeSeamReuse(t *testing.T) {
 	e, err := dyndbscan.New(
 		dyndbscan.WithAlgorithm(dyndbscan.AlgoFullyDynamic),
@@ -572,9 +599,6 @@ func TestSubscribeSeamReuse(t *testing.T) {
 
 	cancel := e.Subscribe(func(dyndbscan.Event) {})
 	e.Sync()
-	if got := e.Restitches(); got != 0 {
-		t.Fatalf("first Subscribe on a warm seam restitched: %d passes, want 0", got)
-	}
 	if err := e.SeamAudit(); err != nil {
 		t.Fatalf("warm seam fails its audit: %v", err)
 	}
@@ -583,9 +607,6 @@ func TestSubscribeSeamReuse(t *testing.T) {
 
 	cancel2 := e.Subscribe(func(dyndbscan.Event) {})
 	e.Sync()
-	if got := e.Restitches(); got != 0 {
-		t.Fatalf("resubscribe restitched: %d passes, want 0", got)
-	}
 	if err := e.SeamAudit(); err != nil {
 		t.Fatalf("reused seam fails its audit: %v", err)
 	}
@@ -600,9 +621,6 @@ func TestSubscribeSeamReuse(t *testing.T) {
 	cancel3 := e.Subscribe(func(dyndbscan.Event) {})
 	e.Sync()
 	defer cancel3()
-	if got := e.Restitches(); got != 0 {
-		t.Fatalf("Subscribe after interleaved commit restitched: %d passes, want 0", got)
-	}
 	if err := e.SeamAudit(); err != nil {
 		t.Fatalf("folded seam fails its audit: %v", err)
 	}

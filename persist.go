@@ -475,10 +475,10 @@ func (w *walState) flusher() {
 // close first writes a final checkpoint (when checkpoints are enabled and
 // records accumulated past the last one), so reopening restores state
 // instead of replaying. That matters beyond speed: sharded cluster ids are
-// minted by the lazy stitch, whose timing follows the *query* history — which
-// is not (and should not be) in the log — so replay alone reproduces
-// memberships and handles exactly but may number clusters differently. The
-// checkpoint carries the live id assignment across the restart verbatim.
+// minted by seam folds, and not every fold is in the log (a chunked
+// migration's rounds are not) — so replay alone reproduces memberships and
+// handles exactly but may number clusters differently. The checkpoint
+// carries the live id assignment across the restart verbatim.
 func (w *walState) closeWAL(e *Engine) error {
 	if w == nil {
 		return nil

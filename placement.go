@@ -26,16 +26,17 @@ package dyndbscan
 //
 //   - Live stripe migration. migrateStripeLocked moves one stripe to a new
 //     shard under a quiesced world: it first *grows* (inserts the copies the
-//     new placement needs while the old copies are still resident), then
-//     restitches — the co-resident generations bridge source and target
-//     local clusters in the union-find, so the global ClusterID assignment
-//     flows onto the target before the source copies disappear — and only
-//     then *trims* the copies the new placement no longer holds. Point
-//     handles, ClusterIDs, and (with Rho = 0) the clustering itself are
-//     invariant across a migration; with subscribers attached the seam is
-//     rebuilt on the new placement and any net transition (possible only
-//     under Rho > 0 don't-care re-resolution) is published as ordinary
-//     cluster events in commit order.
+//     new placement needs while the old copies are still resident) and folds
+//     that into the seam — the co-resident generations share tracked cells,
+//     so source and target local clusters fall into one component and the
+//     global ClusterID assignment flows onto the target before the source
+//     copies disappear — and only then *trims* the copies the new placement
+//     no longer holds, folding again. Both folds are the commit path's seam
+//     transaction, scoped to the reshaped columns. Point handles, ClusterIDs,
+//     and (with Rho = 0) the clustering itself are invariant across a
+//     migration; any net transition (possible only under Rho > 0 don't-care
+//     re-resolution) is published as ordinary cluster events in commit
+//     order.
 //
 //   - Adaptive stripe width. When WithShardStripe is not given, the width is
 //     derived from the data extent of the first committed batch (targeting
@@ -53,7 +54,6 @@ import (
 	"time"
 
 	"dyndbscan/internal/core"
-	"dyndbscan/internal/geom"
 	"dyndbscan/internal/grid"
 	"dyndbscan/internal/wal"
 )
@@ -445,8 +445,8 @@ func (e *Engine) ShardLoads() []ShardLoad {
 // none was). It returns how many stripes moved.
 //
 // A migration quiesces the engine (like a Subscribe transition), moves the
-// stripe's owned points and ghost copies to the new placement, rebuilds the
-// seam, and advances the engine Version (each migration counts as one
+// stripe's owned points and ghost copies to the new placement, folds the
+// move into the seam, and advances the engine Version (each migration counts as one
 // update). Everything user-visible survives: point handles, ClusterIDs, the
 // event stream's ordering, and — with Rho = 0 — the clustering itself
 // bit-for-bit. On insertion-only backends (AlgoSemiDynamic) the source
@@ -581,9 +581,9 @@ func (ss *shardSet) maybeAdaptWidth() {
 // reshapeWidth applies a re-derived stripe width: it quiesces the hotspot
 // machinery (whose state is keyed by stripe index), logs the change, and
 // re-routes every live point through a full-range reshape. With the hotspot
-// chunked tier available and no subscribers the trim — the dominant cost —
-// is deferred past the flip and paid in bounded rounds (trimChunks), the
-// same machinery as a chunked migration, so the exclusive hold stays short.
+// chunked tier available the trim — the dominant cost — is deferred past the
+// flip and paid in bounded rounds (trimChunks), the same machinery as a
+// chunked migration, so the exclusive hold stays short.
 func (ss *shardSet) reshapeWidth(cur, newW int64) {
 	e := ss.e
 	hs := ss.hs
@@ -631,16 +631,11 @@ func (ss *shardSet) reshapeWidth(cur, newW int64) {
 		ss.worldMu.Unlock()
 		return
 	}
-	chunked := hs != nil && !ss.eventsOn && hs.pol.MigrateChunk > 0
-	if chunked {
-		// Mirror the chunked migration tier: drop the seam (the stale
-		// copies awaiting their deferred trim would go stale in it) and pay
-		// the trim in bounded rounds after the flip. Commits in between
-		// skip their folds, and trimChunks rebuilds the seam in its final
-		// round.
-		ss.seam = nil
-		ss.deferTrim = true
-	}
+	// Mirror the chunked migration tier: the stale copies stay resident
+	// (tracked by the seam as off-placement copies) and the trim is paid in
+	// bounded rounds after the flip.
+	chunked := hs != nil && hs.pol.MigrateChunk > 0
+	ss.deferTrim = chunked
 	ticket, evs, pub := ss.reshapeWidthLocked(newW)
 	ss.deferTrim = false
 	ss.worldMu.Unlock()
@@ -731,15 +726,10 @@ func (ss *shardSet) rebalance(pol RebalancePolicy) int {
 
 // chunkForLocked decides whether migrating stripe t should take the
 // non-quiescent chunked path, returning the chunk size (0 = quiesce). Only
-// hotspot-enabled engines chunk, only for stripes larger than the chunk, and
-// never while subscribers exist — the chunked path's intermediate copies are
-// invisible to routing, and the per-commit events subscribers consume come
-// from a seam that would have to track them. With the seam warm but no
-// subscribers the migration instead drops it for its duration (commits skip
-// their folds while it is nil) and rebuilds it after the deferred trim
-// drains. Caller holds worldMu (any mode).
+// hotspot-enabled engines chunk, and only for stripes larger than the chunk.
+// Caller holds worldMu (any mode).
 func (ss *shardSet) chunkForLocked(t int64) int {
-	if ss.hs == nil || ss.eventsOn {
+	if ss.hs == nil {
 		return 0
 	}
 	chunk := ss.hs.pol.MigrateChunk
@@ -760,14 +750,16 @@ func (ss *shardSet) chunkForLocked(t int64) int {
 // destination copies of stripe t's affected points in bounded chunks, each
 // under a short exclusive critical section with commits admitted in between,
 // and finishes with an ordinary quiesced migrate whose critical section is
-// then cheap — the copies already exist, so only the assignment flip,
-// restitch, and trim remain. Between chunks the extra destination copies are
-// invisible to routing (the assignment table still names the old owner):
-// they can only under-count their neighborhoods, which suppresses core
-// statuses and stitch edges but never invents them, so any snapshot or
-// checkpoint taken mid-migration is still exact. Deletes remove them
-// naturally (they are listed in the point's route), and the final pass picks
-// up points inserted between chunks.
+// then cheap — the copies already exist, so only the assignment flip, the
+// seam folds, and the trim remain. Between chunks the extra destination
+// copies are invisible to routing (the assignment table still names the old
+// owner): they can only under-count their neighborhoods, which suppresses
+// core statuses and stitch edges but never invents them, so any snapshot or
+// checkpoint taken mid-migration is still exact. Each round folds its growth
+// into the seam, tracking the grown copies' cells as off-placement, so the
+// seam stays exact on every exit and subscribers may stay attached. Deletes
+// remove the grown copies naturally (they are listed in the point's route),
+// and the final pass picks up points inserted between chunks.
 func (ss *shardSet) migrateStripeChunked(t int64, dst int32, chunk int) {
 	loCol := t*ss.stripeCells - ss.bandCells
 	hiCol := (t+1)*ss.stripeCells - 1 + ss.bandCells
@@ -776,83 +768,34 @@ func (ss *shardSet) migrateStripeChunked(t int64, dst int32, chunk int) {
 		ss.routesMu.Lock()
 		if ss.shardOfStripe(t) == dst || ss.splits[t] != nil {
 			// The world moved on (a racing pass or split won); nothing to do.
+			// Every round folded its own growth, and the reshape that won
+			// recounted and re-read these columns: the seam is exact.
 			ss.routesMu.Unlock()
 			ss.worldMu.Unlock()
 			return
 		}
-		full := true
-		if ss.eventsOn || rounds > 64 {
-			// Seam went live (chunking would leave it stale) or writers are
-			// outpacing the chunks: finish quiesced below.
-			ss.routesMu.Unlock()
-		} else {
-			if ss.seam != nil {
-				// The copies grown below are invisible to routing and to the
-				// seam; drop the warm seam for the migration rather than let
-				// it go stale. Commits skip their folds while it is nil, and
-				// trimChunks rebuilds it inside its final exclusive hold.
-				ss.seam = nil
+		// Writers outpacing the chunks: finish quiesced below.
+		full := rounds > 64
+		var (
+			ticket uint64
+			evs    []Event
+			pub    bool
+		)
+		if !full {
+			evs, full = ss.growChunkLocked(t, dst, loCol, hiCol, chunk)
+			if len(evs) > 0 {
+				ss.e.wal.noteDirtyEvents(evs)
+				ticket, pub = ss.settleFoldLocked(evs)
 			}
-			// Hypothetical flip: compute the future copy sets without making
-			// the flip visible (routesMu is held; no commit can route).
-			saved, had := ss.assign[t]
-			ss.assign[t] = dst
-			grown := 0
-			for gid, r := range ss.routes {
-				if grown >= chunk {
-					full = false
-					break
-				}
-				if c := int64(r.col); c < loCol || c > hiCol {
-					continue
-				}
-				var coord grid.Coord
-				coord[0] = r.col
-				newShs := ss.shardsOf(coord)
-				have := make(map[int32]struct{}, len(r.copies))
-				for _, c := range r.copies {
-					have[c.shard] = struct{}{}
-				}
-				added := false
-				for _, s := range newShs {
-					if _, ok := have[s]; ok {
-						continue
-					}
-					owner := r.copies[0]
-					pt, ok := ss.shards[owner.shard].c.PointAt(owner.local)
-					if !ok {
-						panic(fmt.Sprintf("dyndbscan: chunked migration lost the owner copy of point %d", gid))
-					}
-					sp, err := ss.e.stager.Stage(pt)
-					if err != nil {
-						panic(fmt.Sprintf("dyndbscan: chunked migration re-staging point %d: %v", gid, err))
-					}
-					lid, err := ss.shards[s].c.InsertStaged(sp)
-					if err != nil {
-						panic(fmt.Sprintf("dyndbscan: shard %d rejected a migrated copy: %v", s, err))
-					}
-					r.copies = append(r.copies, copyRef{s, lid})
-					added = true
-				}
-				if added {
-					ss.routes[gid] = r
-					grown++
-				}
-			}
-			if had {
-				ss.assign[t] = saved
-			} else {
-				delete(ss.assign, t)
-			}
-			ss.routesMu.Unlock()
 		}
+		ss.routesMu.Unlock()
 		if full {
 			// Everything is grown (or we must stop chunking): finish with the
 			// ordinary quiesced migrate under the worldMu we already hold.
 			// The trim — the dominant cost of a fully-dynamic reshape, one
 			// clustering delete per stale copy — is deferred past the flip
 			// and paid in bounded rounds below, so this critical section
-			// holds only the assignment flip and the bridging restitch.
+			// holds only the assignment flip and the seam folds.
 			seq, err := ss.walAppendAssign(t, dst)
 			if err != nil {
 				ss.worldMu.Unlock()
@@ -872,6 +815,9 @@ func (ss *shardSet) migrateStripeChunked(t int64, dst int32, chunk int) {
 			return
 		}
 		ss.worldMu.Unlock()
+		if pub {
+			ss.e.publishOrdered(ticket, evs)
+		}
 		// Commits are admitted here, between chunks. The pacing sleep is
 		// load-bearing, not politeness: each round that changed placement
 		// state bumps placeEpoch, and a commit that routed against the old
@@ -884,17 +830,87 @@ func (ss *shardSet) migrateStripeChunked(t int64, dst int32, chunk int) {
 	}
 }
 
+// growChunkLocked is one round of migrateStripeChunked: it inserts up to
+// chunk points' missing destination copies (computed under a hypothetical
+// flip of stripe t to dst that never becomes visible — routesMu is held, so
+// no commit can route), counts them as off-placement copies, and folds the
+// round into the seam. full reports that no affected point lacked a copy
+// beyond the chunk. Caller holds worldMu exclusively and routesMu.
+func (ss *shardSet) growChunkLocked(t int64, dst int32, loCol, hiCol int64, chunk int) (evs []Event, full bool) {
+	saved, had := ss.assign[t]
+	ss.assign[t] = dst
+	full = true
+	grown := 0
+	cells := make(map[grid.Coord][]int32)
+	for gid, r := range ss.routes {
+		if grown >= chunk {
+			full = false
+			break
+		}
+		if c := int64(r.col); c < loCol || c > hiCol {
+			continue
+		}
+		var coord grid.Coord
+		coord[0] = r.col
+		newShs := ss.shardsOf(coord)
+		have := make(map[int32]struct{}, len(r.copies))
+		for _, c := range r.copies {
+			have[c.shard] = struct{}{}
+		}
+		var cell grid.Coord
+		added := false
+		for _, s := range newShs {
+			if _, ok := have[s]; ok {
+				continue
+			}
+			owner := r.copies[0]
+			pt, ok := ss.shards[owner.shard].c.PointAt(owner.local)
+			if !ok {
+				panic(fmt.Sprintf("dyndbscan: chunked migration lost the owner copy of point %d", gid))
+			}
+			sp, err := ss.e.stager.Stage(pt)
+			if err != nil {
+				panic(fmt.Sprintf("dyndbscan: chunked migration re-staging point %d: %v", gid, err))
+			}
+			lid, err := ss.shards[s].c.InsertStaged(sp)
+			if err != nil {
+				panic(fmt.Sprintf("dyndbscan: shard %d rejected a migrated copy: %v", s, err))
+			}
+			r.copies = append(r.copies, copyRef{s, lid})
+			cell = sp.Coord()
+			// Routing names the old placement until the flip: the new copy
+			// is off-placement, and the seam must track its cell.
+			ss.offCells[cell]++
+			added = true
+		}
+		if added {
+			ss.routes[gid] = r
+			grown++
+			for _, c := range r.copies {
+				cells[cell] = addShard(cells[cell], c.shard)
+			}
+		}
+	}
+	if had {
+		ss.assign[t] = saved
+	} else {
+		delete(ss.assign, t)
+	}
+	return ss.foldQueuedLocked(cells), full
+}
+
 // chunkPacing is the gap between chunked-migration critical sections: long
 // enough for the commits blocked on the previous hold (including ones that
 // must re-route after the placeEpoch bump) to finish before the next hold.
 const chunkPacing = 2 * time.Millisecond
 
 // trimRef names one stale copy whose backend removal the chunked migration
-// tier deferred past the placement flip.
+// tier deferred past the placement flip, and the cell it occupies.
 type trimRef struct {
 	gid   PointID
 	shard int32
 	local core.PointID
+	cell  grid.Coord
 }
 
 // trimChunks drains the deferred-trim queue in bounded rounds, each under a
@@ -902,15 +918,15 @@ type trimRef struct {
 // entry is re-validated against the live route before acting: the point may
 // have been deleted (its stale copy went with it), a later reshape may have
 // consumed or re-legitimized the copy, or the placement may route the shard
-// again — in all of those the entry is simply dropped. After a round that
-// removed copies the stitch is invalidated and the placement epoch bumped,
-// mirroring what the quiesced reshape does after its inline trim.
+// again — in all of those the entry is simply dropped. Each round that
+// removed copies folds the trims into the seam and bumps the placement
+// epoch, mirroring what the quiesced reshape does after its inline trim.
 func (ss *shardSet) trimChunks(chunk int) {
 	for {
 		ss.worldMu.Lock()
 		ss.routesMu.Lock()
 		n := min(chunk, len(ss.trimQueue))
-		trimmed := false
+		cells := make(map[grid.Coord][]int32)
 		for _, tr := range ss.trimQueue[:n] {
 			r, ok := ss.routes[tr.gid]
 			if !ok {
@@ -945,33 +961,32 @@ func (ss *shardSet) trimChunks(chunk int) {
 			}
 			r.copies = append(r.copies[:idx], r.copies[idx+1:]...)
 			ss.routes[tr.gid] = r
-			trimmed = true
+			ss.dropOffCell(tr.cell)
+			cells[tr.cell] = addShard(cells[tr.cell], tr.shard)
 		}
 		ss.trimQueue = ss.trimQueue[n:]
 		done := len(ss.trimQueue) == 0
 		if done {
 			ss.trimQueue = nil
 		}
-		if trimmed {
+		var (
+			ticket uint64
+			evs    []Event
+			pub    bool
+		)
+		if len(cells) > 0 {
+			evs = ss.foldQueuedLocked(cells)
 			// Deferred trims mutate backends outside any commit; if a
 			// checkpoint already consumed the reshape's full flag, re-arm it.
 			ss.e.wal.markDirtyFull()
-			ss.e.version.Add(1)
-			ss.stitchValid = false
 			ss.placeEpoch++
-		}
-		if done && ss.seam == nil {
-			// Rebuild the seam the chunked migration dropped, inside this
-			// final exclusive hold: the engine goes back to warm, so the
-			// next Subscribe still attaches without its own restitch.
-			// buildSeamLocked first clears the copy-movement artifacts the
-			// trims queued in the shards.
-			ss.buildSeamLocked()
-			ss.stitchVersion = ss.e.version.Load()
-			ss.stitchValid = true
+			ticket, pub = ss.settleFoldLocked(evs)
 		}
 		ss.routesMu.Unlock()
 		ss.worldMu.Unlock()
+		if pub {
+			ss.e.publishOrdered(ticket, evs)
+		}
 		if done {
 			return
 		}
@@ -1050,7 +1065,7 @@ func (ss *shardSet) pickMigrationLocked(pol RebalancePolicy) (stripe int64, dst 
 }
 
 // migrateStripeLocked reassigns stripe t to shard dst and moves the physical
-// copies to match; see reshapeLocked for the grow/restitch/trim machinery.
+// copies to match; see reshapeLocked for the grow/fold/trim machinery.
 // Caller holds worldMu exclusively; the returned ticket/evs (pub=true) must
 // be published by the caller after releasing it.
 func (ss *shardSet) migrateStripeLocked(t int64, dst int32) (ticket uint64, evs []Event, pub bool) {
@@ -1085,19 +1100,18 @@ func (ss *shardSet) splitStripeLocked(t, parts int64) (ticket uint64, evs []Even
 
 // reshapeLocked applies one placement-table change (flip) and moves the
 // physical copies to match: grow (insert the copies the new placement
-// requires), restitch while both generations are co-resident (the bridge
-// that carries the global ClusterID assignment onto the target's local
+// requires), fold the seam while both generations are co-resident (the
+// bridge that carries the global ClusterID assignment onto the target's local
 // clusters), then trim the copies the old placement held and the new one
-// does not. The affected handles are those whose cell column lies in
-// [loCol, hiCol] — the reshaped columns padded by the ghost band. Caller
-// holds worldMu exclusively; the returned ticket/evs (pub=true) must be
-// published by the caller after releasing it.
+// does not, and fold again. The affected handles are those whose cell column
+// lies in [loCol, hiCol] — the reshaped columns padded by the ghost band.
+// Caller holds worldMu exclusively; the returned ticket/evs (pub=true) must
+// be published by the caller after releasing it.
 func (ss *shardSet) reshapeLocked(loCol, hiCol int64, flip func()) (ticket uint64, evs []Event, pub bool) {
 	e := ss.e
 
-	// A reshape moves copies between backends and can re-mint global ids in
-	// its intermediate restitch — churn the per-commit dirty trackers do not
-	// model. The next checkpoint must be a full base.
+	// A reshape moves copies between backends — churn the per-commit dirty
+	// trackers do not model. The next checkpoint must be a full base.
 	e.wal.markDirtyFull()
 
 	// The table and the route rewrites happen under one routesMu critical
@@ -1108,26 +1122,9 @@ func (ss *shardSet) reshapeLocked(loCol, hiCol int64, flip func()) (ticket uint6
 	ss.routesMu.Lock()
 	defer ss.routesMu.Unlock()
 
-	// The seam (when warm) must be repopulated on the new placement whether
-	// or not subscribers exist; deriving the net cluster events from the
-	// stitch transition is only worth the work when someone consumes them.
-	seamLive := ss.seam != nil
-	var oldLive []ClusterID
-	if seamLive && ss.eventsOn {
-		seen := make(map[ClusterID]struct{}, len(ss.keyGID))
-		for _, g := range ss.keyGID {
-			if _, dup := seen[g]; !dup {
-				seen[g] = struct{}{}
-				oldLive = append(oldLive, g)
-			}
-		}
-		sort.Slice(oldLive, func(i, j int) bool { return oldLive[i] < oldLive[j] })
-	}
-
 	// Affected handles: every point whose copy set can change — its cell
 	// column lies within the reshaped range. The full routes scan is O(live
-	// points), which does not change the reshape's asymptotics: the two
-	// restitches below already walk every core cell of every shard.
+	// points); everything after it is O(affected points).
 	type moveRec struct {
 		gid PointID
 		old route
@@ -1138,42 +1135,51 @@ func (ss *shardSet) reshapeLocked(loCol, hiCol int64, flip func()) (ticket uint6
 			moves = append(moves, moveRec{gid, r})
 		}
 	}
+	// Every copy in the range is listed in an affected route, so the grow
+	// below recounts the range's off-placement copies from scratch.
+	for c := range ss.offCells {
+		if col := int64(c[0]); col >= loCol && col <= hiCol {
+			delete(ss.offCells, c)
+		}
+	}
 
 	// Flip the table: shardsOf speaks the new placement from here on.
 	flip()
 
 	// Grow: route every affected point under the new placement, inserting
-	// the copies it lacks. Old copies stay resident through the intermediate
-	// restitch below. Owner translation follows the owner copy.
+	// the copies it lacks. Old copies stay resident through the grow fold
+	// below. Owner translation follows the owner copy. cells collects every
+	// affected cell with the shards holding a copy of it before or after:
+	// the cells whose seam tracking the reshape may change.
 	type removal struct {
 		shard int32
 		local core.PointID
+		cell  grid.Coord
 	}
 	var removals []removal
+	cells := make(map[grid.Coord][]int32)
+	geo := grid.NewParams(ss.cfg.Dims, ss.cfg.Eps)
 	trim := e.algo != AlgoSemiDynamic // insertion-only backends cannot drop copies
 	for _, mv := range moves {
-		var coord grid.Coord
-		coord[0] = mv.old.col
-		newShs := ss.shardsOf(coord)
+		owner := mv.old.copies[0]
+		pt, ok := ss.shards[owner.shard].c.PointAt(owner.local)
+		if !ok {
+			panic(fmt.Sprintf("dyndbscan: migration lost the owner copy of point %d", mv.gid))
+		}
+		cell := geo.CellOf(pt)
+		newShs := ss.shardsOf(cell)
 		oldAt := make(map[int32]core.PointID, len(mv.old.copies))
 		for _, c := range mv.old.copies {
 			oldAt[c.shard] = c.local
+			cells[cell] = addShard(cells[cell], c.shard)
 		}
-		var pt geom.Point
 		newCopies := make([]copyRef, 0, len(newShs))
 		for _, s := range newShs {
+			cells[cell] = addShard(cells[cell], s)
 			if local, have := oldAt[s]; have {
 				newCopies = append(newCopies, copyRef{s, local})
 				delete(oldAt, s)
 				continue
-			}
-			if pt == nil {
-				owner := mv.old.copies[0]
-				p, ok := ss.shards[owner.shard].c.PointAt(owner.local)
-				if !ok {
-					panic(fmt.Sprintf("dyndbscan: migration lost the owner copy of point %d", mv.gid))
-				}
-				pt = p
 			}
 			sp, err := ss.e.stager.Stage(pt)
 			if err != nil {
@@ -1186,6 +1192,8 @@ func (ss *shardSet) reshapeLocked(loCol, hiCol int64, flip func()) (ticket uint6
 			newCopies = append(newCopies, copyRef{s, lid})
 		}
 		for s, local := range oldAt {
+			// Off-placement from here on: until the trim below, or for good.
+			ss.offCells[cell]++
 			switch {
 			case !trim:
 				// Keep the undeletable stale copy listed so a later
@@ -1200,83 +1208,72 @@ func (ss *shardSet) reshapeLocked(loCol, hiCol int64, flip func()) (ticket uint6
 				// can only under-count neighborhoods elsewhere, never invent
 				// cores or stitch edges, so the interim clustering is exact.
 				newCopies = append(newCopies, copyRef{s, local})
-				ss.trimQueue = append(ss.trimQueue, trimRef{mv.gid, s, local})
+				ss.trimQueue = append(ss.trimQueue, trimRef{mv.gid, s, local, cell})
 			default:
-				removals = append(removals, removal{s, local})
+				removals = append(removals, removal{s, local, cell})
 			}
 		}
-		oldOwner := mv.old.copies[0]
-		if newOwner := newCopies[0]; newOwner != oldOwner {
-			delete(ss.shards[oldOwner.shard].ownerGlobal, oldOwner.local)
+		if newOwner := newCopies[0]; newOwner != owner {
+			delete(ss.shards[owner.shard].ownerGlobal, owner.local)
 			ss.shards[newOwner.shard].ownerGlobal[newOwner.local] = mv.gid
 		}
 		ss.routes[mv.gid] = route{col: mv.old.col, copies: newCopies}
 	}
 
-	// Intermediate restitch: both generations of copies are resident, so the
-	// union-find bridges every source local cluster with its target
-	// counterpart through their co-located core cells, and the previous
-	// global ids flow onto the target keys before the source copies vanish.
-	ss.restitchInfoLocked()
+	// Grow fold: both generations are resident and the source copies count
+	// as off-placement, so every reshaped cell is tracked in every shard
+	// holding it. Co-resident source and target clusters share a component,
+	// and the target keys claim the source's global ids before the source
+	// copies vanish.
+	evs = ss.foldQueuedLocked(cells)
 
-	// Trim.
+	// Trim, then fold the trim over the same cells under the final tracking.
 	for _, rm := range removals {
 		if err := ss.shards[rm.shard].c.Delete(rm.local); err != nil {
 			panic(fmt.Sprintf("dyndbscan: shard %d rejected trimming a migrated copy: %v", rm.shard, err))
 		}
+		ss.dropOffCell(rm.cell)
 	}
-
-	if seamLive {
-		// Backend events and dirty cells raised by the copy movement are
-		// artifacts, not clustering changes; the global consequences are
-		// derived from the stitch transition below instead.
-		for _, sh := range ss.shards {
-			sh.pending = sh.pending[:0]
-			sh.c.TakeDirtySeamCells()
-		}
-		comps, gidOf, prevGIDs := ss.restitchInfoLocked()
-		if ss.eventsOn {
-			// Event attribution is filtered to the ids live before the
-			// migration: an id minted by the intermediate restitch (possible
-			// only under Rho > 0 don't-care re-resolution) surfaces as
-			// Formed.
-			oldSet := make(map[ClusterID]struct{}, len(oldLive))
-			for _, g := range oldLive {
-				oldSet[g] = struct{}{}
-			}
-			evPrev := make([][]ClusterID, len(comps))
-			for ci, prev := range prevGIDs {
-				for _, g := range prev {
-					if _, ok := oldSet[g]; ok {
-						evPrev[ci] = append(evPrev[ci], g)
-					}
-				}
-			}
-			evs = netTransitions(comps, gidOf, evPrev, oldLive)
-		}
-		ss.populateSeamLocked()
-		// Reshape only reorganizes in-memory routing/stitch state; the data
-		// ops it moves were WAL-logged when they committed. The version bump
-		// invalidates cached snapshots, and recovery rebuilds placement from
-		// the replayed ops, so there is nothing to log here.
-		//
-		//dynlint:ignore logvisible reshape is an in-memory reorganization; constituent ops are already logged and recovery recomputes placement
-		e.version.Add(1)
-		// restitchInfoLocked left keyGID fresh; stamp it current.
-		ss.stitchVersion = e.version.Load()
-		ss.stitchValid = true
-		if len(evs) > 0 {
-			ticket = e.takeTicket()
-			pub = true
-		}
-	} else {
-		// The intermediate keyGID carries the bridged attribution; the next
-		// lazy restitch claims through the surviving keys.
-		//
-		//dynlint:ignore logvisible reshape is an in-memory reorganization; constituent ops are already logged and recovery recomputes placement
-		e.version.Add(1)
-		ss.stitchValid = false
-	}
+	evs = append(evs, ss.foldQueuedLocked(cells)...)
+	ticket, pub = ss.settleFoldLocked(evs)
 	ss.placeEpoch++
 	return ticket, evs, pub
+}
+
+// settleFoldLocked makes an out-of-commit fold visible: the version bump
+// invalidates cached snapshots, and the fold's global events (possible only
+// under Rho > 0 don't-care re-resolution) take a publication ticket when
+// subscribers consume them. Caller holds worldMu exclusively, so the ticket
+// orders the events exactly where the fold happened between commits.
+func (ss *shardSet) settleFoldLocked(evs []Event) (ticket uint64, pub bool) {
+	// Reshapes and chunk rounds only reorganize in-memory copies and the
+	// stitch; the data ops they move were WAL-logged when they committed,
+	// and recovery rebuilds placement from the replayed ops, so there is
+	// nothing to log here.
+	//
+	//dynlint:ignore logvisible reshape is an in-memory reorganization; constituent ops are already logged and recovery recomputes placement
+	ss.e.version.Add(1)
+	if !ss.eventsOn || len(evs) == 0 {
+		return 0, false
+	}
+	return ss.e.takeTicket(), true
+}
+
+// dropOffCell retires one off-placement copy of a cell from offCells.
+func (ss *shardSet) dropOffCell(c grid.Coord) {
+	if n := ss.offCells[c]; n > 1 {
+		ss.offCells[c] = n - 1
+	} else {
+		delete(ss.offCells, c)
+	}
+}
+
+// addShard appends s to a small shard list unless already present.
+func addShard(list []int32, s int32) []int32 {
+	for _, have := range list {
+		if have == s {
+			return list
+		}
+	}
+	return append(list, s)
 }

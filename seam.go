@@ -2,7 +2,8 @@ package dyndbscan
 
 // Incremental cross-shard stitch. Everything in this file runs under
 // shardSet.seamMu (lock level 60, declared in shard.go) or under worldMu
-// held exclusively (baseline build/teardown); see LOCKING.md.
+// held exclusively (placement changes, checkpoint restore, audit); see
+// LOCKING.md.
 //
 // PR 3 stitched shard-local clusters into global ones by re-enumerating every
 // core cell of every shard under an exclusive world lock. Snapshot builds
@@ -12,11 +13,14 @@ package dyndbscan
 // its parallelism exactly when users watched cluster evolution.
 //
 // seamState removes that fallback. It is a persistently maintained version of
-// the stitch: the per-shard labels of every cell replicated across shards
-// (the seam cells), the edge multiset those labels induce between shard-local
-// clusters, the set of live shard-local clusters, and the global-id
-// assignment over them. Commits fold their own changes in — a seam delta —
-// instead of triggering a rebuild:
+// the stitch: the per-shard labels of every cell two or more shards hold
+// copies of (the seam cells, see seamTracked), the edge multiset those labels
+// induce between shard-local clusters, the set of live shard-local clusters,
+// and the global-id assignment over them. It is the engine's only stitch:
+// commits fold their own changes in — a seam delta — and so do stripe
+// migrations, splits, width reshapes and chunked migrations
+// (foldQueuedLocked); a checkpoint restore is an ordinary commit. Nothing
+// ever rebuilds it:
 //
 //   - backends report the cells whose core-cell state crossed the
 //     empty/non-empty boundary (core.SeamTracker); the commit re-reads each
@@ -55,12 +59,12 @@ import (
 )
 
 // seamState is the live stitch structure; all fields are guarded by
-// shardSet.seamMu (commits fold deltas under it) except during baseline
-// construction and teardown, which run under worldMu held exclusively.
+// shardSet.seamMu (commits fold deltas under it) except during the
+// out-of-commit folds, which run under worldMu held exclusively.
 type seamState struct {
-	// cells holds, for every cell replicated across shards (owner plus at
-	// least one ghost band) that at least one backend currently sees as core,
-	// the local cluster label each such backend assigns it.
+	// cells holds, for every tracked cell (seamTracked) that at least one
+	// backend currently sees as core, the local cluster label each such
+	// backend assigns it.
 	cells map[grid.Coord]map[int32]ClusterID
 	// keyCells is the inverse index: the tracked cells each shard-local
 	// cluster currently labels — the scope of a rename or split.
@@ -430,7 +434,7 @@ func (tx *seamTxn) finalize() []Event {
 	sort.Slice(comps, func(a, b int) bool { return stitchKeyLess(comps[a][0], comps[b][0]) })
 
 	// Attribute previous gids to the components their keys' identities flowed
-	// into, through the commit's lineage — restitchInfoLocked's rule, scoped.
+	// into, through the commit's lineage.
 	keyComp := make(map[stitchKey]int, len(scopedKeys))
 	for ci, comp := range comps {
 		for _, k := range comp {
@@ -544,91 +548,66 @@ func netTransitions(comps [][]stitchKey, gidOf []ClusterID, prevGIDs [][]Cluster
 	return evs
 }
 
-// buildSeamLocked constructs the baseline seam from a quiesced world: a full
-// stitch refreshes the global-id assignment, and one walk over every shard's
-// core cells populates the entry, key, and adjacency structures. Caller holds
-// worldMu exclusively.
-func (ss *shardSet) buildSeamLocked() {
-	// Anything still queued in the shards predates this rebuild: the stitch
-	// and the walk below read the live backends directly, so replaying
-	// queued events or dirty cells into the fresh seam would fold stale
-	// history (e.g. copy-movement artifacts of a migration that ran while
-	// the seam was cold) on top of an already-exact baseline.
-	for _, sh := range ss.shards {
-		sh.pending = sh.pending[:0]
-		sh.c.TakeDirtySeamCells()
+// seamTracked is the seam's cell predicate: true for every cell two or more
+// shards may hold copies of — the cells the placement replicates, plus every
+// cell holding a copy outside the placement (offCells). Over-tracking is
+// safe: a tracked cell only one shard holds adds no seam edge. The commit
+// fold, the out-of-commit folds and the audit all use it. Callers hold
+// worldMu in any mode.
+func (ss *shardSet) seamTracked(coord grid.Coord) bool {
+	if len(ss.offCells) > 0 && ss.offCells[coord] > 0 {
+		return true
 	}
-	ss.restitchInfoLocked()
-	ss.populateSeamLocked()
+	return ss.replicated(coord)
 }
 
-// ensureSeamLocked makes the incremental seam live, paying the full
-// buildSeamLocked only when it is actually cold — after a checkpoint restore
-// or a chunked stripe migration dropped it. On the warm path (the common
-// case: the seam is built at engine creation and folded by every commit)
-// this is a no-op, which is what lets Subscribe attach in O(1). Caller holds
-// worldMu exclusively.
-func (ss *shardSet) ensureSeamLocked() {
-	if ss.seam != nil {
-		return
-	}
-	ss.buildSeamLocked()
+// reread re-reads shard s's view of one cell whose tracking or label may
+// have changed, dropping the entry when the cell is not tracked.
+func (tx *seamTxn) reread(s int32, coord grid.Coord) {
+	lab, ok := tx.ss.shards[s].c.CoreCellCluster(coord)
+	tx.setEntry(s, coord, lab, ok && tx.ss.seamTracked(coord))
 }
 
-// populateSeamLocked rebuilds the seam structures from the current keyGID
-// assignment and the live backends — the second half of buildSeamLocked,
-// called on its own by stripe migration, which refreshes the stitch itself
-// (and derives events from its transition) before repopulating. Caller holds
-// worldMu exclusively.
-func (ss *shardSet) populateSeamLocked() {
-	sm := newSeamState()
-	ss.seam = sm
-	for k, g := range ss.keyGID {
-		sm.keys[k] = struct{}{}
-		set := sm.gidKeys[g]
-		if set == nil {
-			set = make(map[stitchKey]struct{})
-			sm.gidKeys[g] = set
+// foldQueuedLocked is the seam transaction of every backend change made
+// outside a commit — a reshape's grow or trim, a chunked migration round, a
+// deferred-trim round. It folds what the backends queued (their cluster
+// lineage and dirty cells, as a commit would) and re-reads every cell in
+// cells, in the listed shards and in every shard the seam holds an entry
+// for: these are the cells whose tracking may have changed, which no dirty
+// transition reports. Point events are copy-movement artifacts and are
+// dropped. It returns the global cluster events of the transition. Caller
+// holds worldMu exclusively.
+func (ss *shardSet) foldQueuedLocked(cells map[grid.Coord][]int32) []Event {
+	tx := ss.newSeamTxn()
+	for si, sh := range ss.shards {
+		var clust []Event
+		sh.drainEvents(nil, &clust, false)
+		for _, ev := range clust {
+			tx.applyClusterEvent(int32(si), ev, sh.c)
 		}
-		set[k] = struct{}{}
 	}
 	for si, sh := range ss.shards {
-		s := int32(si)
-		sh.c.ForEachCoreCell(func(coord grid.Coord, cid core.ClusterID) bool {
-			if !ss.replicated(coord) {
-				return true
-			}
-			ents := sm.cells[coord]
-			if ents == nil {
-				ents = make(map[int32]ClusterID, 2)
-				sm.cells[coord] = ents
-			}
-			k := stitchKey{s, cid}
-			for os, ocid := range ents {
-				if os != s {
-					sm.adjInc(k, stitchKey{os, ocid})
-				}
-			}
-			ents[s] = cid
-			kc := sm.keyCells[k]
-			if kc == nil {
-				kc = make(map[grid.Coord]struct{})
-				sm.keyCells[k] = kc
-			}
-			kc[coord] = struct{}{}
-			return true
-		})
+		for _, coord := range sh.c.TakeDirtySeamCells() {
+			tx.reread(int32(si), coord)
+		}
 	}
+	for coord, holders := range cells {
+		shards := holders[:len(holders):len(holders)]
+		for s := range ss.seam.cells[coord] {
+			shards = append(shards, s)
+		}
+		for _, s := range shards {
+			tx.reread(s, coord)
+		}
+	}
+	return tx.finalize()
 }
 
 // auditSeamLocked cross-checks the incremental seam state against a fresh
 // recomputation from the live backends — the test oracle for the incremental
-// maintenance. Caller holds worldMu exclusively; the seam must be live.
+// maintenance. Caller holds worldMu exclusively.
 func (ss *shardSet) auditSeamLocked() error {
 	sm := ss.seam
-	if sm == nil {
-		return fmt.Errorf("seam audit: seam not live")
-	}
 	// Recompute entries and keys from the backends.
 	freshCells := make(map[grid.Coord]map[int32]ClusterID)
 	freshKeys := make(map[stitchKey]struct{})
@@ -636,7 +615,7 @@ func (ss *shardSet) auditSeamLocked() error {
 		s := int32(si)
 		sh.c.ForEachCoreCell(func(coord grid.Coord, cid core.ClusterID) bool {
 			freshKeys[stitchKey{s, cid}] = struct{}{}
-			if !ss.replicated(coord) {
+			if !ss.seamTracked(coord) {
 				return true
 			}
 			ents := freshCells[coord]

@@ -34,18 +34,18 @@ package dyndbscan
 // Every global grid-graph edge has at least one endpoint cell whose owner
 // shard sees both endpoints exactly, so connectivity lost to partitioning is
 // exactly the set of seam edges: pairs (owned cell, ghost cell owned by
-// another shard). Snapshot construction runs a union-find pass over
-// (shard, local cluster id) keys — one union per core cell observed in a
-// foreign shard's territory — and maps each component to a stable global
-// ClusterID (persisted across epochs in keyGID, so ids survive every update
-// that does not merge or split a stitched cluster). The same structure is
-// maintained incrementally from engine creation on, subscribers or not: each
-// commit folds its seam delta into the live seam union-find and derives its
-// global cluster events from the transition (see seam.go); the full pass
-// runs only to re-warm a seam a restore or chunked migration left cold, and
-// inside stripe migrations. With Rho = 0 the stitched clustering is exactly
-// the single-shard clustering; with Rho > 0 both are legal ρ-approximate
-// clusterings that may resolve don't-care-band points differently.
+// another shard). The stitch links (shard, local cluster id) keys through
+// every core cell two shards both hold and maps each component to a stable
+// global ClusterID (persisted across epochs in keyGID, so ids survive every
+// update that does not merge or split a stitched cluster). It is maintained
+// incrementally from engine creation until Close, subscribers or not: each
+// commit folds its seam delta into the live seam structure and derives its
+// global cluster events from the transition (see seam.go), and every
+// placement change and checkpoint restore folds through the same
+// transaction — no full stitch pass exists. With Rho = 0 the stitched
+// clustering is exactly the single-shard clustering; with Rho > 0 both are
+// legal ρ-approximate clusterings that may resolve don't-care-band points
+// differently.
 //
 // # Locking
 //
@@ -68,7 +68,6 @@ import (
 	"dyndbscan/internal/core"
 	"dyndbscan/internal/grid"
 	"dyndbscan/internal/pipeline"
-	"dyndbscan/internal/unionfind"
 	"dyndbscan/internal/wal"
 )
 
@@ -76,8 +75,8 @@ import (
 // WithShardStripe is not given.
 const defaultStripeCells = 64
 
-// stitchKey names one shard-local cluster: the unit the cross-shard
-// union-find pass operates on.
+// stitchKey names one shard-local cluster: the unit the cross-shard stitch
+// connects.
 type stitchKey struct {
 	shard int32
 	cid   ClusterID
@@ -181,8 +180,18 @@ type shardSet struct {
 	deferTrim bool
 	trimQueue []trimRef
 
+	// offCells counts, per cell, the copies held outside the placement:
+	// stale SemiDynamic copies, chunk-grown destination copies, deferred-trim
+	// copies, and a reshape's source copies between its grow and its trim.
+	// The seam tracks every cell it names (see seamTracked). A count may
+	// over-state — a commit deleting a point does not decrement it — which
+	// only over-tracks; the next reshape covering the cell recounts it
+	// exactly. Written under worldMu exclusive + routesMu (the reshape
+	// discipline), read under any worldMu mode.
+	offCells map[grid.Coord]int32
+
 	// worldMu: commits hold it shared (their shard locks provide mutual
-	// exclusion); snapshot builds, full stitches, and subscriber-count
+	// exclusion); snapshot builds, placement changes, and subscriber-count
 	// transitions hold it exclusively.
 	//
 	//dynlint:lock-level 30
@@ -207,34 +216,23 @@ type shardSet struct {
 	// on it — see seam below.
 	eventsOn bool
 
-	// Incremental seam structure (see seam.go): warm from engine creation
-	// and folded by every commit, so Subscribe attaches by taking its place
-	// in the publication order instead of paying an O(N) restitch. nil only
-	// while deliberately cold — after a checkpoint restore (replay commits
-	// skip their folds) and during a chunked stripe migration (whose
-	// intermediate copies the seam cannot track); ensureSeamLocked rebuilds
-	// it on the next Subscribe or checkpoint capture. seamMu guards it plus
-	// the stitch state below during commits; a quiesced holder of worldMu
-	// (exclusive) may read everything without seamMu, since no commit is in
-	// flight then.
+	// Incremental seam structure (see seam.go): set once at engine creation
+	// and folded by every commit, placement change and checkpoint restore
+	// until Close, so Subscribe attaches by taking its place in the
+	// publication order. seamMu guards it plus the stitch state below during
+	// commits; a quiesced holder of worldMu (exclusive) may read and fold
+	// everything without seamMu, since no commit is in flight then.
 	//
 	//dynlint:lock-level 60
 	seamMu sync.Mutex
 	seam   *seamState
 
-	// restitches counts full restitch passes — the observable the warm-seam
-	// Subscribe regression test pins down.
-	restitches uint64
-
 	// Stitch state. keyGID persists the (shard, local cluster) → global id
 	// assignment across epochs — the source of global id stability. Every
-	// commit's seam fold keeps it current while the seam is warm; full
-	// restitches rebuild it when the seam went cold and during stripe
-	// migrations. stitchVersion/stitchValid record the epoch it is exact at.
-	keyGID        map[stitchKey]ClusterID
-	nextGID       ClusterID
-	stitchVersion uint64
-	stitchValid   bool
+	// seam fold keeps it exact, so snapshot builds and checkpoint captures
+	// read it directly.
+	keyGID  map[stitchKey]ClusterID
+	nextGID ClusterID
 }
 
 // newShardedEngine builds the Engine for WithShards(n>1).
@@ -272,6 +270,7 @@ func newShardedEngine(s *engineSettings) (*Engine, error) {
 		idsSorted:    true,
 		pendingDead:  make(map[PointID]struct{}),
 		keyGID:       make(map[stitchKey]ClusterID),
+		offCells:     make(map[grid.Coord]int32),
 		assign:       make(map[int64]int32),
 		splits:       make(map[int64]*stripeSplit),
 		stripeLoad:   make(map[int64]*stripeStat),
@@ -315,7 +314,8 @@ func newShardedEngine(s *engineSettings) (*Engine, error) {
 		sh.c.SetSeamTracking(true)
 	}
 	// The seam is warm from birth: an empty world stitches trivially, and
-	// every commit folds its own delta from here on.
+	// every commit, placement change and restore folds its own delta from
+	// here on. This is the only assignment of ss.seam.
 	ss.seam = newSeamState()
 	e.sh = ss
 	return e, nil
@@ -408,7 +408,6 @@ func (ss *shardSet) commitRouted(ops []shOp, errUnknown func(i int, id PointID) 
 		cols     []int32
 		involved []int32
 		evsOn    bool
-		seamOn   bool
 		unlock   func()
 		walSeq   uint64
 		waited   map[int32]bool // shards whose lock this commit contended on
@@ -480,12 +479,11 @@ route:
 		// seam delta into the live seam structure under seamMu instead of
 		// requiring a quiesced world. Publication happens after the unlock:
 		// a backpressured publisher must never hold worldMu, or subscriber
-		// callbacks querying the Engine would deadlock. eventsOn and the
-		// seam pointer only change while worldMu is held exclusively, so
-		// both snapshots are stable once the shared lock is held.
+		// callbacks querying the Engine would deadlock. eventsOn only
+		// changes while worldMu is held exclusively, so its snapshot is
+		// stable once the shared lock is held.
 		ss.worldMu.RLock()
 		evsOn = ss.eventsOn
-		seamOn = ss.seam != nil
 		for _, s := range involved {
 			if ss.hs == nil || ss.shards[s].mu.TryLock() {
 				if ss.hs == nil {
@@ -615,7 +613,7 @@ route:
 				if it.owner {
 					sh.ownerGlobal[lid] = it.gid
 				}
-				sh.drainEvents(&evsBuf[k], &clustBuf[k], evsOn, seamOn)
+				sh.drainEvents(&evsBuf[k], &clustBuf[k], evsOn)
 				continue
 			}
 			if err := sh.c.Delete(it.local); err != nil {
@@ -624,17 +622,12 @@ route:
 			}
 			// Drain before dropping the translation entry, so demotion
 			// events of points deleted later in this batch still translate.
-			sh.drainEvents(&evsBuf[k], &clustBuf[k], evsOn, seamOn)
+			sh.drainEvents(&evsBuf[k], &clustBuf[k], evsOn)
 			if it.owner {
 				delete(sh.ownerGlobal, it.local)
 			}
 		}
-		// The tracker accumulates dirty cells whether or not the seam is
-		// live; draining unconditionally keeps a cold period (checkpoint
-		// restore, chunked migration) from growing the set without bound.
-		if dirty := sh.c.TakeDirtySeamCells(); seamOn {
-			dirtyBuf[k] = dirty
-		}
+		dirtyBuf[k] = sh.c.TakeDirtySeamCells()
 	}
 	if len(involved) == 1 {
 		runShard(0, involved[0])
@@ -680,66 +673,57 @@ route:
 	// Seam fold: the global cluster transitions obtained by folding this
 	// commit's seam delta (the backends' cluster-event lineage plus their
 	// dirty core cells) into the live seam structure. The fold runs on
-	// every commit while the seam is warm — subscribers or not — which is
-	// what keeps keyGID and the stitch exact per epoch and lets Subscribe
-	// attach without a restitch; only the *publication* of the derived
-	// events is gated on eventsOn. The fold runs under seamMu while the
-	// shard locks are still held: the entries it rewrites belong to cells
-	// whose owner shard is locked by this commit, and the backend re-reads
-	// (CoreCellCluster) only target involved shards.
+	// every commit — subscribers or not — which is what keeps keyGID and the
+	// stitch exact per epoch and lets Subscribe attach without a rebuild;
+	// only the *publication* of the derived events is gated on eventsOn. The
+	// fold runs under seamMu while the shard locks are still held: the
+	// entries it rewrites belong to cells whose owner shard is locked by this
+	// commit, and the backend re-reads (CoreCellCluster) only target involved
+	// shards.
 	var evs []Event
 	var ticket uint64
 	pub := false
-	if seamOn {
-		if evsOn {
-			for _, buf := range evsBuf {
-				evs = append(evs, buf...)
-			}
+	if evsOn {
+		for _, buf := range evsBuf {
+			evs = append(evs, buf...)
 		}
-		ss.seamMu.Lock()
-		tx := ss.newSeamTxn()
-		for k, s := range involved {
-			sh := ss.shards[s]
-			for _, ev := range clustBuf[k] {
-				tx.applyClusterEvent(s, ev, sh.c)
-			}
-		}
-		for k, s := range involved {
-			sh := ss.shards[s]
-			for _, coord := range dirtyBuf[k] {
-				if !ss.replicated(coord) {
-					continue // interior cell: no seam relevance
-				}
-				lab, ok := sh.c.CoreCellCluster(coord)
-				tx.setEntry(s, coord, lab, ok)
-			}
-		}
-		cevs := tx.finalize()
-		// The fold's serialization under seamMu is the global commit order of
-		// cluster transitions; recording here keeps the delta checkpoints'
-		// merge ledger in exactly that order.
-		e.wal.noteDirtyEvents(cevs)
-		if evsOn {
-			evs = append(evs, cevs...)
-		}
-		e.version.Add(1)
-		ss.stitchVersion = e.version.Load()
-		ss.stitchValid = true
-		if evsOn && len(evs) > 0 {
-			// The ticket is taken inside the seam critical section, so
-			// per-subscriber streams order events exactly as the seam state
-			// evolved — a commit can never reference a global id minted by a
-			// later-ticketed commit.
-			ticket = e.takeTicket()
-			pub = true
-		}
-		ss.seamMu.Unlock()
-	} else {
-		e.version.Add(1)
-		// Seam-cold commit: no fold ran, so the cluster lineage of this
-		// commit is unknown — the next checkpoint cannot be a delta.
-		e.wal.markDirtyFull()
 	}
+	ss.seamMu.Lock()
+	tx := ss.newSeamTxn()
+	for k, s := range involved {
+		sh := ss.shards[s]
+		for _, ev := range clustBuf[k] {
+			tx.applyClusterEvent(s, ev, sh.c)
+		}
+	}
+	for k, s := range involved {
+		sh := ss.shards[s]
+		for _, coord := range dirtyBuf[k] {
+			if !ss.seamTracked(coord) {
+				continue // held by one shard only: no seam relevance
+			}
+			lab, ok := sh.c.CoreCellCluster(coord)
+			tx.setEntry(s, coord, lab, ok)
+		}
+	}
+	cevs := tx.finalize()
+	// The fold's serialization under seamMu is the global commit order of
+	// cluster transitions; recording here keeps the delta checkpoints'
+	// merge ledger in exactly that order.
+	e.wal.noteDirtyEvents(cevs)
+	if evsOn {
+		evs = append(evs, cevs...)
+	}
+	e.version.Add(1)
+	if evsOn && len(evs) > 0 {
+		// The ticket is taken inside the seam critical section, so
+		// per-subscriber streams order events exactly as the seam state
+		// evolved — a commit can never reference a global id minted by a
+		// later-ticketed commit.
+		ticket = e.takeTicket()
+		pub = true
+	}
+	ss.seamMu.Unlock()
 	unlock()
 	// Durability barrier before publication: under SyncAlways the commit
 	// waits for its record's fsync here, so no event (and no return) ever
@@ -819,12 +803,11 @@ func (e *Engine) takeTicket() uint64 {
 // owner shard's and dropped — and they are collected at all only while
 // subscribers exist (evsOn), since nothing else consumes them. Cluster
 // events are not forwarded directly — global cluster transitions are derived
-// from the seam delta, where they are well-defined — but are collected in
-// order as the commit's local lineage whenever the seam is warm (seamOn),
-// subscribers or not: the seam transaction folds each merge as a rename,
-// each split as a scoped re-derivation, and each form/dissolve as a key
-// lifecycle step. With the seam cold the pending queue is simply cleared.
-func (sh *shard) drainEvents(buf *[]Event, clust *[]Event, evsOn, seamOn bool) {
+// from the seam delta, where they are well-defined — but are always
+// collected in order as the local lineage: the seam transaction folds each
+// merge as a rename, each split as a scoped re-derivation, and each
+// form/dissolve as a key lifecycle step.
+func (sh *shard) drainEvents(buf *[]Event, clust *[]Event, evsOn bool) {
 	if len(sh.pending) == 0 {
 		return
 	}
@@ -839,9 +822,7 @@ func (sh *shard) drainEvents(buf *[]Event, clust *[]Event, evsOn, seamOn bool) {
 				*buf = append(*buf, ev)
 			}
 		default:
-			if seamOn {
-				*clust = append(*clust, ev)
-			}
+			*clust = append(*clust, ev)
 		}
 	}
 	sh.pending = sh.pending[:0]
@@ -923,7 +904,7 @@ func (ss *shardSet) snapshot() *Snapshot {
 	if s := e.currentSnapshot(); s != nil {
 		return s // lost the build race to another reader
 	}
-	gidOf := ss.stitchLocked()
+	gidOf := ss.keyGID
 	ids := ss.liveIDsLocked()
 	s := &Snapshot{
 		Version:  e.version.Load(),
@@ -983,137 +964,6 @@ func dedupSortedIDs(ids []ClusterID) []ClusterID {
 	return ids[:w]
 }
 
-// stitchLocked returns the current (shard, local cluster) → global id map,
-// reusing the cached stitch when it matches the engine epoch — which, while
-// the seam is warm, is every epoch: every commit keeps keyGID current as it
-// folds its delta. Caller holds worldMu exclusively.
-func (ss *shardSet) stitchLocked() map[stitchKey]ClusterID {
-	v := ss.e.version.Load()
-	if !ss.stitchValid || ss.stitchVersion != v {
-		ss.restitchInfoLocked()
-		ss.stitchVersion = v
-		ss.stitchValid = true
-	}
-	return ss.keyGID
-}
-
-// restitchInfoLocked recomputes the stitch from the live shard states: it
-// enumerates every core cell of every shard, unions shard-local clusters
-// across seams (a core cell observed inside a foreign shard's territory
-// links the observer's local cluster with the owner's), and maps each
-// component to a stable global id via the previous keyGID assignment (the
-// smallest unclaimed previous id of the component survives, mirroring the
-// older-id-wins merge rule of the backends; a component with no history
-// mints). It leaves the fresh assignment in ss.keyGID and
-// returns the transition's raw material — the sorted components, their
-// claimed global ids, and the previous ids attributed to each — which stripe
-// migration feeds to netTransitions to derive its global cluster events.
-func (ss *shardSet) restitchInfoLocked() (comps [][]stitchKey, gidOf []ClusterID, prevGIDs [][]ClusterID) {
-	ss.restitches++
-	type edge struct{ a, b stitchKey }
-	var (
-		keys  []stitchKey
-		index = make(map[stitchKey]int)
-		edges []edge
-	)
-	intern := func(k stitchKey) int {
-		if i, ok := index[k]; ok {
-			return i
-		}
-		index[k] = len(keys)
-		keys = append(keys, k)
-		return len(keys) - 1
-	}
-	for si, sh := range ss.shards {
-		s := int32(si)
-		sh.c.ForEachCoreCell(func(coord grid.Coord, cid core.ClusterID) bool {
-			k := stitchKey{s, cid}
-			intern(k)
-			if owner := ss.ownerOf(coord); owner != s {
-				// The cell lives in another shard's territory: the owner's
-				// view of it is exact, so its local cluster there and our
-				// local cluster here are the same global cluster.
-				if ocid, ok := ss.shards[owner].c.CoreCellCluster(coord); ok {
-					edges = append(edges, edge{k, stitchKey{owner, ocid}})
-				}
-			}
-			return true
-		})
-	}
-	uf := unionfind.New(len(keys))
-	for _, ed := range edges {
-		ia, okA := index[ed.a]
-		ib, okB := index[ed.b]
-		if okA && okB {
-			uf.Union(ia, ib)
-		}
-	}
-	byRoot := make(map[int][]int)
-	for i := range keys {
-		r := uf.Find(i)
-		byRoot[r] = append(byRoot[r], i)
-	}
-	comps = make([][]stitchKey, 0, len(byRoot))
-	for _, members := range byRoot {
-		comp := make([]stitchKey, len(members))
-		for j, i := range members {
-			comp[j] = keys[i]
-		}
-		sort.Slice(comp, func(a, b int) bool { return stitchKeyLess(comp[a], comp[b]) })
-		comps = append(comps, comp)
-	}
-	// Canonical component order (by smallest member key) makes global id
-	// assignment deterministic regardless of map iteration order.
-	sort.Slice(comps, func(a, b int) bool { return stitchKeyLess(comps[a][0], comps[b][0]) })
-
-	// Attribute previous global ids to the components of the keys that still
-	// carry them.
-	keyComp := make(map[stitchKey]int, len(keys))
-	for ci, comp := range comps {
-		for _, k := range comp {
-			keyComp[k] = ci
-		}
-	}
-	prevGIDs = make([][]ClusterID, len(comps))
-	for ko, g := range ss.keyGID {
-		if ci, ok := keyComp[ko]; ok {
-			prevGIDs[ci] = append(prevGIDs[ci], g)
-		}
-	}
-	for ci := range prevGIDs {
-		prevGIDs[ci] = dedupSortedIDs(prevGIDs[ci])
-	}
-
-	fresh := make(map[stitchKey]ClusterID, len(keys))
-	claimed := make(map[ClusterID]struct{}, len(comps))
-	gidOf = make([]ClusterID, len(comps))
-	for ci, comp := range comps {
-		// Candidates: the global ids attributed to the component, each
-		// claimable by one component per epoch. The smallest unclaimed
-		// candidate survives (mirroring the older-id-wins merge rule of the
-		// backends); a component with no history is a freshly formed cluster
-		// and mints.
-		gid := ClusterID(-1)
-		for _, g := range prevGIDs[ci] {
-			if _, taken := claimed[g]; !taken {
-				gid = g
-				break
-			}
-		}
-		if gid < 0 {
-			gid = ss.nextGID
-			ss.nextGID++
-		}
-		claimed[gid] = struct{}{}
-		gidOf[ci] = gid
-		for _, k := range comp {
-			fresh[k] = gid
-		}
-	}
-	ss.keyGID = fresh
-	return comps, gidOf, prevGIDs
-}
-
 // lineageReach returns the keys reachable from k through the lineage graph,
 // k itself included (a key with no lineage resolves to itself).
 func lineageReach(k stitchKey, lineage map[stitchKey][]stitchKey) []stitchKey {
@@ -1158,35 +1008,16 @@ func containsID(ids []ClusterID, id ClusterID) bool {
 
 // syncEvents reconciles event *publication* with the engine's subscriber
 // count; the sharded counterpart of Engine.syncEventFunc. Event collection
-// and the per-commit seam fold are permanent (installed at engine creation),
-// so attaching a subscriber only flips eventsOn — and, when the seam went
-// cold through a checkpoint restore or a chunked migration, rebuilds it
-// once. On a warm-seam engine Subscribe therefore performs no full restitch:
-// the exclusive worldMu hold below is the O(1) quiesce that fences in-flight
-// commits, not an O(N) rebuild.
+// and the seam fold are permanent (installed at engine creation), so
+// attaching or detaching a subscriber only flips eventsOn: the exclusive
+// worldMu hold below is the O(1) quiesce that fences in-flight commits.
 func (ss *shardSet) syncEvents() {
 	ss.worldMu.Lock()
 	defer ss.worldMu.Unlock()
 	e := ss.e
 	e.subMu.Lock()
-	want := len(e.subs) > 0
+	ss.eventsOn = len(e.subs) > 0
 	e.subMu.Unlock()
-	if want == ss.eventsOn {
-		return
-	}
-	if !want {
-		// Publication stops; the warm seam keeps folding so the next
-		// Subscribe attaches without a restitch.
-		ss.eventsOn = false
-		return
-	}
-	ss.ensureSeamLocked()
-	// While the seam is warm every commit's fold leaves the stitch exact at
-	// its epoch, and a just-rebuilt cold seam refreshed it through the full
-	// stitch — either way this quiesced instant is current.
-	ss.stitchVersion = e.version.Load()
-	ss.stitchValid = true
-	ss.eventsOn = true
 }
 
 // Shards returns how many spatial shards the Engine runs (1 in the default

@@ -677,18 +677,33 @@ func TestShardedConcurrentCommits(t *testing.T) {
 // between, and after migrations — including migrating a stripe back to its
 // original shard (which on insertion-only backends must reuse the stale
 // copies instead of duplicating them).
+//
+// The Interior rows migrate a stripe whose clusters sit deeper than the
+// ghost band from either stripe edge, then bridge them under the new owner.
+// On insertion-only backends the source shard keeps its stale copies of
+// those clusters: the seam must track them, or the source and target
+// generations of one cluster fall into different components and the bridge
+// splits ids instead of merging them.
 func TestStripeMigration(t *testing.T) {
 	cases := []struct {
-		name    string
-		algo    dyndbscan.Algorithm
-		deletes bool
+		name     string
+		algo     dyndbscan.Algorithm
+		deletes  bool
+		interior bool
 	}{
-		{"FullyDynamic", dyndbscan.AlgoFullyDynamic, true},
-		{"SemiDynamic", dyndbscan.AlgoSemiDynamic, false},
-		{"IncDBSCAN", dyndbscan.AlgoIncDBSCAN, true},
+		{"FullyDynamic", dyndbscan.AlgoFullyDynamic, true, false},
+		{"SemiDynamic", dyndbscan.AlgoSemiDynamic, false, false},
+		{"IncDBSCAN", dyndbscan.AlgoIncDBSCAN, true, false},
+		{"FullyDynamicInterior", dyndbscan.AlgoFullyDynamic, true, true},
+		{"SemiDynamicInterior", dyndbscan.AlgoSemiDynamic, false, true},
+		{"IncDBSCANInterior", dyndbscan.AlgoIncDBSCAN, true, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			if tc.interior {
+				testInteriorStripeMigration(t, tc.algo)
+				return
+			}
 			newEng := func(shards int) *dyndbscan.Engine {
 				opts := []dyndbscan.Option{
 					dyndbscan.WithAlgorithm(tc.algo),
@@ -839,6 +854,81 @@ func TestStripeMigration(t *testing.T) {
 			both("growth after migrations", blob(14, 9))
 			check("final")
 		})
+	}
+}
+
+// testInteriorStripeMigration is the Interior row of TestStripeMigration.
+// Stripe 0 spans columns 0..15 (eps 10, width 16); both blobs sit in column
+// 7, more than the 4-column ghost band from either edge, so no placement
+// replicates them before or after the move.
+func testInteriorStripeMigration(t *testing.T, algo dyndbscan.Algorithm) {
+	e, err := dyndbscan.New(
+		dyndbscan.WithAlgorithm(algo),
+		dyndbscan.WithEps(10), dyndbscan.WithMinPts(3), dyndbscan.WithRho(0),
+		dyndbscan.WithShards(3), dyndbscan.WithShardStripe(16),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	var mu sync.Mutex
+	var kinds []dyndbscan.EventKind
+	cancel := e.Subscribe(func(ev dyndbscan.Event) {
+		switch ev.Kind {
+		case dyndbscan.EventClusterFormed, dyndbscan.EventClusterMerged,
+			dyndbscan.EventClusterSplit, dyndbscan.EventClusterDissolved:
+			mu.Lock()
+			kinds = append(kinds, ev.Kind)
+			mu.Unlock()
+		}
+	})
+	defer cancel()
+
+	blob := func(cx, cy float64) []dyndbscan.Point {
+		pts := make([]dyndbscan.Point, 9)
+		for i := range pts {
+			pts[i] = dyndbscan.Point{cx + float64(i%3), cy + float64(i/3)}
+		}
+		return pts
+	}
+	aIDs, err := e.InsertBatch(blob(50, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.InsertBatch(blob(50, 40)); err != nil {
+		t.Fatal(err)
+	}
+	if ids := e.Snapshot().ClusterIDs(); !reflect.DeepEqual(ids, []dyndbscan.ClusterID{0, 1}) {
+		t.Fatalf("cluster ids before the move = %v, want [0 1]", ids)
+	}
+
+	e.MoveStripe(0, 1)
+	if err := e.SeamAudit(); err != nil {
+		t.Fatalf("after the move: %v", err)
+	}
+
+	e.Sync()
+	mu.Lock()
+	kinds = nil
+	mu.Unlock()
+	var bridge []dyndbscan.Point
+	for y := 3.0; y < 40; y += 2 {
+		bridge = append(bridge, dyndbscan.Point{51, y}, dyndbscan.Point{52, y})
+	}
+	if _, err := e.InsertBatch(bridge); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.SeamAudit(); err != nil {
+		t.Fatalf("after the bridge: %v", err)
+	}
+	if cids, _ := e.ClusterOf(aIDs[0]); !reflect.DeepEqual(cids, []dyndbscan.ClusterID{0}) {
+		t.Fatalf("merged cluster id = %v, want [0] (the older id survives)", cids)
+	}
+	e.Sync()
+	mu.Lock()
+	defer mu.Unlock()
+	if !reflect.DeepEqual(kinds, []dyndbscan.EventKind{dyndbscan.EventClusterMerged}) {
+		t.Fatalf("bridge published %v, want exactly one ClusterMerged", kinds)
 	}
 }
 
