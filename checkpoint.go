@@ -19,13 +19,14 @@ package dyndbscan
 // In single-backend mode the backend adopts the stored identities itself
 // (AdoptClusterIDs), so every later merge, split and event speaks the ids
 // clients saw; in sharded mode the stitch's keyGID table is rewritten in
-// place, since it already is the translation layer between shard-local and
-// global ids.
+// place, since it is the translation layer between shard-local and global
+// cluster ids. Point handles need no translation in either mode: every
+// backend stores each copy under the point's global PointID.
 //
 // Capture and restore read the engine through one shape-independent view,
-// ckptSource: every live handle has an owner copy — a backend and the local
-// handle the point has there — whose backend's view of the point is exact.
-// The single-backend engine is the one-backend case with identity mappings.
+// ckptSource: every live handle has an owner copy — the backend whose view
+// of the point is exact. The single-backend engine is the one-backend case
+// with an identity cluster mapping.
 
 import (
 	"encoding/binary"
@@ -274,14 +275,13 @@ func decodeCheckpoint(b []byte) (*ckptData, error) {
 type ckptSource struct {
 	mode, deltaMode byte // payload modes: ckptSingle/ckptDeltaSingle or the sharded pair
 	cfg             Config
-	backends        []backend // indexed by copyRef.shard
+	backends        []backend // indexed by shard
 	live            int       // live handle count
 	nextPt          PointID
 	nextGID         ClusterID
 
 	ids     func() []PointID                                   // ascending live handles
-	owner   func(id PointID) (copyRef, bool)                   // owner copy; ok=false for a dead handle
-	global  func(shard int32, local PointID) (PointID, bool)   // owner copy → handle; ok=false for a ghost copy
+	owner   func(id PointID) (int32, bool)                     // owner shard; ok=false for a dead handle
 	cluster func(shard int32, cid ClusterID) (ClusterID, bool) // backend-local cluster → global id
 
 	// Sharded placement tail (nil/zero in single-backend payloads).
@@ -302,8 +302,7 @@ func (e *Engine) singleSource() *ckptSource {
 		nextPt:    e.c.NextPointID(),
 		nextGID:   e.c.NextClusterID(),
 		ids:       e.liveIDs,
-		owner:     func(id PointID) (copyRef, bool) { return copyRef{local: id}, e.c.Has(id) },
-		global:    func(_ int32, local PointID) (PointID, bool) { return local, true },
+		owner:     func(id PointID) (int32, bool) { return 0, e.c.Has(id) },
 		cluster:   func(_ int32, cid ClusterID) (ClusterID, bool) { return cid, true },
 	}
 }
@@ -319,16 +318,12 @@ func (ss *shardSet) sourceLocked() *ckptSource {
 		backends:  make([]backend, len(ss.shards)),
 		nextGID:   ss.nextGID,
 		ids:       ss.liveIDsLocked,
-		owner: func(id PointID) (copyRef, bool) {
+		owner: func(id PointID) (int32, bool) {
 			r, ok := ss.routes[id]
 			if !ok {
-				return copyRef{}, false
+				return 0, false
 			}
 			return r.copies[0], true
-		},
-		global: func(shard int32, local PointID) (PointID, bool) {
-			id, ok := ss.shards[shard].ownerGlobal[local]
-			return id, ok
 		},
 		cluster: func(shard int32, cid ClusterID) (ClusterID, bool) {
 			g, ok := ss.keyGID[stitchKey{shard, cid}]
@@ -351,8 +346,8 @@ func (ss *shardSet) sourceLocked() *ckptSource {
 	return src
 }
 
-// liveOwner returns the owner copy of a handle live in the source.
-func (src *ckptSource) liveOwner(id PointID) copyRef {
+// liveOwner returns the owner shard of a handle live in the source.
+func (src *ckptSource) liveOwner(id PointID) int32 {
 	o, ok := src.owner(id)
 	if !ok {
 		// Unreachable: callers pass handles live in the quiesced source.
@@ -361,26 +356,26 @@ func (src *ckptSource) liveOwner(id PointID) copyRef {
 	return o
 }
 
-// pointAt returns the coordinates of a live owner copy.
-func (src *ckptSource) pointAt(o copyRef) Point {
-	pt, ok := src.backends[o.shard].PointAt(o.local)
+// pointAt returns the coordinates of id's copy in its owner shard o.
+func (src *ckptSource) pointAt(o int32, id PointID) Point {
+	pt, ok := src.backends[o].PointAt(id)
 	if !ok {
-		panic(fmt.Sprintf("dyndbscan: checkpoint: owner copy %v has no point", o))
+		panic(fmt.Sprintf("dyndbscan: checkpoint: owner shard %d has no copy of point %d", o, id))
 	}
 	return pt
 }
 
-// clustersOf returns the global cluster ids of an owner copy, ascending and
-// deduplicated (two local clusters may stitch to one global cluster); nil
-// for a noise point.
-func (src *ckptSource) clustersOf(o copyRef) []ClusterID {
-	cids, ok := src.backends[o.shard].ClusterOf(o.local)
+// clustersOf returns the global cluster ids of id's copy in shard o,
+// ascending and deduplicated (two local clusters may stitch to one global
+// cluster); nil for a noise point.
+func (src *ckptSource) clustersOf(o int32, id PointID) []ClusterID {
+	cids, ok := src.backends[o].ClusterOf(id)
 	if !ok || len(cids) == 0 {
 		return nil
 	}
 	out := make([]ClusterID, 0, len(cids))
 	for _, cid := range cids {
-		if g, ok := src.cluster(o.shard, cid); ok {
+		if g, ok := src.cluster(o, cid); ok {
 			out = append(out, g)
 		}
 	}
@@ -397,9 +392,9 @@ func (src *ckptSource) groupClusters(ids []PointID, coords []Point) map[ClusterI
 	for i, id := range ids {
 		o := src.liveOwner(id)
 		if coords != nil {
-			coords[i] = src.pointAt(o)
+			coords[i] = src.pointAt(o, id)
 		}
-		for _, g := range src.clustersOf(o) {
+		for _, g := range src.clustersOf(o, id) {
 			clusters[g] = append(clusters[g], id)
 		}
 	}
@@ -485,17 +480,17 @@ func (e *Engine) restoreCheckpoint(ck *ckptData) error {
 	return e.restoreSingle(ck)
 }
 
-// restoreSingle re-inserts the checkpointed points with forced handles, pins
-// the handle counter, and has the backend adopt the stored cluster ids.
+// restoreSingle re-inserts the checkpointed points at their stored handles
+// (the decoder guarantees they are strictly ascending), pins the handle
+// counter, and has the backend adopt the stored cluster ids.
 func (e *Engine) restoreSingle(ck *ckptData) error {
 	for i, id := range ck.ids {
-		e.c.SetNextPointID(id)
-		got, err := e.c.Insert(ck.coords[i])
+		sp, err := e.stager.Stage(ck.coords[i])
+		if err == nil {
+			err = e.c.InsertStaged(sp, id)
+		}
 		if err != nil {
 			return fmt.Errorf("dyndbscan: checkpoint restore: point %d: %w", id, err)
-		}
-		if got != id {
-			return fmt.Errorf("%w: point ids not strictly ascending (minted %d, stored %d)", errCorruptCkpt, got, id)
 		}
 	}
 	e.c.SetNextPointID(ck.nextPt)
@@ -562,9 +557,9 @@ func (ss *shardSet) restore(ck *ckptData) error {
 	// Graft: match the clusters the fold stitched under temporary ids
 	// against the stored ones, and rename the temporary ids in place — the
 	// stitch table is the translation layer between shard-local and global
-	// ids. Replayed suffix records then fold incrementally on top, minting
-	// new cluster ids in commit order — the order the crashed engine minted
-	// them.
+	// cluster ids (point handles are global in every backend already).
+	// Replayed suffix records then fold incrementally on top, minting new
+	// cluster ids in commit order — the order the crashed engine minted them.
 	ss.worldMu.Lock()
 	defer ss.worldMu.Unlock()
 	src := ss.sourceLocked()

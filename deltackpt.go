@@ -605,14 +605,13 @@ func (src *ckptSource) deltaPayload(d *dirtyState, cells [][]grid.Coord) ([]byte
 	patch := make(map[PointID][]ClusterID)
 	for si, c := range src.backends {
 		for _, cell := range cells[si] {
-			c.ForEachPointNear(cell, r, func(lid PointID) bool {
-				id, owned := src.global(int32(si), lid)
-				if !owned {
-					return true // ghost copy; its owner shard patches it
+			c.ForEachPointNear(cell, r, func(id PointID) bool {
+				if _, done := patch[id]; done {
+					return true
 				}
-				if _, done := patch[id]; !done {
-					patch[id] = src.clustersOf(copyRef{int32(si), lid})
-				}
+				if o, ok := src.owner(id); ok && o == int32(si) {
+					patch[id] = src.clustersOf(o, id)
+				} // else a ghost copy; its owner shard patches it
 				return true
 			})
 		}
@@ -639,7 +638,7 @@ func (src *ckptSource) deltaPayload(d *dirtyState, cells [][]grid.Coord) ([]byte
 	sort.Slice(dl.upIDs, func(i, j int) bool { return dl.upIDs[i] < dl.upIDs[j] })
 	dl.upCoords = make([]Point, len(dl.upIDs))
 	for i, id := range dl.upIDs {
-		dl.upCoords[i] = src.pointAt(src.liveOwner(id))
+		dl.upCoords[i] = src.pointAt(src.liveOwner(id), id)
 	}
 	dl.patchIDs = make([]PointID, 0, len(patch))
 	for id := range patch {

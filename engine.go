@@ -40,14 +40,14 @@ const (
 
 // backend is the surface the Engine drives on each built-in clustering
 // algorithm: the point-set and query operations, stable cluster identities
-// and the event sink, staged insertion for the pipelined commit, the id-mint
-// counters that checkpoints record and restore pins (a restored backend
-// adopts the cluster ids its clients saw), and the per-cell walks
+// and the event sink, staged insertion under a handle the engine chooses
+// (so every shard stores each copy under the point's global PointID), the
+// id-mint counters that checkpoints record and restore pins (a restored
+// backend adopts the cluster ids its clients saw), and the per-cell walks
 // and change trackers behind the seam fold and the delta checkpoints. Every
 // algorithm in internal/core implements all of it.
 type backend interface {
-	Insert(pt Point) (PointID, error)
-	InsertStaged(core.StagedPoint) (PointID, error)
+	InsertStaged(sp core.StagedPoint, id PointID) error
 	Delete(id PointID) error
 	GroupBy(q []PointID) (Result, error)
 	ClusterOf(PointID) ([]ClusterID, bool)
@@ -495,12 +495,11 @@ func (e *Engine) commit(ops []shOp, unknown func(i int, id PointID) error) (ok b
 			e.pendingDead[op.gid] = struct{}{}
 			continue
 		}
-		id, err := e.c.InsertStaged(op.sp)
-		if err != nil {
+		op.gid = e.c.NextPointID()
+		if err := e.c.InsertStaged(op.sp, op.gid); err != nil {
 			panic(fmt.Sprintf("dyndbscan: backend rejected a staged insert: %v", err))
 		}
-		op.gid = id
-		e.sortedIDs = append(e.sortedIDs, id) // backends mint ascending ids
+		e.sortedIDs = append(e.sortedIDs, op.gid) // handles are minted ascending
 	}
 	e.wal.noteDirtyOps(ops)
 	return true, e.release(seq, e.finishUpdate())

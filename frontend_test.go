@@ -226,22 +226,46 @@ func TestUpdateErrorParity(t *testing.T) {
 	}
 }
 
-// Allocation budget of one single-backend Insert and Delete on the paper-5d
-// configuration (no WAL, no subscriber), measured on the point-set workload
-// below: a fresh point lands in a new, non-core cell, and deleting it
-// allocates nothing. Every allocation is the backend's own; staging,
-// validation and commit dispatch must add none on this path.
-const (
-	insertAllocs = 7
-	deleteAllocs = 0
-)
+// Allocation budget of one Insert and Delete on the paper-5d configuration
+// (no WAL, no subscriber), measured on the point-set workload below: a fresh
+// point lands in a new, non-core cell. On the single backend deleting it
+// allocates nothing, and every insert allocation is the backend's own;
+// staging, validation and commit dispatch must add none on this path. The
+// sharded row (WithShards(4)) adds the routed commit: the route table entry,
+// the per-shard op array and event buffers, and the seam fold.
+var singleOpAllocBudgets = []struct {
+	name        string
+	opts        []dyndbscan.Option
+	insert, del float64
+}{
+	{"Single", nil, 7, 0},
+	{"Sharded4", []dyndbscan.Option{dyndbscan.WithShards(4)}, 24, 14},
+}
 
 // TestSingleOpAllocs pins the allocation count of the paper-5d hot path.
 func TestSingleOpAllocs(t *testing.T) {
-	e, err := dyndbscan.New(dyndbscan.WithDims(5), dyndbscan.WithEps(500), dyndbscan.WithMinPts(10), dyndbscan.WithRho(0.001))
+	for _, b := range singleOpAllocBudgets {
+		t.Run(b.name, func(t *testing.T) {
+			ins, del := singleOpAllocs(t, b.opts...)
+			t.Logf("Insert %v allocs/op, Delete %v allocs/op", ins, del)
+			if ins > b.insert {
+				t.Errorf("Insert allocates %v times per call, budget %v", ins, b.insert)
+			}
+			if del > b.del {
+				t.Errorf("Delete allocates %v times per call, budget %v", del, b.del)
+			}
+		})
+	}
+}
+
+// singleOpAllocs warms a paper-5d engine with 5000 points and measures the
+// allocations of one Insert and of one Delete of a fresh point.
+func singleOpAllocs(t *testing.T, opts ...dyndbscan.Option) (ins, del float64) {
+	e, err := dyndbscan.New(append([]dyndbscan.Option{dyndbscan.WithDims(5), dyndbscan.WithEps(500), dyndbscan.WithMinPts(10), dyndbscan.WithRho(0.001)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer e.Close()
 	rng := rand.New(rand.NewSource(1))
 	point := func() dyndbscan.Point {
 		c := float64(rng.Intn(64)) * 5000
@@ -262,7 +286,7 @@ func TestSingleOpAllocs(t *testing.T) {
 		pts[i] = point()
 	}
 	ids := make([]dyndbscan.PointID, 0, len(pts))
-	ins := testing.AllocsPerRun(runs, func() {
+	ins = testing.AllocsPerRun(runs, func() {
 		id, err := e.Insert(pts[len(ids)])
 		if err != nil {
 			t.Fatal(err)
@@ -270,16 +294,11 @@ func TestSingleOpAllocs(t *testing.T) {
 		ids = append(ids, id)
 	})
 	k := 0
-	del := testing.AllocsPerRun(runs, func() {
+	del = testing.AllocsPerRun(runs, func() {
 		if err := e.Delete(ids[k]); err != nil {
 			t.Fatal(err)
 		}
 		k++
 	})
-	if ins > insertAllocs {
-		t.Errorf("Insert allocates %v times per call, budget %d", ins, insertAllocs)
-	}
-	if del > deleteAllocs {
-		t.Errorf("Delete allocates %v times per call, budget %d", del, deleteAllocs)
-	}
+	return ins, del
 }

@@ -177,23 +177,26 @@ func (b *base) destroyCell(c *cell) {
 	b.idx.Delete(c.coord)
 }
 
-// addPoint allocates a record for pt, places it in its cell (initially
-// non-core), and registers it in the point table.
+// addPoint allocates a record for pt under the next minted handle, places
+// it in its cell (initially non-core), and registers it in the point table.
 func (b *base) addPoint(pt geom.Point) *pointRec {
 	p := pt[:b.cfg.Dims].Clone()
-	return b.placePoint(p, b.geo.CellOf(p))
+	return b.placePoint(p, b.geo.CellOf(p), b.nextID)
 }
 
 // placePoint is addPoint for a point whose pre-commit work (validation,
-// cloning, cell assignment) already happened: pt must be an owned,
-// dims-length slice and coord its cell under b.geo.
-func (b *base) placePoint(pt geom.Point, coord grid.Coord) *pointRec {
+// cloning, cell assignment) already happened and whose handle is given:
+// pt must be an owned, dims-length slice, coord its cell under b.geo, and
+// id not live. The mint counter is lifted past id.
+func (b *base) placePoint(pt geom.Point, coord grid.Coord, id PointID) *pointRec {
 	rec := &pointRec{
-		id:          b.nextID,
+		id:          id,
 		pt:          pt,
 		clusterElem: -1,
 	}
-	b.nextID++
+	if id >= b.nextID {
+		b.nextID = id + 1
+	}
 	b.noteUpdDirty(coord)
 	c := b.cellAt(coord)
 	rec.cell = c

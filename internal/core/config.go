@@ -65,6 +65,9 @@ var (
 	// ErrUnknownPoint is returned when an operation references a PointID
 	// that was never inserted or has been deleted.
 	ErrUnknownPoint = errors.New("core: unknown point id")
+	// ErrLivePoint is returned when an insertion names a PointID that is
+	// already live.
+	ErrLivePoint = errors.New("core: point id already live")
 	// ErrBadPoint is returned when a point has the wrong dimensionality or
 	// non-finite coordinates.
 	ErrBadPoint = errors.New("core: point has wrong dimension or non-finite coordinates")

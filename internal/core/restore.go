@@ -2,12 +2,12 @@ package core
 
 import "fmt"
 
-// Restore accessors: the durability layer re-creates a backend by replaying
-// inserts with forced handles, pins the handle counter to its pre-shutdown
-// value, and then has the backend adopt the cluster ids its clients saw, so
-// post-restart mints continue the original sequences. The handle counter
-// only ever grows; setting it backwards is a caller bug and is ignored to
-// keep handle uniqueness unconditional.
+// Restore accessors: the durability layer re-creates a backend by inserting
+// every stored point at its stored handle (InsertStaged), pins the handle
+// counter to its pre-shutdown value, and then has the backend adopt the
+// cluster ids its clients saw, so post-restart mints continue the original
+// sequences. The handle counter only ever grows; setting it backwards is a
+// caller bug and is ignored to keep handle uniqueness unconditional.
 
 // NextPointID reports the handle the next insert would mint.
 func (b *base) NextPointID() PointID { return b.nextID }

@@ -52,29 +52,35 @@ func (st Stager) Stage(pt geom.Point) (StagedPoint, error) {
 }
 
 // InsertStaged on the three clusterers consumes a StagedPoint produced by a
-// matching Stager, skipping the validation and cell-coordinate work that
-// Stage already performed. A zero StagedPoint is rejected with ErrBadPoint.
+// matching Stager under the caller's handle id, skipping the validation and
+// cell-coordinate work that Stage already performed. A zero StagedPoint is
+// rejected with ErrBadPoint and a live id with ErrLivePoint; otherwise the
+// mint counter of Insert is lifted past id, so minted and given handles
+// never collide.
 
-// InsertStaged adds a pre-staged point; see Stager.
-func (s *SemiDynamic) InsertStaged(sp StagedPoint) (PointID, error) {
-	if sp.pt == nil {
-		return 0, ErrBadPoint
-	}
-	return s.insertRec(s.placePoint(sp.pt, sp.coord)), nil
+// InsertStaged adds a pre-staged point under handle id; see Stager.
+func (s *SemiDynamic) InsertStaged(sp StagedPoint, id PointID) error {
+	return s.insertStaged(sp, id, s.insertRec)
 }
 
-// InsertStaged adds a pre-staged point; see Stager.
-func (f *FullyDynamic) InsertStaged(sp StagedPoint) (PointID, error) {
-	if sp.pt == nil {
-		return 0, ErrBadPoint
-	}
-	return f.insertRec(f.placePoint(sp.pt, sp.coord)), nil
+// InsertStaged adds a pre-staged point under handle id; see Stager.
+func (f *FullyDynamic) InsertStaged(sp StagedPoint, id PointID) error {
+	return f.insertStaged(sp, id, f.insertRec)
 }
 
-// InsertStaged adds a pre-staged point; see Stager.
-func (ic *IncDBSCAN) InsertStaged(sp StagedPoint) (PointID, error) {
+// InsertStaged adds a pre-staged point under handle id; see Stager.
+func (ic *IncDBSCAN) InsertStaged(sp StagedPoint, id PointID) error {
+	return ic.insertStaged(sp, id, ic.insertRec)
+}
+
+// insertStaged is InsertStaged over an algorithm's commit phase insertRec.
+func (b *base) insertStaged(sp StagedPoint, id PointID, insertRec func(*pointRec) PointID) error {
 	if sp.pt == nil {
-		return 0, ErrBadPoint
+		return ErrBadPoint
 	}
-	return ic.insertRec(ic.placePoint(sp.pt, sp.coord)), nil
+	if _, live := b.points[id]; live {
+		return ErrLivePoint
+	}
+	insertRec(b.placePoint(sp.pt, sp.coord, id))
+	return nil
 }

@@ -22,7 +22,7 @@ func TestInsertStagedEquivalence(t *testing.T) {
 	}
 	type clusterer interface {
 		Insert(geom.Point) (PointID, error)
-		InsertStaged(StagedPoint) (PointID, error)
+		InsertStaged(StagedPoint, PointID) error
 		GroupBy([]PointID) (Result, error)
 		IDs() []PointID
 	}
@@ -46,14 +46,13 @@ func TestInsertStagedEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sid, err := staged.InsertStaged(sp)
-				if err != nil {
+				if err := staged.InsertStaged(sp, id); err != nil {
 					t.Fatal(err)
 				}
-				sIDs = append(sIDs, sid)
+				sIDs = append(sIDs, id)
 			}
 			if !reflect.DeepEqual(pIDs, sIDs) {
-				t.Fatal("staged path assigned different ids")
+				t.Fatal("staged path holds different ids")
 			}
 			rp, err := plain.GroupBy(pIDs)
 			if err != nil {
@@ -90,7 +89,45 @@ func TestStagerValidation(t *testing.T) {
 	}
 	// A zero StagedPoint is rejected, not inserted.
 	f, _ := NewFullyDynamic(Config{Dims: 2, Eps: 1, MinPts: 1, Rho: 0})
-	if _, err := f.InsertStaged(StagedPoint{}); !errors.Is(err, ErrBadPoint) {
+	if err := f.InsertStaged(StagedPoint{}, 0); !errors.Is(err, ErrBadPoint) {
 		t.Fatalf("zero StagedPoint: %v", err)
+	}
+}
+
+// TestInsertStagedHandles checks that InsertStaged stores a point under the
+// given handle, refuses a live handle without changing anything, and lifts
+// the mint counter so a later minting Insert never reuses a given handle.
+func TestInsertStagedHandles(t *testing.T) {
+	cfg := Config{Dims: 2, Eps: 1, MinPts: 1}
+	st := NewStager(cfg)
+	f, _ := NewFullyDynamic(cfg)
+	stage := func(pt geom.Point) StagedPoint {
+		t.Helper()
+		sp, err := st.Stage(pt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sp
+	}
+	if err := f.InsertStaged(stage(geom.Point{0, 0}), 41); err != nil {
+		t.Fatal(err)
+	}
+	if pt, ok := f.PointAt(41); !ok || pt[0] != 0 {
+		t.Fatalf("PointAt(41) = %v, %v", pt, ok)
+	}
+	if err := f.InsertStaged(stage(geom.Point{5, 5}), 41); !errors.Is(err, ErrLivePoint) {
+		t.Fatalf("live handle: %v", err)
+	}
+	if f.Len() != 1 {
+		t.Fatalf("refused insert changed Len to %d", f.Len())
+	}
+	if err := f.InsertStaged(stage(geom.Point{9, 9}), 3); err != nil {
+		t.Fatal(err)
+	}
+	if n := f.NextPointID(); n != 42 {
+		t.Fatalf("NextPointID = %d, want 42", n)
+	}
+	if id, err := f.Insert(geom.Point{1, 1}); err != nil || id != 42 {
+		t.Fatalf("minting Insert = %d, %v; want 42", id, err)
 	}
 }

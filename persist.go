@@ -624,14 +624,16 @@ func (e *Engine) applyWidth(width int64) error {
 // staging divorces mint order from log order: handles are assigned when the
 // insert is acknowledged, but the record is appended when the stripe
 // reconciles, possibly many commits later. Replay adopts the logged handles
-// verbatim and pins the mint counter past them.
+// verbatim, and the commit lifts the mint counter past them. A record that
+// names a live handle, or one handle twice, is refused whole
+// (ErrDuplicateID): applying it would store a second copy set under the
+// handle.
 func (e *Engine) applyExplicit(wops []wal.Op) error {
 	ss := e.sh
 	if ss == nil {
 		return fmt.Errorf("dyndbscan: wal: explicit-handle record in a single-backend log")
 	}
 	shOps := make([]shOp, len(wops))
-	var next PointID
 	for i, wop := range wops {
 		switch wop.Kind {
 		case wal.OpInsertAt, wal.OpStagedInsert:
@@ -647,26 +649,16 @@ func (e *Engine) applyExplicit(wops []wal.Op) error {
 				return fmt.Errorf("dyndbscan: wal: bad explicit insert: %w", err)
 			}
 			shOps[i] = shOp{insert: true, forceGID: true, sp: sp, gid: PointID(wop.ID)}
-			if PointID(wop.ID)+1 > next {
-				next = PointID(wop.ID) + 1
-			}
 		case wal.OpDelete:
 			shOps[i] = shOp{gid: PointID(wop.ID)}
 		default:
 			return fmt.Errorf("dyndbscan: wal: op kind %d inside an explicit-handle record", wop.Kind)
 		}
 	}
-	if _, err := ss.commitRouted(shOps, func(i int, id PointID) error {
+	_, err := ss.commitRouted(shOps, func(i int, id PointID) error {
 		return fmt.Errorf("dyndbscan: wal: replayed delete targets unknown handle %d", id)
-	}); err != nil {
-		return err
-	}
-	ss.routesMu.Lock()
-	if next > ss.nextID {
-		ss.nextID = next
-	}
-	ss.routesMu.Unlock()
-	return nil
+	})
+	return err
 }
 
 // opsFromWAL converts logged ops back to the public Apply vocabulary.

@@ -50,10 +50,10 @@ package dyndbscan
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
-	"dyndbscan/internal/core"
 	"dyndbscan/internal/grid"
 	"dyndbscan/internal/wal"
 )
@@ -853,18 +853,13 @@ func (ss *shardSet) growChunkLocked(t int64, dst int32, loCol, hiCol int64, chun
 		var coord grid.Coord
 		coord[0] = r.col
 		newShs := ss.shardsOf(coord)
-		have := make(map[int32]struct{}, len(r.copies))
-		for _, c := range r.copies {
-			have[c.shard] = struct{}{}
-		}
 		var cell grid.Coord
 		added := false
 		for _, s := range newShs {
-			if _, ok := have[s]; ok {
+			if slices.Contains(r.copies, s) {
 				continue
 			}
-			owner := r.copies[0]
-			pt, ok := ss.shards[owner.shard].c.PointAt(owner.local)
+			pt, ok := ss.shards[r.copies[0]].c.PointAt(gid)
 			if !ok {
 				panic(fmt.Sprintf("dyndbscan: chunked migration lost the owner copy of point %d", gid))
 			}
@@ -872,11 +867,10 @@ func (ss *shardSet) growChunkLocked(t int64, dst int32, loCol, hiCol int64, chun
 			if err != nil {
 				panic(fmt.Sprintf("dyndbscan: chunked migration re-staging point %d: %v", gid, err))
 			}
-			lid, err := ss.shards[s].c.InsertStaged(sp)
-			if err != nil {
+			if err := ss.shards[s].c.InsertStaged(sp, gid); err != nil {
 				panic(fmt.Sprintf("dyndbscan: shard %d rejected a migrated copy: %v", s, err))
 			}
-			r.copies = append(r.copies, copyRef{s, lid})
+			r.copies = append(r.copies, s)
 			cell = sp.Coord()
 			// Routing names the old placement until the flip: the new copy
 			// is off-placement, and the seam must track its cell.
@@ -886,8 +880,8 @@ func (ss *shardSet) growChunkLocked(t int64, dst int32, loCol, hiCol int64, chun
 		if added {
 			ss.routes[gid] = r
 			grown++
-			for _, c := range r.copies {
-				cells[cell] = addShard(cells[cell], c.shard)
+			for _, s := range r.copies {
+				cells[cell] = addShard(cells[cell], s)
 			}
 		}
 	}
@@ -904,12 +898,12 @@ func (ss *shardSet) growChunkLocked(t int64, dst int32, loCol, hiCol int64, chun
 // must re-route after the placeEpoch bump) to finish before the next hold.
 const chunkPacing = 2 * time.Millisecond
 
-// trimRef names one stale copy whose backend removal the chunked migration
-// tier deferred past the placement flip, and the cell it occupies.
+// trimRef names one stale copy — point gid's copy in shard — and the cell it
+// occupies: a copy a reshape trims inline, or one whose removal the chunked
+// migration tier deferred past the placement flip.
 type trimRef struct {
 	gid   PointID
 	shard int32
-	local core.PointID
 	cell  grid.Coord
 }
 
@@ -932,13 +926,7 @@ func (ss *shardSet) trimChunks(chunk int) {
 			if !ok {
 				continue
 			}
-			idx := -1
-			for i, c := range r.copies {
-				if c.shard == tr.shard && c.local == tr.local {
-					idx = i
-					break
-				}
-			}
+			idx := slices.Index(r.copies, tr.shard)
 			if idx <= 0 {
 				// Gone already, or promoted to the owner copy by a later
 				// reshape (then the placement routes it — keep it).
@@ -956,7 +944,7 @@ func (ss *shardSet) trimChunks(chunk int) {
 			if keep {
 				continue
 			}
-			if err := ss.shards[tr.shard].c.Delete(tr.local); err != nil {
+			if err := ss.shards[tr.shard].c.Delete(tr.gid); err != nil {
 				panic(fmt.Sprintf("dyndbscan: shard %d rejected trimming a deferred copy: %v", tr.shard, err))
 			}
 			r.copies = append(r.copies[:idx], r.copies[idx+1:]...)
@@ -1148,50 +1136,40 @@ func (ss *shardSet) reshapeLocked(loCol, hiCol int64, flip func()) (ticket uint6
 
 	// Grow: route every affected point under the new placement, inserting
 	// the copies it lacks. Old copies stay resident through the grow fold
-	// below. Owner translation follows the owner copy. cells collects every
-	// affected cell with the shards holding a copy of it before or after:
-	// the cells whose seam tracking the reshape may change.
-	type removal struct {
-		shard int32
-		local core.PointID
-		cell  grid.Coord
-	}
-	var removals []removal
+	// below. cells collects every affected cell with the shards holding a
+	// copy of it before or after: the cells whose seam tracking the reshape
+	// may change.
+	var removals []trimRef
 	cells := make(map[grid.Coord][]int32)
-	geo := grid.NewParams(ss.cfg.Dims, ss.cfg.Eps)
 	trim := e.algo != AlgoSemiDynamic // insertion-only backends cannot drop copies
 	for _, mv := range moves {
-		owner := mv.old.copies[0]
-		pt, ok := ss.shards[owner.shard].c.PointAt(owner.local)
+		pt, ok := ss.shards[mv.old.copies[0]].c.PointAt(mv.gid)
 		if !ok {
 			panic(fmt.Sprintf("dyndbscan: migration lost the owner copy of point %d", mv.gid))
 		}
-		cell := geo.CellOf(pt)
+		cell := ss.geo.CellOf(pt)
 		newShs := ss.shardsOf(cell)
-		oldAt := make(map[int32]core.PointID, len(mv.old.copies))
-		for _, c := range mv.old.copies {
-			oldAt[c.shard] = c.local
-			cells[cell] = addShard(cells[cell], c.shard)
+		for _, s := range mv.old.copies {
+			cells[cell] = addShard(cells[cell], s)
 		}
-		newCopies := make([]copyRef, 0, len(newShs))
 		for _, s := range newShs {
 			cells[cell] = addShard(cells[cell], s)
-			if local, have := oldAt[s]; have {
-				newCopies = append(newCopies, copyRef{s, local})
-				delete(oldAt, s)
+			if slices.Contains(mv.old.copies, s) {
 				continue
 			}
 			sp, err := ss.e.stager.Stage(pt)
 			if err != nil {
 				panic(fmt.Sprintf("dyndbscan: migration re-staging point %d: %v", mv.gid, err))
 			}
-			lid, err := ss.shards[s].c.InsertStaged(sp)
-			if err != nil {
+			if err := ss.shards[s].c.InsertStaged(sp, mv.gid); err != nil {
 				panic(fmt.Sprintf("dyndbscan: shard %d rejected a migrated copy: %v", s, err))
 			}
-			newCopies = append(newCopies, copyRef{s, lid})
 		}
-		for s, local := range oldAt {
+		newCopies := newShs // shardsOf returns a fresh list
+		for _, s := range mv.old.copies {
+			if slices.Contains(newShs, s) {
+				continue
+			}
 			// Off-placement from here on: until the trim below, or for good.
 			ss.offCells[cell]++
 			switch {
@@ -1199,7 +1177,7 @@ func (ss *shardSet) reshapeLocked(loCol, hiCol int64, flip func()) (ticket uint6
 				// Keep the undeletable stale copy listed so a later
 				// migration routing this shard again reuses it instead of
 				// inserting a duplicate (which would inflate densities).
-				newCopies = append(newCopies, copyRef{s, local})
+				newCopies = append(newCopies, s)
 			case ss.deferTrim:
 				// Chunked tier: the stale copy stays resident and listed —
 				// exactly the semi-dynamic treatment above, so deletes and
@@ -1207,15 +1185,11 @@ func (ss *shardSet) reshapeLocked(loCol, hiCol int64, flip func()) (ticket uint6
 				// later in bounded rounds. A real extra copy of a real point
 				// can only under-count neighborhoods elsewhere, never invent
 				// cores or stitch edges, so the interim clustering is exact.
-				newCopies = append(newCopies, copyRef{s, local})
-				ss.trimQueue = append(ss.trimQueue, trimRef{mv.gid, s, local, cell})
+				newCopies = append(newCopies, s)
+				ss.trimQueue = append(ss.trimQueue, trimRef{mv.gid, s, cell})
 			default:
-				removals = append(removals, removal{s, local, cell})
+				removals = append(removals, trimRef{mv.gid, s, cell})
 			}
-		}
-		if newOwner := newCopies[0]; newOwner != owner {
-			delete(ss.shards[owner.shard].ownerGlobal, owner.local)
-			ss.shards[newOwner.shard].ownerGlobal[newOwner.local] = mv.gid
 		}
 		ss.routes[mv.gid] = route{col: mv.old.col, copies: newCopies}
 	}
@@ -1229,7 +1203,7 @@ func (ss *shardSet) reshapeLocked(loCol, hiCol int64, flip func()) (ticket uint6
 
 	// Trim, then fold the trim over the same cells under the final tracking.
 	for _, rm := range removals {
-		if err := ss.shards[rm.shard].c.Delete(rm.local); err != nil {
+		if err := ss.shards[rm.shard].c.Delete(rm.gid); err != nil {
 			panic(fmt.Sprintf("dyndbscan: shard %d rejected trimming a migrated copy: %v", rm.shard, err))
 		}
 		ss.dropOffCell(rm.cell)

@@ -581,7 +581,7 @@ func (ss *shardSet) foldQueuedLocked(cells map[grid.Coord][]int32) []Event {
 	tx := ss.newSeamTxn()
 	for si, sh := range ss.shards {
 		var clust []Event
-		sh.drainEvents(nil, &clust, false)
+		ss.drainEvents(int32(si), nil, &clust, false)
 		for _, ev := range clust {
 			tx.applyClusterEvent(int32(si), ev, sh.c)
 		}
@@ -605,8 +605,12 @@ func (ss *shardSet) foldQueuedLocked(cells map[grid.Coord][]int32) []Event {
 
 // auditSeamLocked cross-checks the incremental seam state against a fresh
 // recomputation from the live backends — the test oracle for the incremental
-// maintenance. Caller holds worldMu exclusively.
+// maintenance — after auditing the route table (auditRoutesLocked). Caller
+// holds worldMu exclusively.
 func (ss *shardSet) auditSeamLocked() error {
+	if err := ss.auditRoutesLocked(); err != nil {
+		return err
+	}
 	sm := ss.seam
 	// Recompute entries and keys from the backends.
 	freshCells := make(map[grid.Coord]map[int32]ClusterID)
@@ -735,6 +739,34 @@ func (ss *shardSet) auditSeamLocked() error {
 				}
 			}
 		}
+	}
+	return nil
+}
+
+// auditRoutesLocked checks the one-handle-space invariants the commit's
+// point-event filter relies on: every route lists its cell's owner shard
+// first, every listed shard holds a copy under the route's handle, and no
+// backend holds a copy that no route lists. Caller holds worldMu exclusively.
+func (ss *shardSet) auditRoutesLocked() error {
+	ss.routesMu.Lock()
+	defer ss.routesMu.Unlock()
+	unlisted := 0 // backend copies minus listed copies
+	for _, sh := range ss.shards {
+		unlisted += sh.c.Len()
+	}
+	for id, r := range ss.routes {
+		if owner := ss.ownerOfCol(int64(r.col)); r.copies[0] != owner {
+			return fmt.Errorf("route audit: point %d lists shard %d first, its cell's owner is %d", id, r.copies[0], owner)
+		}
+		for _, s := range r.copies {
+			if !ss.shards[s].c.Has(id) {
+				return fmt.Errorf("route audit: point %d lists shard %d, which holds no copy", id, s)
+			}
+		}
+		unlisted -= len(r.copies)
+	}
+	if unlisted != 0 {
+		return fmt.Errorf("route audit: backends hold %d copies more than the routes list", unlisted)
 	}
 	return nil
 }

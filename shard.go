@@ -6,7 +6,9 @@ package dyndbscan
 // migrates stripes — see placement.go). Each shard owns a full clustering
 // backend (internal/core) behind its own lock, so updates whose shard sets
 // are disjoint commit concurrently — the write path scales with cores the
-// way PR 2 made the read path scale with readers.
+// way PR 2 made the read path scale with readers. There is one handle space:
+// a shard holds at most one copy of a point, so every backend stores its
+// copy under the point's global PointID.
 //
 // # Ghost bands
 //
@@ -61,6 +63,7 @@ package dyndbscan
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -82,40 +85,28 @@ type stitchKey struct {
 	cid   ClusterID
 }
 
-// copyRef locates one physical copy of a point: the shard holding it and the
-// backend-local handle it has there.
-type copyRef struct {
-	shard int32
-	local core.PointID
-}
-
-// route is the placement of one global handle: copies[0] is the owner copy
-// (the shard whose stripe contains the point's cell), the rest are ghost
-// copies in neighboring shards' bands (plus, on insertion-only backends,
-// stale copies a past migration could not delete). col is the point's cell
-// column along dimension 0 — the routing key, kept so load accounting and
-// stripe migration can re-derive the stripe without a backend lookup. Routes
-// change only at insertion, deletion, and stripe migration, always under
-// routesMu.
+// route is the placement of one global handle: copies lists the shards
+// holding a copy of the point, each under the handle itself. copies[0] is
+// the owner (the shard whose stripe contains the point's cell), the rest
+// hold ghost copies in their bands (plus, on insertion-only backends, stale
+// copies a past migration could not delete). col is the point's cell column
+// along dimension 0 — the routing key, kept so load accounting and stripe
+// migration can re-derive the stripe without a backend lookup. Routes change
+// only at insertion, deletion, and stripe migration, always under routesMu.
 type route struct {
 	col    int32
-	copies []copyRef
+	copies []int32
 }
 
 // shard is one spatial partition: a full clustering backend plus its lock.
+// The backend keys every copy by the point's global PointID.
 type shard struct {
-	idx int32
 	//dynlint:lock-level 40 indexed
 	mu sync.Mutex
 	c  backend // update tracking (delta-checkpoint dirty cells) armed by attachWAL
 
-	// ownerGlobal maps backend-local handles of *owned* copies back to their
-	// global handles — the translation table for point-level events. Ghost
-	// copies are absent, which is what suppresses their duplicate events.
-	ownerGlobal map[core.PointID]PointID
-
-	// pending collects the backend's raw events during a commit while event
-	// collection is enabled; drained (and translated) after every op.
+	// pending collects the backend's raw events during a commit; drained
+	// (and filtered) after every op.
 	pending []Event
 }
 
@@ -125,8 +116,9 @@ type shardSet struct {
 	e   *Engine
 	cfg Config
 
-	stripeCells int64 // stripe width in cells along dimension 0
-	bandCells   int64 // ghost band width in cells (covers 2(1+ρ)ε)
+	geo         grid.Params // the backends' grid: a point's cell and so its owner
+	stripeCells int64       // stripe width in cells along dimension 0
+	bandCells   int64       // ghost band width in cells (covers 2(1+ρ)ε)
 
 	shards []*shard
 
@@ -257,14 +249,15 @@ func newShardedEngine(s *engineSettings) (*Engine, error) {
 	}
 	e.pubCond.L = &e.pubMu
 
-	side := grid.NewParams(cfg.Dims, cfg.Eps).Side
+	geo := grid.NewParams(cfg.Dims, cfg.Eps)
 	band := 2 * cfg.Eps * (1 + cfg.Rho)
 	ss := &shardSet{
 		e:   e,
 		cfg: cfg,
+		geo: geo,
 		// Cells at column distance k have box distance (k-1)·side; +2 keeps
 		// the rounding conservative (over-replication is a perf cost only).
-		bandCells:    int64(math.Floor(band/side)) + 2,
+		bandCells:    int64(math.Floor(band/geo.Side)) + 2,
 		shards:       make([]*shard, s.shards),
 		routes:       make(map[PointID]route),
 		idsSorted:    true,
@@ -301,11 +294,7 @@ func newShardedEngine(s *engineSettings) (*Engine, error) {
 		}
 	}
 	for i, c := range backends {
-		sh := &shard{
-			idx:         int32(i),
-			c:           c,
-			ownerGlobal: make(map[core.PointID]PointID),
-		}
+		sh := &shard{c: c}
 		ss.shards[i] = sh
 		// Event collection and dirty-cell tracking are permanent: every
 		// commit folds its seam delta whether or not subscribers exist, so
@@ -331,24 +320,10 @@ func newShardedEngine(s *engineSettings) (*Engine, error) {
 // insert's minted handle back into gid.
 type shOp struct {
 	insert   bool
-	forceGID bool // insert: gid is pre-assigned (checkpoint restore), skip minting
+	forceGID bool // insert: gid is pre-assigned (restore, hotspot staging, explicit replay), skip minting
 	logged   bool // insert: a staged-delta record already carries this op; do not re-log
 	sp       core.StagedPoint
 	gid      PointID // delete: target; insert: assigned during commit
-}
-
-// shardItem is one op's application on one particular shard. It carries
-// the op's fields by value: the per-shard goroutines never reference the
-// caller's op list, which therefore does not escape — a single Insert or
-// Delete keeps its one-op list on the stack.
-type shardItem struct {
-	op     int  // index into the shOp slice
-	owner  bool // this shard holds the owner copy
-	slot   int  // insert: index into the op's copies slice
-	local  core.PointID
-	insert bool
-	sp     core.StagedPoint // insert: the staged point
-	gid    PointID          // insert: the minted global handle
 }
 
 // commitBatch is the sharded commit core behind Engine.commit. With a
@@ -388,12 +363,52 @@ func hasDeletes(ops []shOp) bool {
 	return false
 }
 
+// forcedClashLocked reports a pre-assigned (forceGID) insert handle that is
+// already routed or repeats within ops. Caller holds routesMu.
+func (ss *shardSet) forcedClashLocked(ops []shOp) (PointID, bool) {
+	var buf [8]PointID
+	gids := buf[:0]
+	for i := range ops {
+		if op := &ops[i]; op.insert && op.forceGID {
+			if _, live := ss.routes[op.gid]; live {
+				return op.gid, true
+			}
+			gids = append(gids, op.gid)
+		}
+	}
+	slices.Sort(gids) // pre-assigned handles mostly ascend already
+	for j := 1; j < len(gids); j++ {
+		if gids[j] == gids[j-1] {
+			return gids[j], true
+		}
+	}
+	return 0, false
+}
+
+// mintLocked assigns fresh handles to the inserts of ops that lack one and
+// lifts the mint counter past every pre-assigned handle, so later mints
+// never reuse a replayed one. Caller holds routesMu.
+func (ss *shardSet) mintLocked(ops []shOp) {
+	for i := range ops {
+		switch op := &ops[i]; {
+		case !op.insert:
+		case !op.forceGID:
+			op.gid = ss.nextID
+			ss.nextID++
+		case op.gid >= ss.nextID:
+			ss.nextID = op.gid + 1
+		}
+	}
+}
+
 // commitRouted applies a staged, pre-validated batch as one epoch: one
 // version advance, one event publication. Delete targets are looked up and
 // re-validated under the shard locks, so a batch with a vanished target
 // fails atomically with errUnknown(opIndex, id) and no state change.
 // Backends are built-in and the ops validated, so the commit itself cannot
-// fail part-way. It skips the checkpoint-cadence check, so a reconcile fold
+// fail part-way. A pre-assigned (forceGID) insert whose handle is already
+// routed or repeats within the batch refuses the batch the same way, with
+// ErrDuplicateID. It skips the checkpoint-cadence check, so a reconcile fold
 // may run it while holding reconcileMu.
 func (ss *shardSet) commitRouted(ops []shOp, errUnknown func(i int, id PointID) error) (bool, error) {
 	e := ss.e
@@ -404,7 +419,7 @@ func (ss *shardSet) commitRouted(ops []shOp, errUnknown func(i int, id PointID) 
 	// routes, and bumps the epoch, all under routesMu) that slips into the
 	// gap invalidates the computed shard sets, so the commit re-routes.
 	var (
-		copies   [][]copyRef
+		copies   [][]int32
 		cols     []int32
 		involved []int32
 		evsOn    bool
@@ -416,7 +431,7 @@ func (ss *shardSet) commitRouted(ops []shOp, errUnknown func(i int, id PointID) 
 route:
 	for {
 		// Route: owner+ghost shards per insert; route copies per delete.
-		copies = make([][]copyRef, len(ops))
+		copies = make([][]int32, len(ops))
 		cols = make([]int32, len(ops))
 		ss.routesMu.Lock()
 		if ss.adaptivePending {
@@ -428,12 +443,7 @@ route:
 		for i := range ops {
 			op := &ops[i]
 			if op.insert {
-				shs := ss.shardsOf(op.sp.Coord())
-				cs := make([]copyRef, len(shs))
-				for j, s := range shs {
-					cs[j].shard = s
-				}
-				copies[i] = cs
+				copies[i] = ss.shardsOf(op.sp.Coord())
 				cols[i] = op.sp.Coord()[0]
 				continue
 			}
@@ -466,8 +476,8 @@ route:
 			involved = append(involved, s)
 		}
 		for i := range ops {
-			for _, c := range copies[i] {
-				mark(c.shard)
+			for _, s := range copies[i] {
+				mark(s)
 			}
 		}
 		sort.Slice(involved, func(a, b int) bool { return involved[a] < involved[b] })
@@ -525,6 +535,11 @@ route:
 				}
 			}
 		}
+		if gid, clash := ss.forcedClashLocked(ops); clash {
+			ss.routesMu.Unlock()
+			unlock()
+			return false, fmt.Errorf("%w: pre-assigned insert handle %d is live or repeats in the batch", ErrDuplicateID, gid)
+		}
 		// WAL append happens here — inside the same routesMu section that
 		// mints the handles, while the shard locks are held — so the log's
 		// record order agrees with both the mint order and every involved
@@ -538,12 +553,7 @@ route:
 		// ids — harmless, since replay reads handles instead of re-minting).
 		explicit := ss.hs != nil
 		if explicit && !minted {
-			for i := range ops {
-				if ops[i].insert && !ops[i].forceGID {
-					ops[i].gid = ss.nextID
-					ss.nextID++
-				}
-			}
+			ss.mintLocked(ops)
 			minted = true
 		}
 		if e.logging() {
@@ -561,12 +571,7 @@ route:
 			}
 		}
 		if !explicit {
-			for i := range ops {
-				if ops[i].insert && !ops[i].forceGID {
-					ops[i].gid = ss.nextID
-					ss.nextID++
-				}
-			}
+			ss.mintLocked(ops)
 		}
 		ss.routesMu.Unlock()
 		break
@@ -574,27 +579,26 @@ route:
 
 	// Apply each shard's op subsequence; shards proceed in parallel. The
 	// fanout is skipped for the common single-shard op. The subsequences
-	// share one exactly sized array, grouped by shard in op order: shard s
-	// owns items[bound[s]:bound[s+1]].
+	// share one exactly sized array of op copies, grouped by shard in op
+	// order: shard s owns items[bound[s]:bound[s+1]]. The per-shard
+	// goroutines never reference the caller's op list, which therefore does
+	// not escape — a single Insert or Delete keeps its one-op list on the
+	// stack.
 	bound := make([]int, len(ss.shards)+1)
 	for i := range ops {
-		for _, c := range copies[i] {
-			bound[c.shard+1]++
+		for _, s := range copies[i] {
+			bound[s+1]++
 		}
 	}
 	for s := 1; s < len(bound); s++ {
 		bound[s] += bound[s-1]
 	}
-	items := make([]shardItem, bound[len(ss.shards)])
+	items := make([]shOp, bound[len(ss.shards)])
 	fill := append([]int(nil), bound[:len(ss.shards)]...)
 	for i := range ops {
-		op := &ops[i]
-		for j, c := range copies[i] {
-			items[fill[c.shard]] = shardItem{
-				op: i, owner: j == 0, slot: j, local: c.local,
-				insert: op.insert, sp: op.sp, gid: op.gid,
-			}
-			fill[c.shard]++
+		for _, s := range copies[i] {
+			items[fill[s]] = ops[i]
+			fill[s]++
 		}
 	}
 	evsBuf := make([][]Event, len(involved))
@@ -603,29 +607,19 @@ route:
 	runShard := func(k int, s int32) {
 		sh := ss.shards[s]
 		for _, it := range items[bound[s]:bound[s+1]] {
+			var err error
 			if it.insert {
-				lid, err := sh.c.InsertStaged(it.sp)
-				if err != nil {
-					// Unreachable: the point was staged by a matching Stager.
-					panic(fmt.Sprintf("dyndbscan: shard %d rejected a staged insert: %v", s, err))
-				}
-				copies[it.op][it.slot].local = lid
-				if it.owner {
-					sh.ownerGlobal[lid] = it.gid
-				}
-				sh.drainEvents(&evsBuf[k], &clustBuf[k], evsOn)
-				continue
+				err = sh.c.InsertStaged(it.sp, it.gid)
+			} else {
+				err = sh.c.Delete(it.gid)
 			}
-			if err := sh.c.Delete(it.local); err != nil {
-				// Unreachable: the target was validated under the locks.
-				panic(fmt.Sprintf("dyndbscan: shard %d rejected a validated delete: %v", s, err))
+			if err != nil {
+				// Unreachable: inserts were staged by a matching Stager under
+				// handles no route names, and delete targets were validated
+				// under the locks.
+				panic(fmt.Sprintf("dyndbscan: shard %d rejected a validated op: %v", s, err))
 			}
-			// Drain before dropping the translation entry, so demotion
-			// events of points deleted later in this batch still translate.
-			sh.drainEvents(&evsBuf[k], &clustBuf[k], evsOn)
-			if it.owner {
-				delete(sh.ownerGlobal, it.local)
-			}
+			ss.drainEvents(s, &evsBuf[k], &clustBuf[k], evsOn)
 		}
 		dirtyBuf[k] = sh.c.TakeDirtySeamCells()
 	}
@@ -649,7 +643,7 @@ route:
 	ss.commitSeq++
 	for i := range ops {
 		op := &ops[i]
-		ss.noteLoadLocked(cols[i], op.insert, waited[copies[i][0].shard])
+		ss.noteLoadLocked(cols[i], op.insert, waited[copies[i][0]])
 		if op.insert {
 			ss.routes[op.gid] = route{col: cols[i], copies: copies[i]}
 			if n := len(ss.sortedIDs); n > 0 && op.gid <= ss.sortedIDs[n-1] {
@@ -797,17 +791,18 @@ func (e *Engine) takeTicket() uint64 {
 	return t
 }
 
-// drainEvents translates and collects the shard's pending backend events.
-// Point events of owned copies are translated to global handles; point
-// events of ghost copies (absent from ownerGlobal) are duplicates of the
-// owner shard's and dropped — and they are collected at all only while
-// subscribers exist (evsOn), since nothing else consumes them. Cluster
-// events are not forwarded directly — global cluster transitions are derived
-// from the seam delta, where they are well-defined — but are always
+// drainEvents collects shard s's pending backend events. Point events
+// already name global handles; one is kept iff s owns the point's cell, since
+// the ghost and stale copies' events duplicate the owner's. Point events are
+// collected only while subscribers exist (evsOn), since nothing else consumes
+// them; every point they name is live, because commits drain after each op.
+// Cluster events are not forwarded directly — global cluster transitions are
+// derived from the seam delta, where they are well-defined — but are always
 // collected in order as the local lineage: the seam transaction folds each
 // merge as a rename, each split as a scoped re-derivation, and each
 // form/dissolve as a key lifecycle step.
-func (sh *shard) drainEvents(buf *[]Event, clust *[]Event, evsOn bool) {
+func (ss *shardSet) drainEvents(s int32, buf *[]Event, clust *[]Event, evsOn bool) {
+	sh := ss.shards[s]
 	if len(sh.pending) == 0 {
 		return
 	}
@@ -817,8 +812,7 @@ func (sh *shard) drainEvents(buf *[]Event, clust *[]Event, evsOn bool) {
 			if !evsOn {
 				continue
 			}
-			if gid, ok := sh.ownerGlobal[ev.Point]; ok {
-				ev.Point = gid
+			if pt, ok := sh.c.PointAt(ev.Point); ok && ss.ownerOf(ss.geo.CellOf(pt)) == s {
 				*buf = append(*buf, ev)
 			}
 		default:
@@ -917,7 +911,7 @@ func (ss *shardSet) snapshot() *Snapshot {
 	// stitch to one global cluster, hence the dedup.
 	resolve := func(id PointID) ([]ClusterID, bool) {
 		owner := ss.routes[id].copies[0]
-		cids, ok := ss.shards[owner.shard].c.ClusterOf(owner.local)
+		cids, ok := ss.shards[owner].c.ClusterOf(id)
 		if !ok {
 			return nil, false
 		}
@@ -926,7 +920,7 @@ func (ss *shardSet) snapshot() *Snapshot {
 		}
 		out := make([]ClusterID, 0, len(cids))
 		for _, cid := range cids {
-			out = append(out, gidOf[stitchKey{owner.shard, cid}])
+			out = append(out, gidOf[stitchKey{owner, cid}])
 		}
 		return dedupSortedIDs(out), true
 	}

@@ -655,3 +655,85 @@ func mustReadDir(f *testing.F, dir string) []string {
 	}
 	return names
 }
+
+// TestExplicitInsertRefusesLiveHandle appends one explicit-handle record to a
+// clean staged-corpus log. A record that names a live handle, or one handle
+// twice, must fail recovery: applying it would store a second copy set under
+// the handle, and deleting the handle later would orphan the first. A record
+// naming a fresh handle recovers, and the route audit (part of SeamAudit)
+// confirms every backend copy is listed by exactly one route.
+func TestExplicitInsertRefusesLiveHandle(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		record func(ids []PointID) []wal.Op
+		refuse bool
+	}{
+		{"LiveHandle", func(ids []PointID) []wal.Op {
+			return []wal.Op{{Kind: wal.OpInsertAt, ID: int64(ids[0]), Coord: []float64{1000, 1000}}}
+		}, true},
+		{"RepeatInRecord", func([]PointID) []wal.Op {
+			return []wal.Op{
+				{Kind: wal.OpInsertAt, ID: 1000, Coord: []float64{1000, 1000}},
+				{Kind: wal.OpInsertAt, ID: 1000, Coord: []float64{1001, 1000}},
+			}
+		}, true},
+		{"FreshHandle", func([]PointID) []wal.Op {
+			return []wal.Op{{Kind: wal.OpInsertAt, ID: 1000, Coord: []float64{1000, 1000}}}
+		}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			e, err := New(stagedCorpusOpts(dir)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids, err := e.InsertBatch(stagedCorpusWarm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+			log, err := wal.Open(dir, wal.Options{MustExist: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := log.Append(tc.record(ids)); err != nil {
+				t.Fatal(err)
+			}
+			if err := log.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			r, err := Open(dir)
+			if tc.refuse {
+				if err == nil {
+					r.Close()
+					t.Fatal("recovery accepted an explicit insert at a live or repeated handle")
+				}
+				if !errors.Is(err, ErrDuplicateID) {
+					t.Fatalf("recovery error = %v, want ErrDuplicateID", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			if n := r.Len(); n != len(stagedCorpusWarm)+1 {
+				t.Fatalf("Len = %d, want %d", n, len(stagedCorpusWarm)+1)
+			}
+			if err := r.SeamAudit(); err != nil {
+				t.Fatal(err)
+			}
+			for _, id := range []PointID{ids[0], 1000} {
+				if err := r.Delete(id); err != nil {
+					t.Fatal(err)
+				}
+				if err := r.SeamAudit(); err != nil {
+					t.Fatalf("after deleting %d: %v", id, err)
+				}
+			}
+		})
+	}
+}
