@@ -129,6 +129,15 @@ func (d *payloadDecoder) count() int {
 	return int(n)
 }
 
+// retiredSplits reads the placement tail's split count, which the engine
+// always writes as 0 (see appendPlacement), and refuses any other value.
+func (d *payloadDecoder) retiredSplits() error {
+	if n := d.uvarint(); n != 0 && d.err == nil {
+		return fmt.Errorf("%w (%d split stripes in the checkpoint)", errRetiredSplit, n)
+	}
+	return nil
+}
+
 // ckptData is a decoded checkpoint payload.
 type ckptData struct {
 	mode    byte
@@ -144,10 +153,6 @@ type ckptData struct {
 	// Sharded placement.
 	stripeCells int64
 	assign      map[int64]int32
-	// splits maps each split stripe to its part count; the sub-stripe owners
-	// recompute deterministically from the restored assignment (the base
-	// shard never migrates after a split), exactly as WAL replay does.
-	splits map[int64]int64
 }
 
 // encodeCheckpointCommon writes the shape-independent sections: counters,
@@ -246,18 +251,11 @@ func decodeCheckpoint(b []byte) (*ckptData, error) {
 		if ck.stripeCells <= 0 {
 			return nil, errCorruptCkpt
 		}
-		// Splits section; absent in payloads written before stripe splitting
-		// existed, so only decoded when bytes remain.
+		// Splits section (see appendPlacement); absent in payloads written
+		// before stripe splitting existed, so only decoded when bytes remain.
 		if d.err == nil && len(d.b) != 0 {
-			nsp := d.count()
-			ck.splits = make(map[int64]int64, nsp)
-			for i := 0; i < nsp && d.err == nil; i++ {
-				st := d.varint()
-				parts := d.uvarint()
-				if parts < 2 || int64(parts) > ck.stripeCells {
-					return nil, errCorruptCkpt
-				}
-				ck.splits[st] = int64(parts)
+			if err := d.retiredSplits(); err != nil {
+				return nil, err
 			}
 		}
 	}
@@ -287,7 +285,6 @@ type ckptSource struct {
 	// Sharded placement tail (nil/zero in single-backend payloads).
 	stripeCells int64
 	assign      map[int64]int32
-	splits      map[int64]int64
 }
 
 // singleSource views the single-backend engine as a checkpoint source; the
@@ -338,10 +335,6 @@ func (ss *shardSet) sourceLocked() *ckptSource {
 	src.nextPt = ss.nextID
 	src.stripeCells = ss.stripeCells
 	src.assign = maps.Clone(ss.assign)
-	src.splits = make(map[int64]int64, len(ss.splits))
-	for st, sp := range ss.splits {
-		src.splits[st] = sp.parts
-	}
 	ss.routesMu.Unlock()
 	return src
 }
@@ -410,7 +403,7 @@ func (src *ckptSource) fullPayload() []byte {
 	b = encodeCheckpointCommon(b, src.cfg.Dims, src.nextPt, src.nextGID, ids,
 		func(i int) Point { return coords[i] }, clusters)
 	if src.mode == ckptSharded {
-		b = appendPlacement(b, src.stripeCells, src.assign, src.splits)
+		b = appendPlacement(b, src.stripeCells, src.assign)
 	}
 	return b
 }
@@ -513,22 +506,6 @@ func (ss *shardSet) restore(ck *ckptData) error {
 			return fmt.Errorf("%w: stripe assigned to shard %d of %d", errCorruptCkpt, sh, len(ss.shards))
 		}
 		ss.assign[st] = sh
-	}
-	// Splits install directly (the world is still empty, so the reshape that
-	// splitStripeLocked would run has nothing to move); owners recompute from
-	// the restored assignment with the same formula the writer used.
-	n := int64(len(ss.shards))
-	for st, parts := range ck.splits {
-		if parts > ss.stripeCells {
-			ss.routesMu.Unlock()
-			return fmt.Errorf("%w: stripe split into %d parts of %d cells", errCorruptCkpt, parts, ss.stripeCells)
-		}
-		base := ss.shardOfStripe(st)
-		owners := make([]int32, parts)
-		for k := range owners {
-			owners[k] = int32(floorMod(int64(base)+int64(k), n))
-		}
-		ss.splits[st] = &stripeSplit{parts: parts, owners: owners}
 	}
 	ss.routesMu.Unlock()
 

@@ -44,8 +44,6 @@ func hotPolicy() dyndbscan.HotspotPolicy {
 		WaitWeight:     16,
 		CheckEvery:     4,
 		ReconcileOps:   256,
-		SplitAfter:     1 << 20, // the sweep measures staging; splits are the migration table's story
-		SplitParts:     2,
 		MigrateChunk:   2048,
 	}
 }
@@ -182,7 +180,7 @@ func hotspotSweep(o harness.Options) harness.Table {
 			"staged insert writes its staged-delta record (OpStagedInsert) at staging time — the durable\n" +
 			"variant pays that append on the diverted path. speedup = hotspot ops/s over rebalance-only at\n" +
 			"the same worker count and wal setting. Latency quantiles are per-Apply wall times across workers.",
-		Header: []string{"workers", "wal", "policy", "ops/s", "p50", "p99", "p999", "speedup", "staged", "reconciles", "splits"},
+		Header: []string{"workers", "wal", "policy", "ops/s", "p50", "p99", "p999", "speedup", "staged", "reconciles"},
 	}
 	for _, workers := range []int{1, 2, 4} {
 		for _, wal := range []bool{false, true} {
@@ -228,7 +226,6 @@ func hotspotSweep(o harness.Options) harness.Table {
 					speedup,
 					fmt.Sprintf("%d", st.ReconciledOps),
 					fmt.Sprintf("%d", st.Reconciles),
-					fmt.Sprintf("%d", st.Splits),
 				})
 			}
 		}

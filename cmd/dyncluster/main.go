@@ -197,9 +197,9 @@ func main() {
 					sl.Shard, sl.Stripes, sl.Points, sl.Updates)
 			}
 			if hst := eng.HotspotStats(); hst.Enabled {
-				fmt.Fprintf(os.Stderr, "dyncluster: hotspot: %d stripe(s) in split phase, %d staged, %d reconciles (%d ops, mean %v), %d split(s), joins: %s\n",
+				fmt.Fprintf(os.Stderr, "dyncluster: hotspot: %d stripe(s) in split phase, %d staged, %d reconciles (%d ops, mean %v), joins: %s\n",
 					hst.SplitPhase, hst.StagedOps, hst.Reconciles, hst.ReconciledOps,
-					hst.MeanReconcile.Round(time.Microsecond), hst.Splits, joinSummary(hst.Joins))
+					hst.MeanReconcile.Round(time.Microsecond), joinSummary(hst.Joins))
 			}
 		}()
 	}
@@ -288,8 +288,12 @@ func main() {
 		// The automatic cadence is commit-clocked; a short batch-mode run
 		// may finish before a check fires, so close with one explicit pass
 		// (the deferred load report then shows the final placement).
-		if n, err := eng.Rebalance(); err == nil && n > 0 {
+		n, err := eng.Rebalance()
+		if n > 0 {
 			fmt.Fprintf(os.Stderr, "dyncluster: rebalance: migrated %d stripe(s)\n", n)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "dyncluster: rebalance: %v\n", err)
 		}
 	}
 }

@@ -90,8 +90,6 @@ func crashHotspotPolicy() HotspotPolicy {
 		WaitWeight:     4,
 		CheckEvery:     1,
 		ReconcileOps:   1 << 20,
-		SplitAfter:     1 << 20,
-		SplitParts:     2,
 		MigrateChunk:   1 << 20,
 	}
 }

@@ -259,13 +259,12 @@ type ckptDelta struct {
 	// Sharded placement, replacing the parent's wholesale.
 	stripeCells int64
 	assign      map[int64]int32
-	splits      map[int64]int64
 }
 
 // appendPlacement encodes the sharded placement tail shared by full and delta
-// payloads: stripe width, assignment overrides, stripe splits — all in sorted
-// stripe order for deterministic bytes.
-func appendPlacement(b []byte, stripeCells int64, assign map[int64]int32, splits map[int64]int64) []byte {
+// payloads: stripe width, then the assignment overrides in sorted stripe
+// order for deterministic bytes, then a split count that is always 0.
+func appendPlacement(b []byte, stripeCells int64, assign map[int64]int32) []byte {
 	b = appendUvarint(b, uint64(stripeCells))
 	stripes := make([]int64, 0, len(assign))
 	for st := range assign {
@@ -277,17 +276,9 @@ func appendPlacement(b []byte, stripeCells int64, assign map[int64]int32, splits
 		b = appendVarint(b, st)
 		b = appendUvarint(b, uint64(assign[st]))
 	}
-	split := make([]int64, 0, len(splits))
-	for st := range splits {
-		split = append(split, st)
-	}
-	sort.Slice(split, func(i, j int) bool { return split[i] < split[j] })
-	b = appendUvarint(b, uint64(len(split)))
-	for _, st := range split {
-		b = appendVarint(b, st)
-		b = appendUvarint(b, uint64(splits[st]))
-	}
-	return b
+	// Stripe splitting was removed, but the section stays in the format so
+	// payload bytes do not change; the decoders refuse a non-zero count.
+	return appendUvarint(b, 0)
 }
 
 // encodeCkptDelta serializes a delta payload. Handle lists are delta-encoded
@@ -330,7 +321,7 @@ func encodeCkptDelta(d *ckptDelta) []byte {
 		b = appendUvarint(b, uint64(m.absorbed))
 	}
 	if d.mode == ckptDeltaSharded {
-		b = appendPlacement(b, d.stripeCells, d.assign, d.splits)
+		b = appendPlacement(b, d.stripeCells, d.assign)
 	}
 	return b
 }
@@ -428,15 +419,8 @@ func decodeCkptDelta(b []byte) (*ckptDelta, error) {
 		if dl.stripeCells <= 0 {
 			return nil, errCorruptCkpt
 		}
-		nsp := d.count()
-		dl.splits = make(map[int64]int64, nsp)
-		for i := 0; i < nsp && d.err == nil; i++ {
-			st := d.varint()
-			parts := d.uvarint()
-			if parts < 2 || int64(parts) > dl.stripeCells {
-				return nil, errCorruptCkpt
-			}
-			dl.splits[st] = int64(parts)
+		if err := d.retiredSplits(); err != nil {
+			return nil, err
 		}
 	}
 	if d.err != nil {
@@ -553,7 +537,6 @@ func (ck *ckptData) applyDelta(d *ckptDelta) error {
 	if d.mode == ckptDeltaSharded {
 		ck.stripeCells = d.stripeCells
 		ck.assign = d.assign
-		ck.splits = d.splits
 	}
 	return nil
 }
@@ -627,7 +610,6 @@ func (src *ckptSource) deltaPayload(d *dirtyState, cells [][]grid.Coord) ([]byte
 		merges:      d.merges,
 		stripeCells: src.stripeCells,
 		assign:      src.assign,
-		splits:      src.splits,
 	}
 	dl.del = sortedIDSet(d.del)
 	for id := range d.ins {

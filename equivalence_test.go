@@ -88,18 +88,15 @@ type eqConfig struct {
 }
 
 // eqHotspotPolicy is a hair-trigger hotspot policy: almost any traffic marks
-// a stripe hot, reconciles fire after a handful of staged ops, and repeated
-// joins escalate to stripe splits — so a short stream drives the full
-// split-phase → join → split-stripe cycle that production thresholds would
-// only reach under sustained contention.
+// a stripe hot and reconciles fire after a handful of staged ops — so a short
+// stream drives the full split-phase → join cycle that production thresholds
+// would only reach under sustained contention.
 func eqHotspotPolicy() dyndbscan.HotspotPolicy {
 	return dyndbscan.HotspotPolicy{
 		ScoreThreshold: 2,
 		WaitWeight:     4,
 		CheckEvery:     1,
 		ReconcileOps:   8,
-		SplitAfter:     2,
-		SplitParts:     2,
 		MigrateChunk:   64,
 	}
 }
@@ -185,10 +182,8 @@ func runEqStream(cfg eqConfig, ops []eqOp) (err error) {
 	var hot *dyndbscan.Engine
 	if cfg.hotspot {
 		// Stripe width is a placement detail, not a clustering parameter, so
-		// the hotspot engine may run wider stripes than the others — wide
-		// enough (≥ 2·(bandCells+1)) that the split-escalation tier is
-		// geometrically possible, which cfg.stripe after its ghost-band
-		// clamp is not.
+		// the hotspot engine may run wider stripes than the others: more of
+		// the stream lands in each hot stripe and stages.
 		hot, err = newEqEngine(cfg, cfg.shards,
 			dyndbscan.WithHotspot(eqHotspotPolicy()), dyndbscan.WithShardStripe(12))
 		if err != nil {
@@ -217,7 +212,7 @@ func runEqStream(cfg eqConfig, ops []eqOp) (err error) {
 		}
 		if cfg.shards > 1 && cfg.hotspot {
 			// The WAL engine runs hotspot-enabled too: restarts then replay
-			// explicit-handle records and logged stripe splits, and prove a
+			// explicit-handle and staged-delta records, and prove a
 			// checkpoint never covers a staged-but-unreconciled insert.
 			// WithHotspot is a runtime option, so Open re-applies it.
 			walRuntimeOpts = append(walRuntimeOpts, dyndbscan.WithHotspot(eqHotspotPolicy()))
@@ -236,7 +231,7 @@ func runEqStream(cfg eqConfig, ops []eqOp) (err error) {
 			stripe := cfg.stripe
 			if cfg.hotspot {
 				// Same wide-stripe treatment as the hotspot engine, so the
-				// restart cycles also replay logged stripe splits.
+				// restart cycles replay the same staging pattern.
 				stripe = 12
 			}
 			walOpts = append(walOpts, dyndbscan.WithShardStripe(stripe))

@@ -52,18 +52,6 @@ func (e *Engine) StagedOps() int64 {
 	return e.sh.hs.stagedTotal.Load()
 }
 
-// StripeParts reports how many sub-stripes the stripe's placement entry is
-// split into (1 = unsplit).
-func (e *Engine) StripeParts(stripe int64) int {
-	ss := e.sh
-	ss.routesMu.Lock()
-	defer ss.routesMu.Unlock()
-	if sp := ss.splits[stripe]; sp != nil {
-		return int(sp.parts)
-	}
-	return 1
-}
-
 // MoveStripeChunked runs the non-quiescent chunked migration tier directly,
 // bypassing the load policy — the directed hook of the migration-vs-writers
 // race tests.

@@ -23,11 +23,10 @@ package dyndbscan
 // validation) sees staged inserts immediately through stagedRoutes, so a
 // staged point is never "missing" — only its clustering is deferred.
 //
-// Two fallback tiers engage when split phase alone cannot win: *stripe
-// splitting* re-granulates a persistently hot stripe into narrower sub-stripes
-// in the placement table (placement.go: stripeSplit), and *non-quiescent
+// One fallback tier engages when split phase alone cannot win: *non-quiescent
 // migration* moves a large stripe in bounded chunks with commits admitted
-// between chunks (placement.go: migrateStripeChunked).
+// between chunks (placement.go: migrateStripeChunked). A stripe is never cut
+// finer than the placement table's stripe width.
 //
 // Handle minting: staged inserts mint their handles at staging time, before
 // their stripe's fold, so WAL record order no longer agrees with mint order.
@@ -78,13 +77,13 @@ type HotspotPolicy struct {
 	// background reconcile; it bounds both the memory held by staged deltas
 	// and the work a forced join must absorb. Default 256.
 	ReconcileOps int
-	// SplitAfter is the number of reconciles a stripe in split phase may
-	// absorb before the engine escalates to splitting the stripe into
-	// narrower sub-stripes (a placement-table refinement spreading the
-	// traffic across shards). Default 16.
+	// SplitAfter is ignored: the engine no longer splits stripes.
+	//
+	// Deprecated: stripe splitting was removed; the field has no effect.
 	SplitAfter int
-	// SplitParts is how many sub-stripes a split produces, clamped so each
-	// sub-stripe stays wider than the ghost band. Default 4.
+	// SplitParts is ignored: the engine no longer splits stripes.
+	//
+	// Deprecated: stripe splitting was removed; the field has no effect.
 	SplitParts int
 	// MigrateChunk bounds the handles copied per exclusive critical section
 	// when a stripe larger than MigrateChunk is migrated: the move proceeds
@@ -112,12 +111,6 @@ func (p HotspotPolicy) normalize() HotspotPolicy {
 	if p.ReconcileOps == 0 {
 		p.ReconcileOps = 256
 	}
-	if p.SplitAfter == 0 {
-		p.SplitAfter = 16
-	}
-	if p.SplitParts == 0 {
-		p.SplitParts = 4
-	}
 	if p.MigrateChunk == 0 {
 		p.MigrateChunk = 1024
 	}
@@ -133,7 +126,6 @@ const (
 	joinSync       = "sync"       // Engine.Sync
 	joinCheckpoint = "checkpoint" // Engine.Checkpoint
 	joinClose      = "close"      // Engine.Close
-	joinSplit      = "split"      // reconcile preceding a stripe split
 	joinWidth      = "width"      // reconcile preceding a stripe-width re-derivation
 )
 
@@ -178,9 +170,7 @@ type hotStripe struct {
 	bufs    []*stagedBuf
 	count   int    // total staged entries across bufs; guarded by routesMu
 	rr      uint32 // round-robin slot cursor; guarded by routesMu
-	joins   int    // reconciles absorbed while hot (split escalation)
 	cooling bool   // flagged for demotion by the detector
-	noSplit bool   // splitting was considered and is impossible
 }
 
 // newHotStripe builds a split-phase entry with one staged sub-buffer per
@@ -269,7 +259,6 @@ type hotspotState struct {
 	reconciles     uint64
 	reconciledOps  uint64
 	reconcileNanos int64
-	splits         uint64
 }
 
 func newHotspotState(p HotspotPolicy) *hotspotState {
@@ -294,9 +283,11 @@ type HotspotStats struct {
 	Reconciles    uint64
 	ReconciledOps uint64
 	// Joins counts forced reconciles by cause ("threshold", "cool",
-	// "delete", "query", "sync", "checkpoint", "close", "split").
+	// "delete", "query", "sync", "checkpoint", "close", "width").
 	Joins map[string]uint64
-	// Splits counts stripe splits performed (the first fallback tier).
+	// Splits is always 0.
+	//
+	// Deprecated: stripe splitting was removed; no split is ever counted.
 	Splits uint64
 	// MeanReconcile is the mean wall time of a reconcile commit.
 	MeanReconcile time.Duration
@@ -318,7 +309,6 @@ func (e *Engine) HotspotStats() HotspotStats {
 	hs.statsMu.Lock()
 	out.Reconciles = hs.reconciles
 	out.ReconciledOps = hs.reconciledOps
-	out.Splits = hs.splits
 	for k, v := range hs.joins {
 		out.Joins[k] = v
 	}
@@ -547,12 +537,6 @@ func (ss *shardSet) reconcileStripe(t int64, cause string) {
 	for _, st := range batch {
 		delete(ss.stagedRoutes, st.gid)
 	}
-	if h := hs.hot[t]; h != nil {
-		// Every fold of this stripe's buffer counts toward the split
-		// escalation: a stripe that keeps needing reconciles is a stripe the
-		// split phase alone is not fixing.
-		h.joins++
-	}
 	ss.routesMu.Unlock()
 	hs.stagedTotal.Add(int64(-len(batch)))
 
@@ -681,9 +665,6 @@ func (ss *shardSet) noteHotspotLocked() {
 		if score < hs.pol.ScoreThreshold {
 			continue
 		}
-		if _, split := ss.splits[t]; split {
-			continue // already re-granulated; sub-stripes spread the load
-		}
 		hs.hot[t] = newHotStripe(ss.commitSeq)
 		hs.hotCount.Add(1)
 	}
@@ -691,8 +672,8 @@ func (ss *shardSet) noteHotspotLocked() {
 
 // maybeHotspotReconcile runs the deferred hotspot work on the committing (or
 // staging) goroutine after every lock has been released: threshold-triggered
-// reconciles, demotions of cooled stripes, and split-tier escalation. The
-// TryLock collapses concurrent triggers into one worker.
+// reconciles and demotions of cooled stripes. The TryLock collapses
+// concurrent triggers into one worker.
 func (ss *shardSet) maybeHotspotReconcile() {
 	hs := ss.hs
 	if hs == nil || hs.hotCount.Load() == 0 {
@@ -707,16 +688,13 @@ func (ss *shardSet) maybeHotspotReconcile() {
 	defer hs.reconcileMu.Unlock()
 
 	ss.routesMu.Lock()
-	var due, cooled, escalate []int64
+	var due, cooled []int64
 	for t, h := range hs.hot {
 		switch {
 		case h.cooling:
 			cooled = append(cooled, t)
 		case h.count >= hs.pol.ReconcileOps:
 			due = append(due, t)
-		}
-		if !h.noSplit && h.joins >= hs.pol.SplitAfter {
-			escalate = append(escalate, t)
 		}
 	}
 	ss.routesMu.Unlock()
@@ -733,64 +711,4 @@ func (ss *shardSet) maybeHotspotReconcile() {
 		}
 		ss.routesMu.Unlock()
 	}
-	for _, t := range escalate {
-		ss.splitHotStripe(t)
-	}
-}
-
-// splitHotStripe escalates a persistently hot stripe to the first fallback
-// tier: reconcile its staged deltas, drop it from split phase, and
-// re-granulate it into narrower sub-stripes in the placement table so its
-// traffic spreads across shards. Caller holds reconcileMu.
-func (ss *shardSet) splitHotStripe(t int64) {
-	hs := ss.hs
-	ss.routesMu.Lock()
-	parts := int64(hs.pol.SplitParts)
-	if max := ss.stripeCells / (ss.bandCells + 1); parts > max {
-		parts = max // every sub-stripe must stay wider than the ghost band
-	}
-	if parts < 2 {
-		if h := hs.hot[t]; h != nil {
-			h.noSplit = true // too narrow to split; stay in split phase
-		}
-		ss.routesMu.Unlock()
-		return
-	}
-	ss.routesMu.Unlock()
-
-	ss.reconcileStripe(t, joinSplit)
-	ss.routesMu.Lock()
-	if h := hs.hot[t]; h == nil || h.count > 0 {
-		// Raced with new staging; retry on the next escalation pass.
-		ss.routesMu.Unlock()
-		return
-	}
-	delete(hs.hot, t)
-	hs.hotCount.Add(-1)
-	ss.routesMu.Unlock()
-
-	ss.worldMu.Lock()
-	if _, already := ss.splits[t]; already {
-		ss.worldMu.Unlock()
-		return
-	}
-	// Placement refinements are logged like migrations: record first, so
-	// replay evolves the placement table — and with it the stitch's id
-	// minting — exactly as this engine did.
-	seq, err := ss.walAppendSplit(t, parts)
-	if err != nil {
-		ss.worldMu.Unlock()
-		return
-	}
-	ticket, evs, pub := ss.splitStripeLocked(t, parts)
-	ss.worldMu.Unlock()
-	if seq != 0 {
-		ss.e.wal.finish(seq)
-	}
-	if pub {
-		ss.e.publishOrdered(ticket, evs)
-	}
-	hs.statsMu.Lock()
-	hs.splits++
-	hs.statsMu.Unlock()
 }

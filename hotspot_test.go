@@ -2,8 +2,8 @@ package dyndbscan_test
 
 // Directed tests for the contention-adaptive hot-stripe commit path: staging
 // visibility and join triggers, split→join→split cycles under concurrent
-// writers, a reconcile racing Close, stripe-split escalation (with WAL
-// replay), non-quiescent chunked migration against concurrent writers, the
+// writers, a reconcile racing Close, placement staying put under sustained
+// contention (with WAL replay), non-quiescent chunked migration against concurrent writers, the
 // Subscribe seam-reuse fast path, and option validation. The randomized
 // cross-mode harness (equivalence_test.go) covers the same machinery
 // end-to-end; these tests pin the individual mechanisms.
@@ -30,8 +30,6 @@ func hairTrigger() dyndbscan.HotspotPolicy {
 		WaitWeight:     4,
 		CheckEvery:     1,
 		ReconcileOps:   1 << 20,
-		SplitAfter:     1 << 20, // no split escalation unless a test asks
-		SplitParts:     2,
 		MigrateChunk:   1 << 20,
 	}
 }
@@ -426,37 +424,51 @@ func TestHotspotCloseReopenStaged(t *testing.T) {
 	}
 }
 
-// TestHotspotStripeSplitEscalation keeps one stripe hot through repeated
-// joins until the engine escalates to splitting it, then checks the refined
-// placement table survives a WAL restart.
-func TestHotspotStripeSplitEscalation(t *testing.T) {
-	dir, err := os.MkdirTemp("", "dyndbscan-hot-split-")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer os.RemoveAll(dir)
+// TestHotspotPlacementUnchangedUnderContention keeps one stripe hot through
+// repeated joins under a policy that once escalated to splitting the stripe
+// (SplitAfter 2). The stripe is the only placement unit now: the stripe
+// width, the per-shard stripe counts and the split counter must not move,
+// neither live nor across a WAL restart.
+func TestHotspotPlacementUnchangedUnderContention(t *testing.T) {
+	dir := t.TempDir()
 	pol := hairTrigger()
-	pol.SplitAfter = 2
+	pol.SplitAfter = 2 // deprecated and ignored; it must stay inert
 	pol.ReconcileOps = 8
-	// Stripes must be at least twice the ghost band (bandCells+1 = 5 cells
-	// at eps 10) for a two-way split to be geometrically possible.
+	// Wide enough (≥ 2·(bandCells+1) = 10 cells at eps 10) that a two-way
+	// split of stripe 0 would be geometrically possible.
 	e := newHotEngine(t, pol, dyndbscan.WithWAL(dir, dyndbscan.SyncAlways()), dyndbscan.WithShardStripe(16))
 
-	var split bool
-	for round := 0; round < 200 && !split; round++ {
+	stripesPerShard := func(e *dyndbscan.Engine) []int {
+		var out []int
+		for _, l := range e.ShardLoads() {
+			out = append(out, l.Stripes)
+		}
+		return out
+	}
+	if _, err := e.InsertBatch(hotPoints(12, 0)); err != nil {
+		t.Fatal(err)
+	}
+	e.Sync()
+	width, stripes := e.StripeCells(), stripesPerShard(e)
+	for round := 1; round < 60; round++ {
 		if _, err := e.InsertBatch(hotPoints(12, float64(round%3))); err != nil {
 			t.Fatalf("round %d: InsertBatch: %v", round, err)
 		}
-		e.Sync() // joins accumulate toward SplitAfter
-		split = e.HotspotStats().Splits > 0
+		e.Sync() // each join once counted toward SplitAfter
 	}
-	if !split {
-		t.Fatalf("no stripe split after sustained contention: %+v", e.HotspotStats())
+	st := e.HotspotStats()
+	if st.Reconciles == 0 {
+		t.Fatalf("the stripe never went through split phase: %+v", st)
 	}
-	if e.StripeParts(0) < 2 {
-		t.Fatalf("hot stripe not re-granulated: parts %d", e.StripeParts(0))
+	if st.Splits != 0 {
+		t.Fatalf("HotspotStats.Splits = %d, want 0", st.Splits)
 	}
-	parts := e.StripeParts(0)
+	if got := e.StripeCells(); got != width {
+		t.Fatalf("StripeCells moved under contention: %d → %d", width, got)
+	}
+	if got := stripesPerShard(e); !reflect.DeepEqual(got, stripes) {
+		t.Fatalf("per-shard stripe counts moved under contention: %v → %v", stripes, got)
+	}
 	n := e.Len()
 	if err := e.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -466,8 +478,11 @@ func TestHotspotStripeSplitEscalation(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	defer re.Close()
-	if got := re.StripeParts(0); got != parts {
-		t.Fatalf("stripe split lost across restart: got %d parts, want %d", got, parts)
+	if got := re.StripeCells(); got != width {
+		t.Fatalf("StripeCells after restart: got %d, want %d", got, width)
+	}
+	if got := stripesPerShard(re); !reflect.DeepEqual(got, stripes) {
+		t.Fatalf("per-shard stripe counts after restart: got %v, want %v", got, stripes)
 	}
 	if got := re.Len(); got != n {
 		t.Fatalf("Len after restart: got %d, want %d", got, n)

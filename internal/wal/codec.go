@@ -34,9 +34,10 @@ const (
 	// logs them at reconcile time, so log order no longer matches mint order
 	// and replay cannot re-mint; the record carries the handle instead.
 	OpInsertAt OpKind = 4
-	// OpSplit re-granulates stripe ID into To sub-stripes — a placement-table
-	// refinement. Logged for the same reason as OpAssign: placement history
-	// determines minting order.
+	// OpSplit re-granulated stripe ID into To sub-stripes — a placement-table
+	// refinement of a removed engine tier. The codec still decodes it so that
+	// the engine can name it when it refuses a log that holds one; nothing
+	// writes it any more.
 	OpSplit OpKind = 5
 	// OpStagedInsert adds a point with the given coordinates under the
 	// explicit handle ID, written at hotspot *staging* time — before the
@@ -49,7 +50,7 @@ const (
 	OpStagedInsert OpKind = 6
 	// OpWidth re-derives the stripe width: ID is the new width in grid
 	// cells. A width change rebuilds the whole placement table, so it is a
-	// placement record like OpAssign/OpSplit — replay must flip the width at
+	// placement record like OpAssign — replay must flip the width at
 	// exactly this point in the stream or every later stripe id (and hence
 	// global cluster-id minting order) diverges from the writer's.
 	OpWidth OpKind = 7

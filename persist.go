@@ -503,6 +503,11 @@ func (w *walState) closeWAL(e *Engine) error {
 	return w.closeErr
 }
 
+// errRetiredSplit refuses a log record or checkpoint section that describes
+// a stripe split. Stripe splitting was removed: the stripe is the only
+// placement unit, so the engine cannot reproduce a placement that cut one.
+var errRetiredSplit = errors.New("dyndbscan: retired stripe split: this engine no longer splits stripes and cannot recover a placement that holds one")
+
 // applyWALRecord replays one logged record: placement records re-run the
 // stripe migration they describe, everything else goes through the ordinary
 // Apply pipeline. Shared by recovery (Open) and replica tailing.
@@ -512,7 +517,7 @@ func (e *Engine) applyWALRecord(wops []wal.Op) error {
 		case wal.OpAssign:
 			return e.applyAssign(wops[0].ID, wops[0].To)
 		case wal.OpSplit:
-			return e.applySplit(wops[0].ID, wops[0].To)
+			return errRetiredSplit
 		case wal.OpWidth:
 			return e.applyWidth(wops[0].ID)
 		}
@@ -558,31 +563,6 @@ func (e *Engine) applyAssign(stripe, dst int64) error {
 	if cur != int32(dst) {
 		ticket, evs, pub = ss.migrateStripeLocked(stripe, int32(dst))
 	}
-	ss.worldMu.Unlock()
-	if pub {
-		e.publishOrdered(ticket, evs)
-	}
-	return nil
-}
-
-// applySplit replays one logged stripe split: re-granulate the stripe into
-// the same number of parts the writer chose. The sub-stripe owners derive
-// deterministically from the stripe's base shard (see splitStripeLocked), so
-// replay reproduces the writer's placement table exactly.
-func (e *Engine) applySplit(stripe, parts int64) error {
-	ss := e.sh
-	if ss == nil {
-		return fmt.Errorf("dyndbscan: wal: placement record in a single-backend log")
-	}
-	if parts < 2 || parts > ss.stripeCells {
-		return fmt.Errorf("dyndbscan: wal: split record with %d parts", parts)
-	}
-	ss.worldMu.Lock()
-	if _, already := ss.splits[stripe]; already {
-		ss.worldMu.Unlock()
-		return nil
-	}
-	ticket, evs, pub := ss.splitStripeLocked(stripe, parts)
 	ss.worldMu.Unlock()
 	if pub {
 		e.publishOrdered(ticket, evs)

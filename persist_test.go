@@ -378,6 +378,47 @@ func TestOpenRefusesRetiredAlgorithm(t *testing.T) {
 	check("Open", err)
 }
 
+// TestDecodersRefuseRetiredSplits: the sharded placement tail still carries
+// the split count of the removed stripe-splitting tier, always written as 0.
+// A full payload and a sharded delta payload decode with the 0 the engine
+// writes, and are refused with errRetiredSplit when the count is non-zero.
+func TestDecodersRefuseRetiredSplits(t *testing.T) {
+	// withSplit swaps the trailing zero split count for one split entry
+	// (stripe 1 in 2 parts), the bytes a splitting engine wrote.
+	withSplit := func(b []byte) []byte {
+		if b[len(b)-1] != 0 {
+			t.Fatalf("payload does not end in a zero split count: % x", b)
+		}
+		out := append([]byte(nil), b[:len(b)-1]...)
+		out = appendUvarint(out, 1)
+		out = appendVarint(out, 1)
+		return appendUvarint(out, 2)
+	}
+	assign := map[int64]int32{1: 0, 3: 1}
+
+	full := []byte{ckptVersion, ckptSharded}
+	full = encodeCheckpointCommon(full, 2, 3, 0, []PointID{0, 1, 2},
+		func(i int) Point { return Point{float64(i), 0} }, nil)
+	full = appendPlacement(full, 4, assign)
+	if _, err := decodeCheckpoint(full); err != nil {
+		t.Fatalf("full payload with no splits: %v", err)
+	}
+	if _, err := decodeCheckpoint(withSplit(full)); !errors.Is(err, errRetiredSplit) {
+		t.Fatalf("full payload with a split: error = %v, want errRetiredSplit", err)
+	}
+
+	delta := encodeCkptDelta(&ckptDelta{
+		mode: ckptDeltaSharded, dims: 2, nextPt: 3,
+		stripeCells: 4, assign: assign,
+	})
+	if _, err := decodeCkptDelta(delta); err != nil {
+		t.Fatalf("delta payload with no splits: %v", err)
+	}
+	if _, err := decodeCkptDelta(withSplit(delta)); !errors.Is(err, errRetiredSplit) {
+		t.Fatalf("delta payload with a split: error = %v, want errRetiredSplit", err)
+	}
+}
+
 // TestCloseDurability: Close flushes the group-commit tail (an interval so
 // long the flusher never runs), is idempotent, and fails later updates.
 func TestCloseDurability(t *testing.T) {

@@ -159,7 +159,9 @@ func (st *stripeStat) load() float64 {
 
 // Routing arithmetic. Stripe t covers columns [t·W, (t+1)·W) of dimension 0;
 // its owner is resolved through the assignment table, which defaults to the
-// round-robin t mod n and accumulates overrides as stripes migrate.
+// round-robin t mod n and accumulates overrides as stripes migrate. The
+// stripe is the only placement unit: every column of a stripe has the
+// stripe's owner, so routing and ghost-band replication walk whole stripes.
 
 func floorDiv(a, b int64) int64 {
 	q := a / b
@@ -177,11 +179,10 @@ func floorMod(a, b int64) int64 {
 	return m
 }
 
-// shardOfStripe resolves one whole stripe through the assignment table.
-// Readers must hold routesMu or any worldMu mode (the table changes only
-// under both). Split stripes (see stripeSplit) resolve per column through
-// ownerOfCol instead; for them this returns the pre-split assignment, which
-// load accounting still uses as the aggregation key.
+// shardOfStripe resolves one stripe through the assignment table. The stripe
+// is the only placement unit: routing, replication and load accounting all
+// key on it. Readers must hold routesMu or any worldMu mode (the table
+// changes only under both).
 func (ss *shardSet) shardOfStripe(t int64) int32 {
 	if s, ok := ss.assign[t]; ok {
 		return s
@@ -189,26 +190,10 @@ func (ss *shardSet) shardOfStripe(t int64) int32 {
 	return int32(floorMod(t, int64(len(ss.shards))))
 }
 
-// stripeSplit is a placement-table refinement: one stripe re-granulated into
-// parts contiguous sub-ranges of its columns, each owned independently — the
-// hotspot path's first fallback tier, spreading a hot stripe's traffic across
-// shards at a granularity migration alone cannot reach. Sub-stripe k of
-// parent t covers columns [t·W + k·W/parts, t·W + (k+1)·W/parts); splitting
-// clamps parts so every sub-range stays wider than the ghost band.
-type stripeSplit struct {
-	parts  int64
-	owners []int32 // sub-stripe → shard, len parts
-}
-
-// ownerOfCol resolves one cell column to its owning shard, honoring stripe
-// splits. Same locking discipline as shardOfStripe.
+// ownerOfCol resolves one cell column to its owning shard: the owner of the
+// column's stripe. Same locking discipline as shardOfStripe.
 func (ss *shardSet) ownerOfCol(c0 int64) int32 {
-	t := floorDiv(c0, ss.stripeCells)
-	if sp, ok := ss.splits[t]; ok {
-		k := (c0 - t*ss.stripeCells) * sp.parts / ss.stripeCells
-		return sp.owners[k]
-	}
-	return ss.shardOfStripe(t)
+	return ss.shardOfStripe(floorDiv(c0, ss.stripeCells))
 }
 
 // ownerOf returns the shard owning the cell.
@@ -227,17 +212,6 @@ func (ss *shardSet) ownerOf(coord grid.Coord) int32 {
 // overhead.
 func (ss *shardSet) replicated(coord grid.Coord) bool {
 	c0 := int64(coord[0])
-	if len(ss.splits) > 0 {
-		// Split stripes break the stripe-granular walk: scan the columns of
-		// the band instead (the band is a handful of cells wide).
-		owner := ss.ownerOfCol(c0)
-		for d := int64(1); d <= ss.bandCells; d++ {
-			if ss.ownerOfCol(c0+d) != owner || ss.ownerOfCol(c0-d) != owner {
-				return true
-			}
-		}
-		return false
-	}
 	t := floorDiv(c0, ss.stripeCells)
 	owner := ss.shardOfStripe(t)
 	for dt := int64(1); (t+dt)*ss.stripeCells-c0 <= ss.bandCells; dt++ {
@@ -258,24 +232,6 @@ func (ss *shardSet) replicated(coord grid.Coord) bool {
 // the cell (its owned columns lie within bandCells of the cell's column).
 func (ss *shardSet) shardsOf(coord grid.Coord) []int32 {
 	c0 := int64(coord[0])
-	if len(ss.splits) > 0 {
-		// Column scan (see replicated): the same shard set, derived per
-		// column so sub-stripe boundaries are honored.
-		out := []int32{ss.ownerOfCol(c0)}
-		addS := func(s int32) {
-			for _, have := range out {
-				if have == s {
-					return
-				}
-			}
-			out = append(out, s)
-		}
-		for d := int64(1); d <= ss.bandCells; d++ {
-			addS(ss.ownerOfCol(c0 + d))
-			addS(ss.ownerOfCol(c0 - d))
-		}
-		return out
-	}
 	t := floorDiv(c0, ss.stripeCells)
 	owner := ss.shardOfStripe(t)
 	out := []int32{owner}
@@ -359,9 +315,9 @@ func (ss *shardSet) decideStripeLocked(ops []shOp) {
 
 // noteLoadLocked charges one op to the stripe owning the cell column col;
 // waited additionally records one observed lock wait on the op's owner shard
-// (the hotspot detector's direct contention signal). Split stripes keep
-// accounting at parent granularity — the stats key is the stripe index.
-// Caller holds routesMu and has already advanced commitSeq for this commit.
+// (the hotspot detector's direct contention signal). The stats key is the
+// stripe index. Caller holds routesMu and has already advanced commitSeq for
+// this commit.
 func (ss *shardSet) noteLoadLocked(col int32, insert, waited bool) {
 	t := floorDiv(int64(col), ss.stripeCells)
 	st := ss.stripeLoad[t]
@@ -421,16 +377,6 @@ func (e *Engine) ShardLoads() []ShardLoad {
 	}
 	for t, st := range ss.stripeLoad {
 		st.decayTo(ss.commitSeq)
-		if sp, ok := ss.splits[t]; ok {
-			// Accounting stays parent-granular; attribute a split stripe's
-			// load evenly across its sub-stripe owners.
-			for _, s := range sp.owners {
-				out[s].Stripes++
-				out[s].Points += st.points / int(sp.parts)
-				out[s].Updates += st.updates / float64(sp.parts)
-			}
-			continue
-		}
 		s := ss.shardOfStripe(t)
 		out[s].Stripes++
 		out[s].Points += st.points
@@ -453,6 +399,10 @@ func (e *Engine) ShardLoads() []ShardLoad {
 // shard's copies cannot be deleted and remain resident (new traffic still
 // routes to the new owner); memory is reclaimed only on deletion-capable
 // algorithms. Rebalance on a single-backend Engine is a no-op.
+//
+// Every migration is logged before it runs. A failed append or durability
+// wait stops the pass; Rebalance then returns that error together with the
+// number of stripes moved before it.
 func (e *Engine) Rebalance() (moved int, err error) {
 	if e.sh == nil {
 		return 0, nil
@@ -465,7 +415,7 @@ func (e *Engine) Rebalance() (moved int, err error) {
 		return 0, nil
 	}
 	defer e.sh.rebalancing.Store(false)
-	return e.sh.rebalance(e.sh.policy), nil
+	return e.sh.rebalance(e.sh.policy)
 }
 
 // maybeAutoRebalance runs the automatic check cadence of WithRebalance; it
@@ -488,7 +438,9 @@ func (ss *shardSet) maybeAutoRebalance() {
 		return
 	}
 	defer ss.rebalancing.Store(false)
-	ss.rebalance(ss.policy)
+	// A failed append stops the pass; the committer that triggered it meets
+	// the same log failure on its own next append.
+	_, _ = ss.rebalance(ss.policy)
 }
 
 // walAppendAssign logs a placement change before it happens; see rebalance.
@@ -499,16 +451,6 @@ func (ss *shardSet) walAppendAssign(stripe int64, dst int32) (uint64, error) {
 		return 0, nil
 	}
 	return e.wal.append([]wal.Op{{Kind: wal.OpAssign, ID: stripe, To: int64(dst)}})
-}
-
-// walAppendSplit logs a stripe re-granulation before it happens; placement
-// refinements replay like migrations (see wal.OpSplit).
-func (ss *shardSet) walAppendSplit(stripe, parts int64) (uint64, error) {
-	e := ss.e
-	if !e.logging() {
-		return 0, nil
-	}
-	return e.wal.append([]wal.Op{{Kind: wal.OpSplit, ID: stripe, To: parts}})
 }
 
 // walAppendWidth logs a stripe-width re-derivation before it happens; width
@@ -652,7 +594,7 @@ func (ss *shardSet) reshapeWidth(cur, newW int64) {
 
 // reshapeWidthLocked flips the stripe width and re-routes every live point:
 // a full-range reshapeLocked whose flip replaces the width and resets every
-// stripe-keyed placement table (assignment overrides, splits, load accounts
+// stripe-keyed placement table (assignment overrides and load accounts
 // — their keys mean nothing under the new width). The resident point counts
 // are rebuilt from the routes afterwards; the decayed traffic counters
 // restart from zero. Caller holds worldMu exclusively.
@@ -660,7 +602,6 @@ func (ss *shardSet) reshapeWidthLocked(newW int64) (ticket uint64, evs []Event, 
 	ticket, evs, pub = ss.reshapeLocked(math.MinInt64, math.MaxInt64, func() {
 		ss.stripeCells = newW
 		ss.assign = make(map[int64]int32)
-		ss.splits = make(map[int64]*stripeSplit)
 		ss.stripeLoad = make(map[int64]*stripeStat)
 	})
 	ss.routesMu.Lock()
@@ -680,8 +621,10 @@ func (ss *shardSet) reshapeWidthLocked(newW int64) (ticket uint64, evs []Event, 
 // rebalance runs one migration pass: pick, migrate, repeat until balanced or
 // MaxMoves. Events from migrations (possible only under Rho > 0) publish
 // after the world lock is released, in ticket order. Large stripes take the
-// non-quiescent chunked path when the hotspot policy enables it.
-func (ss *shardSet) rebalance(pol RebalancePolicy) int {
+// non-quiescent chunked path when the hotspot policy enables it. The first
+// failed append or durability wait ends the pass and is returned with the
+// number of stripes moved.
+func (ss *shardSet) rebalance(pol RebalancePolicy) (int, error) {
 	moved := 0
 	for moved < pol.MaxMoves {
 		ss.worldMu.Lock()
@@ -692,7 +635,9 @@ func (ss *shardSet) rebalance(pol RebalancePolicy) int {
 		}
 		if chunk := ss.chunkForLocked(t); chunk > 0 {
 			ss.worldMu.Unlock()
-			ss.migrateStripeChunked(t, dst, chunk)
+			if err := ss.migrateStripeChunked(t, dst, chunk); err != nil {
+				return moved, err
+			}
 			moved++
 			continue
 		}
@@ -705,23 +650,24 @@ func (ss *shardSet) rebalance(pol RebalancePolicy) int {
 		seq, err := ss.walAppendAssign(t, dst)
 		if err != nil {
 			ss.worldMu.Unlock()
-			break // log closing or poisoned: stop migrating, keep what moved
+			return moved, err // log closing or poisoned: stop migrating, keep what moved
 		}
 		ticket, evs, pub := ss.migrateStripeLocked(t, dst)
 		ss.worldMu.Unlock()
-		if seq != 0 {
-			// Durability barrier before the migration's events become
-			// visible, mirroring the commit path.
-			ss.e.wal.finish(seq)
-		}
+		// Durability barrier before the migration's events become visible,
+		// mirroring the commit path.
+		err = ss.e.wal.finish(seq)
 		if pub {
 			// After the unlock, mirroring commitBatch: a publisher parked on
 			// a full BlockSubscriber queue must hold no engine lock.
 			ss.e.publishOrdered(ticket, evs)
 		}
 		moved++
+		if err != nil {
+			return moved, err
+		}
 	}
-	return moved
+	return moved, nil
 }
 
 // chunkForLocked decides whether migrating stripe t should take the
@@ -759,20 +705,21 @@ func (ss *shardSet) chunkForLocked(t int64) int {
 // into the seam, tracking the grown copies' cells as off-placement, so the
 // seam stays exact on every exit and subscribers may stay attached. Deletes
 // remove the grown copies naturally (they are listed in the point's route),
-// and the final pass picks up points inserted between chunks.
-func (ss *shardSet) migrateStripeChunked(t int64, dst int32, chunk int) {
+// and the final pass picks up points inserted between chunks. The error is
+// the flip's failed append or durability wait.
+func (ss *shardSet) migrateStripeChunked(t int64, dst int32, chunk int) error {
 	loCol := t*ss.stripeCells - ss.bandCells
 	hiCol := (t+1)*ss.stripeCells - 1 + ss.bandCells
 	for rounds := 0; ; rounds++ {
 		ss.worldMu.Lock()
 		ss.routesMu.Lock()
-		if ss.shardOfStripe(t) == dst || ss.splits[t] != nil {
-			// The world moved on (a racing pass or split won); nothing to do.
+		if ss.shardOfStripe(t) == dst {
+			// The world moved on (a racing pass won); nothing to do.
 			// Every round folded its own growth, and the reshape that won
 			// recounted and re-read these columns: the seam is exact.
 			ss.routesMu.Unlock()
 			ss.worldMu.Unlock()
-			return
+			return nil
 		}
 		// Writers outpacing the chunks: finish quiesced below.
 		full := rounds > 64
@@ -799,20 +746,18 @@ func (ss *shardSet) migrateStripeChunked(t int64, dst int32, chunk int) {
 			seq, err := ss.walAppendAssign(t, dst)
 			if err != nil {
 				ss.worldMu.Unlock()
-				return
+				return err
 			}
 			ss.deferTrim = true
 			ticket, evs, pub := ss.migrateStripeLocked(t, dst)
 			ss.deferTrim = false
 			ss.worldMu.Unlock()
-			if seq != 0 {
-				ss.e.wal.finish(seq)
-			}
+			err = ss.e.wal.finish(seq)
 			if pub {
 				ss.e.publishOrdered(ticket, evs)
 			}
 			ss.trimChunks(chunk)
-			return
+			return err
 		}
 		ss.worldMu.Unlock()
 		if pub {
@@ -1005,14 +950,6 @@ func (ss *shardSet) pickMigrationLocked(pol RebalancePolicy) (stripe int64, dst 
 			continue
 		}
 		l := st.load()
-		if sp, ok := ss.splits[t]; ok {
-			// Split stripes cannot migrate as a unit; attribute their load
-			// evenly across the sub-stripe owners and skip them as candidates.
-			for _, s := range sp.owners {
-				loads[s] += l / float64(sp.parts)
-			}
-			continue
-		}
 		s := ss.shardOfStripe(t)
 		loads[s] += l
 		byShard[s] = append(byShard[s], cand{t, l})
@@ -1064,25 +1001,6 @@ func (ss *shardSet) migrateStripeLocked(t int64, dst int32) (ticket uint64, evs 
 		t*ss.stripeCells-ss.bandCells,
 		(t+1)*ss.stripeCells-1+ss.bandCells,
 		func() { ss.assign[t] = dst },
-	)
-}
-
-// splitStripeLocked re-granulates stripe t into parts sub-stripes: sub-stripe
-// 0 keeps the current owner and the rest round-robin onward from it — a
-// deterministic function of the replayed placement history, so WAL replay
-// reproduces it. Caller holds worldMu exclusively and has validated parts
-// (≥ 2, sub-width above the ghost band).
-func (ss *shardSet) splitStripeLocked(t, parts int64) (ticket uint64, evs []Event, pub bool) {
-	base := ss.shardOfStripe(t)
-	owners := make([]int32, parts)
-	n := int64(len(ss.shards))
-	for k := range owners {
-		owners[k] = int32(floorMod(int64(base)+int64(k), n))
-	}
-	return ss.reshapeLocked(
-		t*ss.stripeCells-ss.bandCells,
-		(t+1)*ss.stripeCells-1+ss.bandCells,
-		func() { ss.splits[t] = &stripeSplit{parts: parts, owners: owners} },
 	)
 }
 

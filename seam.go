@@ -18,9 +18,8 @@ package dyndbscan
 // induce between shard-local clusters, the set of live shard-local clusters,
 // and the global-id assignment over them. It is the engine's only stitch:
 // commits fold their own changes in — a seam delta — and so do stripe
-// migrations, splits, width reshapes and chunked migrations
-// (foldQueuedLocked); a checkpoint restore is an ordinary commit. Nothing
-// ever rebuilds it:
+// migrations, width reshapes and chunked migrations (foldQueuedLocked); a
+// checkpoint restore is an ordinary commit. Nothing ever rebuilds it:
 //
 //   - backends report the cells whose core-cell state crossed the
 //     empty/non-empty boundary (core.SeamTracker); the commit re-reads each

@@ -131,7 +131,6 @@ type shardSet struct {
 	// stripeLoad/commitSeq/nextAutoCheck are the per-stripe load accounts,
 	// guarded by routesMu.
 	assign          map[int64]int32
-	splits          map[int64]*stripeSplit
 	placeEpoch      uint64
 	adaptivePending bool
 	stripeLoad      map[int64]*stripeStat
@@ -265,7 +264,6 @@ func newShardedEngine(s *engineSettings) (*Engine, error) {
 		keyGID:       make(map[stitchKey]ClusterID),
 		offCells:     make(map[grid.Coord]int32),
 		assign:       make(map[int64]int32),
-		splits:       make(map[int64]*stripeSplit),
 		stripeLoad:   make(map[int64]*stripeStat),
 		stagedRoutes: make(map[PointID]int64),
 		policy:       s.rebalance.normalize(s.shards),

@@ -1251,3 +1251,54 @@ func TestAutoRebalance(t *testing.T) {
 		}
 	})
 }
+
+// TestRebalanceReportsLogError: every migration is logged before it runs, so
+// a pass that cannot append must say so instead of reporting a quiet
+// (0, nil). Stripes 0 and 2 both map to shard 0 and carry equal load; with
+// the log open Rebalance moves one of them, and after Close it returns the
+// append error and leaves the placement alone.
+func TestRebalanceReportsLogError(t *testing.T) {
+	newEng := func() *dyndbscan.Engine {
+		e, err := dyndbscan.New(
+			dyndbscan.WithEps(10), dyndbscan.WithMinPts(4), dyndbscan.WithRho(0),
+			dyndbscan.WithShards(2), dyndbscan.WithShardStripe(8),
+			dyndbscan.WithRebalance(dyndbscan.RebalancePolicy{MaxImbalance: 1.01, MinLoad: 1}),
+			dyndbscan.WithWAL(t.TempDir(), dyndbscan.SyncAlways()),
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Stripe 0 is x ∈ [0, 56.6), stripe 2 is x ∈ [113.1, 169.7).
+		pts := make([]dyndbscan.Point, 0, 400)
+		for i := 0; i < 200; i++ {
+			x, y := 5+float64(i%45), float64(i/45)
+			pts = append(pts, dyndbscan.Point{x, y}, dyndbscan.Point{x + 113, y})
+		}
+		if _, err := e.InsertBatch(pts); err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+
+	open := newEng()
+	defer open.Close()
+	if moved, err := open.Rebalance(); err != nil || moved != 1 {
+		t.Fatalf("Rebalance with the log open = (%d, %v), want (1, nil)", moved, err)
+	}
+
+	closed := newEng()
+	before := closed.ShardLoads()
+	if err := closed.Close(); err != nil {
+		t.Fatal(err)
+	}
+	moved, err := closed.Rebalance()
+	if err == nil {
+		t.Fatalf("Rebalance after Close = (%d, nil), want the append error", moved)
+	}
+	if moved != 0 {
+		t.Fatalf("Rebalance after Close moved %d stripes", moved)
+	}
+	if after := closed.ShardLoads(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("placement changed after a refused migration: %+v → %+v", before, after)
+	}
+}

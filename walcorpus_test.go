@@ -21,6 +21,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"dyndbscan/internal/wal"
 )
@@ -736,4 +737,70 @@ func TestExplicitInsertRefusesLiveHandle(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRetiredStripeSplitRefused appends one OpSplit record — the placement
+// record of the removed stripe-splitting tier — to a clean sharded log.
+// Recovery and a replica must both refuse it with errRetiredSplit rather
+// than replay a placement the engine can no longer build: Open directly, a
+// replica opened on the log through OpenReplica, and a replica already
+// tailing the log when the record arrives through Replica.Err.
+func TestRetiredStripeSplitRefused(t *testing.T) {
+	dir := t.TempDir()
+	e, err := New(stagedCorpusOpts(dir)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.InsertBatch(stagedCorpusWarm); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tailing, err := OpenReplica(dir, WithReplicaPoll(time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tailing.Close()
+
+	log, err := wal.Open(dir, wal.Options{MustExist: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := log.Append([]wal.Op{{Kind: wal.OpSplit, ID: 0, To: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	check := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, errRetiredSplit) {
+			t.Fatalf("%s: error = %v, want errRetiredSplit", what, err)
+		}
+		if !strings.Contains(err.Error(), "retired stripe split") {
+			t.Fatalf("%s: error %q does not name the retired stripe split", what, err)
+		}
+	}
+	if r, err := Open(dir); err == nil {
+		r.Close()
+		t.Fatal("Open recovered a log holding an OpSplit record")
+	} else {
+		check("Open", err)
+	}
+	if r, err := OpenReplica(dir); err == nil {
+		r.Close()
+		t.Fatal("OpenReplica applied a log holding an OpSplit record")
+	} else {
+		check("OpenReplica", err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for tailing.Err() == nil {
+		if time.Now().After(deadline) {
+			t.Fatalf("tailing replica still healthy at seq %d after the OpSplit record", tailing.AppliedSeq())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	check("Replica.Err", tailing.Err())
 }
