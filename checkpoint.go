@@ -433,8 +433,8 @@ func (e *Engine) capture(wantDelta bool) (seq uint64, payload []byte, isDelta bo
 	} else {
 		// Single-backend appends happen under the update lock, so the
 		// sequence and the state agree.
-		e.lock()
-		defer e.unlock()
+		e.mu.Lock()
+		defer e.mu.Unlock()
 		src = e.singleSource()
 	}
 	seq = e.wal.log.LastSeq()
@@ -499,6 +499,7 @@ func (e *Engine) restoreSingle(ck *ckptData) error {
 func (ss *shardSet) restore(ck *ckptData) error {
 	ss.routesMu.Lock()
 	ss.stripeCells = ck.stripeCells
+	adaptive := ss.adaptivePending
 	ss.adaptivePending = false
 	for st, sh := range ck.assign {
 		if int(sh) >= len(ss.shards) {
@@ -528,6 +529,13 @@ func (ss *shardSet) restore(ck *ckptData) error {
 	ss.routesMu.Lock()
 	if ck.nextPt > ss.nextID {
 		ss.nextID = ck.nextPt
+	}
+	if adaptive {
+		// The restored width is adaptive: keep re-deriving it from the
+		// extent the restore commit charged (noteLoadLocked), as the first
+		// batch's decision arms it on a fresh engine.
+		ss.adaptiveWidth = true
+		ss.nextWidthCheck = ss.commitSeq + widthCheckEvery
 	}
 	ss.routesMu.Unlock()
 

@@ -102,9 +102,6 @@ func main() {
 		dyndbscan.WithMinPts(*minPts),
 		dyndbscan.WithRho(*rho),
 		dyndbscan.WithWorkers(*workers),
-		// Without concurrent readers or shards the tool is single-threaded;
-		// skip the Engine's locking (sharded mode requires it).
-		dyndbscan.WithThreadSafety(*readers > 0 || *shards > 1),
 		dyndbscan.WithShards(*shards),
 	}
 	if *stripe < 0 {
@@ -154,7 +151,6 @@ func main() {
 		ropts := []dyndbscan.Option{
 			dyndbscan.WithWALSync(syncPol),
 			dyndbscan.WithWorkers(*workers),
-			dyndbscan.WithThreadSafety(true),
 		}
 		if *rebalance {
 			ropts = append(ropts, dyndbscan.WithRebalance(dyndbscan.DefaultRebalancePolicy()))

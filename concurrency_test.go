@@ -620,36 +620,6 @@ func TestSyncLiveUnderSustainedStream(t *testing.T) {
 	wg.Wait()
 }
 
-// TestThreadSafetyOffSynchronousDelivery checks that an Engine with thread
-// safety off never spawns a dispatcher: events land on the updater's
-// goroutine before the update returns, and callbacks may query the Engine
-// (everything stays on one goroutine).
-func TestThreadSafetyOffSynchronousDelivery(t *testing.T) {
-	e, err := dyndbscan.New(
-		dyndbscan.WithEps(1.5), dyndbscan.WithMinPts(3), dyndbscan.WithRho(0),
-		dyndbscan.WithThreadSafety(false),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var events []dyndbscan.Event
-	cancel := e.Subscribe(func(ev dyndbscan.Event) {
-		e.ClusterOf(ev.Point) // re-entrant query on the same goroutine
-		events = append(events, ev)
-	})
-	defer cancel()
-	for _, pt := range regionPoints(3, 0) {
-		if _, err := e.Insert(pt); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// No Sync: synchronous delivery means the events are already here.
-	if len(events) == 0 {
-		t.Fatal("no events delivered synchronously with thread safety off")
-	}
-	e.Sync() // still a valid no-op barrier
-}
-
 // TestEngineClose checks that Close cancels every subscription, stops
 // delivery, and leaves the Engine usable.
 func TestEngineClose(t *testing.T) {

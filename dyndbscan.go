@@ -46,7 +46,7 @@
 //     PointBecameNoise) emitted as updates reshape the clustering, with
 //     per-subscriber buffering and overflow policies; Sync is the delivery
 //     barrier.
-//   - Thread safety by default, with a lock-free read path: once a
+//   - Thread safety, with a lock-free read path: once a
 //     snapshot exists for the current version, Snapshot / ClusterOf /
 //     Members / Version / GroupBy / GroupAll touch no lock at all.
 //

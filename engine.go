@@ -76,8 +76,8 @@ var (
 
 // Engine is the entry point of this package: a service-ready facade over
 // one of the dynamic clustering algorithms, adding batch updates, stable
-// cluster identities, versioned snapshots, a change-event stream, and (by
-// default) thread safety.
+// cluster identities, versioned snapshots, a change-event stream, and
+// thread safety.
 //
 // Construct one with New:
 //
@@ -88,8 +88,8 @@ var (
 //
 // # Concurrency
 //
-// With thread safety on (the default) every method is safe for concurrent
-// use, and the Engine runs a phase-split concurrent architecture:
+// Every method is safe for concurrent use, and the Engine runs a
+// phase-split concurrent architecture:
 //
 //   - Lock-free read path. The current Snapshot is published through an
 //     atomic pointer. Once a snapshot for the current version exists,
@@ -122,11 +122,10 @@ var (
 // stripes migrate to underloaded shards (WithRebalance / Rebalance) without
 // disturbing handles, ClusterIDs, or the event stream.
 type Engine struct {
-	threadSafe bool
-	roQueries  bool // backend GroupBy/ClusterOf are read-only (AlgoFullyDynamic)
-	algo       Algorithm
-	cfg        Config
-	workers    int
+	roQueries bool // backend GroupBy/ClusterOf are read-only (AlgoFullyDynamic)
+	algo      Algorithm
+	cfg       Config
+	workers   int
 
 	// version is the engine epoch and snap the snapshot publication slot;
 	// both are written inside the update critical section and read lock-free
@@ -189,7 +188,7 @@ type Engine struct {
 
 // New builds an Engine from functional options. WithEps and WithMinPts are
 // required; everything else has production defaults (AlgoFullyDynamic,
-// 2 dimensions, ρ = 0.001, thread safety on, one staging worker per CPU).
+// 2 dimensions, ρ = 0.001, one staging worker per CPU).
 func New(opts ...Option) (*Engine, error) {
 	s := newSettings()
 	for _, opt := range opts {
@@ -221,7 +220,7 @@ func newEngineShape(s *engineSettings) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newEngine(c, s.algo, s.threadSafe, s.workers), nil
+	return newEngine(c, s.algo, s.workers), nil
 }
 
 // newBackend constructs one clustering backend for the algorithm — the
@@ -247,9 +246,8 @@ func newBackend(algo Algorithm, cfg Config) (backend, error) {
 	return b, nil
 }
 
-func newEngine(c backend, algo Algorithm, threadSafe bool, workers int) *Engine {
+func newEngine(c backend, algo Algorithm, workers int) *Engine {
 	e := &Engine{
-		threadSafe:  threadSafe,
 		roQueries:   algo == AlgoFullyDynamic,
 		algo:        algo,
 		cfg:         c.Config(),
@@ -273,44 +271,17 @@ func (e *Engine) Config() Config { return e.cfg }
 // parallel snapshot construction.
 func (e *Engine) Workers() int { return e.workers }
 
-// Locking helpers; no-ops when thread safety is off.
-
-func (e *Engine) lock() {
-	if e.threadSafe {
-		e.mu.Lock()
-	}
-}
-
-func (e *Engine) unlock() {
-	if e.threadSafe {
-		e.mu.Unlock()
-	}
-}
-
 // qlock acquires the appropriate lock for a query against the live backend
 // and returns the matching release. Fully-dynamic backends answer queries
 // without mutating shared state, so queries share a read lock; the other
 // algorithms compress union-find paths during lookups and need exclusivity.
 func (e *Engine) qlock() func() {
-	if !e.threadSafe {
-		return func() {}
-	}
 	if e.roQueries {
 		e.mu.RLock()
 		return e.mu.RUnlock
 	}
 	e.mu.Lock()
 	return e.mu.Unlock
-}
-
-// rqlock is qlock for operations that are read-only on every backend
-// (point-table lookups).
-func (e *Engine) rqlock() func() {
-	if !e.threadSafe {
-		return func() {}
-	}
-	e.mu.RLock()
-	return e.mu.RUnlock
 }
 
 // compactLiveIDs removes tombstoned handles from ids, preserving order — the
@@ -355,10 +326,10 @@ func (e *Engine) finishUpdate() []Event {
 // publication. Every update failure path exits through this helper.
 func (e *Engine) failUpdate() {
 	e.pending = nil
-	e.unlock()
+	e.mu.Unlock()
 }
 
-// release ends the update critical section begun by lock(), makes the
+// release ends the update critical section by unlocking e.mu, makes the
 // commit's WAL record (seq; 0 when none was written) durable per the
 // policy, then publishes evs to the subscriber queues — records hit the log
 // (and, under SyncAlways, the disk) strictly before the commit's events or
@@ -372,25 +343,13 @@ func (e *Engine) failUpdate() {
 // already advanced when it is non-nil, and the log is poisoned, so every
 // later update will fail cleanly.
 func (e *Engine) release(seq uint64, evs []Event) error {
-	if !e.threadSafe {
-		// Thread safety off means the Engine is confined to one goroutine;
-		// delivery is synchronous on it (recursion-safe: a callback's own
-		// updates simply nest), keeping the confinement contract intact.
-		e.unlock()
-		err := e.wal.finish(seq)
-		if len(evs) > 0 {
-			e.deliverSync(evs)
-		}
-		e.maybeCheckpoint()
-		return err
-	}
 	var ticket uint64
 	pub := len(evs) > 0
 	if pub {
 		ticket = e.pubTicket
 		e.pubTicket++
 	}
-	e.unlock()
+	e.mu.Unlock()
 	err := e.wal.finish(seq)
 	if pub {
 		e.publishOrdered(ticket, evs)
@@ -470,7 +429,7 @@ func (e *Engine) commit(ops []shOp, unknown func(i int, id PointID) error) (ok b
 	if e.sh != nil {
 		return e.sh.commitBatch(ops, unknown)
 	}
-	e.lock()
+	e.mu.Lock()
 	for i := range ops {
 		if !ops[i].insert && !e.c.Has(ops[i].gid) {
 			e.failUpdate()
@@ -578,7 +537,8 @@ func (e *Engine) Len() int {
 	if e.sh != nil {
 		return e.sh.len()
 	}
-	defer e.rqlock()()
+	e.mu.RLock()
+	defer e.mu.RUnlock()
 	return e.c.Len()
 }
 
@@ -587,7 +547,8 @@ func (e *Engine) IDs() []PointID {
 	if e.sh != nil {
 		return e.sh.ids()
 	}
-	defer e.rqlock()()
+	e.mu.RLock()
+	defer e.mu.RUnlock()
 	return e.c.IDs()
 }
 
@@ -603,7 +564,8 @@ func (e *Engine) Has(id PointID) bool {
 	if e.sh != nil {
 		return e.sh.has(id)
 	}
-	defer e.rqlock()()
+	e.mu.RLock()
+	defer e.mu.RUnlock()
 	return e.c.Has(id)
 }
 
@@ -658,9 +620,9 @@ func (e *Engine) Snapshot() *Snapshot {
 	if e.sh != nil {
 		return e.sh.snapshot()
 	}
-	e.lock()
+	e.mu.Lock()
 	if s := e.currentSnapshot(); s != nil {
-		e.unlock()
+		e.mu.Unlock()
 		return s
 	}
 	// Holding the update lock across the build is the snapshot contract:
@@ -672,7 +634,7 @@ func (e *Engine) Snapshot() *Snapshot {
 	//dynlint:ignore holdblock snapshot build quiesces writers by design; worker join is bounded and lock-free
 	s := e.buildSnapshot()
 	e.snap.Store(s)
-	e.unlock()
+	e.mu.Unlock()
 	return s
 }
 

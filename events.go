@@ -58,13 +58,10 @@ func SubscribeOverflow(p OverflowPolicy) SubscribeOption {
 
 // subscriber is one Subscribe registration: a bounded queue fed by the
 // update paths (in commit order, admitted by publication ticket) and
-// drained by a dedicated dispatcher goroutine running the callback. On an
-// Engine with thread safety off there is no queue or goroutine (q is nil):
-// delivery is synchronous on the updater's goroutine, preserving the
-// single-goroutine confinement that WithThreadSafety(false) promises.
+// drained by a dedicated dispatcher goroutine running the callback.
 type subscriber struct {
 	fn      func(Event)
-	q       *pipeline.Queue[Event] // nil: synchronous delivery
+	q       *pipeline.Queue[Event]
 	dropOld bool
 	gid     atomic.Uint64 // dispatcher goroutine id, for self-feed detection
 }
@@ -87,7 +84,7 @@ func (s *subscriber) run() {
 // publication chain is wedged afterwards — fix the subscriber instead.
 const selfFeedPanic = "dyndbscan: deadlock: a subscriber callback performed an update while its own BlockSubscriber queue was full; use SubscribeOverflow(DropOldest) or a larger SubscribeBuffer for subscribers that write back into the Engine"
 
-// enqueue delivers one event to an asynchronous subscriber, honoring its
+// enqueue delivers one event to a subscriber's queue, honoring its
 // overflow policy. A lossless enqueue that is about to block re-checks who
 // is blocking: if the publisher is the subscriber's own dispatcher (a
 // callback performed an update while its own queue is full), waiting would
@@ -123,7 +120,7 @@ func (e *Engine) enqueue(sub *subscriber, ev Event) bool {
 func (e *Engine) selfFeedLocked() bool {
 	gid := pipeline.GoroutineID()
 	for _, sub := range e.subscribers() {
-		if sub.q != nil && !sub.dropOld && sub.gid.Load() == gid && sub.q.Full() {
+		if !sub.dropOld && sub.gid.Load() == gid && sub.q.Full() {
 			return true
 		}
 	}
@@ -142,15 +139,6 @@ func (e *Engine) selfFeedLocked() bool {
 // everything already committed to be delivered, and cancel (or Engine.Close)
 // to release the subscription's goroutine and buffer when done with it.
 //
-// On an Engine with thread safety off there is no dispatcher: events are
-// delivered synchronously on the updater's goroutine (the options are
-// ignored), so the Engine stays confined to one goroutine as
-// WithThreadSafety(false) requires. Synchronous delivery is depth-first: a
-// callback's own nested updates deliver their events immediately, so with
-// several subscribers a nested commit's events can reach another subscriber
-// before the outer commit's — ordering follows call nesting there, not the
-// global commit sequence.
-//
 // fn may query the Engine freely (ClusterOf, Snapshot, GroupBy, ...). fn
 // may also perform updates — but only on a DropOldest subscription: under
 // BlockSubscriber a re-entrant update whose events hit the subscription's
@@ -165,19 +153,15 @@ func (e *Engine) Subscribe(fn func(Event), opts ...SubscribeOption) (cancel func
 	}
 	sub := &subscriber{
 		fn:      fn,
+		q:       pipeline.NewQueue[Event](st.buffer),
 		dropOld: st.overflow == DropOldest,
-	}
-	if e.threadSafe {
-		sub.q = pipeline.NewQueue[Event](st.buffer)
 	}
 	e.subMu.Lock()
 	id := e.nextSub
 	e.nextSub++
 	e.subs[id] = sub
 	e.subMu.Unlock()
-	if sub.q != nil {
-		go sub.run()
-	}
+	go sub.run()
 	e.syncEventFunc()
 	return func() {
 		e.subMu.Lock()
@@ -185,9 +169,7 @@ func (e *Engine) Subscribe(fn func(Event), opts ...SubscribeOption) (cancel func
 		delete(e.subs, id)
 		e.subMu.Unlock()
 		if present {
-			if sub.q != nil {
-				sub.q.Close()
-			}
+			sub.q.Close()
 			e.syncEventFunc()
 		}
 	}
@@ -214,9 +196,7 @@ func (e *Engine) Close() error {
 	clear(e.subs)
 	e.subMu.Unlock()
 	for _, sub := range subs {
-		if sub.q != nil {
-			sub.q.Close()
-		}
+		sub.q.Close()
 	}
 	if len(subs) > 0 {
 		e.syncEventFunc()
@@ -230,16 +210,6 @@ func (e *Engine) Close() error {
 	return e.wal.closeWAL(e)
 }
 
-// deliverSync delivers evs synchronously on the caller's goroutine — the
-// delivery mode of engines with thread safety off.
-func (e *Engine) deliverSync(evs []Event) {
-	for _, sub := range e.subscribers() {
-		for _, ev := range evs {
-			sub.fn(ev)
-		}
-	}
-}
-
 // syncEventFunc reconciles the backend's event sink with the current
 // subscriber count: collection is enabled lazily so an Engine with no
 // subscribers pays nothing for the event machinery. It re-reads the count
@@ -251,7 +221,7 @@ func (e *Engine) syncEventFunc() {
 		e.sh.syncEvents()
 		return
 	}
-	e.lock()
+	e.mu.Lock()
 	e.subMu.Lock()
 	want := len(e.subs) > 0
 	e.subMu.Unlock()
@@ -270,7 +240,7 @@ func (e *Engine) syncEventFunc() {
 			e.c.SetEventFunc(nil)
 		}
 	}
-	e.unlock()
+	e.mu.Unlock()
 }
 
 // publishOrdered enqueues evs to every current subscriber, admitting
@@ -340,17 +310,15 @@ func (e *Engine) Sync() {
 	// ticket inside its critical section; wait for all issued tickets to
 	// finish enqueueing, then for each subscriber to settle everything
 	// enqueued up to that instant.
-	release := e.rqlock()
+	e.mu.RLock()
 	horizon := e.pubTicket
-	release()
+	e.mu.RUnlock()
 	e.pubMu.Lock()
 	for e.pubNext < horizon {
 		e.pubCond.Wait()
 	}
 	e.pubMu.Unlock()
 	for _, sub := range e.subscribers() {
-		if sub.q != nil {
-			sub.q.WaitHandled(sub.q.Barrier())
-		}
+		sub.q.WaitHandled(sub.q.Barrier())
 	}
 }

@@ -36,15 +36,14 @@ func main() {
 	fmt.Printf("workload: %d updates (5/6 insertions) in %dD, eps=%.0f, MinPts=%d\n\n",
 		len(ops), dims, eps, minPts)
 
-	// Every contestant is built through the Engine constructor; thread
-	// safety is off so the comparison measures the bare algorithms.
+	// Every contestant is built through the Engine constructor.
 	type contestant struct {
 		name string
 		mk   func() (*dyndbscan.Engine, error)
 	}
 	base := []dyndbscan.Option{
 		dyndbscan.WithDims(dims), dyndbscan.WithEps(eps),
-		dyndbscan.WithMinPts(minPts), dyndbscan.WithThreadSafety(false),
+		dyndbscan.WithMinPts(minPts),
 	}
 	mkWith := func(extra ...dyndbscan.Option) func() (*dyndbscan.Engine, error) {
 		return func() (*dyndbscan.Engine, error) {

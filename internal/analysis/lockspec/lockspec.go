@@ -52,9 +52,9 @@ type FuncSummary struct {
 	Events []Event
 
 	// NetAcquire / NetRelease are the lock effects a call to this function
-	// has on its caller's held set (the lock()/unlock()/qlock() wrapper
-	// pattern). ReturnsRelease marks wrappers whose returned func() undoes
-	// the acquisition (rqlock).
+	// has on its caller's held set (the lock()/unlock() wrapper pattern).
+	// ReturnsRelease marks wrappers whose returned func() undoes the
+	// acquisition (qlock).
 	NetAcquire     []HeldLock
 	NetRelease     []*LockInfo
 	ReturnsRelease bool

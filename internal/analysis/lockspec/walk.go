@@ -480,7 +480,7 @@ func (w *walker) deferCall(call *ast.CallExpr) {
 			}
 		}
 	}
-	// defer release() on a token from rqlock()/qlock()
+	// defer release() on a token from qlock()
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 		if obj := w.s.info.Uses[id]; obj != nil {
 			if locks, ok := w.tokens[obj]; ok {
@@ -506,7 +506,7 @@ func (w *walker) deferCall(call *ast.CallExpr) {
 	w.scanExpr(call)
 }
 
-// registerToken records `release := e.rqlock()`-style assignments so later
+// registerToken records `release := e.qlock()`-style assignments so later
 // release() calls undo the acquisition.
 func (w *walker) registerToken(st *ast.AssignStmt) {
 	if len(st.Lhs) != 1 || len(st.Rhs) != 1 {
@@ -538,7 +538,7 @@ func (w *walker) registerToken(st *ast.AssignStmt) {
 }
 
 // noteReturnedRelease marks wrappers that return the matching unlock as a
-// method value (qlock/rqlock).
+// method value (qlock).
 func (w *walker) noteReturnedRelease(res ast.Expr) {
 	sel, ok := ast.Unparen(res).(*ast.SelectorExpr)
 	if !ok {
@@ -621,7 +621,7 @@ func (w *walker) call(call *ast.CallExpr) bool {
 			}
 		}
 	}
-	// release-token invocation: release := e.rqlock(); ...; release()
+	// release-token invocation: release := e.qlock(); ...; release()
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 		if obj := w.s.info.Uses[id]; obj != nil {
 			if locks, ok := w.tokens[obj]; ok {

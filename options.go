@@ -48,7 +48,6 @@ type engineSettings struct {
 	cfg          Config
 	epsSet       bool
 	minPtsSet    bool
-	threadSafe   bool
 	workers      int             // staging/snapshot workers; 0 = one per CPU
 	shards       int             // spatial shards; 1 = single-backend mode
 	stripeCells  int             // shard stripe width in grid cells; 0 = adaptive
@@ -110,17 +109,6 @@ func WithDims(d int) Option {
 	return func(s *engineSettings) { s.cfg.Dims = d }
 }
 
-// WithThreadSafety toggles the Engine's internal locking (default on). Turn
-// it off only when the Engine is confined to one goroutine and the ~2%
-// uncontended-lock overhead matters. With it off, Subscribe delivers events
-// synchronously on the updater's goroutine instead of spawning a dispatcher.
-// Note the parallel phases (batch staging, snapshot construction) still use
-// short-lived worker goroutines internally unless WithWorkers(1) is set;
-// they never touch the Engine concurrently with the caller.
-func WithThreadSafety(on bool) Option {
-	return func(s *engineSettings) { s.threadSafe = on }
-}
-
 // WithWorkers sets how many goroutines the Engine uses for the parallel
 // phases of its serving layer: batch staging (InsertBatch/Apply pre-commit
 // validation and grid assignment) and snapshot construction. 0 (the
@@ -156,9 +144,6 @@ func WithWorkers(n int) Option {
 // each commit derives its global cluster events by folding its own seam
 // delta into an incrementally maintained cross-shard stitch, so commits on
 // disjoint shard sets still proceed concurrently.
-//
-// Sharded mode requires thread safety (the default); combining WithShards(n>1)
-// with WithThreadSafety(false) is an error.
 func WithShards(n int) Option {
 	return func(s *engineSettings) {
 		if n < 1 {
@@ -236,10 +221,9 @@ func (s *engineSettings) setErr(err error) {
 // newSettings returns the defaults New starts from.
 func newSettings() *engineSettings {
 	return &engineSettings{
-		algo:       AlgoFullyDynamic,
-		cfg:        Config{Dims: 2, Rho: 0.001},
-		threadSafe: true,
-		shards:     1,
+		algo:   AlgoFullyDynamic,
+		cfg:    Config{Dims: 2, Rho: 0.001},
+		shards: 1,
 	}
 }
 
@@ -254,9 +238,6 @@ func (s *engineSettings) validate() error {
 	}
 	if !s.minPtsSet {
 		return fmt.Errorf("%w: WithMinPts", ErrMissingOption)
-	}
-	if s.shards > 1 && !s.threadSafe {
-		return errors.New("dyndbscan: WithShards(n>1) requires thread safety; remove WithThreadSafety(false)")
 	}
 	if s.stripeCells > 0 && s.shards <= 1 {
 		return errors.New("dyndbscan: WithShardStripe requires WithShards(n>1); a single-shard engine has no stripes")

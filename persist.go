@@ -659,9 +659,8 @@ func opsFromWAL(wops []wal.Op) []Op {
 // record, the newest checkpoint is loaded, and every record after it replays
 // through the ordinary Apply pipeline — so the recovered Engine serves the
 // same live handles and stable ClusterIDs as the one that wrote the log.
-// opts may carry runtime choices (WithWorkers, WithThreadSafety,
-// WithRebalance, WithHotspot, WithWALSync, WithWALCheckpointEvery,
-// WithWALSegmentBytes);
+// opts may carry runtime choices (WithWorkers, WithRebalance, WithHotspot,
+// WithWALSync, WithWALCheckpointEvery, WithWALSegmentBytes);
 // shape options conflict with the log and are rejected. The recovered Engine
 // keeps logging to the same directory.
 func Open(dir string, opts ...Option) (*Engine, error) {

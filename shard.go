@@ -238,13 +238,12 @@ func newShardedEngine(s *engineSettings) (*Engine, error) {
 	}
 	cfg := backends[0].Config() // normalized by the backend (IncDBSCAN forces Rho = 0)
 	e := &Engine{
-		threadSafe: true,
-		roQueries:  s.algo == AlgoFullyDynamic,
-		algo:       s.algo,
-		cfg:        cfg,
-		workers:    pipeline.Workers(s.workers),
-		stager:     core.NewStager(cfg),
-		subs:       make(map[int]*subscriber),
+		roQueries: s.algo == AlgoFullyDynamic,
+		algo:      s.algo,
+		cfg:       cfg,
+		workers:   pipeline.Workers(s.workers),
+		stager:    core.NewStager(cfg),
+		subs:      make(map[int]*subscriber),
 	}
 	e.pubCond.L = &e.pubMu
 

@@ -247,12 +247,6 @@ func TestShardedValidation(t *testing.T) {
 	if _, err := dyndbscan.New(dyndbscan.WithEps(1), dyndbscan.WithMinPts(2), dyndbscan.WithShardStripe(0)); err == nil {
 		t.Fatal("WithShardStripe(0) accepted")
 	}
-	if _, err := dyndbscan.New(
-		dyndbscan.WithEps(1), dyndbscan.WithMinPts(2),
-		dyndbscan.WithShards(2), dyndbscan.WithThreadSafety(false),
-	); err == nil {
-		t.Fatal("WithShards(2) + WithThreadSafety(false) accepted")
-	}
 	// WithShardStripe is meaningless without sharding: a silent no-op until
 	// this PR, now a construction error.
 	if _, err := dyndbscan.New(
@@ -1044,7 +1038,20 @@ func TestAdaptiveStripeWidth(t *testing.T) {
 // logs the change as one wal.OpWidth record, and keeps the clustering
 // equivalent to a single backend — and replay flips the width at the same
 // point in the op stream, so a reopened engine lands on the same placement.
+// The restarted variant checkpoints and reopens the engine between the
+// compact start and the wander: a restored adaptive width must keep being
+// re-derived, so placement does not depend on restart history.
 func TestAdaptiveWidthRederivation(t *testing.T) {
+	for _, restart := range []bool{false, true} {
+		name := "live"
+		if restart {
+			name = "restarted"
+		}
+		t.Run(name, func(t *testing.T) { testAdaptiveWidthRederivation(t, restart) })
+	}
+}
+
+func testAdaptiveWidthRederivation(t *testing.T, restart bool) {
 	dir := t.TempDir()
 	eng, err := dyndbscan.New(
 		dyndbscan.WithEps(30), dyndbscan.WithMinPts(4), dyndbscan.WithRho(0),
@@ -1078,6 +1085,20 @@ func TestAdaptiveWidthRederivation(t *testing.T) {
 	w0 := eng.StripeCells()
 	if w0 <= 5 || w0 > 11 {
 		t.Fatalf("first-commit width = %d, want a derived narrow width in (5, 11]", w0)
+	}
+	if restart {
+		if err := eng.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if eng, err = dyndbscan.Open(dir, dyndbscan.WithWALCheckpointEvery(0)); err != nil {
+			t.Fatal(err)
+		}
+		if got := eng.StripeCells(); got != w0 {
+			t.Fatalf("restored width = %d, want %d", got, w0)
+		}
 	}
 
 	// The workload wanders: isolated singles marching out to x ≈ 156k. By the

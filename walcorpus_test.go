@@ -804,3 +804,89 @@ func TestRetiredStripeSplitRefused(t *testing.T) {
 	}
 	check("Replica.Err", tailing.Err())
 }
+
+// TestMalformedPlacementRecordRefused appends one malformed placement record
+// to a clean log and checks that Open and OpenReplica both refuse it with
+// the message naming the defect, instead of replaying a placement the writer
+// could never have produced.
+func TestMalformedPlacementRecordRefused(t *testing.T) {
+	const shards = 2
+	cases := []struct {
+		name    string
+		sharded bool
+		rec     func(band int64) []wal.Op
+		want    string
+	}{
+		{"assign to shard n", true, func(int64) []wal.Op {
+			return []wal.Op{{Kind: wal.OpAssign, ID: 0, To: shards}}
+		}, fmt.Sprintf("placement record targets shard %d of %d", shards, shards)},
+		{"assign to shard -1", true, func(int64) []wal.Op {
+			return []wal.Op{{Kind: wal.OpAssign, ID: 0, To: -1}}
+		}, fmt.Sprintf("placement record targets shard -1 of %d", shards)},
+		{"assign in single-backend log", false, func(int64) []wal.Op {
+			return []wal.Op{{Kind: wal.OpAssign, ID: 0, To: 1}}
+		}, "placement record in a single-backend log"},
+		{"assign inside data record", true, func(int64) []wal.Op {
+			return []wal.Op{
+				{Kind: wal.OpInsert, Coord: []float64{3, 3}},
+				{Kind: wal.OpAssign, ID: 0, To: 1},
+			}
+		}, "placement op inside a data record"},
+		{"width at ghost band", true, func(band int64) []wal.Op {
+			return []wal.Op{{Kind: wal.OpWidth, ID: band}}
+		}, "-cell ghost band"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			opts := []Option{WithEps(6), WithMinPts(3), WithWAL(dir, SyncAlways()), WithWALCheckpointEvery(0)}
+			if tc.sharded {
+				opts = append(opts, WithShards(shards), WithShardStripe(4))
+			}
+			e, err := New(opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.InsertBatch(stagedCorpusWarm); err != nil {
+				t.Fatal(err)
+			}
+			var band int64
+			if e.sh != nil {
+				band = e.sh.bandCells
+			}
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+			log, err := wal.Open(dir, wal.Options{MustExist: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := log.Append(tc.rec(band)); err != nil {
+				t.Fatal(err)
+			}
+			if err := log.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			check := func(what string, err error) {
+				t.Helper()
+				if err == nil {
+					t.Fatalf("%s accepted the malformed record", what)
+				}
+				if !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("%s: error %q does not contain %q", what, err, tc.want)
+				}
+			}
+			r, err := Open(dir)
+			if err == nil {
+				r.Close()
+			}
+			check("Open", err)
+			rep, err := OpenReplica(dir)
+			if err == nil {
+				rep.Close()
+			}
+			check("OpenReplica", err)
+		})
+	}
+}
