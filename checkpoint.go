@@ -118,6 +118,16 @@ func (d *payloadDecoder) float() float64 {
 	return v
 }
 
+// ascendingID reads one delta of a strictly ascending id list and returns the
+// id it names, prev plus the delta. ok is false for a zero delta, and for a
+// delta that would wrap prev past the int64 range — negative ids included —
+// neither of which the encoder writes.
+func (d *payloadDecoder) ascendingID(prev int64) (id int64, ok bool) {
+	delta := d.uvarint()
+	id = prev + int64(delta)
+	return id, delta != 0 && delta <= math.MaxInt64 && id > prev
+}
+
 // count reads a length prefix and bounds it (a corrupt payload must fail,
 // not allocate unbounded memory).
 func (d *payloadDecoder) count() int {
@@ -210,11 +220,10 @@ func decodeCheckpoint(b []byte) (*ckptData, error) {
 	ck.coords = make([]Point, 0, n)
 	prev := int64(-1)
 	for i := 0; i < n && d.err == nil; i++ {
-		delta := d.uvarint()
-		if delta == 0 {
-			return nil, errCorruptCkpt // ids are strictly ascending
+		var ok bool
+		if prev, ok = d.ascendingID(prev); !ok {
+			return nil, errCorruptCkpt // ids are strictly ascending and non-negative
 		}
-		prev += int64(delta)
 		pt := make(Point, ck.dims)
 		for j := range pt {
 			pt[j] = d.float()
@@ -230,11 +239,10 @@ func decodeCheckpoint(b []byte) (*ckptData, error) {
 		members := make([]PointID, 0, nm)
 		mp := int64(-1)
 		for j := 0; j < nm && d.err == nil; j++ {
-			delta := d.uvarint()
-			if delta == 0 {
+			var ok bool
+			if mp, ok = d.ascendingID(mp); !ok {
 				return nil, errCorruptCkpt
 			}
-			mp += int64(delta)
 			members = append(members, PointID(mp))
 		}
 		ck.clusters[g] = members
@@ -316,11 +324,8 @@ func (ss *shardSet) sourceLocked() *ckptSource {
 		nextGID:   ss.nextGID,
 		ids:       ss.liveIDsLocked,
 		owner: func(id PointID) (int32, bool) {
-			r, ok := ss.routes[id]
-			if !ok {
-				return 0, false
-			}
-			return r.copies[0], true
+			r, ok := ss.routes.get(id)
+			return r.owner, ok
 		},
 		cluster: func(shard int32, cid ClusterID) (ClusterID, bool) {
 			g, ok := ss.keyGID[stitchKey{shard, cid}]
@@ -331,7 +336,7 @@ func (ss *shardSet) sourceLocked() *ckptSource {
 		src.backends[i] = sh.c
 	}
 	ss.routesMu.Lock()
-	src.live = len(ss.routes)
+	src.live = ss.routes.len()
 	src.nextPt = ss.nextID
 	src.stripeCells = ss.stripeCells
 	src.assign = maps.Clone(ss.assign)

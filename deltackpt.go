@@ -348,12 +348,11 @@ func decodeCkptDelta(b []byte) (*ckptDelta, error) {
 		ids := make([]PointID, 0, n)
 		prev := int64(-1)
 		for i := 0; i < n && d.err == nil; i++ {
-			delta := d.uvarint()
-			if delta == 0 {
-				d.fail() // ids are strictly ascending
+			var ok bool
+			if prev, ok = d.ascendingID(prev); !ok {
+				d.fail() // ids are strictly ascending and non-negative
 				return nil
 			}
-			prev += int64(delta)
 			ids = append(ids, PointID(prev))
 		}
 		return ids
@@ -364,11 +363,10 @@ func decodeCkptDelta(b []byte) (*ckptDelta, error) {
 	dl.upCoords = make([]Point, 0, nu)
 	prev := int64(-1)
 	for i := 0; i < nu && d.err == nil; i++ {
-		delta := d.uvarint()
-		if delta == 0 {
+		var ok bool
+		if prev, ok = d.ascendingID(prev); !ok {
 			return nil, errCorruptCkpt
 		}
-		prev += int64(delta)
 		pt := make(Point, dl.dims)
 		for j := range pt {
 			pt[j] = d.float()
@@ -381,11 +379,10 @@ func decodeCkptDelta(b []byte) (*ckptDelta, error) {
 	dl.patchGIDs = make([][]ClusterID, 0, np)
 	prev = -1
 	for i := 0; i < np && d.err == nil; i++ {
-		delta := d.uvarint()
-		if delta == 0 {
+		var ok bool
+		if prev, ok = d.ascendingID(prev); !ok {
 			return nil, errCorruptCkpt
 		}
-		prev += int64(delta)
 		ng := d.count()
 		gids := make([]ClusterID, 0, ng)
 		prevG := ClusterID(-1)

@@ -161,11 +161,12 @@ type Engine struct {
 	// checkpoints' merge ledger) and evsOn gates only the pending collection.
 	evsOn bool
 
-	// Sorted-id cache (guarded by mu): the ascending live-id slice that
-	// snapshot construction needs, maintained incrementally so a snapshot
-	// rebuild never re-sorts the world. Built-in backends mint monotone ids,
-	// so inserts append in order; deletions tombstone into pendingDead and
-	// one O(n) compaction pass runs at the next snapshot build.
+	// Sorted-id cache of the single backend (guarded by mu): the ascending
+	// live-id slice that snapshot construction needs, maintained
+	// incrementally so a snapshot rebuild never re-sorts the world. Built-in
+	// backends mint monotone ids, so inserts append in order; deletions
+	// tombstone into pendingDead and one O(n) compaction pass runs at the
+	// next snapshot build.
 	sortedIDs   []PointID
 	pendingDead map[PointID]struct{}
 
@@ -284,28 +285,22 @@ func (e *Engine) qlock() func() {
 	return e.mu.Unlock
 }
 
-// compactLiveIDs removes tombstoned handles from ids, preserving order — the
-// maintenance step shared by the single-backend and sharded sorted-id
-// caches.
-func compactLiveIDs(ids []PointID, dead map[PointID]struct{}) []PointID {
-	if len(dead) == 0 {
-		return ids
-	}
-	w := 0
-	for _, id := range ids {
-		if _, d := dead[id]; !d {
-			ids[w] = id
-			w++
-		}
-	}
-	clear(dead)
-	return ids[:w]
-}
-
-// liveIDs returns the ascending live-id slice, compacting tombstones lazily.
+// liveIDs returns the ascending live-id slice, compacting tombstones lazily
+// (one order-preserving pass over the single-backend sorted-id cache; the
+// sharded engine reads its ascending ids from the route table instead).
 // Must run inside the update critical section.
 func (e *Engine) liveIDs() []PointID {
-	e.sortedIDs = compactLiveIDs(e.sortedIDs, e.pendingDead)
+	if len(e.pendingDead) > 0 {
+		w := 0
+		for _, id := range e.sortedIDs {
+			if _, d := e.pendingDead[id]; !d {
+				e.sortedIDs[w] = id
+				w++
+			}
+		}
+		clear(e.pendingDead)
+		e.sortedIDs = e.sortedIDs[:w]
+	}
 	return e.sortedIDs
 }
 

@@ -231,15 +231,16 @@ func TestUpdateErrorParity(t *testing.T) {
 // point lands in a new, non-core cell. On the single backend deleting it
 // allocates nothing, and every insert allocation is the backend's own;
 // staging, validation and commit dispatch must add none on this path. The
-// sharded row (WithShards(4)) adds the routed commit: the route table entry,
-// the per-shard op array and event buffers, and the seam fold.
+// sharded row (WithShards(4)) adds the routed commit: the per-shard op
+// array and output buffers, and the seam fold. Its route lives inline in a
+// route-table page, so publishing it allocates nothing per op.
 var singleOpAllocBudgets = []struct {
 	name        string
 	opts        []dyndbscan.Option
 	insert, del float64
 }{
 	{"Single", nil, 7, 0},
-	{"Sharded4", []dyndbscan.Option{dyndbscan.WithShards(4)}, 24, 14},
+	{"Sharded4", []dyndbscan.Option{dyndbscan.WithShards(4)}, 16, 7},
 }
 
 // TestSingleOpAllocs pins the allocation count of the paper-5d hot path.

@@ -607,7 +607,7 @@ func (ss *shardSet) joinForDelete(ops []shOp) {
 				continue
 			}
 			if _, st := ss.stagedRoutes[ops[i].gid]; st {
-				if _, routed := ss.routes[ops[i].gid]; !routed {
+				if !ss.routes.has(ops[i].gid) {
 					pending = true
 					break
 				}

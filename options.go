@@ -144,6 +144,10 @@ func WithWorkers(n int) Option {
 // each commit derives its global cluster events by folding its own seam
 // delta into an incrementally maintained cross-shard stitch, so commits on
 // disjoint shard sets still proceed concurrently.
+//
+// n may be at most 64: each point's route records the shards holding its
+// copies in a 64-bit mask. New refuses a larger n, and Open refuses a log
+// whose meta record names one.
 func WithShards(n int) Option {
 	return func(s *engineSettings) {
 		if n < 1 {
@@ -238,6 +242,9 @@ func (s *engineSettings) validate() error {
 	}
 	if !s.minPtsSet {
 		return fmt.Errorf("%w: WithMinPts", ErrMissingOption)
+	}
+	if s.shards > maxShards {
+		return fmt.Errorf("dyndbscan: WithShards(%d): the sharded engine supports at most %d shards", s.shards, maxShards)
 	}
 	if s.stripeCells > 0 && s.shards <= 1 {
 		return errors.New("dyndbscan: WithShardStripe requires WithShards(n>1); a single-shard engine has no stripes")

@@ -33,6 +33,7 @@ package dyndbscan
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -624,6 +625,11 @@ func (e *Engine) applyExplicit(wops []wal.Op) error {
 			// apply it directly — they never re-stage (hotRoute declines to
 			// divert while wal.recovering), which keeps replay deterministic
 			// and keeps replicas apply-only.
+			if wop.ID < 0 || wop.ID == math.MaxInt64 {
+				// Minted handles are non-negative, and the mint counter must
+				// be able to pass every replayed one.
+				return fmt.Errorf("dyndbscan: wal: explicit insert names handle %d, outside [0, %d)", wop.ID, int64(math.MaxInt64))
+			}
 			sp, err := e.stager.Stage(Point(wop.Coord))
 			if err != nil {
 				return fmt.Errorf("dyndbscan: wal: bad explicit insert: %w", err)
@@ -759,6 +765,9 @@ func decodeEngineMeta(b []byte) (engineMeta, error) {
 	mc.stripeCells = int(d.uvarint())
 	if d.err != nil {
 		return mc, fmt.Errorf("dyndbscan: corrupt engine meta: %w", d.err)
+	}
+	if mc.shards < 1 || mc.shards > maxShards {
+		return mc, fmt.Errorf("dyndbscan: engine meta names %d shards; the sharded engine supports 1 to %d", mc.shards, maxShards)
 	}
 	switch mc.algo {
 	case AlgoFullyDynamic, AlgoSemiDynamic, AlgoIncDBSCAN:

@@ -419,6 +419,52 @@ func TestDecodersRefuseRetiredSplits(t *testing.T) {
 	}
 }
 
+// TestDecodersRefuseWrappedIDs: checkpoint id lists are delta-encoded
+// ascending from -1, so a descending or negative id reaches the decoder as a
+// delta that wraps the running id past the int64 range. Every id list of the
+// full and the delta payload refuses one with errCorruptCkpt.
+func TestDecodersRefuseWrappedIDs(t *testing.T) {
+	full := func(ids []PointID, clusters map[ClusterID][]PointID) []byte {
+		b := []byte{ckptVersion, ckptSharded}
+		b = encodeCheckpointCommon(b, 2, 10, 1, ids, func(i int) Point { return Point{float64(i), 0} }, clusters)
+		return appendPlacement(b, 4, nil)
+	}
+	if _, err := decodeCheckpoint(full([]PointID{0, 5}, map[ClusterID][]PointID{0: {0, 5}})); err != nil {
+		t.Fatalf("well-formed full payload: %v", err)
+	}
+	delta := func(dl ckptDelta) []byte {
+		dl.mode, dl.dims, dl.nextPt, dl.stripeCells = ckptDeltaSharded, 2, 10, 4
+		for range dl.upIDs {
+			dl.upCoords = append(dl.upCoords, Point{1, 1})
+		}
+		for range dl.patchIDs {
+			dl.patchGIDs = append(dl.patchGIDs, nil)
+		}
+		return encodeCkptDelta(&dl)
+	}
+	if _, err := decodeCkptDelta(delta(ckptDelta{del: []PointID{1, 2}, upIDs: []PointID{3}, patchIDs: []PointID{3, 4}})); err != nil {
+		t.Fatalf("well-formed delta payload: %v", err)
+	}
+	for name, b := range map[string][]byte{
+		"full ids descending":      full([]PointID{5, 2}, nil),
+		"full ids negative":        full([]PointID{-3}, nil),
+		"full members descending":  full([]PointID{0, 5}, map[ClusterID][]PointID{0: {5, 0}}),
+		"delta deletes descending": delta(ckptDelta{del: []PointID{4, 1}}),
+		"delta upserts negative":   delta(ckptDelta{upIDs: []PointID{-2}}),
+		"delta patches descending": delta(ckptDelta{patchIDs: []PointID{7, 3}}),
+	} {
+		var err error
+		if b[1] == ckptSharded {
+			_, err = decodeCheckpoint(b)
+		} else {
+			_, err = decodeCkptDelta(b)
+		}
+		if !errors.Is(err, errCorruptCkpt) {
+			t.Errorf("%s: error = %v, want errCorruptCkpt", name, err)
+		}
+	}
+}
+
 // TestCloseDurability: Close flushes the group-commit tail (an interval so
 // long the flusher never runs), is idempotent, and fails later updates.
 func TestCloseDurability(t *testing.T) {

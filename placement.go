@@ -50,7 +50,6 @@ package dyndbscan
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"time"
 
@@ -202,64 +201,31 @@ func (ss *shardSet) ownerOf(coord grid.Coord) int32 {
 }
 
 // replicated reports whether the cell is held by more than one shard — the
-// owner plus at least one ghost copy — without materializing the shard list:
-// true exactly when some stripe within bandCells of the cell resolves to a
-// different shard than the owner. The walk mirrors shardsOf (stripe distances
-// grow monotonically with the offset); under an assignment table an adjacent
-// stripe may belong to the owner itself, so the mapped shard is compared
-// rather than assumed foreign. The seam fold calls this once per dirty cell
-// inside its critical section, where the shardsOf allocation would be pure
-// overhead.
+// owner plus at least one ghost copy. Under an assignment table an adjacent
+// stripe may belong to the owner itself, so this is a property of the mask,
+// not of the band alone.
 func (ss *shardSet) replicated(coord grid.Coord) bool {
-	c0 := int64(coord[0])
-	t := floorDiv(c0, ss.stripeCells)
-	owner := ss.shardOfStripe(t)
-	for dt := int64(1); (t+dt)*ss.stripeCells-c0 <= ss.bandCells; dt++ {
-		if ss.shardOfStripe(t+dt) != owner {
-			return true
-		}
-	}
-	for dt := int64(1); c0-((t-dt)*ss.stripeCells+ss.stripeCells-1) <= ss.bandCells; dt++ {
-		if ss.shardOfStripe(t-dt) != owner {
-			return true
-		}
-	}
-	return false
+	m := ss.shardsOf(coord)
+	return m&(m-1) != 0
 }
 
-// shardsOf returns the shards that must hold a copy of a point in the given
-// cell: the owner first, then every distinct shard whose ghost band covers
-// the cell (its owned columns lie within bandCells of the cell's column).
-func (ss *shardSet) shardsOf(coord grid.Coord) []int32 {
+// shardsOf returns the mask of the shards that must hold a copy of a point in
+// the given cell: the owner plus every shard whose ghost band covers the cell
+// (its owned columns lie within bandCells of the cell's column). The walk
+// goes outward until the nearest column of the stripe is beyond the band; the
+// distances are monotone in |dt|, so the loops end after a handful of
+// iterations for any sane stripe width.
+func (ss *shardSet) shardsOf(coord grid.Coord) uint64 {
 	c0 := int64(coord[0])
 	t := floorDiv(c0, ss.stripeCells)
-	owner := ss.shardOfStripe(t)
-	out := []int32{owner}
-	add := func(stripe int64) {
-		s := ss.shardOfStripe(stripe)
-		for _, have := range out {
-			if have == s {
-				return
-			}
-		}
-		out = append(out, s)
+	mask := shardBit(ss.shardOfStripe(t))
+	for dt := int64(1); (t+dt)*ss.stripeCells-c0 <= ss.bandCells; dt++ {
+		mask |= shardBit(ss.shardOfStripe(t + dt))
 	}
-	// Walk outward until the nearest column of the stripe is beyond the
-	// band; the distances are monotone in |dt|, so the loops terminate after
-	// a handful of iterations for any sane stripe width.
-	for dt := int64(1); ; dt++ {
-		if (t+dt)*ss.stripeCells-c0 > ss.bandCells {
-			break
-		}
-		add(t + dt)
+	for dt := int64(1); c0-((t-dt)*ss.stripeCells+ss.stripeCells-1) <= ss.bandCells; dt++ {
+		mask |= shardBit(ss.shardOfStripe(t - dt))
 	}
-	for dt := int64(1); ; dt++ {
-		if c0-((t-dt)*ss.stripeCells+ss.stripeCells-1) > ss.bandCells {
-			break
-		}
-		add(t - dt)
-	}
-	return out
+	return mask
 }
 
 // decideStripeLocked resolves the adaptive stripe width from the first
@@ -605,7 +571,7 @@ func (ss *shardSet) reshapeWidthLocked(newW int64) (ticket uint64, evs []Event, 
 		ss.stripeLoad = make(map[int64]*stripeStat)
 	})
 	ss.routesMu.Lock()
-	for _, r := range ss.routes {
+	for _, r := range ss.routes.all() {
 		t := floorDiv(int64(r.col), ss.stripeCells)
 		st := ss.stripeLoad[t]
 		if st == nil {
@@ -786,8 +752,8 @@ func (ss *shardSet) growChunkLocked(t int64, dst int32, loCol, hiCol int64, chun
 	ss.assign[t] = dst
 	full = true
 	grown := 0
-	cells := make(map[grid.Coord][]int32)
-	for gid, r := range ss.routes {
+	cells := make(map[grid.Coord]uint64)
+	for gid, r := range ss.routes.all() {
 		if grown >= chunk {
 			full = false
 			break
@@ -797,38 +763,31 @@ func (ss *shardSet) growChunkLocked(t int64, dst int32, loCol, hiCol int64, chun
 		}
 		var coord grid.Coord
 		coord[0] = r.col
-		newShs := ss.shardsOf(coord)
-		var cell grid.Coord
-		added := false
-		for _, s := range newShs {
-			if slices.Contains(r.copies, s) {
-				continue
-			}
-			pt, ok := ss.shards[r.copies[0]].c.PointAt(gid)
-			if !ok {
-				panic(fmt.Sprintf("dyndbscan: chunked migration lost the owner copy of point %d", gid))
-			}
-			sp, err := ss.e.stager.Stage(pt)
-			if err != nil {
-				panic(fmt.Sprintf("dyndbscan: chunked migration re-staging point %d: %v", gid, err))
-			}
+		missing := ss.shardsOf(coord) &^ r.mask
+		if missing == 0 {
+			continue
+		}
+		pt, ok := ss.shards[r.owner].c.PointAt(gid)
+		if !ok {
+			panic(fmt.Sprintf("dyndbscan: chunked migration lost the owner copy of point %d", gid))
+		}
+		sp, err := ss.e.stager.Stage(pt)
+		if err != nil {
+			panic(fmt.Sprintf("dyndbscan: chunked migration re-staging point %d: %v", gid, err))
+		}
+		cell := sp.Coord()
+		for s := range shardsIn(missing) {
 			if err := ss.shards[s].c.InsertStaged(sp, gid); err != nil {
 				panic(fmt.Sprintf("dyndbscan: shard %d rejected a migrated copy: %v", s, err))
 			}
-			r.copies = append(r.copies, s)
-			cell = sp.Coord()
 			// Routing names the old placement until the flip: the new copy
 			// is off-placement, and the seam must track its cell.
 			ss.offCells[cell]++
-			added = true
 		}
-		if added {
-			ss.routes[gid] = r
-			grown++
-			for _, s := range r.copies {
-				cells[cell] = addShard(cells[cell], s)
-			}
-		}
+		r.mask |= missing
+		ss.routes.set(gid, r)
+		grown++
+		cells[cell] |= r.mask
 	}
 	if had {
 		ss.assign[t] = saved
@@ -865,37 +824,27 @@ func (ss *shardSet) trimChunks(chunk int) {
 		ss.worldMu.Lock()
 		ss.routesMu.Lock()
 		n := min(chunk, len(ss.trimQueue))
-		cells := make(map[grid.Coord][]int32)
+		cells := make(map[grid.Coord]uint64)
 		for _, tr := range ss.trimQueue[:n] {
-			r, ok := ss.routes[tr.gid]
-			if !ok {
-				continue
-			}
-			idx := slices.Index(r.copies, tr.shard)
-			if idx <= 0 {
+			bit := shardBit(tr.shard)
+			r, ok := ss.routes.get(tr.gid)
+			if !ok || r.mask&bit == 0 || r.owner == tr.shard {
 				// Gone already, or promoted to the owner copy by a later
 				// reshape (then the placement routes it — keep it).
 				continue
 			}
 			var coord grid.Coord
 			coord[0] = r.col
-			keep := false
-			for _, s := range ss.shardsOf(coord) {
-				if s == tr.shard {
-					keep = true
-					break
-				}
-			}
-			if keep {
-				continue
+			if ss.shardsOf(coord)&bit != 0 {
+				continue // the placement routes the shard again
 			}
 			if err := ss.shards[tr.shard].c.Delete(tr.gid); err != nil {
 				panic(fmt.Sprintf("dyndbscan: shard %d rejected trimming a deferred copy: %v", tr.shard, err))
 			}
-			r.copies = append(r.copies[:idx], r.copies[idx+1:]...)
-			ss.routes[tr.gid] = r
+			r.mask &^= bit
+			ss.routes.set(tr.gid, r)
 			ss.dropOffCell(tr.cell)
-			cells[tr.cell] = addShard(cells[tr.cell], tr.shard)
+			cells[tr.cell] |= bit
 		}
 		ss.trimQueue = ss.trimQueue[n:]
 		done := len(ss.trimQueue) == 0
@@ -1036,7 +985,7 @@ func (ss *shardSet) reshapeLocked(loCol, hiCol int64, flip func()) (ticket uint6
 		old route
 	}
 	var moves []moveRec
-	for gid, r := range ss.routes {
+	for gid, r := range ss.routes.all() {
 		if c := int64(r.col); c >= loCol && c <= hiCol {
 			moves = append(moves, moveRec{gid, r})
 		}
@@ -1058,36 +1007,29 @@ func (ss *shardSet) reshapeLocked(loCol, hiCol int64, flip func()) (ticket uint6
 	// copy of it before or after: the cells whose seam tracking the reshape
 	// may change.
 	var removals []trimRef
-	cells := make(map[grid.Coord][]int32)
+	cells := make(map[grid.Coord]uint64)
 	trim := e.algo != AlgoSemiDynamic // insertion-only backends cannot drop copies
 	for _, mv := range moves {
-		pt, ok := ss.shards[mv.old.copies[0]].c.PointAt(mv.gid)
+		pt, ok := ss.shards[mv.old.owner].c.PointAt(mv.gid)
 		if !ok {
 			panic(fmt.Sprintf("dyndbscan: migration lost the owner copy of point %d", mv.gid))
 		}
 		cell := ss.geo.CellOf(pt)
-		newShs := ss.shardsOf(cell)
-		for _, s := range mv.old.copies {
-			cells[cell] = addShard(cells[cell], s)
-		}
-		for _, s := range newShs {
-			cells[cell] = addShard(cells[cell], s)
-			if slices.Contains(mv.old.copies, s) {
-				continue
-			}
+		placed := ss.shardsOf(cell)
+		cells[cell] |= mv.old.mask | placed
+		if grow := placed &^ mv.old.mask; grow != 0 {
 			sp, err := ss.e.stager.Stage(pt)
 			if err != nil {
 				panic(fmt.Sprintf("dyndbscan: migration re-staging point %d: %v", mv.gid, err))
 			}
-			if err := ss.shards[s].c.InsertStaged(sp, mv.gid); err != nil {
-				panic(fmt.Sprintf("dyndbscan: shard %d rejected a migrated copy: %v", s, err))
+			for s := range shardsIn(grow) {
+				if err := ss.shards[s].c.InsertStaged(sp, mv.gid); err != nil {
+					panic(fmt.Sprintf("dyndbscan: shard %d rejected a migrated copy: %v", s, err))
+				}
 			}
 		}
-		newCopies := newShs // shardsOf returns a fresh list
-		for _, s := range mv.old.copies {
-			if slices.Contains(newShs, s) {
-				continue
-			}
+		next := route{col: mv.old.col, owner: ss.ownerOf(cell), mask: placed}
+		for s := range shardsIn(mv.old.mask &^ placed) {
 			// Off-placement from here on: until the trim below, or for good.
 			ss.offCells[cell]++
 			switch {
@@ -1095,7 +1037,7 @@ func (ss *shardSet) reshapeLocked(loCol, hiCol int64, flip func()) (ticket uint6
 				// Keep the undeletable stale copy listed so a later
 				// migration routing this shard again reuses it instead of
 				// inserting a duplicate (which would inflate densities).
-				newCopies = append(newCopies, s)
+				next.mask |= shardBit(s)
 			case ss.deferTrim:
 				// Chunked tier: the stale copy stays resident and listed —
 				// exactly the semi-dynamic treatment above, so deletes and
@@ -1103,13 +1045,13 @@ func (ss *shardSet) reshapeLocked(loCol, hiCol int64, flip func()) (ticket uint6
 				// later in bounded rounds. A real extra copy of a real point
 				// can only under-count neighborhoods elsewhere, never invent
 				// cores or stitch edges, so the interim clustering is exact.
-				newCopies = append(newCopies, s)
+				next.mask |= shardBit(s)
 				ss.trimQueue = append(ss.trimQueue, trimRef{mv.gid, s, cell})
 			default:
 				removals = append(removals, trimRef{mv.gid, s, cell})
 			}
 		}
-		ss.routes[mv.gid] = route{col: mv.old.col, copies: newCopies}
+		ss.routes.set(mv.gid, next)
 	}
 
 	// Grow fold: both generations are resident and the source copies count
@@ -1158,14 +1100,4 @@ func (ss *shardSet) dropOffCell(c grid.Coord) {
 	} else {
 		delete(ss.offCells, c)
 	}
-}
-
-// addShard appends s to a small shard list unless already present.
-func addShard(list []int32, s int32) []int32 {
-	for _, have := range list {
-		if have == s {
-			return list
-		}
-	}
-	return append(list, s)
 }

@@ -51,6 +51,7 @@ package dyndbscan
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"dyndbscan/internal/core"
@@ -571,12 +572,12 @@ func (tx *seamTxn) reread(s int32, coord grid.Coord) {
 // outside a commit — a reshape's grow or trim, a chunked migration round, a
 // deferred-trim round. It folds what the backends queued (their cluster
 // lineage and dirty cells, as a commit would) and re-reads every cell in
-// cells, in the listed shards and in every shard the seam holds an entry
+// cells, in the shards of its mask and in every shard the seam holds an entry
 // for: these are the cells whose tracking may have changed, which no dirty
 // transition reports. Point events are copy-movement artifacts and are
 // dropped. It returns the global cluster events of the transition. Caller
 // holds worldMu exclusively.
-func (ss *shardSet) foldQueuedLocked(cells map[grid.Coord][]int32) []Event {
+func (ss *shardSet) foldQueuedLocked(cells map[grid.Coord]uint64) []Event {
 	tx := ss.newSeamTxn()
 	for si, sh := range ss.shards {
 		var clust []Event
@@ -591,11 +592,10 @@ func (ss *shardSet) foldQueuedLocked(cells map[grid.Coord][]int32) []Event {
 		}
 	}
 	for coord, holders := range cells {
-		shards := holders[:len(holders):len(holders)]
 		for s := range ss.seam.cells[coord] {
-			shards = append(shards, s)
+			holders |= shardBit(s)
 		}
-		for _, s := range shards {
+		for s := range shardsIn(holders) {
 			tx.reread(s, coord)
 		}
 	}
@@ -743,9 +743,10 @@ func (ss *shardSet) auditSeamLocked() error {
 }
 
 // auditRoutesLocked checks the one-handle-space invariants the commit's
-// point-event filter relies on: every route lists its cell's owner shard
-// first, every listed shard holds a copy under the route's handle, and no
-// backend holds a copy that no route lists. Caller holds worldMu exclusively.
+// point-event filter relies on: every route names its cell's owner shard and
+// lists a copy there, every listed shard holds a copy under the route's
+// handle, and no backend holds a copy that no route lists. Caller holds
+// worldMu exclusively.
 func (ss *shardSet) auditRoutesLocked() error {
 	ss.routesMu.Lock()
 	defer ss.routesMu.Unlock()
@@ -753,16 +754,19 @@ func (ss *shardSet) auditRoutesLocked() error {
 	for _, sh := range ss.shards {
 		unlisted += sh.c.Len()
 	}
-	for id, r := range ss.routes {
-		if owner := ss.ownerOfCol(int64(r.col)); r.copies[0] != owner {
-			return fmt.Errorf("route audit: point %d lists shard %d first, its cell's owner is %d", id, r.copies[0], owner)
+	for id, r := range ss.routes.all() {
+		if owner := ss.ownerOfCol(int64(r.col)); r.owner != owner {
+			return fmt.Errorf("route audit: point %d names shard %d its owner, its cell's owner is %d", id, r.owner, owner)
 		}
-		for _, s := range r.copies {
-			if !ss.shards[s].c.Has(id) {
+		if r.mask&shardBit(r.owner) == 0 {
+			return fmt.Errorf("route audit: point %d lists no copy in its owner shard %d", id, r.owner)
+		}
+		for s := range shardsIn(r.mask) {
+			if int(s) >= len(ss.shards) || !ss.shards[s].c.Has(id) {
 				return fmt.Errorf("route audit: point %d lists shard %d, which holds no copy", id, s)
 			}
 		}
-		unlisted -= len(r.copies)
+		unlisted -= bits.OnesCount64(r.mask)
 	}
 	if unlisted != 0 {
 		return fmt.Errorf("route audit: backends hold %d copies more than the routes list", unlisted)

@@ -63,6 +63,7 @@ package dyndbscan
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -85,17 +86,21 @@ type stitchKey struct {
 	cid   ClusterID
 }
 
-// route is the placement of one global handle: copies lists the shards
-// holding a copy of the point, each under the handle itself. copies[0] is
-// the owner (the shard whose stripe contains the point's cell), the rest
-// hold ghost copies in their bands (plus, on insertion-only backends, stale
-// copies a past migration could not delete). col is the point's cell column
-// along dimension 0 — the routing key, kept so load accounting and stripe
-// migration can re-derive the stripe without a backend lookup. Routes change
-// only at insertion, deletion, and stripe migration, always under routesMu.
+// route is the placement of one global handle, stored inline in its slot of
+// the route table (routetable.go); nothing in it is a pointer. mask has bit
+// s set for every shard s holding a copy of the point, each under the handle
+// itself: the owner (the shard whose stripe contains the point's cell), the
+// shards whose ghost bands cover the cell, and, on insertion-only backends,
+// stale copies a past migration could not delete. owner names the owner
+// shard, whose bit is always set, so a zero mask marks a dead slot. col is
+// the point's cell column along dimension 0 — the routing key, kept so load
+// accounting and stripe migration can re-derive the stripe without a backend
+// lookup. Routes change only at insertion, deletion, and stripe migration,
+// always under routesMu.
 type route struct {
-	col    int32
-	copies []int32
+	col   int32
+	owner int32
+	mask  uint64
 }
 
 // shard is one spatial partition: a full clustering backend plus its lock.
@@ -188,17 +193,15 @@ type shardSet struct {
 	//dynlint:lock-level 30
 	worldMu sync.RWMutex
 
-	// Global handle table; guarded by routesMu (commits on disjoint shards
-	// mutate it concurrently). sortedIDs/pendingDead mirror the
-	// single-backend engine's incremental sorted-id cache; idsSorted is
-	// cleared when concurrent commits append their mints out of order.
+	// Global handle table: the route of every live handle, iterable in
+	// ascending handle order. Guarded by routesMu (commits on disjoint
+	// shards mutate it concurrently); every writer also holds worldMu in
+	// some mode, so a holder of worldMu exclusive — snapshot builds,
+	// checkpoint captures — reads it without routesMu.
 	//dynlint:lock-level 50
-	routesMu    sync.Mutex
-	routes      map[PointID]route
-	nextID      PointID
-	sortedIDs   []PointID
-	idsSorted   bool
-	pendingDead map[PointID]struct{}
+	routesMu sync.Mutex
+	routes   routeTable
+	nextID   PointID
 
 	// eventsOn mirrors "the engine has subscribers": commits read it (under
 	// the shared worldMu) to decide whether to collect point events and
@@ -257,9 +260,6 @@ func newShardedEngine(s *engineSettings) (*Engine, error) {
 		// the rounding conservative (over-replication is a perf cost only).
 		bandCells:    int64(math.Floor(band/geo.Side)) + 2,
 		shards:       make([]*shard, s.shards),
-		routes:       make(map[PointID]route),
-		idsSorted:    true,
-		pendingDead:  make(map[PointID]struct{}),
 		keyGID:       make(map[stitchKey]ClusterID),
 		offCells:     make(map[grid.Coord]int32),
 		assign:       make(map[int64]int32),
@@ -367,7 +367,7 @@ func (ss *shardSet) forcedClashLocked(ops []shOp) (PointID, bool) {
 	gids := buf[:0]
 	for i := range ops {
 		if op := &ops[i]; op.insert && op.forceGID {
-			if _, live := ss.routes[op.gid]; live {
+			if ss.routes.has(op.gid) {
 				return op.gid, true
 			}
 			gids = append(gids, op.gid)
@@ -416,20 +416,24 @@ func (ss *shardSet) commitRouted(ops []shOp, errUnknown func(i int, id PointID) 
 	// routes, and bumps the epoch, all under routesMu) that slips into the
 	// gap invalidates the computed shard sets, so the commit re-routes.
 	var (
-		copies   [][]int32
-		cols     []int32
-		involved []int32
+		rbuf     [8]route // backs rts for small batches, on the stack
+		rts      []route  // per op: the insert's placement or the delete target's route
+		involved uint64   // mask of the shards any op touches
 		evsOn    bool
 		unlock   func()
 		walSeq   uint64
-		waited   map[int32]bool // shards whose lock this commit contended on
-		minted   bool           // explicit-handle mode: handles already assigned
+		waited   uint64 // mask of the shards whose lock this commit contended on
+		minted   bool   // explicit-handle mode: handles already assigned
 	)
+	if len(ops) <= len(rbuf) {
+		rts = rbuf[:len(ops)]
+	} else {
+		rts = make([]route, len(ops))
+	}
 route:
 	for {
-		// Route: owner+ghost shards per insert; route copies per delete.
-		copies = make([][]int32, len(ops))
-		cols = make([]int32, len(ops))
+		// Route: owner+ghost shards per insert; the live route per delete.
+		involved = 0
 		ss.routesMu.Lock()
 		if ss.adaptivePending {
 			// First routed batch: derive the stripe width from its extent
@@ -440,44 +444,19 @@ route:
 		for i := range ops {
 			op := &ops[i]
 			if op.insert {
-				copies[i] = ss.shardsOf(op.sp.Coord())
-				cols[i] = op.sp.Coord()[0]
-				continue
+				coord := op.sp.Coord()
+				rts[i] = route{col: coord[0], owner: ss.ownerOf(coord), mask: ss.shardsOf(coord)}
+			} else {
+				r, ok := ss.routes.get(op.gid)
+				if !ok {
+					ss.routesMu.Unlock()
+					return false, errUnknown(i, op.gid)
+				}
+				rts[i] = r
 			}
-			r, ok := ss.routes[op.gid]
-			if !ok {
-				ss.routesMu.Unlock()
-				return false, errUnknown(i, op.gid)
-			}
-			copies[i] = r.copies
-			cols[i] = r.col
+			involved |= rts[i].mask
 		}
 		ss.routesMu.Unlock()
-
-		// Involved shards, ascending.
-		var involvedMask uint64 // fast path for n ≤ 64; fall back handled below
-		involved = involved[:0]
-		mark := func(s int32) {
-			if s < 64 {
-				if involvedMask&(1<<uint(s)) != 0 {
-					return
-				}
-				involvedMask |= 1 << uint(s)
-			} else {
-				for _, have := range involved {
-					if have == s {
-						return
-					}
-				}
-			}
-			involved = append(involved, s)
-		}
-		for i := range ops {
-			for _, s := range copies[i] {
-				mark(s)
-			}
-		}
-		sort.Slice(involved, func(a, b int) bool { return involved[a] < involved[b] })
 
 		// Critical section: shared worldMu + the involved shard locks
 		// (acquired in ascending order, so overlapping commits cannot
@@ -491,7 +470,7 @@ route:
 		// stable once the shared lock is held.
 		ss.worldMu.RLock()
 		evsOn = ss.eventsOn
-		for _, s := range involved {
+		for s := range shardsIn(involved) {
 			if ss.hs == nil || ss.shards[s].mu.TryLock() {
 				if ss.hs == nil {
 					ss.shards[s].mu.Lock()
@@ -502,14 +481,11 @@ route:
 			// of this commit's ops on that shard (noteLoadLocked below) — the
 			// signal the hotspot detector scores alongside raw update counts.
 			ss.shards[s].mu.Lock()
-			if waited == nil {
-				waited = make(map[int32]bool, len(involved))
-			}
-			waited[s] = true
+			waited |= shardBit(s)
 		}
 		unlock = func() {
-			for i := len(involved) - 1; i >= 0; i-- {
-				ss.shards[involved[i]].mu.Unlock()
+			for s := range shardsIn(involved) {
+				ss.shards[s].mu.Unlock()
 			}
 			ss.worldMu.RUnlock()
 		}
@@ -525,7 +501,7 @@ route:
 		}
 		for i := range ops {
 			if !ops[i].insert {
-				if _, ok := ss.routes[ops[i].gid]; !ok {
+				if !ss.routes.has(ops[i].gid) {
 					ss.routesMu.Unlock()
 					unlock()
 					return false, errUnknown(i, ops[i].gid)
@@ -582,8 +558,8 @@ route:
 	// not escape — a single Insert or Delete keeps its one-op list on the
 	// stack.
 	bound := make([]int, len(ss.shards)+1)
-	for i := range ops {
-		for _, s := range copies[i] {
+	for i := range rts {
+		for s := range shardsIn(rts[i].mask) {
 			bound[s+1]++
 		}
 	}
@@ -593,16 +569,20 @@ route:
 	items := make([]shOp, bound[len(ss.shards)])
 	fill := append([]int(nil), bound[:len(ss.shards)]...)
 	for i := range ops {
-		for _, s := range copies[i] {
+		for s := range shardsIn(rts[i].mask) {
 			items[fill[s]] = ops[i]
 			fill[s]++
 		}
 	}
-	evsBuf := make([][]Event, len(involved))
-	clustBuf := make([][]Event, len(involved))
-	dirtyBuf := make([][]grid.Coord, len(involved))
-	runShard := func(k int, s int32) {
-		sh := ss.shards[s]
+	// Per-shard outputs, indexed by shard: point events, the cluster-event
+	// lineage, and the dirty seam cells.
+	type shardOut struct {
+		evs, clust []Event
+		dirty      []grid.Coord
+	}
+	outs := make([]shardOut, len(ss.shards))
+	runShard := func(s int32) {
+		sh, out := ss.shards[s], &outs[s]
 		for _, it := range items[bound[s]:bound[s+1]] {
 			var err error
 			if it.insert {
@@ -616,40 +596,35 @@ route:
 				// under the locks.
 				panic(fmt.Sprintf("dyndbscan: shard %d rejected a validated op: %v", s, err))
 			}
-			ss.drainEvents(s, &evsBuf[k], &clustBuf[k], evsOn)
+			ss.drainEvents(s, &out.evs, &out.clust, evsOn)
 		}
-		dirtyBuf[k] = sh.c.TakeDirtySeamCells()
+		out.dirty = sh.c.TakeDirtySeamCells()
 	}
-	if len(involved) == 1 {
-		runShard(0, involved[0])
+	if involved&(involved-1) == 0 {
+		runShard(int32(bits.TrailingZeros64(involved)))
 	} else {
 		var wg sync.WaitGroup
-		for k, s := range involved {
+		for s := range shardsIn(involved) {
 			wg.Add(1)
-			go func(k int, s int32) {
+			go func(s int32) {
 				defer wg.Done()
-				runShard(k, s)
-			}(k, s)
+				runShard(s)
+			}(s)
 		}
 		wg.Wait()
 	}
 
-	// Publish the routes and the sorted-id cache, and charge the commit to
-	// its owner stripes' load accounts.
+	// Publish the routes and charge the commit to its owner stripes' load
+	// accounts.
 	ss.routesMu.Lock()
 	ss.commitSeq++
 	for i := range ops {
-		op := &ops[i]
-		ss.noteLoadLocked(cols[i], op.insert, waited[copies[i][0]])
+		op, r := &ops[i], rts[i]
+		ss.noteLoadLocked(r.col, op.insert, waited&shardBit(r.owner) != 0)
 		if op.insert {
-			ss.routes[op.gid] = route{col: cols[i], copies: copies[i]}
-			if n := len(ss.sortedIDs); n > 0 && op.gid <= ss.sortedIDs[n-1] {
-				ss.idsSorted = false // concurrent commits may interleave mints
-			}
-			ss.sortedIDs = append(ss.sortedIDs, op.gid)
+			ss.routes.set(op.gid, r)
 		} else {
-			delete(ss.routes, op.gid)
-			ss.pendingDead[op.gid] = struct{}{}
+			ss.routes.del(op.gid)
 		}
 	}
 	if ss.hs != nil {
@@ -675,21 +650,21 @@ route:
 	var ticket uint64
 	pub := false
 	if evsOn {
-		for _, buf := range evsBuf {
-			evs = append(evs, buf...)
+		for s := range shardsIn(involved) {
+			evs = append(evs, outs[s].evs...)
 		}
 	}
 	ss.seamMu.Lock()
 	tx := ss.newSeamTxn()
-	for k, s := range involved {
+	for s := range shardsIn(involved) {
 		sh := ss.shards[s]
-		for _, ev := range clustBuf[k] {
+		for _, ev := range outs[s].clust {
 			tx.applyClusterEvent(s, ev, sh.c)
 		}
 	}
-	for k, s := range involved {
+	for s := range shardsIn(involved) {
 		sh := ss.shards[s]
-		for _, coord := range dirtyBuf[k] {
+		for _, coord := range outs[s].dirty {
 			if !ss.seamTracked(coord) {
 				continue // held by one shard only: no seam relevance
 			}
@@ -828,9 +803,9 @@ func (ss *shardSet) drainEvents(s int32, buf *[]Event, clust *[]Event, evsOn boo
 func (ss *shardSet) len() int {
 	ss.routesMu.Lock()
 	defer ss.routesMu.Unlock()
-	n := len(ss.routes)
+	n := ss.routes.len()
 	for gid := range ss.stagedRoutes {
-		if _, routed := ss.routes[gid]; !routed {
+		if !ss.routes.has(gid) {
 			n++
 		}
 	}
@@ -840,7 +815,7 @@ func (ss *shardSet) len() int {
 func (ss *shardSet) has(id PointID) bool {
 	ss.routesMu.Lock()
 	defer ss.routesMu.Unlock()
-	if _, ok := ss.routes[id]; ok {
+	if ss.routes.has(id) {
 		return true
 	}
 	_, ok := ss.stagedRoutes[id]
@@ -850,35 +825,21 @@ func (ss *shardSet) has(id PointID) bool {
 func (ss *shardSet) ids() []PointID {
 	ss.routesMu.Lock()
 	defer ss.routesMu.Unlock()
-	out := make([]PointID, 0, len(ss.routes)+len(ss.stagedRoutes))
-	for id := range ss.routes {
-		out = append(out, id)
-	}
+	out := ss.routes.ids()
 	for id := range ss.stagedRoutes {
-		if _, routed := ss.routes[id]; !routed {
+		if !ss.routes.has(id) {
 			out = append(out, id)
 		}
 	}
 	return out
 }
 
-// liveIDsLocked returns the ascending live global handles, compacting
-// tombstones lazily; the caller holds worldMu exclusively. It returns a
-// copy: the cache itself is routesMu-guarded and commits append to it
-// under routesMu alone, so handing out the backing array would make the
-// callers' safety depend on worldMu exclusivity — a non-local invariant
-// that the next caller (or a stashed slice outliving the critical
-// section) would silently break. The copy is noise next to the O(n)
-// snapshot/checkpoint builds that consume it.
+// liveIDsLocked returns the ascending live global handles: one walk of the
+// route table's pages. The caller holds worldMu exclusively.
 func (ss *shardSet) liveIDsLocked() []PointID {
 	ss.routesMu.Lock()
 	defer ss.routesMu.Unlock()
-	ss.sortedIDs = compactLiveIDs(ss.sortedIDs, ss.pendingDead)
-	if !ss.idsSorted {
-		sort.Slice(ss.sortedIDs, func(i, j int) bool { return ss.sortedIDs[i] < ss.sortedIDs[j] })
-		ss.idsSorted = true
-	}
-	return append([]PointID(nil), ss.sortedIDs...)
+	return ss.routes.ids()
 }
 
 // snapshot builds (and publishes) the stitched cross-shard snapshot for the
@@ -907,7 +868,8 @@ func (ss *shardSet) snapshot() *Snapshot {
 	// they report map through the stitch to global ids. Two local ids may
 	// stitch to one global cluster, hence the dedup.
 	resolve := func(id PointID) ([]ClusterID, bool) {
-		owner := ss.routes[id].copies[0]
+		r, _ := ss.routes.get(id)
+		owner := r.owner
 		cids, ok := ss.shards[owner].c.ClusterOf(id)
 		if !ok {
 			return nil, false

@@ -39,20 +39,13 @@ func oracleShards(ss *shardSet, c0 int64) []int32 {
 	return out
 }
 
-func sameShardSets(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
+// maskOf is the copy mask of a shard list.
+func maskOf(shards []int32) uint64 {
+	var m uint64
+	for _, s := range shards {
+		m |= shardBit(s)
 	}
-	seen := make(map[int32]bool, len(a))
-	for _, s := range a {
-		seen[s] = true
-	}
-	for _, s := range b {
-		if !seen[s] {
-			return false
-		}
-	}
-	return true
+	return m
 }
 
 // TestRoutingOracle property-tests the routing arithmetic — ownerOf,
@@ -93,11 +86,8 @@ func TestRoutingOracle(t *testing.T) {
 			}
 			want := oracleShards(ss, c)
 			got := ss.shardsOf(coord)
-			if got[0] != wantOwner {
-				t.Fatalf("trial %d c0=%d: shardsOf[0]=%d, owner %d", trial, c, got[0], wantOwner)
-			}
-			if !sameShardSets(got, want) {
-				t.Fatalf("trial %d (n=%d W=%d B=%d) c0=%d: shardsOf=%v, oracle %v",
+			if got != maskOf(want) {
+				t.Fatalf("trial %d (n=%d W=%d B=%d) c0=%d: shardsOf=%b, oracle %v",
 					trial, shards, stripe, band, c, got, want)
 			}
 			if gotR, wantR := ss.replicated(coord), len(want) > 1; gotR != wantR {
@@ -108,8 +98,8 @@ func TestRoutingOracle(t *testing.T) {
 	}
 }
 
-// TestReplicatedMatchesShardsOf pins the fast replicated() predicate to the
-// materialized shard list on the round-robin default assignment (no
+// TestReplicatedMatchesShardsOf pins the replicated() predicate to the
+// brute-force oracle's shard list on the round-robin default assignment (no
 // overrides), across stripe/band/shard-count combinations.
 func TestReplicatedMatchesShardsOf(t *testing.T) {
 	for _, shards := range []int{2, 3, 4, 8} {
@@ -119,9 +109,9 @@ func TestReplicatedMatchesShardsOf(t *testing.T) {
 				for c := int64(-500); c <= 500; c++ {
 					var coord grid.Coord
 					coord[0] = int32(c)
-					want := len(ss.shardsOf(coord)) > 1
+					want := len(oracleShards(ss, c)) > 1
 					if got := ss.replicated(coord); got != want {
-						t.Fatalf("shards=%d stripe=%d band=%d c0=%d: replicated=%v shardsOf=%v",
+						t.Fatalf("shards=%d stripe=%d band=%d c0=%d: replicated=%v, oracle %v",
 							shards, stripe, band, c, got, want)
 					}
 				}

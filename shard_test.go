@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -243,6 +244,12 @@ func TestShardedEquivalence(t *testing.T) {
 func TestShardedValidation(t *testing.T) {
 	if _, err := dyndbscan.New(dyndbscan.WithEps(1), dyndbscan.WithMinPts(2), dyndbscan.WithShards(0)); err == nil {
 		t.Fatal("WithShards(0) accepted")
+	}
+	// A route's copy mask holds 64 shards.
+	if _, err := dyndbscan.New(dyndbscan.WithEps(1), dyndbscan.WithMinPts(2), dyndbscan.WithShards(65)); err == nil {
+		t.Fatal("WithShards(65) accepted")
+	} else if !strings.Contains(err.Error(), "at most 64 shards") {
+		t.Fatalf("WithShards(65): error %q does not name the 64-shard limit", err)
 	}
 	if _, err := dyndbscan.New(dyndbscan.WithEps(1), dyndbscan.WithMinPts(2), dyndbscan.WithShardStripe(0)); err == nil {
 		t.Fatal("WithShardStripe(0) accepted")

@@ -18,6 +18,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -888,5 +889,143 @@ func TestMalformedPlacementRecordRefused(t *testing.T) {
 			}
 			check("OpenReplica", err)
 		})
+	}
+}
+
+// TestExplicitHandleDomain appends one explicit-handle record naming a handle
+// at the edge of the handle domain to a clean staged-corpus log. Open and
+// OpenReplica must both refuse a negative handle (a corrupt uvarint of 2^63
+// or more decodes to one). A record naming handle 2^62 recovers: the route
+// table spends one page on the sparse handle, never memory for the gap
+// before it, and the mint counter continues past it.
+func TestExplicitHandleDomain(t *testing.T) {
+	const far = PointID(1) << 62
+	for _, tc := range []struct {
+		name string
+		rec  []wal.Op
+		want string // error substring; "" means the record recovers
+	}{
+		{"negative OpInsertAt", []wal.Op{{Kind: wal.OpInsertAt, ID: -1, Coord: []float64{1000, 1000}}},
+			"explicit insert names handle -1"},
+		{"negative OpStagedInsert", []wal.Op{{Kind: wal.OpStagedInsert, ID: -1 << 62, Coord: []float64{1000, 1000}}},
+			fmt.Sprintf("explicit insert names handle %d", int64(-1)<<62)},
+		{"handle 2^62", []wal.Op{{Kind: wal.OpInsertAt, ID: int64(far), Coord: []float64{1000, 1000}}}, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			e, err := New(stagedCorpusOpts(dir)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.InsertBatch(stagedCorpusWarm); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+			log, err := wal.Open(dir, wal.Options{MustExist: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := log.Append(tc.rec); err != nil {
+				t.Fatal(err)
+			}
+			if err := log.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			// Recovery's allocation volume: the gap before handle 2^62 spans
+			// 2^53 route-table pages, so any per-page cost of the gap shows
+			// up here long before it could exhaust memory.
+			const allocBound = 64 << 20
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			r, err := Open(dir)
+			runtime.ReadMemStats(&after)
+			rep, repErr := OpenReplica(dir)
+			if tc.want != "" {
+				for what, err := range map[string]error{"Open": err, "OpenReplica": repErr} {
+					if err == nil {
+						t.Fatalf("%s accepted the out-of-domain handle", what)
+					}
+					if !strings.Contains(err.Error(), tc.want) {
+						t.Fatalf("%s: error %q does not contain %q", what, err, tc.want)
+					}
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			if repErr != nil {
+				t.Fatal(repErr)
+			}
+			defer rep.Close()
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > allocBound {
+				t.Fatalf("recovery allocated %d bytes, bound %d", grew, allocBound)
+			}
+			if pages, bound := len(r.sh.routes.dir), len(stagedCorpusWarm)/routePageSlots+2; pages > bound {
+				t.Fatalf("route table holds %d pages, bound %d", pages, bound)
+			}
+			for what, q := range map[string]interface {
+				Len() int
+				Has(PointID) bool
+			}{"Open": r, "OpenReplica": rep} {
+				if n := q.Len(); n != len(stagedCorpusWarm)+1 {
+					t.Fatalf("%s: Len = %d, want %d", what, n, len(stagedCorpusWarm)+1)
+				}
+				if !q.Has(far) {
+					t.Fatalf("%s: handle 2^62 is not live", what)
+				}
+			}
+			if err := r.SeamAudit(); err != nil {
+				t.Fatal(err)
+			}
+			id, err := r.Insert(Point{1002, 1000})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if id != far+1 {
+				t.Fatalf("next minted handle = %d, want %d", id, far+1)
+			}
+			if err := r.Delete(far); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.SeamAudit(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestLogMetaShardLimit: a log whose meta record names more shards than a
+// route's copy mask holds is refused by Open and OpenReplica, with an error
+// that names the limit, before any engine is built.
+func TestLogMetaShardLimit(t *testing.T) {
+	dir := t.TempDir()
+	meta := encodeEngineMeta(
+		&Engine{algo: AlgoFullyDynamic, cfg: Config{Dims: 2, Eps: 6, MinPts: 3}},
+		&engineSettings{shards: maxShards + 1},
+	)
+	log, err := wal.Open(dir, wal.Options{Meta: meta})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("supports 1 to %d", maxShards)
+	if r, err := Open(dir); err == nil {
+		r.Close()
+		t.Fatal("Open accepted a 65-shard log")
+	} else if !strings.Contains(err.Error(), want) {
+		t.Fatalf("Open: error %q does not contain %q", err, want)
+	}
+	if r, err := OpenReplica(dir); err == nil {
+		r.Close()
+		t.Fatal("OpenReplica accepted a 65-shard log")
+	} else if !strings.Contains(err.Error(), want) {
+		t.Fatalf("OpenReplica: error %q does not contain %q", err, want)
 	}
 }
