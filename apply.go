@@ -63,7 +63,7 @@ func (e *Engine) Apply(ops []Op) ([]PointID, error) {
 	if err != nil || len(staged) == 0 {
 		return nil, err
 	}
-	ok, err := e.commit(staged, errsApply.unknown)
+	ok, err := e.sh.commitBatch(staged, errsApply.unknown)
 	if !ok {
 		return nil, err
 	}
@@ -72,10 +72,7 @@ func (e *Engine) Apply(ops []Op) ([]PointID, error) {
 
 // The update front-end. Every entry point (Insert, InsertBatch, Delete,
 // DeleteBatch, Apply) turns its input into one staged op list, validated
-// once, and hands it to Engine.commit (engine.go), which runs the
-// single-backend commit core or shardSet.commitBatch (shard.go). The cores share the op
-// list, the WAL record (walOpsFromShOps) and the unknown-handle check under
-// the commit lock; only routing, locking and the seam fold differ.
+// once, and hands it to shardSet.commitBatch (shard.go).
 
 // opErrs words an entry point's validation failures. The checks are shared;
 // each entry point keeps its own long-standing messages.

@@ -5,8 +5,7 @@ package dyndbscan
 // Checkpoint payloads: the serialized live state that bounds WAL replay.
 //
 // A checkpoint stores the live points (handles and coordinates), the id-mint
-// counters, the cluster-identity assignment, and — sharded — the stripe
-// placement. Restore re-inserts the points with forced handles through the
+// counters, the cluster-identity assignment, and the stripe placement. Restore re-inserts the points with forced handles through the
 // ordinary insert machinery, so the rebuilt backends are real post-insert
 // states, then grafts the stored cluster identities back on by membership
 // matching: under Rho = 0 the rebuild reproduces the checkpointed clustering
@@ -16,17 +15,19 @@ package dyndbscan
 // differently, so identities transfer by maximum member overlap — clients
 // keep their ClusterIDs wherever the clusters are recognizably the same.
 //
-// In single-backend mode the backend adopts the stored identities itself
-// (AdoptClusterIDs), so every later merge, split and event speaks the ids
-// clients saw; in sharded mode the stitch's keyGID table is rewritten in
-// place, since it is the translation layer between shard-local and global
-// cluster ids. Point handles need no translation in either mode: every
-// backend stores each copy under the point's global PointID.
+// The stitch's keyGID table is rewritten in place, since it is the
+// translation layer between shard-local and global cluster ids. Point
+// handles need no translation: every backend stores each copy under the
+// point's global PointID.
 //
-// Capture and restore read the engine through one shape-independent view,
-// ckptSource: every live handle has an owner copy — the backend whose view
-// of the point is exact. The single-backend engine is the one-backend case
-// with an identity cluster mapping.
+// Capture and restore read the engine through ckptSource: every live handle
+// has an owner copy — the backend whose view of the point is exact.
+//
+// Payload modes. Engines write the sharded modes (ckptSharded here,
+// ckptDeltaSharded in deltackpt.go), a one-shard engine included. The single
+// modes were written by the single-backend engine this package no longer
+// has; they are decode-only, and restore into a one-shard engine with the
+// default placement.
 
 import (
 	"encoding/binary"
@@ -41,7 +42,7 @@ import (
 
 const (
 	ckptVersion  = 1
-	ckptSingle   = 1 // single-backend payload
+	ckptSingle   = 1 // single-backend payload (decode-only)
 	ckptSharded  = 2 // sharded payload (adds stripe placement)
 	maxCkptItems = 1 << 31
 )
@@ -160,7 +161,7 @@ type ckptData struct {
 	// (border points appear under every cluster they belong to).
 	clusters map[ClusterID][]PointID
 
-	// Sharded placement.
+	// Stripe placement (zero in single-mode payloads).
 	stripeCells int64
 	assign      map[int64]int32
 }
@@ -279,62 +280,20 @@ func decodeCheckpoint(b []byte) (*ckptData, error) {
 // ckptSource is the quiesced engine state a checkpoint capture or a restore
 // reads; see the file comment.
 type ckptSource struct {
-	mode, deltaMode byte // payload modes: ckptSingle/ckptDeltaSingle or the sharded pair
-	cfg             Config
-	backends        []backend // indexed by shard
-	live            int       // live handle count
-	nextPt          PointID
-	nextGID         ClusterID
+	ss      *shardSet
+	live    int // live handle count
+	nextPt  PointID
+	nextGID ClusterID
 
-	ids     func() []PointID                                   // ascending live handles
-	owner   func(id PointID) (int32, bool)                     // owner shard; ok=false for a dead handle
-	cluster func(shard int32, cid ClusterID) (ClusterID, bool) // backend-local cluster → global id
-
-	// Sharded placement tail (nil/zero in single-backend payloads).
 	stripeCells int64
 	assign      map[int64]int32
 }
 
-// singleSource views the single-backend engine as a checkpoint source; the
-// caller holds the update lock.
-func (e *Engine) singleSource() *ckptSource {
-	return &ckptSource{
-		mode:      ckptSingle,
-		deltaMode: ckptDeltaSingle,
-		cfg:       e.cfg,
-		backends:  []backend{e.c},
-		live:      e.c.Len(),
-		nextPt:    e.c.NextPointID(),
-		nextGID:   e.c.NextClusterID(),
-		ids:       e.liveIDs,
-		owner:     func(id PointID) (int32, bool) { return 0, e.c.Has(id) },
-		cluster:   func(_ int32, cid ClusterID) (ClusterID, bool) { return cid, true },
-	}
-}
-
-// sourceLocked views the sharded engine as a checkpoint source: owner copies
-// come from the route table, global cluster ids from the stitch. Caller
-// holds worldMu exclusively, which quiesces every commit.
+// sourceLocked views the engine as a checkpoint source: owner copies come
+// from the route table, global cluster ids from the stitch. Caller holds
+// worldMu exclusively, which quiesces every commit.
 func (ss *shardSet) sourceLocked() *ckptSource {
-	src := &ckptSource{
-		mode:      ckptSharded,
-		deltaMode: ckptDeltaSharded,
-		cfg:       ss.cfg,
-		backends:  make([]backend, len(ss.shards)),
-		nextGID:   ss.nextGID,
-		ids:       ss.liveIDsLocked,
-		owner: func(id PointID) (int32, bool) {
-			r, ok := ss.routes.get(id)
-			return r.owner, ok
-		},
-		cluster: func(shard int32, cid ClusterID) (ClusterID, bool) {
-			g, ok := ss.keyGID[stitchKey{shard, cid}]
-			return g, ok
-		},
-	}
-	for i, sh := range ss.shards {
-		src.backends[i] = sh.c
-	}
+	src := &ckptSource{ss: ss, nextGID: ss.nextGID}
 	ss.routesMu.Lock()
 	src.live = ss.routes.len()
 	src.nextPt = ss.nextID
@@ -342,6 +301,12 @@ func (ss *shardSet) sourceLocked() *ckptSource {
 	src.assign = maps.Clone(ss.assign)
 	ss.routesMu.Unlock()
 	return src
+}
+
+// owner returns the owner shard of a handle; ok is false for a dead one.
+func (src *ckptSource) owner(id PointID) (int32, bool) {
+	r, ok := src.ss.routes.get(id)
+	return r.owner, ok
 }
 
 // liveOwner returns the owner shard of a handle live in the source.
@@ -356,28 +321,11 @@ func (src *ckptSource) liveOwner(id PointID) int32 {
 
 // pointAt returns the coordinates of id's copy in its owner shard o.
 func (src *ckptSource) pointAt(o int32, id PointID) Point {
-	pt, ok := src.backends[o].PointAt(id)
+	pt, ok := src.ss.shards[o].c.PointAt(id)
 	if !ok {
 		panic(fmt.Sprintf("dyndbscan: checkpoint: owner shard %d has no copy of point %d", o, id))
 	}
 	return pt
-}
-
-// clustersOf returns the global cluster ids of id's copy in shard o,
-// ascending and deduplicated (two local clusters may stitch to one global
-// cluster); nil for a noise point.
-func (src *ckptSource) clustersOf(o int32, id PointID) []ClusterID {
-	cids, ok := src.backends[o].ClusterOf(id)
-	if !ok || len(cids) == 0 {
-		return nil
-	}
-	out := make([]ClusterID, 0, len(cids))
-	for _, cid := range cids {
-		if g, ok := src.cluster(o, cid); ok {
-			out = append(out, g)
-		}
-	}
-	return dedupSortedIDs(out)
 }
 
 // groupClusters lists the live handles ids (ascending) under every global
@@ -392,7 +340,8 @@ func (src *ckptSource) groupClusters(ids []PointID, coords []Point) map[ClusterI
 		if coords != nil {
 			coords[i] = src.pointAt(o, id)
 		}
-		for _, g := range src.clustersOf(o, id) {
+		gids, _ := src.ss.clusterOfLocked(o, id)
+		for _, g := range gids {
 			clusters[g] = append(clusters[g], id)
 		}
 	}
@@ -401,16 +350,13 @@ func (src *ckptSource) groupClusters(ids []PointID, coords []Point) map[ClusterI
 
 // fullPayload serializes the whole live state.
 func (src *ckptSource) fullPayload() []byte {
-	ids := src.ids()
+	ids := src.ss.liveIDsLocked()
 	coords := make([]Point, len(ids))
 	clusters := src.groupClusters(ids, coords)
-	b := []byte{ckptVersion, src.mode}
-	b = encodeCheckpointCommon(b, src.cfg.Dims, src.nextPt, src.nextGID, ids,
+	b := []byte{ckptVersion, ckptSharded}
+	b = encodeCheckpointCommon(b, src.ss.cfg.Dims, src.nextPt, src.nextGID, ids,
 		func(i int) Point { return coords[i] }, clusters)
-	if src.mode == ckptSharded {
-		b = appendPlacement(b, src.stripeCells, src.assign)
-	}
-	return b
+	return appendPlacement(b, src.stripeCells, src.assign)
 }
 
 // capture quiesces the engine and serializes its state; seq 0 means nothing
@@ -419,37 +365,28 @@ func (src *ckptSource) fullPayload() []byte {
 // deltackpt.go); either way the change trackers are drained, resetting the
 // next delta's baseline.
 func (e *Engine) capture(wantDelta bool) (seq uint64, payload []byte, isDelta bool) {
-	var src *ckptSource
-	if ss := e.sh; ss != nil {
-		ss.worldMu.Lock()
-		defer ss.worldMu.Unlock()
-		// The LastSeq read below is the payload's coverage claim: every
-		// record at or below it must be reflected in the payload. Ordinary
-		// appends happen under worldMu.RLock, so the exclusive hold quiesces
-		// them; staged-delta appends happen under routesMu alone, so
-		// Engine.Checkpoint pauses staging and folds everything staged
-		// before calling here. Assert that coupling — a staged insert at this
-		// point would be covered by seq but missing from the payload, and
-		// silently lost on trim.
-		if hs := ss.hs; hs != nil && hs.stagedTotal.Load() != 0 {
-			panic("dyndbscan: checkpoint: staged hotspot deltas present during payload capture")
-		}
-		src = ss.sourceLocked()
-	} else {
-		// Single-backend appends happen under the update lock, so the
-		// sequence and the state agree.
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		src = e.singleSource()
+	ss := e.sh
+	ss.worldMu.Lock()
+	defer ss.worldMu.Unlock()
+	// The LastSeq read below is the payload's coverage claim: every record
+	// at or below it must be reflected in the payload. Ordinary appends
+	// happen under worldMu.RLock, so the exclusive hold quiesces them;
+	// staged-delta appends happen under routesMu alone, so Engine.Checkpoint
+	// pauses staging and folds everything staged before calling here. Assert
+	// that coupling — a staged insert at this point would be covered by seq
+	// but missing from the payload, and silently lost on trim.
+	if hs := ss.hs; hs != nil && hs.stagedTotal.Load() != 0 {
+		panic("dyndbscan: checkpoint: staged hotspot deltas present during payload capture")
 	}
+	src := ss.sourceLocked()
 	seq = e.wal.log.LastSeq()
 	if seq == 0 {
 		return 0, nil, false
 	}
 	d := e.wal.takeDirty()
-	cells := make([][]grid.Coord, len(src.backends))
-	for i, c := range src.backends {
-		cells[i] = c.TakeDirtyUpdateCells()
+	cells := make([][]grid.Coord, len(ss.shards))
+	for i, sh := range ss.shards {
+		cells[i] = sh.c.TakeDirtyUpdateCells()
 	}
 	if wantDelta && !d.full {
 		if b, ok := src.deltaPayload(&d, cells); ok {
@@ -461,49 +398,28 @@ func (e *Engine) capture(wantDelta bool) (seq uint64, payload []byte, isDelta bo
 
 // restoreCheckpoint rebuilds the freshly constructed engine from a composed
 // checkpoint chain (see composeCheckpoints); runs inside Open, before replay,
-// before the Engine escapes.
+// before the Engine escapes. A single-mode chain, written by the retired
+// single-backend engine, restores into a one-shard engine.
 func (e *Engine) restoreCheckpoint(ck *ckptData) error {
 	if ck.dims != e.cfg.Dims {
 		return fmt.Errorf("%w: dimensionality %d does not match the log's %d", errCorruptCkpt, ck.dims, e.cfg.Dims)
 	}
-	if e.sh != nil {
-		if ck.mode != ckptSharded {
-			return fmt.Errorf("%w: single-backend checkpoint in a sharded log", errCorruptCkpt)
-		}
-		return e.sh.restore(ck)
+	if ck.mode == ckptSingle && e.sh.placing() {
+		return fmt.Errorf("%w: single-backend checkpoint in a sharded log", errCorruptCkpt)
 	}
-	if ck.mode != ckptSingle {
-		return fmt.Errorf("%w: sharded checkpoint in a single-backend log", errCorruptCkpt)
-	}
-	return e.restoreSingle(ck)
+	return e.sh.restore(ck)
 }
 
-// restoreSingle re-inserts the checkpointed points at their stored handles
-// (the decoder guarantees they are strictly ascending), pins the handle
-// counter, and has the backend adopt the stored cluster ids.
-func (e *Engine) restoreSingle(ck *ckptData) error {
-	for i, id := range ck.ids {
-		sp, err := e.stager.Stage(ck.coords[i])
-		if err == nil {
-			err = e.c.InsertStaged(sp, id)
-		}
-		if err != nil {
-			return fmt.Errorf("dyndbscan: checkpoint restore: point %d: %w", id, err)
-		}
-	}
-	e.c.SetNextPointID(ck.nextPt)
-	e.sortedIDs = append(e.sortedIDs[:0], ck.ids...)
-	m, next := matchClusters(e.singleSource().groupClusters(ck.ids, nil), ck.clusters, ck.nextGID)
-	return e.c.AdoptClusterIDs(m, next)
-}
-
-// restore rebuilds the sharded engine: placement first (so routing matches
-// the checkpointed stripes), then one forced-handle commit through the
-// ordinary commit pipeline — its seam fold mints temporary global ids — then
-// the temporary ids are renamed to the stored identities in place.
+// restore rebuilds the engine: placement first (so routing matches the
+// checkpointed stripes; a single-mode payload carries none and keeps the
+// default), then one forced-handle commit through the ordinary commit
+// pipeline — its seam fold mints temporary global ids — then the temporary
+// ids are renamed to the stored identities in place.
 func (ss *shardSet) restore(ck *ckptData) error {
 	ss.routesMu.Lock()
-	ss.stripeCells = ck.stripeCells
+	if ck.mode != ckptSingle {
+		ss.stripeCells = ck.stripeCells
+	}
 	adaptive := ss.adaptivePending
 	ss.adaptivePending = false
 	for st, sh := range ck.assign {
@@ -553,7 +469,7 @@ func (ss *shardSet) restore(ck *ckptData) error {
 	ss.worldMu.Lock()
 	defer ss.worldMu.Unlock()
 	src := ss.sourceLocked()
-	m, next := matchClusters(src.groupClusters(src.ids(), nil), ck.clusters, ck.nextGID)
+	m, next := matchClusters(src.groupClusters(ss.liveIDsLocked(), nil), ck.clusters, ck.nextGID)
 	// Temporary ids that never surfaced through an owned member (possible
 	// only for degenerate pure-ghost components) still need a stable, unique
 	// identity; mint in ascending temp order for determinism.

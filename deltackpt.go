@@ -47,9 +47,10 @@ import (
 	"dyndbscan/internal/grid"
 )
 
-// Delta payload modes; full payloads use ckptSingle/ckptSharded.
+// Delta payload modes; full payloads use ckptSingle/ckptSharded. The single
+// mode is decode-only (see checkpoint.go).
 const (
-	ckptDeltaSingle  = 3 // single-backend delta payload
+	ckptDeltaSingle  = 3 // single-backend delta payload (decode-only)
 	ckptDeltaSharded = 4 // sharded delta payload (adds stripe placement)
 )
 
@@ -99,8 +100,8 @@ type dirtyState struct {
 }
 
 // ckptDirty is dirtyState behind its leaf mutex. Commits record into it from
-// inside their critical sections (commit cores, seam fold, single-backend
-// event sink), captures drain it while the world is quiesced.
+// inside their critical sections (the commit and its seam fold), captures
+// drain it while the world is quiesced.
 type ckptDirty struct {
 	//dynlint:lock-level 120
 	mu sync.Mutex
@@ -138,18 +139,6 @@ func (w *walState) noteDirtyOps(ops []shOp) {
 		}
 	}
 	d.capLocked()
-}
-
-// noteDirtyEvent records one committed cluster event into the lineage.
-func (w *walState) noteDirtyEvent(ev Event) {
-	if w == nil || w.recovering {
-		return
-	}
-	d := &w.dirty
-	d.mu.Lock()
-	d.noteEventLocked(ev)
-	d.capLocked()
-	d.mu.Unlock()
 }
 
 // noteDirtyEvents records a commit's global events in commit order.
@@ -569,10 +558,11 @@ func mergeSortedIDs(a, b []PointID) []PointID {
 // own residents, so each live point is patched from exactly one backend.
 // cells holds each backend's drained dirty cells.
 func (src *ckptSource) deltaPayload(d *dirtyState, cells [][]grid.Coord) ([]byte, bool) {
+	ss := src.ss
 	if split := closeSplitLineage(d); len(split) > 0 {
-		for si, c := range src.backends {
-			c.ForEachCoreCell(func(coord grid.Coord, cid ClusterID) bool {
-				if g, ok := src.cluster(int32(si), cid); ok {
+		for si, sh := range ss.shards {
+			sh.c.ForEachCoreCell(func(coord grid.Coord, cid ClusterID) bool {
+				if g, ok := ss.keyGID[stitchKey{int32(si), cid}]; ok {
 					if _, in := split[g]; in {
 						cells[si] = append(cells[si], coord)
 					}
@@ -581,16 +571,16 @@ func (src *ckptSource) deltaPayload(d *dirtyState, cells [][]grid.Coord) ([]byte
 			})
 		}
 	}
-	r := deltaPatchRadius(src.cfg)
+	r := deltaPatchRadius(ss.cfg)
 	patch := make(map[PointID][]ClusterID)
-	for si, c := range src.backends {
+	for si, sh := range ss.shards {
 		for _, cell := range cells[si] {
-			c.ForEachPointNear(cell, r, func(id PointID) bool {
+			sh.c.ForEachPointNear(cell, r, func(id PointID) bool {
 				if _, done := patch[id]; done {
 					return true
 				}
 				if o, ok := src.owner(id); ok && o == int32(si) {
-					patch[id] = src.clustersOf(o, id)
+					patch[id], _ = ss.clusterOfLocked(o, id)
 				} // else a ghost copy; its owner shard patches it
 				return true
 			})
@@ -600,8 +590,8 @@ func (src *ckptSource) deltaPayload(d *dirtyState, cells [][]grid.Coord) ([]byte
 		return nil, false
 	}
 	dl := &ckptDelta{
-		mode:        src.deltaMode,
-		dims:        src.cfg.Dims,
+		mode:        ckptDeltaSharded,
+		dims:        ss.cfg.Dims,
 		nextPt:      src.nextPt,
 		nextGID:     src.nextGID,
 		merges:      d.merges,

@@ -1,15 +1,19 @@
 package dyndbscan_test
 
 // Randomized cross-mode equivalence harness: a seeded generator drives
-// identical mixed Insert/Delete/Apply streams through three engines —
-// single-shard, sharded without subscribers, and sharded with a subscriber
-// attached — across all three algorithms, asserting snapshot equality and
-// event-stream reconcilability every few commits. With Rho = 0 every
-// clustering decision is a pure function of the visible point set, so all
-// three modes must agree exactly; the subscribed engine additionally has its
-// incrementally maintained seam structure audited against a fresh stitch and
-// its event stream validated (internal/evcheck) and reconciled against the
-// snapshot's live cluster set.
+// identical mixed Insert/Delete/Apply streams through a bare internal/core
+// backend — the independent reference — and through the engine modes:
+// one-shard, sharded without subscribers, and sharded with a subscriber
+// attached (plus WAL-restarted and hotspot engines when configured), across
+// all three algorithms, asserting clustering equality and event-stream
+// reconcilability every few commits. With Rho = 0 every clustering decision
+// is a pure function of the visible point set, so every mode must agree with
+// the reference exactly; at every check the live read paths (GroupBy and
+// ClusterOf without a current snapshot) must also answer exactly what the
+// snapshot of the same epoch does, and the subscribed engine additionally has
+// its incrementally maintained seam structure audited against a fresh stitch
+// and its event stream validated (internal/evcheck) and reconciled against
+// the snapshot's live cluster set.
 //
 // On failure the harness shrinks the op stream (bounded greedy chunk
 // removal, replaying from scratch) and prints the seed plus the minimal op
@@ -25,6 +29,7 @@ import (
 	"time"
 
 	"dyndbscan"
+	"dyndbscan/internal/core"
 	"dyndbscan/internal/evcheck"
 )
 
@@ -123,20 +128,69 @@ func newEqEngine(cfg eqConfig, shards int, extra ...dyndbscan.Option) (*dyndbsca
 	return dyndbscan.New(append(opts, extra...)...)
 }
 
-// enginesIsomorphic compares two engines' clusterings as partitions (groups,
-// border multi-membership, noise); cluster ids may differ across modes.
-func enginesIsomorphic(a, b *dyndbscan.Engine, aName, bName string) error {
-	if la, lb := a.Len(), b.Len(); la != lb {
-		return fmt.Errorf("Len mismatch: %s %d, %s %d", aName, la, bName, lb)
+// eqOracle is the harness's independent reference: a bare internal/core
+// backend, fed the same ops as the engines one at a time. Its handles mint
+// in op order exactly as an engine's do.
+type eqOracle interface {
+	Insert(dyndbscan.Point) (dyndbscan.PointID, error)
+	Delete(dyndbscan.PointID) error
+	GroupBy([]dyndbscan.PointID) (dyndbscan.Result, error)
+	IDs() []dyndbscan.PointID
+}
+
+func newEqOracle(cfg eqConfig) (eqOracle, error) {
+	c := core.Config{Dims: 2, Eps: cfg.eps, MinPts: cfg.minPts, Rho: 0}
+	switch cfg.algo {
+	case dyndbscan.AlgoSemiDynamic:
+		return core.NewSemiDynamic(c)
+	case dyndbscan.AlgoIncDBSCAN:
+		return core.NewIncDBSCAN(c)
+	default:
+		return core.NewFullyDynamic(c)
 	}
-	ra, err := a.GroupAll()
+}
+
+// oracleApply feeds one Apply batch to the reference op by op and returns
+// the handles, in the shape Engine.Apply reports them.
+func oracleApply(o eqOracle, batch []dyndbscan.Op) ([]dyndbscan.PointID, error) {
+	out := make([]dyndbscan.PointID, len(batch))
+	for i, op := range batch {
+		if op.Kind == dyndbscan.OpInsert {
+			id, err := o.Insert(op.Pt)
+			if err != nil {
+				return nil, err
+			}
+			out[i] = id
+			continue
+		}
+		if err := o.Delete(op.ID); err != nil {
+			return nil, err
+		}
+		out[i] = op.ID
+	}
+	return out, nil
+}
+
+// oracleIsomorphic compares an engine's clustering with the reference's as
+// partitions; cluster ids are not compared.
+func oracleIsomorphic(o eqOracle, e *dyndbscan.Engine, name string) error {
+	ids := o.IDs()
+	if e.Len() != len(ids) {
+		return fmt.Errorf("Len mismatch: core %d, %s %d", len(ids), name, e.Len())
+	}
+	want, err := o.GroupBy(ids)
 	if err != nil {
-		return fmt.Errorf("%s GroupAll: %w", aName, err)
+		return fmt.Errorf("core GroupBy: %w", err)
 	}
-	rb, err := b.GroupAll()
+	got, err := e.GroupAll()
 	if err != nil {
-		return fmt.Errorf("%s GroupAll: %w", bName, err)
+		return fmt.Errorf("%s GroupAll: %w", name, err)
 	}
+	return resultsIsomorphic(want, got, "core", name)
+}
+
+// resultsIsomorphic compares two normalized results as partitions.
+func resultsIsomorphic(ra, rb dyndbscan.Result, aName, bName string) error {
 	if len(ra.Groups) != len(rb.Groups) {
 		return fmt.Errorf("group count mismatch: %s %d, %s %d", aName, len(ra.Groups), bName, len(rb.Groups))
 	}
@@ -151,9 +205,46 @@ func enginesIsomorphic(a, b *dyndbscan.Engine, aName, bName string) error {
 	return nil
 }
 
-// runEqStream replays ops through the three modes and returns an error
-// naming the first checkpoint at which any invariant broke.
+// liveReadsAgree checks one engine at a quiescent point: GroupBy and
+// ClusterOf over q, read live (the checks run before anything builds this
+// epoch's snapshot), must answer exactly what the snapshot of the same epoch
+// does.
+func liveReadsAgree(e *dyndbscan.Engine, name string, q []dyndbscan.PointID) error {
+	got, err := e.GroupBy(q)
+	if err != nil {
+		return fmt.Errorf("%s live GroupBy: %w", name, err)
+	}
+	cids := make([][]dyndbscan.ClusterID, len(q))
+	for i, id := range q {
+		c, ok := e.ClusterOf(id)
+		if !ok {
+			return fmt.Errorf("%s live ClusterOf(%d): not live", name, id)
+		}
+		cids[i] = c
+	}
+	s := e.Snapshot()
+	want, err := s.GroupBy(q)
+	if err != nil {
+		return fmt.Errorf("%s Snapshot().GroupBy: %w", name, err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		return fmt.Errorf("%s: live GroupBy differs from Snapshot().GroupBy:\nlive:     %v\nsnapshot: %v", name, got, want)
+	}
+	for i, id := range q {
+		if w, _ := s.ClusterOf(id); fmt.Sprint(cids[i]) != fmt.Sprint(w) {
+			return fmt.Errorf("%s: live ClusterOf(%d) = %v, snapshot says %v", name, id, cids[i], w)
+		}
+	}
+	return nil
+}
+
+// runEqStream replays ops through the reference and the engine modes and
+// returns an error naming the first checkpoint at which any invariant broke.
 func runEqStream(cfg eqConfig, ops []eqOp) (err error) {
+	oracle, err := newEqOracle(cfg)
+	if err != nil {
+		return err
+	}
 	ref, err := newEqEngine(cfg, 1)
 	if err != nil {
 		return err
@@ -267,26 +358,33 @@ func runEqStream(cfg eqConfig, ops []eqOp) (err error) {
 
 	var live []dyndbscan.PointID
 	commits, moves := 0, 0
+	type eqMode struct {
+		name string
+		e    *dyndbscan.Engine
+	}
 	checkpoint := func(stage string) error {
 		sub.Sync()
 		if err := val.Err(); err != nil {
 			return fmt.Errorf("%s: event stream invalid: %w", stage, err)
 		}
 		val.Commit(sub.Version())
-		if err := enginesIsomorphic(ref, plain, "single", "sharded"); err != nil {
-			return fmt.Errorf("%s: single vs sharded: %w", stage, err)
-		}
-		if err := enginesIsomorphic(ref, sub, "single", "sharded+sub"); err != nil {
-			return fmt.Errorf("%s: single vs sharded+sub: %w", stage, err)
-		}
+		modes := []eqMode{{"one-shard", ref}, {"sharded", plain}, {"sharded+sub", sub}}
 		if walEng != nil {
-			if err := enginesIsomorphic(ref, walEng, "single", "wal"); err != nil {
-				return fmt.Errorf("%s: single vs wal: %w", stage, err)
-			}
+			modes = append(modes, eqMode{"wal", walEng})
 		}
 		if hot != nil {
-			if err := enginesIsomorphic(ref, hot, "single", "hotspot"); err != nil {
-				return fmt.Errorf("%s: single vs hotspot: %w", stage, err)
+			modes = append(modes, eqMode{"hotspot", hot})
+		}
+		var q []dyndbscan.PointID
+		for i := 0; i < len(live); i += 3 {
+			q = append(q, live[i])
+		}
+		for _, m := range modes {
+			if err := oracleIsomorphic(oracle, m.e, m.name); err != nil {
+				return fmt.Errorf("%s: core vs %s: %w", stage, m.name, err)
+			}
+			if err := liveReadsAgree(m.e, m.name, q); err != nil {
+				return fmt.Errorf("%s: %w", stage, err)
 			}
 		}
 		if err := val.ReconcileLive(sub.Snapshot().ClusterIDs()); err != nil {
@@ -333,7 +431,14 @@ func runEqStream(cfg eqConfig, ops []eqOp) (err error) {
 		}
 		outRef, err := ref.Apply(batch)
 		if err != nil {
-			return fmt.Errorf("ops[%d:%d]: single Apply: %w", lo, hi, err)
+			return fmt.Errorf("ops[%d:%d]: one-shard Apply: %w", lo, hi, err)
+		}
+		outCore, err := oracleApply(oracle, batch)
+		if err != nil {
+			return fmt.Errorf("ops[%d:%d]: core apply: %w", lo, hi, err)
+		}
+		if !reflect.DeepEqual(outRef, outCore) {
+			return fmt.Errorf("ops[%d:%d]: one-shard engine minted different handles than the core reference", lo, hi)
 		}
 		outPlain, err := plain.Apply(batch)
 		if err != nil {
@@ -421,7 +526,7 @@ func runEqStream(cfg eqConfig, ops []eqOp) (err error) {
 			// Interleaved live migrations: both sharded engines rebalance
 			// mid-stream. Handles, ClusterIDs, the clustering, and the event
 			// stream must all survive (the following checkpoints prove it);
-			// the single-shard reference is untouched.
+			// the one-shard engine has no placement to move.
 			n, err := plain.Rebalance()
 			if err != nil {
 				return fmt.Errorf("ops[:%d]: sharded Rebalance: %w", hi, err)
@@ -504,7 +609,8 @@ func formatEqOps(ops []eqOp) string {
 }
 
 // TestCrossModeEquivalence is the acceptance harness of the incremental
-// cross-shard stitch: ≥10k ops per seed, all three algorithms, three modes.
+// cross-shard stitch: ≥10k ops per seed, all three algorithms, every mode
+// checked against a bare core backend.
 func TestCrossModeEquivalence(t *testing.T) {
 	cases := []struct {
 		name    string

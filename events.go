@@ -162,7 +162,7 @@ func (e *Engine) Subscribe(fn func(Event), opts ...SubscribeOption) (cancel func
 	e.subs[id] = sub
 	e.subMu.Unlock()
 	go sub.run()
-	e.syncEventFunc()
+	e.sh.syncEvents()
 	return func() {
 		e.subMu.Lock()
 		_, present := e.subs[id]
@@ -170,7 +170,7 @@ func (e *Engine) Subscribe(fn func(Event), opts ...SubscribeOption) (cancel func
 		e.subMu.Unlock()
 		if present {
 			sub.q.Close()
-			e.syncEventFunc()
+			e.sh.syncEvents()
 		}
 	}
 }
@@ -199,48 +199,13 @@ func (e *Engine) Close() error {
 		sub.q.Close()
 	}
 	if len(subs) > 0 {
-		e.syncEventFunc()
-	}
-	if e.sh != nil {
-		// Drain staged hotspot deltas before the log seals: every acked
-		// insert gets its reconcile commit (and WAL record) now, so a clean
-		// shutdown loses nothing.
-		e.sh.drainStaged()
-	}
-	return e.wal.closeWAL(e)
-}
-
-// syncEventFunc reconciles the backend's event sink with the current
-// subscriber count: collection is enabled lazily so an Engine with no
-// subscribers pays nothing for the event machinery. It re-reads the count
-// under the write lock, so racing Subscribe/cancel pairs always converge on
-// the state matching the surviving registrations (whichever reconciliation
-// runs last sees every completed membership change).
-func (e *Engine) syncEventFunc() {
-	if e.sh != nil {
 		e.sh.syncEvents()
-		return
 	}
-	e.mu.Lock()
-	e.subMu.Lock()
-	want := len(e.subs) > 0
-	e.subMu.Unlock()
-	e.evsOn = want
-	if !want {
-		e.pending = nil
-	}
-	// With a WAL the sink is permanent (installed by attachWAL; it feeds the
-	// delta checkpoints' merge ledger) and gates publication on evsOn itself;
-	// only the no-WAL engine installs and removes the sink lazily so a
-	// subscriber-less engine pays nothing for the event machinery.
-	if e.wal == nil {
-		if want {
-			e.c.SetEventFunc(func(ev Event) { e.pending = append(e.pending, ev) })
-		} else {
-			e.c.SetEventFunc(nil)
-		}
-	}
-	e.mu.Unlock()
+	// Drain staged hotspot deltas before the log seals: every acked insert
+	// gets its reconcile commit (and WAL record) now, so a clean shutdown
+	// loses nothing.
+	e.sh.drainStaged()
+	return e.wal.closeWAL(e)
 }
 
 // publishOrdered enqueues evs to every current subscriber, admitting
@@ -298,21 +263,17 @@ func (e *Engine) subscribers() []*subscriber {
 // point, not for the queues to be empty. Sync must not be called from
 // inside a subscriber callback.
 func (e *Engine) Sync() {
-	if e.sh != nil {
-		// Sync is a hotspot join trigger: staged inserts reconcile (and
-		// publish their events) before the delivery barrier is measured.
-		// The barrier join waits out an in-flight fold — an advisory join
-		// could return while deltas staged before this call are still
-		// pending, because the fold snapshotted its stripes before them.
-		e.sh.joinAllWait(joinSync)
-	}
+	// Sync is a hotspot join trigger: staged inserts reconcile (and publish
+	// their events) before the delivery barrier is measured. The barrier
+	// join waits out an in-flight fold — an advisory join could return while
+	// deltas staged before this call are still pending, because the fold
+	// snapshotted its stripes before them.
+	e.sh.joinAllWait(joinSync)
 	// Every update that committed before this point took its publication
 	// ticket inside its critical section; wait for all issued tickets to
 	// finish enqueueing, then for each subscriber to settle everything
 	// enqueued up to that instant.
-	e.mu.RLock()
-	horizon := e.pubTicket
-	e.mu.RUnlock()
+	horizon := e.pubTicket.Load()
 	e.pubMu.Lock()
 	for e.pubNext < horizon {
 		e.pubCond.Wait()

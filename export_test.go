@@ -2,16 +2,12 @@ package dyndbscan
 
 // Test-only exports.
 
-// SeamAudit cross-checks the sharded engine's incrementally maintained seam
-// structure against a fresh recomputation from the live backends, under a
-// quiesced world. It returns nil on a single-backend engine, which has no
-// seam. Tests (the randomized cross-mode equivalence harness in particular)
+// SeamAudit cross-checks the engine's incrementally maintained seam structure
+// against a fresh recomputation from the live backends, under a quiesced
+// world. Tests (the randomized cross-mode equivalence harness in particular)
 // call it at every checkpoint: any divergence between the folded deltas and
 // the ground truth is reported at the first commit that introduced it.
 func (e *Engine) SeamAudit() error {
-	if e.sh == nil {
-		return nil
-	}
 	ss := e.sh
 	ss.worldMu.Lock()
 	defer ss.worldMu.Unlock()
@@ -46,7 +42,7 @@ const DefaultStripeCells = defaultStripeCells
 // StagedOps reports how many acknowledged inserts currently sit in hotspot
 // staging buffers, awaiting reconciliation.
 func (e *Engine) StagedOps() int64 {
-	if e.sh == nil || e.sh.hs == nil {
+	if e.sh.hs == nil {
 		return 0
 	}
 	return e.sh.hs.stagedTotal.Load()
@@ -68,4 +64,12 @@ func (e *Engine) HoldReconcile() (release func()) {
 	hs := e.sh.hs
 	hs.reconcileMu.Lock()
 	return hs.reconcileMu.Unlock
+}
+
+// PublishedSnapshot returns the snapshot in the publication slot, current or
+// not (nil before the first build). Every snapshot build publishes, so a
+// slot that holds the same pointer before and after a read proves the read
+// built none.
+func (e *Engine) PublishedSnapshot() *Snapshot {
+	return e.snap.Load()
 }

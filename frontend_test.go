@@ -228,12 +228,13 @@ func TestUpdateErrorParity(t *testing.T) {
 
 // Allocation budget of one Insert and Delete on the paper-5d configuration
 // (no WAL, no subscriber), measured on the point-set workload below: a fresh
-// point lands in a new, non-core cell. On the single backend deleting it
-// allocates nothing, and every insert allocation is the backend's own;
-// staging, validation and commit dispatch must add none on this path. The
-// sharded row (WithShards(4)) adds the routed commit: the per-shard op
-// array and output buffers, and the seam fold. Its route lives inline in a
-// route-table page, so publishing it allocates nothing per op.
+// point lands in a new, non-core cell. On the default one-shard engine
+// deleting it allocates nothing, and every insert allocation is the
+// backend's own; staging, validation, routing and the inline one-shard
+// commit must add none on this path. The sharded row (WithShards(4)) adds
+// the fan-out of commits whose point has ghost copies (the goroutines, the
+// per-shard op array and output buffers) and the seam fold. A route lives
+// inline in a route-table page, so publishing it allocates nothing per op.
 var singleOpAllocBudgets = []struct {
 	name        string
 	opts        []dyndbscan.Option

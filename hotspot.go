@@ -158,7 +158,6 @@ type stagedBuf struct {
 // hotStripe is one stripe in split phase; count, rr, and the flag fields are
 // guarded by routesMu, the buffer entries by their own sub-buffer locks.
 type hotStripe struct {
-	since uint64 // commitSeq when the stripe entered split phase
 	// bufs are the per-worker staged-insert sub-buffers. A single buffer
 	// would serialize every diverting batch on one append target for the
 	// whole entry copy; with per-worker sub-buffers each stager round-robins
@@ -176,7 +175,7 @@ type hotStripe struct {
 // newHotStripe builds a split-phase entry with one staged sub-buffer per
 // worker (clamped: past a handful of slots the mint-and-log section, not the
 // entry copy, bounds staging throughput).
-func newHotStripe(since uint64) *hotStripe {
+func newHotStripe() *hotStripe {
 	n := runtime.GOMAXPROCS(0)
 	if n > 8 {
 		n = 8
@@ -184,7 +183,7 @@ func newHotStripe(since uint64) *hotStripe {
 	if n < 1 {
 		n = 1
 	}
-	h := &hotStripe{since: since, bufs: make([]*stagedBuf, n)}
+	h := &hotStripe{bufs: make([]*stagedBuf, n)}
 	for i := range h.bufs {
 		h.bufs[i] = new(stagedBuf)
 	}
@@ -296,7 +295,7 @@ type HotspotStats struct {
 // HotspotStats returns the current counters of the contention-adaptive
 // commit path; Enabled is false on engines without WithHotspot.
 func (e *Engine) HotspotStats() HotspotStats {
-	if e.sh == nil || e.sh.hs == nil {
+	if e.sh.hs == nil {
 		return HotspotStats{}
 	}
 	hs := e.sh.hs
@@ -551,7 +550,7 @@ func (ss *shardSet) reconcileStripe(t int64, cause string) {
 // hotCommit commits a pure-insert staged batch through the split-phase
 // diversion, writing every handle into ops[i].gid. diverted=false means no
 // op targeted a hot stripe (and no handle was minted): the caller commits
-// through the ordinary path. Otherwise ok and err follow Engine.commit:
+// through the ordinary path. Otherwise ok and err follow commitBatch:
 // ok=false is a refused staged-delta append (nothing staged, nothing
 // applied); ok=true with a non-nil err is a durability failure of the
 // committed parts (staged deltas logged, remainder committed, fsync
@@ -665,7 +664,7 @@ func (ss *shardSet) noteHotspotLocked() {
 		if score < hs.pol.ScoreThreshold {
 			continue
 		}
-		hs.hot[t] = newHotStripe(ss.commitSeq)
+		hs.hot[t] = newHotStripe()
 		hs.hotCount.Add(1)
 	}
 }

@@ -84,3 +84,7 @@ func (b *base) insertStaged(sp StagedPoint, id PointID, insertRec func(*pointRec
 	insertRec(b.placePoint(sp.pt, sp.coord, id))
 	return nil
 }
+
+// NextPointID reports the handle the next minting Insert would return: one
+// past every handle minted or given so far.
+func (b *base) NextPointID() PointID { return b.nextID }

@@ -1,5 +1,5 @@
 // Package evcheck validates cluster-evolution event streams against the
-// invariants every Engine — single-backend or sharded — promises its
+// invariants every Engine — one shard or many — promises its
 // subscribers:
 //
 //   - identity lifecycle: a cluster id is introduced exactly once (by a

@@ -49,7 +49,7 @@ type engineSettings struct {
 	epsSet       bool
 	minPtsSet    bool
 	workers      int             // staging/snapshot workers; 0 = one per CPU
-	shards       int             // spatial shards; 1 = single-backend mode
+	shards       int             // spatial shards; 1 (the default) = inert placement
 	stripeCells  int             // shard stripe width in grid cells; 0 = adaptive
 	rebalance    RebalancePolicy // shard rebalancing policy (see WithRebalance)
 	rebalanceSet bool
@@ -126,8 +126,9 @@ func WithWorkers(n int) Option {
 // WithShards partitions space into n grid-aligned shards, each owning its
 // own clustering backend behind its own lock, so updates touching disjoint
 // shards commit concurrently — write throughput then scales with cores on
-// spatially spread workloads. n = 1 (the default) is the single-backend mode
-// and behaves bit-for-bit as before.
+// spatially spread workloads. n = 1 (the default) is the same engine with
+// one shard: its placement is inert (no stripes to decide, account or
+// migrate), and its commits run inline on the caller's goroutine.
 //
 // Sharding partitions the grid into stripes along dimension 0, assigned to
 // the shards through a versioned table — round-robin at first, adjusted by
@@ -187,7 +188,7 @@ func WithShardStripe(cells int) Option {
 // run only through explicit Engine.Rebalance calls. Requires WithShards(n>1).
 func WithRebalance(p RebalancePolicy) Option {
 	return func(s *engineSettings) {
-		if p.MaxImbalance < 0 || p.MinLoad < 0 || p.CheckEvery < 0 || p.MaxMoves < 0 {
+		if p.MaxImbalance < 0 || p.MinLoad < 0 || p.CheckEvery < 0 {
 			s.setErr(fmt.Errorf("dyndbscan: WithRebalance(%+v): negative policy field", p))
 			return
 		}

@@ -5,14 +5,14 @@ package dyndbscan
 //
 // One WAL record is written per commit — the batch's operations in commit
 // order, appended inside the same critical section that orders the commit
-// (under e.mu in single-backend mode; under routesMu, while the shard locks
-// are held, in sharded mode). That makes the log's record order agree with
-// handle-mint order and with every shard's apply order, which is the whole
-// durability argument: the engines are deterministic functions of their op
-// streams (inserts re-mint identical handles, cluster identities evolve
-// identically), so replaying the records sequentially through the ordinary
-// Apply pipeline reconstructs the pre-crash state — same handles, same
-// stable ClusterIDs — even though the original commits ran concurrently.
+// (under routesMu, while the shard locks are held). That makes the log's
+// record order agree with handle-mint order and with every shard's apply
+// order, which is the whole durability argument: the engines are
+// deterministic functions of their op streams (inserts re-mint identical
+// handles, cluster identities evolve identically), so replaying the records
+// sequentially through the ordinary Apply pipeline reconstructs the
+// pre-crash state — same handles, same stable ClusterIDs — even though the
+// original commits ran concurrently.
 // Commits on disjoint shards commute, so any serialization the log captured
 // is equivalent to the concurrent execution it observed.
 //
@@ -260,7 +260,7 @@ func (e *Engine) Checkpoint() error {
 	if w == nil {
 		return ErrNoWAL
 	}
-	if ss := e.sh; ss != nil && ss.hs != nil {
+	if ss := e.sh; ss.hs != nil {
 		// Checkpoint is a hotspot join trigger: staged deltas fold first, so
 		// the checkpoint never covers an acked insert that is in neither the
 		// payload nor the records after it. Two pieces make that airtight:
@@ -427,21 +427,10 @@ func (e *Engine) attachWAL(s *engineSettings, dir string, doRecover bool) error 
 	w.recovering = false
 	// Arm the delta-checkpoint change trackers now that recovery (if any) is
 	// behind us: dirty cells in the backends, the handle/lineage accumulator
-	// through the commit paths. The single-backend event sink is permanent —
-	// the merge ledger must see every commit whether or not subscribers exist
-	// (sharded mode's per-shard sinks are permanent from construction).
-	if ss := e.sh; ss != nil {
-		for _, sh := range ss.shards {
-			sh.c.SetUpdateTracking(true)
-		}
-	} else {
-		e.c.SetUpdateTracking(true)
-		e.c.SetEventFunc(func(ev Event) {
-			w.noteDirtyEvent(ev)
-			if e.evsOn {
-				e.pending = append(e.pending, ev)
-			}
-		})
+	// through the commit path (the per-shard event sinks that feed the merge
+	// ledger are permanent from construction).
+	for _, sh := range e.sh.shards {
+		sh.c.SetUpdateTracking(true)
 	}
 	if doRecover {
 		// The restore re-inserted the world outside the trackers' sight; the
@@ -539,6 +528,10 @@ func (e *Engine) applyWALRecord(wops []wal.Op) error {
 	return err
 }
 
+// errSingleShardPlacement refuses a placement record in a one-shard log: a
+// one-shard engine never writes one, since its placement is inert.
+var errSingleShardPlacement = errors.New("dyndbscan: wal: placement record in a single-backend log")
+
 // applyAssign replays one logged placement change: migrate the stripe to the
 // shard that owned it when the record was written. The engine's placement
 // state evolves through the same migrations in the same order as the writer,
@@ -546,8 +539,8 @@ func (e *Engine) applyWALRecord(wops []wal.Op) error {
 // shardSet.rebalance).
 func (e *Engine) applyAssign(stripe, dst int64) error {
 	ss := e.sh
-	if ss == nil {
-		return fmt.Errorf("dyndbscan: wal: placement record in a single-backend log")
+	if !ss.placing() {
+		return errSingleShardPlacement
 	}
 	if dst < 0 || int(dst) >= len(ss.shards) {
 		return fmt.Errorf("dyndbscan: wal: placement record targets shard %d of %d", dst, len(ss.shards))
@@ -578,8 +571,8 @@ func (e *Engine) applyAssign(stripe, dst int64) error {
 // stitch's cluster-id minting — matches the writer's.
 func (e *Engine) applyWidth(width int64) error {
 	ss := e.sh
-	if ss == nil {
-		return fmt.Errorf("dyndbscan: wal: placement record in a single-backend log")
+	if !ss.placing() {
+		return errSingleShardPlacement
 	}
 	if width <= ss.bandCells {
 		return fmt.Errorf("dyndbscan: wal: width record of %d cells is inside the %d-cell ghost band", width, ss.bandCells)
@@ -611,8 +604,9 @@ func (e *Engine) applyWidth(width int64) error {
 // handle.
 func (e *Engine) applyExplicit(wops []wal.Op) error {
 	ss := e.sh
-	if ss == nil {
-		return fmt.Errorf("dyndbscan: wal: explicit-handle record in a single-backend log")
+	if !ss.placing() {
+		// Only hotspot engines log explicit handles, and those have shards.
+		return errors.New("dyndbscan: wal: explicit-handle record in a single-backend log")
 	}
 	shOps := make([]shOp, len(wops))
 	for i, wop := range wops {
@@ -716,7 +710,7 @@ func engineFromLog(dir string, opts []Option) (*Engine, *engineSettings, error) 
 	if err := s.validate(); err != nil {
 		return nil, nil, err
 	}
-	e, err := newEngineShape(s)
+	e, err := newShardedEngine(s)
 	if err != nil {
 		return nil, nil, err
 	}

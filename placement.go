@@ -74,9 +74,6 @@ type RebalancePolicy struct {
 	// migration pass) after it publishes. 0 disables automatic rebalancing;
 	// Engine.Rebalance remains available. Default 0 (manual).
 	CheckEvery int
-	// MaxMoves bounds the stripes migrated per rebalancing pass. Default:
-	// the shard count.
-	MaxMoves int
 }
 
 // DefaultRebalancePolicy returns the recommended policy with automatic
@@ -87,7 +84,7 @@ func DefaultRebalancePolicy() RebalancePolicy {
 
 // normalize fills the zero fields with their defaults. CheckEvery keeps its
 // zero (manual-only) meaning.
-func (p RebalancePolicy) normalize(shards int) RebalancePolicy {
+func (p RebalancePolicy) normalize() RebalancePolicy {
 	if p.MaxImbalance == 0 {
 		p.MaxImbalance = 1.25
 	}
@@ -96,9 +93,6 @@ func (p RebalancePolicy) normalize(shards int) RebalancePolicy {
 	}
 	if p.MinLoad == 0 {
 		p.MinLoad = 256
-	}
-	if p.MaxMoves == 0 {
-		p.MaxMoves = shards
 	}
 	return p
 }
@@ -316,9 +310,10 @@ func (ss *shardSet) noteLoadLocked(col int32, insert, waited bool) {
 // StripeCells returns the effective shard stripe width in grid cells along
 // dimension 0 (after clamping to the ghost-band width and, when
 // WithShardStripe was not given, the adaptive decision made at the first
-// committed batch). It returns 0 on a single-backend Engine.
+// committed batch). It returns 0 on a one-shard Engine, whose placement is
+// inert.
 func (e *Engine) StripeCells() int {
-	if e.sh == nil {
+	if !e.sh.placing() {
 		return 0
 	}
 	e.sh.routesMu.Lock()
@@ -328,10 +323,10 @@ func (e *Engine) StripeCells() int {
 
 // ShardLoads reports the per-shard placement load of a sharded Engine: the
 // stripes currently attributed to each shard, their resident owned points,
-// and their decayed update counters. It returns nil on a single-backend
-// Engine.
+// and their decayed update counters. It returns nil on a one-shard Engine,
+// which keeps no load accounts.
 func (e *Engine) ShardLoads() []ShardLoad {
-	if e.sh == nil {
+	if !e.sh.placing() {
 		return nil
 	}
 	ss := e.sh
@@ -351,10 +346,11 @@ func (e *Engine) ShardLoads() []ShardLoad {
 	return out
 }
 
-// Rebalance evaluates the per-shard load balance and migrates up to
-// MaxMoves hot stripes from overloaded shards to underloaded ones, using the
-// policy given to WithRebalance (or DefaultRebalancePolicy's thresholds when
-// none was). It returns how many stripes moved.
+// Rebalance evaluates the per-shard load balance and migrates hot stripes —
+// at most as many as the engine has shards — from overloaded shards to
+// underloaded ones, using the policy given to WithRebalance (or
+// DefaultRebalancePolicy's thresholds when none was). It returns how many
+// stripes moved.
 //
 // A migration quiesces the engine (like a Subscribe transition), moves the
 // stripe's owned points and ghost copies to the new placement, folds the
@@ -364,13 +360,13 @@ func (e *Engine) ShardLoads() []ShardLoad {
 // bit-for-bit. On insertion-only backends (AlgoSemiDynamic) the source
 // shard's copies cannot be deleted and remain resident (new traffic still
 // routes to the new owner); memory is reclaimed only on deletion-capable
-// algorithms. Rebalance on a single-backend Engine is a no-op.
+// algorithms. Rebalance on a one-shard Engine is a no-op.
 //
 // Every migration is logged before it runs. A failed append or durability
 // wait stops the pass; Rebalance then returns that error together with the
 // number of stripes moved before it.
 func (e *Engine) Rebalance() (moved int, err error) {
-	if e.sh == nil {
+	if !e.sh.placing() {
 		return 0, nil
 	}
 	// One pass at a time, shared with the automatic cadence: non-quiescent
@@ -585,14 +581,14 @@ func (ss *shardSet) reshapeWidthLocked(newW int64) (ticket uint64, evs []Event, 
 }
 
 // rebalance runs one migration pass: pick, migrate, repeat until balanced or
-// MaxMoves. Events from migrations (possible only under Rho > 0) publish
-// after the world lock is released, in ticket order. Large stripes take the
+// as many moves as there are shards. Events from migrations (possible only
+// under Rho > 0) publish after the world lock is released, in ticket order. Large stripes take the
 // non-quiescent chunked path when the hotspot policy enables it. The first
 // failed append or durability wait ends the pass and is returned with the
 // number of stripes moved.
 func (ss *shardSet) rebalance(pol RebalancePolicy) (int, error) {
 	moved := 0
-	for moved < pol.MaxMoves {
+	for moved < len(ss.shards) {
 		ss.worldMu.Lock()
 		t, dst, ok := ss.pickMigrationLocked(pol)
 		if !ok {

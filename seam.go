@@ -143,6 +143,15 @@ func (ss *shardSet) newSeamTxn() *seamTxn {
 	}
 }
 
+// openTxn returns tx, opening a fresh transaction when tx is nil: a commit
+// opens one only once its delta holds a cluster event or a tracked cell.
+func (ss *shardSet) openTxn(tx *seamTxn) *seamTxn {
+	if tx == nil {
+		return ss.newSeamTxn()
+	}
+	return tx
+}
+
 // enterScope pulls k's pre-commit component into the transaction scope: once
 // any member of a component is touched, the whole component's previous
 // assignment participates in re-derivation and claiming. Keys minted by this
@@ -505,7 +514,7 @@ func (tx *seamTxn) finalize() []Event {
 // formed (component with no history), dissolved (previous id reaching no
 // component), merged (several previous ids collapsing into one component) and
 // split (one previous id spread over several components). For single-op
-// commits this matches the single-backend event semantics; for large mixed
+// commits this matches the backends' own event semantics; for large mixed
 // batches it is the net transition between the two assignments.
 func netTransitions(comps [][]stitchKey, gidOf []ClusterID, prevGIDs [][]ClusterID, oldLive []ClusterID) []Event {
 	var formed []ClusterID

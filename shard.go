@@ -1,6 +1,6 @@
 package dyndbscan
 
-// Sharded serving mode: WithShards(n>1) partitions the grid of Section 4
+// The engine's one shape: WithShards(n) partitions the grid of Section 4
 // into stripes along dimension 0, assigned to n shards through a versioned
 // stripe→shard table (round-robin by default; load-aware rebalancing
 // migrates stripes — see placement.go). Each shard owns a full clustering
@@ -9,6 +9,12 @@ package dyndbscan
 // way PR 2 made the read path scale with readers. There is one handle space:
 // a shard holds at most one copy of a point, so every backend stores its
 // copy under the point's global PointID.
+//
+// The default engine is a set of one shard. Every stripe then maps to shard
+// 0, no cell is replicated and the seam tracks nothing, so placement is
+// inert: no width decision, no load accounting, no migration and no
+// placement record. Handles and global cluster ids are still minted here
+// (the latter by the seam fold), exactly as with n > 1.
 //
 // # Ghost bands
 //
@@ -51,21 +57,21 @@ package dyndbscan
 //
 // # Locking
 //
-// worldMu is the commit/stitch coordination lock: commits hold it shared
-// (parallelism comes from the per-shard locks), while snapshot construction
-// and subscriber-count transitions hold it exclusively and therefore observe
-// a quiesced world. Commits stay shared even when subscribers exist: global
-// cluster events are derived from each commit's own seam delta folded into
-// the incrementally maintained seam structure (see seam.go), serialized only
-// by the fine-grained seamMu — commits on disjoint shard sets proceed
-// concurrently with subscribers attached.
+// worldMu is the commit/stitch coordination lock: commits and live reads hold
+// it shared (parallelism comes from the per-shard locks), while snapshot
+// construction, placement changes and subscriber-count transitions hold it
+// exclusively and therefore observe a quiesced world. Commits stay shared
+// even when subscribers exist: global cluster events are derived from each
+// commit's own seam delta folded into the incrementally maintained seam
+// structure (see seam.go), serialized only by the fine-grained seamMu —
+// commits on disjoint shard sets proceed concurrently with subscribers
+// attached.
 
 import (
 	"fmt"
 	"math"
 	"math/bits"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -104,10 +110,12 @@ type route struct {
 }
 
 // shard is one spatial partition: a full clustering backend plus its lock.
-// The backend keys every copy by the point's global PointID.
+// The backend keys every copy by the point's global PointID. Commits hold mu
+// exclusively; live reads hold it shared when the backend's queries are
+// read-only (AlgoFullyDynamic) and exclusively otherwise.
 type shard struct {
 	//dynlint:lock-level 40 indexed
-	mu sync.Mutex
+	mu sync.RWMutex
 	c  backend // update tracking (delta-checkpoint dirty cells) armed by attachWAL
 
 	// pending collects the backend's raw events during a commit; drained
@@ -186,9 +194,9 @@ type shardSet struct {
 	// discipline), read under any worldMu mode.
 	offCells map[grid.Coord]int32
 
-	// worldMu: commits hold it shared (their shard locks provide mutual
-	// exclusion); snapshot builds, placement changes, and subscriber-count
-	// transitions hold it exclusively.
+	// worldMu: commits and live reads hold it shared (their shard locks
+	// provide mutual exclusion); snapshot builds, placement changes, and
+	// subscriber-count transitions hold it exclusively.
 	//
 	//dynlint:lock-level 30
 	worldMu sync.RWMutex
@@ -214,11 +222,12 @@ type shardSet struct {
 	// and folded by every commit, placement change and checkpoint restore
 	// until Close, so Subscribe attaches by taking its place in the
 	// publication order. seamMu guards it plus the stitch state below during
-	// commits; a quiesced holder of worldMu (exclusive) may read and fold
-	// everything without seamMu, since no commit is in flight then.
+	// commits (held exclusively) and live reads (held shared); a quiesced
+	// holder of worldMu (exclusive) may read and fold everything without
+	// seamMu, since no commit or live read is in flight then.
 	//
 	//dynlint:lock-level 60
-	seamMu sync.Mutex
+	seamMu sync.RWMutex
 	seam   *seamState
 
 	// Stitch state. keyGID persists the (shard, local cluster) → global id
@@ -229,7 +238,9 @@ type shardSet struct {
 	nextGID ClusterID
 }
 
-// newShardedEngine builds the Engine for WithShards(n>1).
+// newShardedEngine builds the Engine the settings describe, with
+// WithShards(n) backends (n ≥ 1) — the constructor of New, Open and
+// OpenReplica.
 func newShardedEngine(s *engineSettings) (*Engine, error) {
 	backends := make([]backend, s.shards)
 	for i := range backends {
@@ -265,7 +276,7 @@ func newShardedEngine(s *engineSettings) (*Engine, error) {
 		assign:       make(map[int64]int32),
 		stripeLoad:   make(map[int64]*stripeStat),
 		stagedRoutes: make(map[PointID]int64),
-		policy:       s.rebalance.normalize(s.shards),
+		policy:       s.rebalance.normalize(),
 	}
 	if s.hotspotSet {
 		ss.hs = newHotspotState(s.hotspot)
@@ -280,11 +291,14 @@ func newShardedEngine(s *engineSettings) (*Engine, error) {
 	// WithShardStripe the width is adaptive: the provisional default applies
 	// until the first committed batch reveals the data extent
 	// (decideStripeLocked), so small-extent workloads still spread across
-	// every shard.
-	if s.stripeCells == 0 {
+	// every shard. One shard keeps the default: its placement is inert.
+	switch {
+	case s.shards == 1:
+		ss.stripeCells = defaultStripeCells
+	case s.stripeCells == 0:
 		ss.stripeCells = defaultStripeCells
 		ss.adaptivePending = true
-	} else {
+	default:
 		ss.stripeCells = int64(s.stripeCells)
 		if min := ss.bandCells + 1; ss.stripeCells < min {
 			ss.stripeCells = min
@@ -296,8 +310,10 @@ func newShardedEngine(s *engineSettings) (*Engine, error) {
 		// Event collection and dirty-cell tracking are permanent: every
 		// commit folds its seam delta whether or not subscribers exist, so
 		// eventsOn only gates what is published, never what is maintained.
+		// Dirty cells matter only where two shards can hold one cell, so a
+		// single shard does not track them.
 		sh.c.SetEventFunc(func(ev Event) { sh.pending = append(sh.pending, ev) })
-		sh.c.SetSeamTracking(true)
+		sh.c.SetSeamTracking(s.shards > 1)
 	}
 	// The seam is warm from birth: an empty world stitches trivially, and
 	// every commit, placement change and restore folds its own delta from
@@ -311,8 +327,22 @@ func newShardedEngine(s *engineSettings) (*Engine, error) {
 // [t·W, (t+1)·W) of dimension 0 and resolves to a shard through the
 // assignment table (round-robin by default, overridden by migrations).
 
+// placing reports whether stripe placement is live. With one shard every
+// stripe maps to shard 0, so there is nothing to decide, account or migrate.
+func (ss *shardSet) placing() bool { return len(ss.shards) > 1 }
+
+// placeLocked returns the route of a point inserted into cell coord: its
+// owner shard and every shard whose ghost band covers the cell. Caller holds
+// routesMu (see shardOfStripe).
+func (ss *shardSet) placeLocked(coord grid.Coord) route {
+	if !ss.placing() {
+		return route{col: coord[0], mask: 1}
+	}
+	return route{col: coord[0], owner: ss.ownerOf(coord), mask: ss.shardsOf(coord)}
+}
+
 // shOp is one staged operation of an update — the op list the front-end
-// (apply.go) builds and both commit cores consume: an insertion carrying its
+// (apply.go) builds and the commit consumes: an insertion carrying its
 // staged point, or a deletion carrying the target handle. Commits write each
 // insert's minted handle back into gid.
 type shOp struct {
@@ -323,11 +353,14 @@ type shOp struct {
 	gid      PointID // delete: target; insert: assigned during commit
 }
 
-// commitBatch is the sharded commit core behind Engine.commit. With a
-// hotspot path, a pure-insert batch may divert into split-phase staging and
-// a batch with deletes first joins the staged inserts it targets; everything
-// else commits as one routed epoch (commitRouted). See Engine.commit for the
-// result contract.
+// commitBatch is the commit core behind every update entry point: it writes
+// the minted handles into ops[i].gid. ok=false means the commit was refused
+// with no state change (a delete target no longer live, reported through
+// errUnknown, or a refused WAL append); ok=true with a non-nil error is a
+// durability failure of a commit that did apply. With a hotspot path, a
+// pure-insert batch may divert into split-phase staging and a batch with
+// deletes first joins the staged inserts it targets; everything else
+// commits as one routed epoch (commitRouted).
 func (ss *shardSet) commitBatch(ops []shOp, errUnknown func(i int, id PointID) error) (ok bool, err error) {
 	diverted := false
 	if ss.hs != nil {
@@ -407,6 +440,11 @@ func (ss *shardSet) mintLocked(ops []shOp) {
 // routed or repeats within the batch refuses the batch the same way, with
 // ErrDuplicateID. It skips the checkpoint-cadence check, so a reconcile fold
 // may run it while holding reconcileMu.
+//
+// A commit that involves one shard — every commit of a one-shard engine —
+// runs inline on the caller's goroutine and allocates nothing beyond what
+// the backend allocates: its scratch lives on the stack, and the seam
+// transaction is opened only for a cluster event or a tracked seam cell.
 func (ss *shardSet) commitRouted(ops []shOp, errUnknown func(i int, id PointID) error) (bool, error) {
 	e := ss.e
 
@@ -420,17 +458,16 @@ func (ss *shardSet) commitRouted(ops []shOp, errUnknown func(i int, id PointID) 
 		rts      []route  // per op: the insert's placement or the delete target's route
 		involved uint64   // mask of the shards any op touches
 		evsOn    bool
-		unlock   func()
 		walSeq   uint64
 		waited   uint64 // mask of the shards whose lock this commit contended on
 		minted   bool   // explicit-handle mode: handles already assigned
+		placing  = ss.placing()
 	)
 	if len(ops) <= len(rbuf) {
 		rts = rbuf[:len(ops)]
 	} else {
 		rts = make([]route, len(ops))
 	}
-route:
 	for {
 		// Route: owner+ghost shards per insert; the live route per delete.
 		involved = 0
@@ -444,8 +481,7 @@ route:
 		for i := range ops {
 			op := &ops[i]
 			if op.insert {
-				coord := op.sp.Coord()
-				rts[i] = route{col: coord[0], owner: ss.ownerOf(coord), mask: ss.shardsOf(coord)}
+				rts[i] = ss.placeLocked(op.sp.Coord())
 			} else {
 				r, ok := ss.routes.get(op.gid)
 				if !ok {
@@ -483,144 +519,49 @@ route:
 			ss.shards[s].mu.Lock()
 			waited |= shardBit(s)
 		}
-		unlock = func() {
-			for s := range shardsIn(involved) {
-				ss.shards[s].mu.Unlock()
-			}
-			ss.worldMu.RUnlock()
-		}
 
-		// Re-validate deletes and mint insert handles under the locks: a
-		// racing delete serialized before us may have removed a target, and
-		// a migration may have re-placed the stripes we routed against.
-		ss.routesMu.Lock()
-		if ss.placeEpoch != epoch {
-			ss.routesMu.Unlock()
-			unlock()
-			continue route // placement moved under us: re-route
+		// Re-validate, mint and log under the locks (admitLocked). A refused
+		// batch or a placement that moved under us releases them; the
+		// latter re-routes.
+		seq, reroute, err := ss.admitLocked(ops, epoch, &minted, errUnknown)
+		if !reroute && err == nil {
+			walSeq = seq
+			break
 		}
-		for i := range ops {
-			if !ops[i].insert {
-				if !ss.routes.has(ops[i].gid) {
-					ss.routesMu.Unlock()
-					unlock()
-					return false, errUnknown(i, ops[i].gid)
-				}
-			}
-		}
-		if gid, clash := ss.forcedClashLocked(ops); clash {
-			ss.routesMu.Unlock()
-			unlock()
-			return false, fmt.Errorf("%w: pre-assigned insert handle %d is live or repeats in the batch", ErrDuplicateID, gid)
-		}
-		// WAL append happens here — inside the same routesMu section that
-		// mints the handles, while the shard locks are held — so the log's
-		// record order agrees with both the mint order and every involved
-		// shard's apply order (see persist.go). Without a hotspot path the
-		// append must precede the minting: a failed append aborts the commit,
-		// and aborted commits must not advance nextID or replay would mint
-		// different handles. With one (ss.hs != nil), staging mints handles
-		// before any log record exists, so log order no longer determines
-		// handles; every insert is logged as OpInsertAt carrying its handle
-		// explicitly, which requires minting first (a failed append then burns
-		// ids — harmless, since replay reads handles instead of re-minting).
-		explicit := ss.hs != nil
-		if explicit && !minted {
-			ss.mintLocked(ops)
-			minted = true
-		}
-		if e.logging() {
-			// A reconcile fold's ops were already logged as OpStagedInsert at
-			// staging time; walOpsFromShOps drops them, and a fully-dropped
-			// batch appends nothing — replay must see each handle once.
-			if wops := walOpsFromShOps(ops, ss.cfg.Dims, explicit); len(wops) > 0 {
-				seq, werr := e.wal.append(wops)
-				if werr != nil {
-					ss.routesMu.Unlock()
-					unlock()
-					return false, werr
-				}
-				walSeq = seq
-			}
-		}
-		if !explicit {
-			ss.mintLocked(ops)
-		}
-		ss.routesMu.Unlock()
-		break
-	}
-
-	// Apply each shard's op subsequence; shards proceed in parallel. The
-	// fanout is skipped for the common single-shard op. The subsequences
-	// share one exactly sized array of op copies, grouped by shard in op
-	// order: shard s owns items[bound[s]:bound[s+1]]. The per-shard
-	// goroutines never reference the caller's op list, which therefore does
-	// not escape — a single Insert or Delete keeps its one-op list on the
-	// stack.
-	bound := make([]int, len(ss.shards)+1)
-	for i := range rts {
-		for s := range shardsIn(rts[i].mask) {
-			bound[s+1]++
-		}
-	}
-	for s := 1; s < len(bound); s++ {
-		bound[s] += bound[s-1]
-	}
-	items := make([]shOp, bound[len(ss.shards)])
-	fill := append([]int(nil), bound[:len(ss.shards)]...)
-	for i := range ops {
-		for s := range shardsIn(rts[i].mask) {
-			items[fill[s]] = ops[i]
-			fill[s]++
-		}
-	}
-	// Per-shard outputs, indexed by shard: point events, the cluster-event
-	// lineage, and the dirty seam cells.
-	type shardOut struct {
-		evs, clust []Event
-		dirty      []grid.Coord
-	}
-	outs := make([]shardOut, len(ss.shards))
-	runShard := func(s int32) {
-		sh, out := ss.shards[s], &outs[s]
-		for _, it := range items[bound[s]:bound[s+1]] {
-			var err error
-			if it.insert {
-				err = sh.c.InsertStaged(it.sp, it.gid)
-			} else {
-				err = sh.c.Delete(it.gid)
-			}
-			if err != nil {
-				// Unreachable: inserts were staged by a matching Stager under
-				// handles no route names, and delete targets were validated
-				// under the locks.
-				panic(fmt.Sprintf("dyndbscan: shard %d rejected a validated op: %v", s, err))
-			}
-			ss.drainEvents(s, &out.evs, &out.clust, evsOn)
-		}
-		out.dirty = sh.c.TakeDirtySeamCells()
-	}
-	if involved&(involved-1) == 0 {
-		runShard(int32(bits.TrailingZeros64(involved)))
-	} else {
-		var wg sync.WaitGroup
 		for s := range shardsIn(involved) {
-			wg.Add(1)
-			go func(s int32) {
-				defer wg.Done()
-				runShard(s)
-			}(s)
+			ss.shards[s].mu.Unlock()
 		}
-		wg.Wait()
+		ss.worldMu.RUnlock()
+		if err != nil {
+			return false, err
+		}
+	}
+
+	// Apply each involved shard's op subsequence. outs[k] collects the
+	// outputs of the k-th involved shard in ascending shard order.
+	var one [1]shardOut
+	outs := one[:]
+	if involved&(involved-1) == 0 {
+		// One shard: its subsequence is the whole op list.
+		ss.applyShard(int32(bits.TrailingZeros64(involved)), ops, &outs[0], evsOn)
+	} else {
+		// Several shards: one goroutine each, joined with the shard locks
+		// held. The join is bounded: the goroutines apply this commit's ops
+		// and take no engine lock.
+		//
+		//dynlint:ignore holdblock fan-out join is bounded and its workers take no engine lock
+		outs = ss.fanOut(ops, rts, involved, evsOn)
 	}
 
 	// Publish the routes and charge the commit to its owner stripes' load
-	// accounts.
+	// accounts (with one shard there is no placement to account for).
 	ss.routesMu.Lock()
 	ss.commitSeq++
 	for i := range ops {
 		op, r := &ops[i], rts[i]
-		ss.noteLoadLocked(r.col, op.insert, waited&shardBit(r.owner) != 0)
+		if placing {
+			ss.noteLoadLocked(r.col, op.insert, waited&shardBit(r.owner) != 0)
+		}
 		if op.insert {
 			ss.routes.set(op.gid, r)
 		} else {
@@ -645,34 +586,42 @@ route:
 	// fold runs under seamMu while the shard locks are still held: the
 	// entries it rewrites belong to cells whose owner shard is locked by this
 	// commit, and the backend re-reads (CoreCellCluster) only target involved
-	// shards.
+	// shards. A commit with no cluster event and no tracked dirty cell
+	// changes no seam state and opens no transaction.
 	var evs []Event
 	var ticket uint64
 	pub := false
 	if evsOn {
-		for s := range shardsIn(involved) {
-			evs = append(evs, outs[s].evs...)
+		for k := range outs {
+			evs = append(evs, outs[k].evs...)
 		}
 	}
 	ss.seamMu.Lock()
-	tx := ss.newSeamTxn()
+	var tx *seamTxn
+	k := 0
 	for s := range shardsIn(involved) {
-		sh := ss.shards[s]
-		for _, ev := range outs[s].clust {
-			tx.applyClusterEvent(s, ev, sh.c)
+		for _, ev := range outs[k].clust {
+			tx = ss.openTxn(tx)
+			tx.applyClusterEvent(s, ev, ss.shards[s].c)
 		}
+		k++
 	}
+	k = 0
 	for s := range shardsIn(involved) {
-		sh := ss.shards[s]
-		for _, coord := range outs[s].dirty {
+		for _, coord := range outs[k].dirty {
 			if !ss.seamTracked(coord) {
 				continue // held by one shard only: no seam relevance
 			}
-			lab, ok := sh.c.CoreCellCluster(coord)
+			tx = ss.openTxn(tx)
+			lab, ok := ss.shards[s].c.CoreCellCluster(coord)
 			tx.setEntry(s, coord, lab, ok)
 		}
+		k++
 	}
-	cevs := tx.finalize()
+	var cevs []Event
+	if tx != nil {
+		cevs = tx.finalize()
+	}
 	// The fold's serialization under seamMu is the global commit order of
 	// cluster transitions; recording here keeps the delta checkpoints'
 	// merge ledger in exactly that order.
@@ -690,15 +639,18 @@ route:
 		pub = true
 	}
 	ss.seamMu.Unlock()
-	unlock()
+	for s := range shardsIn(involved) {
+		ss.shards[s].mu.Unlock()
+	}
+	ss.worldMu.RUnlock()
 	// Durability barrier before publication: under SyncAlways the commit
 	// waits for its record's fsync here, so no event (and no return) ever
 	// describes a state change the log could still lose.
 	werr := e.wal.finish(walSeq)
 	if pub {
-		// The enqueue runs after the unlock, mirroring Engine.release: a
-		// publisher parked on a full BlockSubscriber queue holds no engine
-		// lock, so the subscriber's callback can always query its way out.
+		// The enqueue runs after the unlock: a publisher parked on a full
+		// BlockSubscriber queue holds no engine lock, so the subscriber's
+		// callback can always query its way out.
 		e.publishOrdered(ticket, evs)
 	}
 	if ss.autoEvery > 0 {
@@ -714,14 +666,142 @@ route:
 		// the reconcileMu TryLock.
 		ss.maybeHotspotReconcile()
 	}
-	// Adaptive-width re-derivation cadence: same discipline (committing
-	// goroutine, no lock pinned; self-gating and TryLock-protected inside).
-	ss.maybeAdaptWidth()
+	if placing {
+		// Adaptive-width re-derivation cadence: same discipline (committing
+		// goroutine, no lock pinned; self-gating and TryLock-protected
+		// inside).
+		ss.maybeAdaptWidth()
+	}
 	return true, werr
 }
 
-// walOpsFromShOps converts a staged batch to its log record — the one record
-// builder of both commit cores. Insert coords
+// admitLocked re-validates a routed batch under the commit's locks, mints
+// its handles and logs it: the section that orders the commit. A racing
+// delete serialized before this commit may have removed a target, and a
+// migration may have re-placed the stripes the batch was routed against
+// (reroute: the placement epoch moved). err refuses the batch with no state
+// change. minted carries the explicit-handle mode's mint across re-routes.
+// The caller holds worldMu shared and the involved shard locks.
+//
+// The WAL append happens here — inside the same routesMu section that mints
+// the handles, while the shard locks are held — so the log's record order
+// agrees with both the mint order and every involved shard's apply order
+// (see persist.go). Without a hotspot path the append must precede the
+// minting: a failed append aborts the commit, and aborted commits must not
+// advance nextID or replay would mint different handles. With one
+// (ss.hs != nil), staging mints handles before any log record exists, so
+// log order no longer determines handles; every insert is logged as
+// OpInsertAt carrying its handle explicitly, which requires minting first (a
+// failed append then burns ids — harmless, since replay reads handles
+// instead of re-minting).
+func (ss *shardSet) admitLocked(ops []shOp, epoch uint64, minted *bool, errUnknown func(i int, id PointID) error) (walSeq uint64, reroute bool, err error) {
+	ss.routesMu.Lock()
+	defer ss.routesMu.Unlock()
+	if ss.placeEpoch != epoch {
+		return 0, true, nil
+	}
+	for i := range ops {
+		if !ops[i].insert && !ss.routes.has(ops[i].gid) {
+			return 0, false, errUnknown(i, ops[i].gid)
+		}
+	}
+	if gid, clash := ss.forcedClashLocked(ops); clash {
+		return 0, false, fmt.Errorf("%w: pre-assigned insert handle %d is live or repeats in the batch", ErrDuplicateID, gid)
+	}
+	explicit := ss.hs != nil
+	if explicit && !*minted {
+		ss.mintLocked(ops)
+		*minted = true
+	}
+	if ss.e.logging() {
+		// A reconcile fold's ops were already logged as OpStagedInsert at
+		// staging time; walOpsFromShOps drops them, and a fully-dropped
+		// batch appends nothing — replay must see each handle once.
+		if wops := walOpsFromShOps(ops, ss.cfg.Dims, explicit); len(wops) > 0 {
+			if walSeq, err = ss.e.wal.append(wops); err != nil {
+				return 0, false, err
+			}
+		}
+	}
+	if !explicit {
+		ss.mintLocked(ops)
+	}
+	return walSeq, false, nil
+}
+
+// shardOut is one involved shard's output of a commit: point events, the
+// cluster-event lineage, and the dirty seam cells.
+type shardOut struct {
+	evs, clust []Event
+	dirty      []grid.Coord
+}
+
+// applyShard applies shard s's op subsequence in op order and collects its
+// outputs. The caller holds the shard's lock.
+func (ss *shardSet) applyShard(s int32, ops []shOp, out *shardOut, evsOn bool) {
+	sh := ss.shards[s]
+	for i := range ops {
+		op := &ops[i]
+		var err error
+		if op.insert {
+			err = sh.c.InsertStaged(op.sp, op.gid)
+		} else {
+			err = sh.c.Delete(op.gid)
+		}
+		if err != nil {
+			// Unreachable: inserts were staged by a matching Stager under
+			// handles no route names, and delete targets were validated
+			// under the locks.
+			panic(fmt.Sprintf("dyndbscan: shard %d rejected a validated op: %v", s, err))
+		}
+		ss.drainEvents(s, &out.evs, &out.clust, evsOn)
+	}
+	out.dirty = sh.c.TakeDirtySeamCells()
+}
+
+// fanOut applies a commit that involves several shards, one goroutine per
+// shard. The subsequences share one exactly sized array of op copies,
+// grouped by shard in op order: the k-th involved shard owns
+// items[bound[k]:bound[k+1]] and writes outs[k]. The goroutines never
+// reference the caller's op list. The caller holds the involved shards'
+// locks.
+func (ss *shardSet) fanOut(ops []shOp, rts []route, involved uint64, evsOn bool) []shardOut {
+	n := bits.OnesCount64(involved)
+	rank := func(s int32) int { return bits.OnesCount64(involved & (shardBit(s) - 1)) }
+	bound := make([]int, n+1)
+	for i := range rts {
+		for s := range shardsIn(rts[i].mask) {
+			bound[rank(s)+1]++
+		}
+	}
+	for k := 1; k <= n; k++ {
+		bound[k] += bound[k-1]
+	}
+	items := make([]shOp, bound[n])
+	fill := append([]int(nil), bound[:n]...)
+	for i := range ops {
+		for s := range shardsIn(rts[i].mask) {
+			k := rank(s)
+			items[fill[k]] = ops[i]
+			fill[k]++
+		}
+	}
+	outs := make([]shardOut, n)
+	var wg sync.WaitGroup
+	k := 0
+	for s := range shardsIn(involved) {
+		wg.Add(1)
+		go func(s int32, k int) {
+			defer wg.Done()
+			ss.applyShard(s, items[bound[k]:bound[k+1]], &outs[k], evsOn)
+		}(s, k)
+		k++
+	}
+	wg.Wait()
+	return outs
+}
+
+// walOpsFromShOps converts a staged batch to its log record. Insert coords
 // come from the staged clone (dims-length, validated); the log serializes
 // them during Append, so handing out the slice is safe. With explicit set
 // (hotspot engines) inserts are logged as OpInsertAt carrying their already-
@@ -746,21 +826,19 @@ func walOpsFromShOps(ops []shOp, dims int, explicit bool) []wal.Op {
 	return wops
 }
 
-// takeTicket assigns the next publication ticket; see Engine.release for the
-// ordering contract. Sharded commits take it under e.mu so Engine.Sync's
-// horizon read stays correct.
+// takeTicket assigns the next publication ticket. Callers take it inside the
+// critical section that orders their change — a commit under seamMu, an
+// out-of-commit fold with worldMu held exclusively; the two exclude each
+// other — so ticket order is the order in which the seam evolved, and
+// publishOrdered admits publishers in that order.
 func (e *Engine) takeTicket() uint64 {
-	e.mu.Lock()
-	t := e.pubTicket
 	// Tickets order in-process event publication; they are not durable
 	// state. The WAL logs the data ops a publication describes, and after
 	// recovery the counter restarts with no subscribers attached, so an
 	// unlogged increment cannot be observed across a crash.
 	//
 	//dynlint:ignore logvisible publication tickets are transient ordering state, not recovered from the WAL
-	e.pubTicket++
-	e.mu.Unlock()
-	return t
+	return e.pubTicket.Add(1) - 1
 }
 
 // drainEvents collects shard s's pending backend events. Point events
@@ -842,46 +920,145 @@ func (ss *shardSet) liveIDsLocked() []PointID {
 	return ss.routes.ids()
 }
 
+// clusterOfLocked resolves a live point's memberships in global cluster ids:
+// its owner shard's view of the point is exact, and the local cluster ids it
+// reports map through the stitch to global ids. Two local ids may stitch to
+// one global cluster, hence the dedup. ok is false when the owner holds no
+// copy (the point is dead); a noise point resolves to nil. The caller holds
+// the owner shard and seamMu (any mode), or worldMu exclusively.
+func (ss *shardSet) clusterOfLocked(owner int32, id PointID) ([]ClusterID, bool) {
+	cids, ok := ss.shards[owner].c.ClusterOf(id)
+	if !ok || len(cids) == 0 {
+		return nil, ok
+	}
+	out := cids[:0] // the backend's slice is fresh: translate in place
+	for _, cid := range cids {
+		if g, ok := ss.keyGID[stitchKey{owner, cid}]; ok {
+			out = append(out, g)
+		}
+	}
+	return dedupSortedIDs(out), true
+}
+
+// Live reads. ClusterOf, GroupBy and GroupAll answer without a snapshot when
+// none is current: each point resolves in its owner shard (clusterOfLocked).
+// A read holds worldMu shared — so no placement change moves an owner — and
+// the owner shards' locks in ascending order, the commit protocol, so it
+// excludes only the commits touching its shards. The locks are shared when
+// the backends' queries are read-only (AlgoFullyDynamic), so such reads do
+// not serialize on each other. keyGID is read inside one seamMu hold, so the
+// answer is the clustering at one instant between call and return. A live
+// read never builds or publishes a snapshot.
+
+// rlockShards takes the read locks of the shards in mask, ascending.
+func (ss *shardSet) rlockShards(mask uint64) {
+	for s := range shardsIn(mask) {
+		if ss.e.roQueries {
+			ss.shards[s].mu.RLock()
+		} else {
+			ss.shards[s].mu.Lock()
+		}
+	}
+}
+
+// runlockShards releases what rlockShards took.
+func (ss *shardSet) runlockShards(mask uint64) {
+	for s := range shardsIn(mask) {
+		if ss.e.roQueries {
+			ss.shards[s].mu.RUnlock()
+		} else {
+			ss.shards[s].mu.Unlock()
+		}
+	}
+}
+
+// clusterOfLive is Engine.ClusterOf's live path.
+func (ss *shardSet) clusterOfLive(id PointID) ([]ClusterID, bool) {
+	ss.worldMu.RLock()
+	defer ss.worldMu.RUnlock()
+	ss.routesMu.Lock()
+	r, ok := ss.routes.get(id)
+	ss.routesMu.Unlock()
+	if !ok {
+		return nil, false
+	}
+	// A delete that commits between the route read and the shard lock
+	// leaves the owner without a copy; clusterOfLocked then reports the
+	// point dead, as of that commit.
+	mask := shardBit(r.owner)
+	ss.rlockShards(mask)
+	defer ss.runlockShards(mask)
+	ss.seamMu.RLock()
+	defer ss.seamMu.RUnlock()
+	return ss.clusterOfLocked(r.owner, id)
+}
+
+// groupByLive is Engine.GroupBy's live path.
+func (ss *shardSet) groupByLive(q []PointID) (Result, error) {
+	owners := make([]int32, len(q))
+	var mask uint64
+	ss.worldMu.RLock()
+	defer ss.worldMu.RUnlock()
+	ss.routesMu.Lock()
+	for i, id := range q {
+		r, ok := ss.routes.get(id)
+		if !ok {
+			ss.routesMu.Unlock()
+			return Result{}, ErrUnknownPoint
+		}
+		owners[i] = r.owner
+		mask |= shardBit(r.owner)
+	}
+	ss.routesMu.Unlock()
+	ss.rlockShards(mask)
+	defer ss.runlockShards(mask)
+	ss.seamMu.RLock()
+	defer ss.seamMu.RUnlock()
+	return groupResult(q, func(i int) ([]ClusterID, bool) { return ss.clusterOfLocked(owners[i], q[i]) })
+}
+
+// groupAllLive is Engine.GroupAll's live path: the C-group-by query over
+// every live handle. Every shard is held, so no commit changes the routes it
+// walks and every routed point resolves.
+func (ss *shardSet) groupAllLive() Result {
+	all := ^uint64(0) >> (64 - len(ss.shards))
+	ss.worldMu.RLock()
+	defer ss.worldMu.RUnlock()
+	ss.rlockShards(all)
+	defer ss.runlockShards(all)
+	ss.routesMu.Lock()
+	defer ss.routesMu.Unlock()
+	ss.seamMu.RLock()
+	defer ss.seamMu.RUnlock()
+	ids := ss.routes.ids()
+	res, _ := groupResult(ids, func(i int) ([]ClusterID, bool) {
+		r, _ := ss.routes.get(ids[i])
+		return ss.clusterOfLocked(r.owner, ids[i])
+	})
+	return res
+}
+
 // snapshot builds (and publishes) the stitched cross-shard snapshot for the
-// current epoch.
+// current epoch. The caller has already run the hotspot query join (see
+// Engine.freshSnapshot), so the snapshot does not miss acked points; an
+// advisory miss (another reconcile in flight) linearizes the snapshot before
+// that reconcile's commit.
 func (ss *shardSet) snapshot() *Snapshot {
 	e := ss.e
-	// A clustering query is a join trigger: staged hotspot inserts must fold
-	// before the world quiesces, or the snapshot would miss acked points. An
-	// advisory miss (another reconcile in flight) linearizes the snapshot
-	// before that reconcile's commit.
-	ss.joinAll(joinQuery)
 	ss.worldMu.Lock()
 	defer ss.worldMu.Unlock()
 	if s := e.currentSnapshot(); s != nil {
 		return s // lost the build race to another reader
 	}
-	gidOf := ss.keyGID
 	ids := ss.liveIDsLocked()
 	s := &Snapshot{
 		Version:  e.version.Load(),
 		Clusters: make(map[ClusterID][]PointID),
 		byPoint:  make(map[PointID][]ClusterID, len(ids)),
 	}
-	// Owner shards answer membership: their view of every owned point (and
-	// of the seam cells within ε of it) is exact, and the local cluster ids
-	// they report map through the stitch to global ids. Two local ids may
-	// stitch to one global cluster, hence the dedup.
 	resolve := func(id PointID) ([]ClusterID, bool) {
 		r, _ := ss.routes.get(id)
-		owner := r.owner
-		cids, ok := ss.shards[owner].c.ClusterOf(id)
-		if !ok {
-			return nil, false
-		}
-		if len(cids) == 0 {
-			return nil, true // live noise point
-		}
-		out := make([]ClusterID, 0, len(cids))
-		for _, cid := range cids {
-			out = append(out, gidOf[stitchKey{owner, cid}])
-		}
-		return dedupSortedIDs(out), true
+		return ss.clusterOfLocked(r.owner, id)
 	}
 	workers := 1
 	if e.roQueries && e.workers > 1 && len(ids) >= parallelSnapshotMin {
@@ -889,10 +1066,9 @@ func (ss *shardSet) snapshot() *Snapshot {
 		// (AlgoFullyDynamic): chunks may hit the same shard concurrently.
 		workers = e.workers
 	}
-	// Same contract as Engine.Snapshot: worldMu held across the member
-	// resolution keeps the cut frozen; resolveMembers' worker join is
-	// bounded and its workers only read shard backends (no engine locks),
-	// so it cannot deadlock.
+	// worldMu held across the member resolution keeps the cut frozen;
+	// resolveMembers' worker join is bounded and its workers only read shard
+	// backends (no engine locks), so it cannot deadlock.
 	//
 	//dynlint:ignore holdblock snapshot build quiesces commits by design; worker join is bounded and lock-free
 	resolveMembers(s, ids, workers, resolve)
@@ -906,7 +1082,7 @@ func dedupSortedIDs(ids []ClusterID) []ClusterID {
 	if len(ids) < 2 {
 		return ids
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	w := 1
 	for i := 1; i < len(ids); i++ {
 		if ids[i] != ids[w-1] {
@@ -960,10 +1136,12 @@ func containsID(ids []ClusterID, id ClusterID) bool {
 }
 
 // syncEvents reconciles event *publication* with the engine's subscriber
-// count; the sharded counterpart of Engine.syncEventFunc. Event collection
-// and the seam fold are permanent (installed at engine creation), so
-// attaching or detaching a subscriber only flips eventsOn: the exclusive
-// worldMu hold below is the O(1) quiesce that fences in-flight commits.
+// count. Event collection and the seam fold are permanent (installed at
+// engine creation), so attaching or detaching a subscriber only flips
+// eventsOn: the exclusive worldMu hold below is the O(1) quiesce that fences
+// in-flight commits. It re-reads the count under that hold, so racing
+// Subscribe/cancel pairs converge on the state matching the surviving
+// registrations.
 func (ss *shardSet) syncEvents() {
 	ss.worldMu.Lock()
 	defer ss.worldMu.Unlock()
@@ -973,11 +1151,7 @@ func (ss *shardSet) syncEvents() {
 	e.subMu.Unlock()
 }
 
-// Shards returns how many spatial shards the Engine runs (1 in the default
-// single-backend mode).
+// Shards returns how many spatial shards the Engine runs (1 by default).
 func (e *Engine) Shards() int {
-	if e.sh == nil {
-		return 1
-	}
 	return len(e.sh.shards)
 }

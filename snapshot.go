@@ -67,11 +67,20 @@ func (s *Snapshot) addPoint(id PointID, cids []ClusterID) {
 // lock and never observes later updates. Querying a point that was not live
 // at the snapshot's epoch returns ErrUnknownPoint.
 func (s *Snapshot) GroupBy(q []PointID) (Result, error) {
+	return groupResult(q, func(i int) ([]ClusterID, bool) { return s.ClusterOf(q[i]) })
+}
+
+// groupResult answers a C-group-by query through clusterOf, which reports the
+// memberships of q[i]: the queried points grouped by cluster, in canonical
+// form. A point that is not live fails the query with ErrUnknownPoint; a
+// repeated handle contributes once. Shared by Snapshot.GroupBy and the live
+// query path.
+func groupResult(q []PointID, clusterOf func(i int) ([]ClusterID, bool)) (Result, error) {
 	var res Result
 	groups := make(map[ClusterID][]PointID)
 	seen := make(map[PointID]struct{}, len(q))
-	for _, id := range q {
-		cids, ok := s.byPoint[id]
+	for i, id := range q {
+		cids, ok := clusterOf(i)
 		if !ok {
 			return Result{}, ErrUnknownPoint
 		}
