@@ -5,11 +5,7 @@ package main
 // stream (most batches land on a handful of hot stripes) is replayed by
 // concurrent workers through a rebalance-only engine and through the same
 // engine with WithHotspot, so the table shows what split-phase staging buys
-// in throughput and commit-latency tails when traffic refuses to spread. A
-// second table pins one oversized stripe and migrates it off its shard while
-// writers keep committing, comparing the quiesced migration (one exclusive
-// world lock for the whole move) against the chunked tier (many short
-// holds) by the latency the writers observed.
+// in throughput and commit-latency tails when traffic refuses to spread.
 
 import (
 	"fmt"
@@ -44,7 +40,6 @@ func hotPolicy() dyndbscan.HotspotPolicy {
 		WaitWeight:     16,
 		CheckEvery:     4,
 		ReconcileOps:   256,
-		MigrateChunk:   2048,
 	}
 }
 
@@ -233,144 +228,7 @@ func hotspotSweep(o harness.Options) harness.Table {
 	return tb
 }
 
-// migrationRun loads one oversized stripe, then migrates it off its shard
-// via Rebalance while writer goroutines keep committing to cold stripes.
-// It reports the migration wall time and the latency the writers saw.
-func migrationRun(o harness.Options, chunk int) (moveWall time.Duration, lat []time.Duration) {
-	pol := hotPolicy()
-	// A threshold no stream reaches: the ONLY behavioral difference between
-	// the variants is the migration tier (quiesced vs chunked).
-	pol.ScoreThreshold = 1 << 30
-	pol.MigrateChunk = chunk
-	opts := []dyndbscan.Option{
-		dyndbscan.WithAlgorithm(dyndbscan.AlgoFullyDynamic),
-		dyndbscan.WithDims(2),
-		dyndbscan.WithEps(hotEps),
-		dyndbscan.WithMinPts(o.MinPts),
-		dyndbscan.WithShards(hotShards),
-		dyndbscan.WithShardStripe(hotStripeW),
-		// Hair-trigger: the first Rebalance() migrates the pinned stripe.
-		dyndbscan.WithRebalance(dyndbscan.RebalancePolicy{MaxImbalance: 1.01, MinLoad: 1}),
-	}
-	if chunk > 0 {
-		opts = append(opts, dyndbscan.WithHotspot(pol))
-	}
-	eng, err := dyndbscan.New(opts...)
-	if err != nil {
-		panic(fmt.Sprintf("dynbench: hotspot migration: %v", err))
-	}
-	defer eng.Close()
-
-	// Pin the hot stripe: o.N points inside stripe 0.
-	rng := rand.New(rand.NewSource(o.Seed))
-	side := grid.NewParams(2, hotEps).Side
-	pre := make([]dyndbscan.Op, 0, o.N)
-	for i := 0; i < o.N; i++ {
-		pre = append(pre, dyndbscan.InsertOp(dyndbscan.Point{
-			rng.Float64() * side * hotStripeW,
-			rng.Float64() * 100 * hotEps,
-		}))
-	}
-	for lo := 0; lo < len(pre); lo += 4096 {
-		if _, err := eng.Apply(pre[lo : lo+min(4096, len(pre)-lo)]); err != nil {
-			panic(fmt.Sprintf("dynbench: hotspot migration preload: %v", err))
-		}
-	}
-
-	const writers = 2
-	type sample struct {
-		start time.Time
-		d     time.Duration
-	}
-	var (
-		wg      sync.WaitGroup
-		stop    = make(chan struct{})
-		mu      sync.Mutex
-		samples []sample
-	)
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			wrng := rand.New(rand.NewSource(o.Seed + 100 + int64(w)))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				ops := make([]dyndbscan.Op, hotBatch)
-				for i := range ops {
-					// Cold stripes only: far from the migrating one.
-					x := (float64(8+wrng.Intn(hotStripes)) + wrng.Float64()) * side * hotStripeW
-					ops[i] = dyndbscan.InsertOp(dyndbscan.Point{x, wrng.Float64() * 100 * hotEps})
-				}
-				t0 := time.Now()
-				if _, err := eng.Apply(ops); err != nil {
-					panic(fmt.Sprintf("dynbench: hotspot migration writer: %v", err))
-				}
-				mu.Lock()
-				samples = append(samples, sample{t0, time.Since(t0)})
-				mu.Unlock()
-			}
-		}(w)
-	}
-
-	time.Sleep(20 * time.Millisecond) // writers reach steady state
-	t0 := time.Now()
-	if _, err := eng.Rebalance(); err != nil {
-		panic(fmt.Sprintf("dynbench: hotspot migration rebalance: %v", err))
-	}
-	t1 := time.Now()
-	moveWall = t1.Sub(t0)
-	close(stop)
-	wg.Wait()
-	// Only Applies that overlapped the move window count: warm-up and tail
-	// samples would otherwise dilute a whole-move stall (two blocked writers
-	// contribute two slow samples against thousands of fast ones) below p99.
-	for _, s := range samples {
-		if s.start.Before(t1) && s.start.Add(s.d).After(t0) {
-			lat = append(lat, s.d)
-		}
-	}
-	return moveWall, lat
-}
-
-// hotspotMigration renders the quiesced-vs-chunked migration latency table.
-func hotspotMigration(o harness.Options) harness.Table {
-	n := min(o.N, 40_000) // the stripe, not the stream, is the variable here
-	tb := harness.Table{
-		Title: fmt.Sprintf("Hotspot — non-quiescent chunked migration vs quiesced (one %d-point stripe moves while 2 writers commit)", n),
-		Caption: "move = wall time of the Rebalance() that migrates the pinned stripe; latency quantiles are\n" +
-			"the writers' per-Apply wall times while the move is in flight. The chunked tier trades a\n" +
-			"longer move for bounded writer tails (no whole-move exclusive world lock).",
-		Header: []string{"migration", "move", "p50", "p99", "max"},
-	}
-	for _, chunk := range []int{0, 2048} {
-		name := "quiesced"
-		if chunk > 0 {
-			name = fmt.Sprintf("chunked-%d", chunk)
-		}
-		if o.Verbose != nil {
-			o.Verbose("  running hotspot migration=%s...", name)
-		}
-		mo := o
-		mo.N = n
-		moveWall, lat := migrationRun(mo, chunk)
-		p50, p99, _, max := quantiles(lat)
-		tb.Rows = append(tb.Rows, []string{
-			name,
-			moveWall.Round(time.Millisecond).String(),
-			p50.Round(time.Microsecond).String(),
-			p99.Round(time.Microsecond).String(),
-			max.Round(time.Microsecond).String(),
-		})
-	}
-	return tb
-}
-
-// hotspotSweepTables is the "hotspot" figure: the workers × policy sweep and
-// the migration-tier comparison.
+// hotspotSweepTables is the "hotspot" figure: the workers × policy sweep.
 func hotspotSweepTables(o harness.Options) []harness.Table {
-	return []harness.Table{hotspotSweep(o), hotspotMigration(o)}
+	return []harness.Table{hotspotSweep(o)}
 }

@@ -90,7 +90,6 @@ func crashHotspotPolicy() HotspotPolicy {
 		WaitWeight:     4,
 		CheckEvery:     1,
 		ReconcileOps:   1 << 20,
-		MigrateChunk:   1 << 20,
 	}
 }
 

@@ -83,13 +83,14 @@ type eqConfig struct {
 	stripe         int
 	eps            float64
 	minPts         int
-	batch          int  // ops per Apply commit
-	checkEvery     int  // commits between checkpoints
-	rebalanceEvery int  // commits between Rebalance() calls on the sharded engines; 0 = never
-	requireMoves   bool // fail unless at least one migration happened (seeded streams only)
-	restartEvery   int  // commits between Close+Open restarts of a WAL-backed engine; 0 = no WAL engine
-	hotspot        bool // add a hotspot-enabled engine (and hotspot-enable the WAL engine, when present)
-	hotJoinEvery   int  // commits between forced Sync() joins on the hotspot engine; 0 = only query-driven joins
+	batch          int           // ops per Apply commit
+	checkEvery     int           // commits between checkpoints
+	rebalanceEvery int           // commits between Rebalance() calls on the sharded engines; 0 = never
+	requireMoves   bool          // fail unless at least one migration happened (seeded streams only)
+	roundBudget    time.Duration // migration round budget of the subscribed sharded engine; 0 = the default (each extra round costs a pacing sleep)
+	restartEvery   int           // commits between Close+Open restarts of a WAL-backed engine; 0 = no WAL engine
+	hotspot        bool          // add a hotspot-enabled engine (and hotspot-enable the WAL engine, when present)
+	hotJoinEvery   int           // commits between forced Sync() joins on the hotspot engine; 0 = only query-driven joins
 }
 
 // eqHotspotPolicy is a hair-trigger hotspot policy: almost any traffic marks
@@ -102,7 +103,6 @@ func eqHotspotPolicy() dyndbscan.HotspotPolicy {
 		WaitWeight:     4,
 		CheckEvery:     1,
 		ReconcileOps:   8,
-		MigrateChunk:   64,
 	}
 }
 
@@ -260,6 +260,12 @@ func runEqStream(cfg eqConfig, ops []eqOp) (err error) {
 		return err
 	}
 	defer sub.Close()
+	if cfg.roundBudget > 0 {
+		// A tiny round budget cuts this engine's migrations into many
+		// rounds, so the checkpoints below see the seam after multi-round
+		// moves.
+		sub.SetMigrateRoundBudget(cfg.roundBudget)
+	}
 	val := evcheck.New()
 	cancel := sub.Subscribe(val.Observe)
 	defer cancel()
@@ -569,6 +575,11 @@ func runEqStream(cfg eqConfig, ops []eqOp) (err error) {
 		// must migrate; zero moves means the migration path went untested.
 		return fmt.Errorf("no stripe migration happened across %d commits — harness lost its rebalancing coverage", commits)
 	}
+	if cfg.requireMoves && sub.MultiRoundMigrations() == 0 {
+		// Same guard for the round protocol: some move must have needed
+		// more than one exclusive round.
+		return fmt.Errorf("no migration took more than one round across %d commits — harness lost its multi-round coverage", commits)
+	}
 	if hot != nil && cfg.requireMoves {
 		// Same coverage guard for the split-phase machinery: the hair-trigger
 		// policy must have staged and reconciled something, or the hotspot
@@ -638,6 +649,7 @@ func TestCrossModeEquivalence(t *testing.T) {
 					batch:  16, checkEvery: 12,
 					rebalanceEvery: 17, // co-prime with checkEvery: migrations land between and on checkpoints
 					requireMoves:   true,
+					roundBudget:    100 * time.Microsecond,
 					restartEvery:   31, // WAL engine: kill-and-recover cycles land all over the schedule
 					hotspot:        true,
 					hotJoinEvery:   7, // forced joins land between query-driven ones

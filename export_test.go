@@ -2,6 +2,8 @@ package dyndbscan
 
 // Test-only exports.
 
+import "time"
+
 // SeamAudit cross-checks the engine's incrementally maintained seam structure
 // against a fresh recomputation from the live backends, under a quiesced
 // world. Tests (the randomized cross-mode equivalence harness in particular)
@@ -16,15 +18,25 @@ func (e *Engine) SeamAudit() error {
 
 // MoveStripe migrates one stripe to the given shard unconditionally,
 // bypassing the load policy — the directed-migration hook of the placement
-// tests (Rebalance only migrates what the policy deems worthwhile).
-func (e *Engine) MoveStripe(stripe int64, dst int) {
-	ss := e.sh
-	ss.worldMu.Lock()
-	ticket, evs, pub := ss.migrateStripeLocked(stripe, int32(dst))
-	ss.worldMu.Unlock()
-	if pub {
-		e.publishOrdered(ticket, evs)
-	}
+// tests (Rebalance only migrates what the policy deems worthwhile). It runs
+// the live migration protocol, grow rounds, flip and trim rounds, as a
+// Rebalance pass does.
+func (e *Engine) MoveStripe(stripe int64, dst int) error {
+	_, err := e.sh.migrate(placeMove{stripe: stripe, dst: int32(dst)})
+	return err
+}
+
+// SetMigrateRoundBudget overrides the time budget of one exclusive migration
+// round, so that tests can force a migration into many rounds. Call it
+// before the engine's first migration.
+func (e *Engine) SetMigrateRoundBudget(d time.Duration) {
+	e.sh.roundBudget = d
+}
+
+// MultiRoundMigrations reports how many migrations took more than one
+// exclusive round.
+func (e *Engine) MultiRoundMigrations() int64 {
+	return e.sh.multiRound.Load()
 }
 
 // StripeOwner reports which shard currently owns the stripe.
@@ -48,13 +60,6 @@ func (e *Engine) StagedOps() int64 {
 	return e.sh.hs.stagedTotal.Load()
 }
 
-// MoveStripeChunked runs the non-quiescent chunked migration tier directly,
-// bypassing the load policy — the directed hook of the migration-vs-writers
-// race tests.
-func (e *Engine) MoveStripeChunked(stripe int64, dst, chunk int) {
-	e.sh.migrateStripeChunked(stripe, int32(dst), chunk)
-}
-
 // HoldReconcile acquires the hotspot reconcile lock and returns its release —
 // the directed hook of the join-barrier regression tests: while held, it
 // plays the part of an in-flight reconcile whose stripe snapshot predates
@@ -64,6 +69,15 @@ func (e *Engine) HoldReconcile() (release func()) {
 	hs := e.sh.hs
 	hs.reconcileMu.Lock()
 	return hs.reconcileMu.Unlock
+}
+
+// HoldWorldShared takes the world lock shared, as an in-flight commit does,
+// and returns its release — the directed hook of the migration-round tests:
+// while held, a migration round waits for the lock exclusively, and commits
+// that route meanwhile queue behind the round.
+func (e *Engine) HoldWorldShared() (release func()) {
+	e.sh.worldMu.RLock()
+	return e.sh.worldMu.RUnlock
 }
 
 // PublishedSnapshot returns the snapshot in the publication slot, current or

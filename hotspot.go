@@ -23,10 +23,11 @@ package dyndbscan
 // validation) sees staged inserts immediately through stagedRoutes, so a
 // staged point is never "missing" — only its clustering is deferred.
 //
-// One fallback tier engages when split phase alone cannot win: *non-quiescent
-// migration* moves a large stripe in bounded chunks with commits admitted
-// between chunks (placement.go: migrateStripeChunked). A stripe is never cut
-// finer than the placement table's stripe width.
+// When split phase alone cannot win, load-aware rebalancing moves the stripe
+// to another shard. That migration is the same for every sharded engine, with
+// or without WithHotspot: it copies and trims in short rounds with commits
+// admitted between them (placement.go: migrate). A stripe is never cut finer
+// than the placement table's stripe width.
 //
 // Handle minting: staged inserts mint their handles at staging time, before
 // their stripe's fold, so WAL record order no longer agrees with mint order.
@@ -85,10 +86,11 @@ type HotspotPolicy struct {
 	//
 	// Deprecated: stripe splitting was removed; the field has no effect.
 	SplitParts int
-	// MigrateChunk bounds the handles copied per exclusive critical section
-	// when a stripe larger than MigrateChunk is migrated: the move proceeds
-	// in chunks with commits admitted between them instead of quiescing the
-	// world for the whole copy. Default 1024.
+	// MigrateChunk is ignored: every live migration copies and trims in
+	// rounds bounded by a fixed time budget, whatever the stripe's size.
+	//
+	// Deprecated: the point-count migration tier was removed; the field has
+	// no effect.
 	MigrateChunk int
 }
 
@@ -110,9 +112,6 @@ func (p HotspotPolicy) normalize() HotspotPolicy {
 	}
 	if p.ReconcileOps == 0 {
 		p.ReconcileOps = 256
-	}
-	if p.MigrateChunk == 0 {
-		p.MigrateChunk = 1024
 	}
 	return p
 }

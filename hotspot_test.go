@@ -3,7 +3,7 @@ package dyndbscan_test
 // Directed tests for the contention-adaptive hot-stripe commit path: staging
 // visibility and join triggers, split→join→split cycles under concurrent
 // writers, a reconcile racing Close, placement staying put under sustained
-// contention (with WAL replay), non-quiescent chunked migration against concurrent writers, the
+// contention (with WAL replay), a live migration against concurrent writers, the
 // Subscribe seam-reuse fast path, and option validation. The randomized
 // cross-mode harness (equivalence_test.go) covers the same machinery
 // end-to-end; these tests pin the individual mechanisms.
@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"dyndbscan"
-	"dyndbscan/internal/evcheck"
 )
 
 // hairTrigger returns a policy under which a handful of inserts puts a
@@ -30,7 +29,6 @@ func hairTrigger() dyndbscan.HotspotPolicy {
 		WaitWeight:     4,
 		CheckEvery:     1,
 		ReconcileOps:   1 << 20,
-		MigrateChunk:   1 << 20,
 	}
 }
 
@@ -489,107 +487,42 @@ func TestHotspotPlacementUnchangedUnderContention(t *testing.T) {
 	}
 }
 
-// TestHotspotChunkedMigrationVsWriters runs the non-quiescent migration tier
-// against concurrent writers and deleters: the move must land, no handle may
-// be lost, and the final clustering must match a quiet reference. Run with
-// -race.
+// TestHotspotChunkedMigrationVsWriters runs a live migration, forced into
+// many short rounds, against concurrent writers and deleters on a hotspot
+// engine: the move must land, no handle may be lost, and the seam must pass
+// its audit. Run with -race.
 func TestHotspotChunkedMigrationVsWriters(t *testing.T) {
-	testChunkedMigrationVsWriters(t, false)
+	testHotMigrationVsWriters(t, false)
 }
 
 // TestHotspotChunkedMigrationVsWritersSubscribed is the same race with an
-// event validator attached before the move: the chunked tier runs with
-// subscribers, every round folds into the seam, and the published stream
-// must stay valid and agree with the snapshot.
+// event validator attached before the move: every round folds into the
+// seam, and the published stream must stay valid and agree with the
+// snapshot.
 func TestHotspotChunkedMigrationVsWritersSubscribed(t *testing.T) {
-	testChunkedMigrationVsWriters(t, true)
+	testHotMigrationVsWriters(t, true)
 }
 
-func testChunkedMigrationVsWriters(t *testing.T, subscribed bool) {
+func testHotMigrationVsWriters(t *testing.T, subscribed bool) {
 	e := newHotEngine(t, hairTrigger())
 	defer e.Close()
-
-	// A populous stripe 0, then migrate it in chunks of 16 while writers
-	// keep appending to it and deleting from it.
+	// A populous stripe 0, then migrate it while writers keep appending to
+	// it and deleting from it.
 	base, err := e.InsertBatch(hotPoints(400, 0))
 	if err != nil {
 		t.Fatalf("InsertBatch: %v", err)
 	}
 	e.Sync()
-	var val *evcheck.Validator
-	if subscribed {
-		val = evcheck.New()
-		val.Seed(e.Snapshot().ClusterIDs())
-		defer e.Subscribe(val.Observe)()
-	}
-	src := e.StripeOwner(0)
-	dst := 1 - src
-	var (
-		wg    sync.WaitGroup
-		mu    sync.Mutex
-		extra []dyndbscan.PointID
-	)
-	stop := make(chan struct{})
-	for w := 0; w < 3; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			// Bounded iterations: staged inserts cost almost nothing, so an
-			// unbounded spin against the paced migration would pile up
-			// millions of staged ops and turn the final join into one
-			// enormous commit.
-			for i := 0; i < 4000; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				id, err := e.Insert(dyndbscan.Point{float64((w*3 + i) % 10), float64(100 + i%40)})
-				if err != nil {
-					t.Errorf("writer %d: Insert: %v", w, err)
-					return
-				}
-				mu.Lock()
-				extra = append(extra, id)
-				mu.Unlock()
-				if i%7 == 3 {
-					if err := e.Delete(base[(w*53+i)%len(base)]); err != nil &&
-						err != dyndbscan.ErrUnknownPoint {
-						// Another writer may have deleted it first.
-						t.Errorf("writer %d: Delete: %v", w, err)
-						return
-					}
-				}
+	dst := 1 - e.StripeOwner(0)
+	migrationVsWriters(t, e, base, subscribed, true,
+		func(w, i int) dyndbscan.Point { return dyndbscan.Point{float64((w*3 + i) % 10), float64(100 + i%40)} },
+		func() {
+			if err := e.MoveStripe(0, dst); err != nil {
+				t.Errorf("MoveStripe: %v", err)
 			}
-		}(w)
-	}
-	e.MoveStripeChunked(0, dst, 16)
-	close(stop)
-	wg.Wait()
+		})
 	if got := e.StripeOwner(0); got != dst {
-		t.Fatalf("chunked migration did not land: owner %d, want %d", got, dst)
-	}
-	e.Sync()
-	mu.Lock()
-	for _, id := range extra {
-		if !e.Has(id) {
-			t.Fatalf("insert %d lost during chunked migration", id)
-		}
-	}
-	mu.Unlock()
-	if err := e.SeamAudit(); err != nil {
-		t.Fatalf("seam audit after chunked migration: %v", err)
-	}
-	if _, err := e.GroupAll(); err != nil {
-		t.Fatalf("GroupAll after chunked migration: %v", err)
-	}
-	if val != nil {
-		if err := val.Err(); err != nil {
-			t.Fatalf("event stream invalid: %v", err)
-		}
-		if err := val.ReconcileLive(e.Snapshot().ClusterIDs()); err != nil {
-			t.Fatalf("events vs snapshot: %v", err)
-		}
+		t.Fatalf("migration did not land: owner %d, want %d", got, dst)
 	}
 }
 

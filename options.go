@@ -208,7 +208,7 @@ func WithRebalance(p RebalancePolicy) Option {
 func WithHotspot(p HotspotPolicy) Option {
 	return func(s *engineSettings) {
 		if p.ScoreThreshold < 0 || p.WaitWeight < 0 || p.CheckEvery < 0 ||
-			p.ReconcileOps < 0 || p.MigrateChunk < 0 {
+			p.ReconcileOps < 0 {
 			s.setErr(fmt.Errorf("dyndbscan: WithHotspot(%+v): negative policy field", p))
 			return
 		}

@@ -465,8 +465,8 @@ func (w *walState) flusher() {
 // close first writes a final checkpoint (when checkpoints are enabled and
 // records accumulated past the last one), so reopening restores state
 // instead of replaying. That matters beyond speed: sharded cluster ids are
-// minted by seam folds, and not every fold is in the log (a chunked
-// migration's rounds are not) — so replay alone reproduces memberships and
+// minted by seam folds, and not every fold is in the log (a migration's
+// grow and trim rounds are not) — so replay alone reproduces memberships and
 // handles exactly but may number clusters differently. The checkpoint
 // carries the live id assignment across the restart verbatim.
 func (w *walState) closeWAL(e *Engine) error {
@@ -535,8 +535,7 @@ var errSingleShardPlacement = errors.New("dyndbscan: wal: placement record in a 
 // applyAssign replays one logged placement change: migrate the stripe to the
 // shard that owned it when the record was written. The engine's placement
 // state evolves through the same migrations in the same order as the writer,
-// so the stitch mints the same global cluster ids (see the append in
-// shardSet.rebalance).
+// so the stitch mints the same global cluster ids (see walAppendMove).
 func (e *Engine) applyAssign(stripe, dst int64) error {
 	ss := e.sh
 	if !ss.placing() {
@@ -545,23 +544,8 @@ func (e *Engine) applyAssign(stripe, dst int64) error {
 	if dst < 0 || int(dst) >= len(ss.shards) {
 		return fmt.Errorf("dyndbscan: wal: placement record targets shard %d of %d", dst, len(ss.shards))
 	}
-	ss.worldMu.Lock()
-	ss.routesMu.Lock()
-	cur := ss.shardOfStripe(stripe)
-	ss.routesMu.Unlock()
-	var (
-		ticket uint64
-		evs    []Event
-		pub    bool
-	)
-	if cur != int32(dst) {
-		ticket, evs, pub = ss.migrateStripeLocked(stripe, int32(dst))
-	}
-	ss.worldMu.Unlock()
-	if pub {
-		e.publishOrdered(ticket, evs)
-	}
-	return nil
+	_, err := ss.migrate(placeMove{stripe: stripe, dst: int32(dst)})
+	return err
 }
 
 // applyWidth replays one logged stripe-width re-derivation: flip the width
@@ -577,20 +561,8 @@ func (e *Engine) applyWidth(width int64) error {
 	if width <= ss.bandCells {
 		return fmt.Errorf("dyndbscan: wal: width record of %d cells is inside the %d-cell ghost band", width, ss.bandCells)
 	}
-	ss.worldMu.Lock()
-	ss.routesMu.Lock()
-	cur := ss.stripeCells
-	ss.routesMu.Unlock()
-	if width == cur {
-		ss.worldMu.Unlock()
-		return nil
-	}
-	ticket, evs, pub := ss.reshapeWidthLocked(width)
-	ss.worldMu.Unlock()
-	if pub {
-		e.publishOrdered(ticket, evs)
-	}
-	return nil
+	_, err := ss.migrate(placeMove{width: width})
+	return err
 }
 
 // applyExplicit replays a data record whose inserts carry explicit handles.

@@ -24,15 +24,16 @@ package dyndbscan
 //     ghost-band replication, and the seam stitch therefore always agree on
 //     one placement epoch.
 //
-//   - Live stripe migration. migrateStripeLocked moves one stripe to a new
-//     shard under a quiesced world: it first *grows* (inserts the copies the
-//     new placement needs while the old copies are still resident) and folds
-//     that into the seam — the co-resident generations share tracked cells,
-//     so source and target local clusters fall into one component and the
-//     global ClusterID assignment flows onto the target before the source
-//     copies disappear — and only then *trims* the copies the new placement
-//     no longer holds, folding again. Both folds are the commit path's seam
-//     transaction, scoped to the reshaped columns. Point handles, ClusterIDs,
+//   - Live stripe migration. migrate moves one stripe to a new shard in
+//     short exclusive rounds with commits admitted between them: it first
+//     *grows* (inserts the copies the new placement needs while the old
+//     copies are still resident) and folds that into the seam — the
+//     co-resident generations share tracked cells, so source and target
+//     local clusters fall into one component and the global ClusterID
+//     assignment flows onto the target before the source copies disappear —
+//     then flips the table, and only then *trims* the copies the new
+//     placement no longer holds, folding again. The folds are the commit
+//     path's seam transaction, scoped to the reshaped columns. Point handles, ClusterIDs,
 //     and (with Rho = 0) the clustering itself are invariant across a
 //     migration; any net transition (possible only under Rho > 0 don't-care
 //     re-resolution) is published as ordinary cluster events in commit
@@ -49,6 +50,7 @@ package dyndbscan
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 	"time"
@@ -352,27 +354,30 @@ func (e *Engine) ShardLoads() []ShardLoad {
 // DefaultRebalancePolicy's thresholds when none was). It returns how many
 // stripes moved.
 //
-// A migration quiesces the engine (like a Subscribe transition), moves the
-// stripe's owned points and ghost copies to the new placement, folds the
-// move into the seam, and advances the engine Version (each migration counts as one
-// update). Everything user-visible survives: point handles, ClusterIDs, the
-// event stream's ordering, and — with Rho = 0 — the clustering itself
-// bit-for-bit. On insertion-only backends (AlgoSemiDynamic) the source
-// shard's copies cannot be deleted and remain resident (new traffic still
-// routes to the new owner); memory is reclaimed only on deletion-capable
-// algorithms. Rebalance on a one-shard Engine is a no-op.
+// A migration never quiesces the engine for the whole move. It copies the
+// stripe's points to their new placement in short rounds, each under an
+// exclusive world lock bounded by a fixed time budget, with commits admitted
+// between rounds; then it flips the stripe's owner and folds the move into
+// the seam; then it trims the stale copies in rounds of the same kind. Each
+// migration advances the engine Version. Everything user-visible survives:
+// point handles, ClusterIDs, the event stream's ordering, and — with
+// Rho = 0 — the clustering itself bit-for-bit. On insertion-only backends
+// (AlgoSemiDynamic) the source shard's copies cannot be deleted and remain
+// resident (new traffic still routes to the new owner); memory is reclaimed
+// only on deletion-capable algorithms. Rebalance returns after the trim. It
+// is a no-op on a one-shard Engine.
 //
-// Every migration is logged before it runs. A failed append or durability
+// Every migration is logged when it flips. A failed append or durability
 // wait stops the pass; Rebalance then returns that error together with the
 // number of stripes moved before it.
 func (e *Engine) Rebalance() (moved int, err error) {
 	if !e.sh.placing() {
 		return 0, nil
 	}
-	// One pass at a time, shared with the automatic cadence: non-quiescent
-	// migrations release the world lock between chunks, so two interleaved
-	// passes could chase each other's placement. A call that loses the race
-	// reports zero moves; the running pass is doing the work.
+	// One pass at a time, shared with the automatic cadence: migrations
+	// release the world lock between rounds, so two interleaved passes could
+	// chase each other's placement. A call that loses the race reports zero
+	// moves; the running pass is doing the work.
 	if !e.sh.rebalancing.CompareAndSwap(false, true) {
 		return 0, nil
 	}
@@ -403,26 +408,6 @@ func (ss *shardSet) maybeAutoRebalance() {
 	// A failed append stops the pass; the committer that triggered it meets
 	// the same log failure on its own next append.
 	_, _ = ss.rebalance(ss.policy)
-}
-
-// walAppendAssign logs a placement change before it happens; see rebalance.
-// Returns seq 0 when the engine is not logging.
-func (ss *shardSet) walAppendAssign(stripe int64, dst int32) (uint64, error) {
-	e := ss.e
-	if !e.logging() {
-		return 0, nil
-	}
-	return e.wal.append([]wal.Op{{Kind: wal.OpAssign, ID: stripe, To: int64(dst)}})
-}
-
-// walAppendWidth logs a stripe-width re-derivation before it happens; width
-// changes replay like migrations (see wal.OpWidth).
-func (ss *shardSet) walAppendWidth(w int64) (uint64, error) {
-	e := ss.e
-	if !e.logging() {
-		return 0, nil
-	}
-	return e.wal.append([]wal.Op{{Kind: wal.OpWidth, ID: w}})
 }
 
 // widthCheckEvery is the adaptive-width re-derivation cadence in commits.
@@ -479,19 +464,15 @@ func (ss *shardSet) maybeAdaptWidth() {
 		return // a migration pass is running; re-derive on a later cadence
 	}
 	defer ss.rebalancing.Store(false)
-	ss.reshapeWidth(cur, newW)
+	ss.reshapeWidth(newW)
 }
 
 // reshapeWidth applies a re-derived stripe width: it quiesces the hotspot
-// machinery (whose state is keyed by stripe index), logs the change, and
-// re-routes every live point through a full-range reshape. With the hotspot
-// chunked tier available the trim — the dominant cost — is deferred past the
-// flip and paid in bounded rounds (trimChunks), the same machinery as a
-// chunked migration, so the exclusive hold stays short.
-func (ss *shardSet) reshapeWidth(cur, newW int64) {
-	e := ss.e
-	hs := ss.hs
-	if hs != nil {
+// machinery (whose state is keyed by stripe index), then re-routes every
+// live point through the live migration protocol (migrate) with the width
+// flip as its placement change.
+func (ss *shardSet) reshapeWidth(newW int64) {
+	if hs := ss.hs; hs != nil {
 		// Split-phase state (the hot set, its staged sub-buffers) is keyed
 		// by stripe index: pause staging, drain, and demote everything
 		// before the key space changes underneath it. The TryLock mirrors
@@ -518,243 +499,215 @@ func (ss *shardSet) reshapeWidth(cur, newW int64) {
 		}
 		ss.routesMu.Unlock()
 	}
-
-	ss.worldMu.Lock()
-	ss.routesMu.Lock()
-	stale := ss.stripeCells != cur
-	ss.routesMu.Unlock()
-	if stale {
-		ss.worldMu.Unlock()
-		return
-	}
-	// Logged like every placement change: replay must flip the width at the
-	// same point in the op stream, or routing — and with it the stitch's
-	// cluster-id minting — would evolve differently than this engine's.
-	seq, err := ss.walAppendWidth(newW)
-	if err != nil {
-		ss.worldMu.Unlock()
-		return
-	}
-	// Mirror the chunked migration tier: the stale copies stay resident
-	// (tracked by the seam as off-placement copies) and the trim is paid in
-	// bounded rounds after the flip.
-	chunked := hs != nil && hs.pol.MigrateChunk > 0
-	ss.deferTrim = chunked
-	ticket, evs, pub := ss.reshapeWidthLocked(newW)
-	ss.deferTrim = false
-	ss.worldMu.Unlock()
-	if seq != 0 {
-		e.wal.finish(seq)
-	}
-	if pub {
-		e.publishOrdered(ticket, evs)
-	}
-	if chunked {
-		ss.trimChunks(hs.pol.MigrateChunk)
-	}
-}
-
-// reshapeWidthLocked flips the stripe width and re-routes every live point:
-// a full-range reshapeLocked whose flip replaces the width and resets every
-// stripe-keyed placement table (assignment overrides and load accounts
-// — their keys mean nothing under the new width). The resident point counts
-// are rebuilt from the routes afterwards; the decayed traffic counters
-// restart from zero. Caller holds worldMu exclusively.
-func (ss *shardSet) reshapeWidthLocked(newW int64) (ticket uint64, evs []Event, pub bool) {
-	ticket, evs, pub = ss.reshapeLocked(math.MinInt64, math.MaxInt64, func() {
-		ss.stripeCells = newW
-		ss.assign = make(map[int64]int32)
-		ss.stripeLoad = make(map[int64]*stripeStat)
-	})
-	ss.routesMu.Lock()
-	for _, r := range ss.routes.all() {
-		t := floorDiv(int64(r.col), ss.stripeCells)
-		st := ss.stripeLoad[t]
-		if st == nil {
-			st = &stripeStat{tick: ss.commitSeq}
-			ss.stripeLoad[t] = st
-		}
-		st.points++
-	}
-	ss.routesMu.Unlock()
-	return ticket, evs, pub
+	// A failed append leaves the width as it was; the next cadence retries.
+	_, _ = ss.migrate(placeMove{width: newW})
 }
 
 // rebalance runs one migration pass: pick, migrate, repeat until balanced or
-// as many moves as there are shards. Events from migrations (possible only
-// under Rho > 0) publish after the world lock is released, in ticket order. Large stripes take the
-// non-quiescent chunked path when the hotspot policy enables it. The first
-// failed append or durability wait ends the pass and is returned with the
-// number of stripes moved.
+// as many moves as there are shards. The first failed append or durability
+// wait ends the pass and is returned with the number of stripes moved.
 func (ss *shardSet) rebalance(pol RebalancePolicy) (int, error) {
 	moved := 0
 	for moved < len(ss.shards) {
 		ss.worldMu.Lock()
 		t, dst, ok := ss.pickMigrationLocked(pol)
+		ss.worldMu.Unlock()
 		if !ok {
-			ss.worldMu.Unlock()
 			break
 		}
-		if chunk := ss.chunkForLocked(t); chunk > 0 {
-			ss.worldMu.Unlock()
-			if err := ss.migrateStripeChunked(t, dst, chunk); err != nil {
-				return moved, err
-			}
+		flipped, err := ss.migrate(placeMove{stripe: t, dst: dst})
+		if flipped {
 			moved++
-			continue
 		}
-		// Placement changes are logged like commits: the record goes in
-		// before the migration runs (a failed append must not leave an
-		// unlogged migration behind, or replay would evolve placement — and
-		// with it the stitch's cluster-id minting — differently than this
-		// engine did). worldMu is held exclusively, so the record's position
-		// in the log agrees with the migration's position between commits.
-		seq, err := ss.walAppendAssign(t, dst)
-		if err != nil {
-			ss.worldMu.Unlock()
+		if err != nil || !flipped {
 			return moved, err // log closing or poisoned: stop migrating, keep what moved
-		}
-		ticket, evs, pub := ss.migrateStripeLocked(t, dst)
-		ss.worldMu.Unlock()
-		// Durability barrier before the migration's events become visible,
-		// mirroring the commit path.
-		err = ss.e.wal.finish(seq)
-		if pub {
-			// After the unlock, mirroring commitBatch: a publisher parked on
-			// a full BlockSubscriber queue must hold no engine lock.
-			ss.e.publishOrdered(ticket, evs)
-		}
-		moved++
-		if err != nil {
-			return moved, err
 		}
 	}
 	return moved, nil
 }
 
-// chunkForLocked decides whether migrating stripe t should take the
-// non-quiescent chunked path, returning the chunk size (0 = quiesce). Only
-// hotspot-enabled engines chunk, and only for stripes larger than the chunk.
-// Caller holds worldMu (any mode).
-func (ss *shardSet) chunkForLocked(t int64) int {
-	if ss.hs == nil {
-		return 0
-	}
-	chunk := ss.hs.pol.MigrateChunk
-	if chunk <= 0 {
-		return 0
-	}
-	ss.routesMu.Lock()
-	st := ss.stripeLoad[t]
-	big := st != nil && st.points > chunk
-	ss.routesMu.Unlock()
-	if !big {
-		return 0
-	}
-	return chunk
+// placeMove is one placement-table change: stripe moves to shard dst, or,
+// when width is set, the stripe width becomes width.
+type placeMove struct {
+	stripe int64
+	dst    int32
+	width  int64
 }
 
-// migrateStripeChunked is the non-quiescent migration tier: it pre-grows the
-// destination copies of stripe t's affected points in bounded chunks, each
-// under a short exclusive critical section with commits admitted in between,
-// and finishes with an ordinary quiesced migrate whose critical section is
-// then cheap — the copies already exist, so only the assignment flip, the
-// seam folds, and the trim remain. Between chunks the extra destination
-// copies are invisible to routing (the assignment table still names the old
-// owner): they can only under-count their neighborhoods, which suppresses
-// core statuses and stitch edges but never invents them, so any snapshot or
-// checkpoint taken mid-migration is still exact. Each round folds its growth
-// into the seam, tracking the grown copies' cells as off-placement, so the
-// seam stays exact on every exit and subscribers may stay attached. Deletes
-// remove the grown copies naturally (they are listed in the point's route),
-// and the final pass picks up points inserted between chunks. The error is
-// the flip's failed append or durability wait.
-func (ss *shardSet) migrateStripeChunked(t int64, dst int32, chunk int) error {
-	loCol := t*ss.stripeCells - ss.bandCells
-	hiCol := (t+1)*ss.stripeCells - 1 + ss.bandCells
-	for rounds := 0; ; rounds++ {
+// inEffectLocked reports whether the table already says what m would make
+// it say. Caller holds routesMu or any worldMu mode.
+func (ss *shardSet) inEffectLocked(m placeMove) bool {
+	if m.width != 0 {
+		return ss.stripeCells == m.width
+	}
+	return ss.shardOfStripe(m.stripe) == m.dst
+}
+
+// colsLocked returns the cell columns whose copy sets m can change: the
+// stripe padded by the ghost band, or every column for a width change.
+// Caller holds routesMu or any worldMu mode.
+func (ss *shardSet) colsLocked(m placeMove) (lo, hi int64) {
+	if m.width != 0 {
+		return math.MinInt64, math.MaxInt64
+	}
+	return m.stripe*ss.stripeCells - ss.bandCells, (m.stripe+1)*ss.stripeCells - 1 + ss.bandCells
+}
+
+// flipLocked rewrites the routing table as m says. A width change empties
+// the assignment overrides: their stripe keys mean nothing under the new
+// width. Caller holds worldMu exclusively and routesMu.
+func (ss *shardSet) flipLocked(m placeMove) {
+	if m.width != 0 {
+		ss.stripeCells = m.width
+		ss.assign = make(map[int64]int32)
+		return
+	}
+	ss.assign[m.stripe] = m.dst
+}
+
+// walAppendMove logs a placement change before it happens: replay must flip
+// the table at the same point in the op stream, or routing — and with it
+// the stitch's cluster-id minting — would evolve differently than this
+// engine's. Returns seq 0 when the engine is not logging.
+func (ss *shardSet) walAppendMove(m placeMove) (uint64, error) {
+	e := ss.e
+	if !e.logging() {
+		return 0, nil
+	}
+	op := wal.Op{Kind: wal.OpAssign, ID: m.stripe, To: int64(m.dst)}
+	if m.width != 0 {
+		op = wal.Op{Kind: wal.OpWidth, ID: m.width}
+	}
+	return e.wal.append([]wal.Op{op})
+}
+
+// migrateRoundBudget bounds the work of one exclusive round of a live
+// migration: a grow round stops inserting copies, and a trim round stops
+// deleting them, once this much time has passed. It is a time and not a
+// point count because a copy's cost varies by an order of magnitude: one
+// fully-dynamic delete of a stale copy takes 25–60 µs on hotspot-zipf.
+// The round's seam fold comes on top.
+const migrateRoundBudget = 4 * time.Millisecond
+
+// maxGrowRounds caps the grow rounds of one migration: writers that keep
+// adding points to the stripe faster than the rounds copy them cannot hold
+// the flip off for ever. The flip grows whatever is still missing.
+const maxGrowRounds = 64
+
+// roundPacing is the gap between the exclusive rounds of a live migration.
+// It is load-bearing, not politeness: each round that changes placement
+// state bumps placeEpoch, and a commit that routed against the old epoch
+// re-routes from scratch — without a gap long enough for in-flight commits
+// to drain, back-to-back rounds could chase one unlucky commit through a
+// re-route per round for the whole migration.
+const roundPacing = 2 * time.Millisecond
+
+// pace waits roundPacing between two rounds of a live migration. Replay and
+// replicas have no writers to admit, so they go straight on.
+func (ss *shardSet) pace() {
+	if w := ss.e.wal; w == nil || !w.recovering {
+		time.Sleep(roundPacing)
+	}
+}
+
+// migrate runs one placement change — the only way placement changes, live
+// or in replay. It never holds the world lock for the whole move:
+//
+//  1. Grow rounds insert the copies the new placement needs, each round
+//     under a short exclusive section bounded by the round budget, with
+//     commits admitted between rounds. Until the flip the new copies are
+//     invisible to routing (the table still names the old placement) and
+//     are tracked by the seam as off-placement copies; a real extra copy of
+//     a real point can only under-count neighbourhoods elsewhere, never
+//     invent cores or stitch edges, so any snapshot or checkpoint taken
+//     mid-migration is exact. Deletes remove grown copies naturally (they
+//     are listed in the point's route).
+//  2. The flip logs the change, rewrites the table, grows what points
+//     inserted between rounds still lack, and folds the seam while both
+//     generations are resident (moveLocked). It runs in the section of the
+//     grow round that finds nothing left to copy.
+//  3. Trim rounds delete the stale copies the flip queued (trimRounds).
+//
+// flipped reports whether the table changed. The error is the flip's failed
+// append or durability wait.
+func (ss *shardSet) migrate(m placeMove) (flipped bool, err error) {
+	for rounds := 1; ; rounds++ {
 		ss.worldMu.Lock()
 		ss.routesMu.Lock()
-		if ss.shardOfStripe(t) == dst {
-			// The world moved on (a racing pass won); nothing to do.
-			// Every round folded its own growth, and the reshape that won
-			// recounted and re-read these columns: the seam is exact.
+		if ss.inEffectLocked(m) {
+			// Nothing to do, or a racing pass won. Every round folded its
+			// own growth, so the seam is exact.
 			ss.routesMu.Unlock()
 			ss.worldMu.Unlock()
-			return nil
+			return false, nil
 		}
-		// Writers outpacing the chunks: finish quiesced below.
-		full := rounds > 64
+		full := rounds > maxGrowRounds
 		var (
 			ticket uint64
 			evs    []Event
 			pub    bool
 		)
 		if !full {
-			evs, full = ss.growChunkLocked(t, dst, loCol, hiCol, chunk)
+			evs, full = ss.growRoundLocked(m)
 			if len(evs) > 0 {
 				ss.e.wal.noteDirtyEvents(evs)
 				ticket, pub = ss.settleFoldLocked(evs)
 			}
 		}
 		ss.routesMu.Unlock()
-		if full {
-			// Everything is grown (or we must stop chunking): finish with the
-			// ordinary quiesced migrate under the worldMu we already hold.
-			// The trim — the dominant cost of a fully-dynamic reshape, one
-			// clustering delete per stale copy — is deferred past the flip
-			// and paid in bounded rounds below, so this critical section
-			// holds only the assignment flip and the seam folds.
-			seq, err := ss.walAppendAssign(t, dst)
-			if err != nil {
-				ss.worldMu.Unlock()
-				return err
-			}
-			ss.deferTrim = true
-			ticket, evs, pub := ss.migrateStripeLocked(t, dst)
-			ss.deferTrim = false
+		if !full {
 			ss.worldMu.Unlock()
-			err = ss.e.wal.finish(seq)
 			if pub {
 				ss.e.publishOrdered(ticket, evs)
 			}
-			ss.trimChunks(chunk)
-			return err
+			ss.pace()
+			continue
 		}
+		seq, err := ss.walAppendMove(m)
+		if err != nil {
+			ss.worldMu.Unlock()
+			if pub {
+				ss.e.publishOrdered(ticket, evs)
+			}
+			return false, err
+		}
+		flipTicket, flipEvs, flipPub := ss.moveLocked(m)
 		ss.worldMu.Unlock()
+		// Durability barrier before the migration's events become visible,
+		// mirroring the commit path; then publish after the unlock, in
+		// ticket order, so a publisher parked on a full BlockSubscriber
+		// queue holds no engine lock.
+		err = ss.e.wal.finish(seq)
 		if pub {
 			ss.e.publishOrdered(ticket, evs)
 		}
-		// Commits are admitted here, between chunks. The pacing sleep is
-		// load-bearing, not politeness: each round that changed placement
-		// state bumps placeEpoch, and a commit that routed against the old
-		// epoch re-routes from scratch — without a gap long enough for
-		// in-flight commits to drain, back-to-back rounds can chase one
-		// unlucky commit through a re-route per round for the whole
-		// migration, reproducing exactly the whole-move stall this tier
-		// exists to avoid.
-		time.Sleep(chunkPacing)
+		if flipPub {
+			ss.e.publishOrdered(flipTicket, flipEvs)
+		}
+		if rounds+ss.trimRounds() > 1 {
+			ss.multiRound.Add(1)
+		}
+		return true, err
 	}
 }
 
-// growChunkLocked is one round of migrateStripeChunked: it inserts up to
-// chunk points' missing destination copies (computed under a hypothetical
-// flip of stripe t to dst that never becomes visible — routesMu is held, so
-// no commit can route), counts them as off-placement copies, and folds the
-// round into the seam. full reports that no affected point lacked a copy
-// beyond the chunk. Caller holds worldMu exclusively and routesMu.
-func (ss *shardSet) growChunkLocked(t int64, dst int32, loCol, hiCol int64, chunk int) (evs []Event, full bool) {
-	saved, had := ss.assign[t]
-	ss.assign[t] = dst
+// growRoundLocked is one grow round of migrate. Under the table m would
+// make — applied and restored within the round; routesMu is held, so no
+// commit observes it — it inserts the copies that points in m's columns
+// lack, until the round budget is spent, counts them as off-placement
+// copies, and folds the round into the seam. full reports that no point
+// lacks a copy any more. Caller holds worldMu exclusively and routesMu.
+func (ss *shardSet) growRoundLocked(m placeMove) (evs []Event, full bool) {
+	start := time.Now()
+	lo, hi := ss.colsLocked(m)
+	width, assign := ss.stripeCells, ss.assign
+	ss.assign = maps.Clone(assign)
+	ss.flipLocked(m)
 	full = true
-	grown := 0
+	spent := false
 	cells := make(map[grid.Coord]uint64)
 	for gid, r := range ss.routes.all() {
-		if grown >= chunk {
-			full = false
-			break
-		}
-		if c := int64(r.col); c < loCol || c > hiCol {
+		if c := int64(r.col); c < lo || c > hi {
 			continue
 		}
 		var coord grid.Coord
@@ -763,13 +716,17 @@ func (ss *shardSet) growChunkLocked(t int64, dst int32, loCol, hiCol int64, chun
 		if missing == 0 {
 			continue
 		}
+		if spent {
+			full = false
+			break
+		}
 		pt, ok := ss.shards[r.owner].c.PointAt(gid)
 		if !ok {
-			panic(fmt.Sprintf("dyndbscan: chunked migration lost the owner copy of point %d", gid))
+			panic(fmt.Sprintf("dyndbscan: migration lost the owner copy of point %d", gid))
 		}
 		sp, err := ss.e.stager.Stage(pt)
 		if err != nil {
-			panic(fmt.Sprintf("dyndbscan: chunked migration re-staging point %d: %v", gid, err))
+			panic(fmt.Sprintf("dyndbscan: migration re-staging point %d: %v", gid, err))
 		}
 		cell := sp.Coord()
 		for s := range shardsIn(missing) {
@@ -782,46 +739,51 @@ func (ss *shardSet) growChunkLocked(t int64, dst int32, loCol, hiCol int64, chun
 		}
 		r.mask |= missing
 		ss.routes.set(gid, r)
-		grown++
 		cells[cell] |= r.mask
+		spent = time.Since(start) >= ss.roundBudget
 	}
-	if had {
-		ss.assign[t] = saved
-	} else {
-		delete(ss.assign, t)
+	ss.stripeCells, ss.assign = width, assign
+	if len(cells) > 0 {
+		// A delete routed before this round holds the point's old route
+		// and would leave the grown copy behind: make it re-route.
+		ss.placeEpoch++
 	}
 	return ss.foldQueuedLocked(cells), full
 }
 
-// chunkPacing is the gap between chunked-migration critical sections: long
-// enough for the commits blocked on the previous hold (including ones that
-// must re-route after the placeEpoch bump) to finish before the next hold.
-const chunkPacing = 2 * time.Millisecond
-
 // trimRef names one stale copy — point gid's copy in shard — and the cell it
-// occupies: a copy a reshape trims inline, or one whose removal the chunked
-// migration tier deferred past the placement flip.
+// occupies: a copy a placement change left outside the new placement, queued
+// for trimRounds.
 type trimRef struct {
 	gid   PointID
 	shard int32
 	cell  grid.Coord
 }
 
-// trimChunks drains the deferred-trim queue in bounded rounds, each under a
-// short exclusive critical section with commits admitted in between. Every
-// entry is re-validated against the live route before acting: the point may
-// have been deleted (its stale copy went with it), a later reshape may have
-// consumed or re-legitimized the copy, or the placement may route the shard
-// again — in all of those the entry is simply dropped. Each round that
-// removed copies folds the trims into the seam and bumps the placement
-// epoch, mirroring what the quiesced reshape does after its inline trim.
-func (ss *shardSet) trimChunks(chunk int) {
+// trimRounds drains the trim queue in rounds bounded by the round budget,
+// each under a short exclusive section with commits admitted in between,
+// and reports how many rounds it took. Every entry is re-validated against
+// the live route before acting: the point may have been deleted (its stale
+// copy went with it), a later reshape may have consumed or re-legitimized
+// the copy, or the placement may route the shard again — in all of those the
+// entry is simply dropped. Each round that removed copies folds the trims
+// into the seam and bumps the placement epoch.
+func (ss *shardSet) trimRounds() (rounds int) {
 	for {
 		ss.worldMu.Lock()
 		ss.routesMu.Lock()
-		n := min(chunk, len(ss.trimQueue))
+		if len(ss.trimQueue) == 0 {
+			ss.routesMu.Unlock()
+			ss.worldMu.Unlock()
+			return rounds
+		}
+		rounds++
+		start := time.Now()
+		n := 0
 		cells := make(map[grid.Coord]uint64)
-		for _, tr := range ss.trimQueue[:n] {
+		for n < len(ss.trimQueue) && (n == 0 || time.Since(start) < ss.roundBudget) {
+			tr := ss.trimQueue[n]
+			n++
 			bit := shardBit(tr.shard)
 			r, ok := ss.routes.get(tr.gid)
 			if !ok || r.mask&bit == 0 || r.owner == tr.shard {
@@ -835,7 +797,7 @@ func (ss *shardSet) trimChunks(chunk int) {
 				continue // the placement routes the shard again
 			}
 			if err := ss.shards[tr.shard].c.Delete(tr.gid); err != nil {
-				panic(fmt.Sprintf("dyndbscan: shard %d rejected trimming a deferred copy: %v", tr.shard, err))
+				panic(fmt.Sprintf("dyndbscan: shard %d rejected trimming a stale copy: %v", tr.shard, err))
 			}
 			r.mask &^= bit
 			ss.routes.set(tr.gid, r)
@@ -854,8 +816,8 @@ func (ss *shardSet) trimChunks(chunk int) {
 		)
 		if len(cells) > 0 {
 			evs = ss.foldQueuedLocked(cells)
-			// Deferred trims mutate backends outside any commit; if a
-			// checkpoint already consumed the reshape's full flag, re-arm it.
+			// Trims mutate backends outside any commit; if a checkpoint
+			// already consumed the flip's full flag, re-arm it.
 			ss.e.wal.markDirtyFull()
 			ss.placeEpoch++
 			ticket, pub = ss.settleFoldLocked(evs)
@@ -866,11 +828,9 @@ func (ss *shardSet) trimChunks(chunk int) {
 			ss.e.publishOrdered(ticket, evs)
 		}
 		if done {
-			return
+			return rounds
 		}
-		// See the pacing note in migrateStripeChunked: every trim round
-		// bumps placeEpoch, so in-flight commits must drain between rounds.
-		time.Sleep(chunkPacing)
+		ss.pace()
 	}
 }
 
@@ -934,30 +894,48 @@ func (ss *shardSet) pickMigrationLocked(pol RebalancePolicy) (stripe int64, dst 
 	return 0, 0, false
 }
 
-// migrateStripeLocked reassigns stripe t to shard dst and moves the physical
-// copies to match; see reshapeLocked for the grow/fold/trim machinery.
-// Caller holds worldMu exclusively; the returned ticket/evs (pub=true) must
-// be published by the caller after releasing it.
-func (ss *shardSet) migrateStripeLocked(t int64, dst int32) (ticket uint64, evs []Event, pub bool) {
-	if ss.shardOfStripe(t) == dst {
-		return 0, nil, false
+// moveLocked is a placement change's flip: it applies m to the table and
+// moves the physical copies to match (reshapeLocked). A width change also
+// rebuilds the stripe-keyed load accounts: the resident point counts from
+// the routes, while the decayed traffic counters restart from zero. Caller
+// holds worldMu exclusively; the returned ticket/evs (pub=true) must be
+// published by the caller after releasing it, and the caller drains the
+// queued trims with trimRounds.
+func (ss *shardSet) moveLocked(m placeMove) (ticket uint64, evs []Event, pub bool) {
+	lo, hi := ss.colsLocked(m)
+	ticket, evs, pub = ss.reshapeLocked(lo, hi, func() {
+		ss.flipLocked(m)
+		if m.width != 0 {
+			ss.stripeLoad = make(map[int64]*stripeStat)
+		}
+	})
+	if m.width == 0 {
+		return ticket, evs, pub
 	}
-	return ss.reshapeLocked(
-		t*ss.stripeCells-ss.bandCells,
-		(t+1)*ss.stripeCells-1+ss.bandCells,
-		func() { ss.assign[t] = dst },
-	)
+	ss.routesMu.Lock()
+	for _, r := range ss.routes.all() {
+		t := floorDiv(int64(r.col), ss.stripeCells)
+		st := ss.stripeLoad[t]
+		if st == nil {
+			st = &stripeStat{tick: ss.commitSeq}
+			ss.stripeLoad[t] = st
+		}
+		st.points++
+	}
+	ss.routesMu.Unlock()
+	return ticket, evs, pub
 }
 
 // reshapeLocked applies one placement-table change (flip) and moves the
-// physical copies to match: grow (insert the copies the new placement
-// requires), fold the seam while both generations are co-resident (the
-// bridge that carries the global ClusterID assignment onto the target's local
-// clusters), then trim the copies the old placement held and the new one
-// does not, and fold again. The affected handles are those whose cell column
-// lies in [loCol, hiCol] — the reshaped columns padded by the ghost band.
-// Caller holds worldMu exclusively; the returned ticket/evs (pub=true) must
-// be published by the caller after releasing it.
+// physical copies to match: it grows (inserts the copies the new placement
+// requires) and folds the seam while both generations are co-resident — the
+// bridge that carries the global ClusterID assignment onto the target's
+// local clusters. The copies the old placement held and the new one does not
+// stay resident and listed, counted as off-placement, and join the trim
+// queue; trimRounds deletes them later. The affected handles are those whose
+// cell column lies in [loCol, hiCol] — the reshaped columns padded by the
+// ghost band. Caller holds worldMu exclusively; the returned ticket/evs
+// (pub=true) must be published by the caller after releasing it.
 func (ss *shardSet) reshapeLocked(loCol, hiCol int64, flip func()) (ticket uint64, evs []Event, pub bool) {
 	e := ss.e
 
@@ -998,11 +976,9 @@ func (ss *shardSet) reshapeLocked(loCol, hiCol int64, flip func()) (ticket uint6
 	flip()
 
 	// Grow: route every affected point under the new placement, inserting
-	// the copies it lacks. Old copies stay resident through the grow fold
-	// below. cells collects every affected cell with the shards holding a
-	// copy of it before or after: the cells whose seam tracking the reshape
-	// may change.
-	var removals []trimRef
+	// the copies it lacks. cells collects every affected cell with the
+	// shards holding a copy of it before or after: the cells whose seam
+	// tracking the reshape may change.
 	cells := make(map[grid.Coord]uint64)
 	trim := e.algo != AlgoSemiDynamic // insertion-only backends cannot drop copies
 	for _, mv := range moves {
@@ -1024,47 +1000,26 @@ func (ss *shardSet) reshapeLocked(loCol, hiCol int64, flip func()) (ticket uint6
 				}
 			}
 		}
-		next := route{col: mv.old.col, owner: ss.ownerOf(cell), mask: placed}
-		for s := range shardsIn(mv.old.mask &^ placed) {
-			// Off-placement from here on: until the trim below, or for good.
+		// A stale copy stays listed, so deletes still find it and a later
+		// reshape routing its shard again reuses it instead of inserting a
+		// duplicate (which would inflate densities). On insertion-only
+		// backends it stays for good.
+		stale := mv.old.mask &^ placed
+		for s := range shardsIn(stale) {
 			ss.offCells[cell]++
-			switch {
-			case !trim:
-				// Keep the undeletable stale copy listed so a later
-				// migration routing this shard again reuses it instead of
-				// inserting a duplicate (which would inflate densities).
-				next.mask |= shardBit(s)
-			case ss.deferTrim:
-				// Chunked tier: the stale copy stays resident and listed —
-				// exactly the semi-dynamic treatment above, so deletes and
-				// re-migrations still find it — and trimChunks removes it
-				// later in bounded rounds. A real extra copy of a real point
-				// can only under-count neighborhoods elsewhere, never invent
-				// cores or stitch edges, so the interim clustering is exact.
-				next.mask |= shardBit(s)
+			if trim {
 				ss.trimQueue = append(ss.trimQueue, trimRef{mv.gid, s, cell})
-			default:
-				removals = append(removals, trimRef{mv.gid, s, cell})
 			}
 		}
-		ss.routes.set(mv.gid, next)
+		ss.routes.set(mv.gid, route{col: mv.old.col, owner: ss.ownerOf(cell), mask: placed | stale})
 	}
 
-	// Grow fold: both generations are resident and the source copies count
-	// as off-placement, so every reshaped cell is tracked in every shard
+	// Fold: both generations are resident and the stale copies count as
+	// off-placement, so every reshaped cell is tracked in every shard
 	// holding it. Co-resident source and target clusters share a component,
-	// and the target keys claim the source's global ids before the source
-	// copies vanish.
+	// and the target keys claim the source's global ids before trimRounds
+	// removes the source copies.
 	evs = ss.foldQueuedLocked(cells)
-
-	// Trim, then fold the trim over the same cells under the final tracking.
-	for _, rm := range removals {
-		if err := ss.shards[rm.shard].c.Delete(rm.gid); err != nil {
-			panic(fmt.Sprintf("dyndbscan: shard %d rejected trimming a migrated copy: %v", rm.shard, err))
-		}
-		ss.dropOffCell(rm.cell)
-	}
-	evs = append(evs, ss.foldQueuedLocked(cells)...)
 	ticket, pub = ss.settleFoldLocked(evs)
 	ss.placeEpoch++
 	return ticket, evs, pub

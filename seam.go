@@ -17,8 +17,8 @@ package dyndbscan
 // copies of (the seam cells, see seamTracked), the edge multiset those labels
 // induce between shard-local clusters, the set of live shard-local clusters,
 // and the global-id assignment over them. It is the engine's only stitch:
-// commits fold their own changes in — a seam delta — and so do stripe
-// migrations, width reshapes and chunked migrations (foldQueuedLocked); a
+// commits fold their own changes in — a seam delta — and so does every round
+// of a stripe migration or width reshape (foldQueuedLocked); a
 // checkpoint restore is an ordinary commit. Nothing ever rebuilds it:
 //
 //   - backends report the cells whose core-cell state crossed the
@@ -578,8 +578,8 @@ func (tx *seamTxn) reread(s int32, coord grid.Coord) {
 }
 
 // foldQueuedLocked is the seam transaction of every backend change made
-// outside a commit — a reshape's grow or trim, a chunked migration round, a
-// deferred-trim round. It folds what the backends queued (their cluster
+// outside a commit — a migration's grow round, its flip, or a trim round.
+// It folds what the backends queued (their cluster
 // lineage and dirty cells, as a commit would) and re-reads every cell in
 // cells, in the shards of its mask and in every shard the seam holds an entry
 // for: these are the cells whose tracking may have changed, which no dirty

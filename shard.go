@@ -74,6 +74,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"dyndbscan/internal/core"
 	"dyndbscan/internal/grid"
@@ -142,7 +143,10 @@ type shardSet struct {
 	// stripeCells above follows the same discipline once adaptivePending has
 	// resolved (the first routed commit decides it under routesMu).
 	// stripeLoad/commitSeq/nextAutoCheck are the per-stripe load accounts,
-	// guarded by routesMu.
+	// guarded by routesMu. rebalancing admits one placement pass at a time
+	// (Rebalance, the automatic cadence, a width re-derivation): a
+	// migration releases worldMu between its rounds, so two passes could
+	// otherwise interleave their rounds and chase each other's placement.
 	assign          map[int64]int32
 	placeEpoch      uint64
 	adaptivePending bool
@@ -175,18 +179,19 @@ type shardSet struct {
 	//dynlint:staged-delta
 	stagedRoutes map[PointID]int64
 
-	// Deferred-trim state of the chunked migration tier (see
-	// migrateStripeChunked): while deferTrim is set, reshapeLocked keeps the
-	// stale copies resident and listed (the semi-dynamic treatment) and
-	// queues them here instead of deleting them inline; trimChunks then
-	// removes them in bounded rounds. Both guarded by worldMu exclusive +
-	// routesMu, the reshape discipline.
-	deferTrim bool
+	// trimQueue holds the stale copies a placement flip left resident and
+	// listed (reshapeLocked); trimRounds deletes them in budgeted rounds.
+	// Guarded by worldMu exclusive + routesMu, the reshape discipline.
 	trimQueue []trimRef
+	// roundBudget bounds each exclusive round of a live migration; it is
+	// migrateRoundBudget outside tests. multiRound counts the migrations
+	// that took more than one exclusive round.
+	roundBudget time.Duration
+	multiRound  atomic.Int64
 
 	// offCells counts, per cell, the copies held outside the placement:
-	// stale SemiDynamic copies, chunk-grown destination copies, deferred-trim
-	// copies, and a reshape's source copies between its grow and its trim.
+	// stale SemiDynamic copies, copies grown ahead of a flip, and stale
+	// copies waiting in trimQueue.
 	// The seam tracks every cell it names (see seamTracked). A count may
 	// over-state — a commit deleting a point does not decrement it — which
 	// only over-tracks; the next reshape covering the cell recounts it
@@ -277,6 +282,7 @@ func newShardedEngine(s *engineSettings) (*Engine, error) {
 		stripeLoad:   make(map[int64]*stripeStat),
 		stagedRoutes: make(map[PointID]int64),
 		policy:       s.rebalance.normalize(),
+		roundBudget:  migrateRoundBudget,
 	}
 	if s.hotspotSet {
 		ss.hs = newHotspotState(s.hotspot)

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"dyndbscan"
 	"dyndbscan/internal/evcheck"
@@ -930,6 +931,191 @@ func testInteriorStripeMigration(t *testing.T, algo dyndbscan.Algorithm) {
 	defer mu.Unlock()
 	if !reflect.DeepEqual(kinds, []dyndbscan.EventKind{dyndbscan.EventClusterMerged}) {
 		t.Fatalf("bridge published %v, want exactly one ClusterMerged", kinds)
+	}
+}
+
+// TestMigrationVsWriters runs a Rebalance pass on a plain WithRebalance
+// engine (no hotspot) while writers keep committing to the stripes it may
+// move, with the migration forced into many short rounds. SemiDynamic keeps
+// its stale copies (it cannot delete them), so its writers only insert.
+func TestMigrationVsWriters(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		algo    dyndbscan.Algorithm
+		deletes bool
+	}{
+		{"FullyDynamic", dyndbscan.AlgoFullyDynamic, true},
+		{"SemiDynamic", dyndbscan.AlgoSemiDynamic, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, err := dyndbscan.New(
+				dyndbscan.WithAlgorithm(tc.algo),
+				dyndbscan.WithEps(10), dyndbscan.WithMinPts(4), dyndbscan.WithRho(0),
+				dyndbscan.WithShards(2), dyndbscan.WithShardStripe(16),
+				dyndbscan.WithRebalance(dyndbscan.RebalancePolicy{MaxImbalance: 1.01, MinLoad: 1}),
+			)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			// Stripes 0 (x ∈ [0, 113.1)) and 2 (x ∈ [226.3, 339.4)) both
+			// start on shard 0 with equal load, so the pass moves one. The
+			// points sit deeper than the 4-column ghost band from either
+			// stripe edge, so the move must copy them all.
+			pts := make([]dyndbscan.Point, 0, 800)
+			for i := 0; i < 400; i++ {
+				x, y := 30+float64(i%50), float64(i/50)
+				pts = append(pts, dyndbscan.Point{x, y}, dyndbscan.Point{x + 226.3, y})
+			}
+			base, err := e.InsertBatch(pts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			owners := [2]int{e.StripeOwner(0), e.StripeOwner(2)}
+			migrationVsWriters(t, e, base, true, tc.deletes,
+				func(w, i int) dyndbscan.Point {
+					return dyndbscan.Point{30 + float64((w*3+i)%50) + 226.3*float64(i%2), float64(20 + i%40)}
+				},
+				func() {
+					if moved, err := e.Rebalance(); err != nil || moved != 1 {
+						t.Errorf("Rebalance = (%d, %v), want (1, nil)", moved, err)
+					}
+				})
+			if now := [2]int{e.StripeOwner(0), e.StripeOwner(2)}; now == owners {
+				t.Fatalf("no stripe moved: owners %v", now)
+			}
+		})
+	}
+}
+
+// TestGrowRoundReroutesDelete pins the grow round's epoch bump. A delete
+// routes a point, then waits for the world lock behind a grow round that
+// copies that point to the migration's target shard. The delete must
+// re-route and remove the new copy too; with its stale route it would leave
+// the copy behind in a backend, which the seam audit's copy count reports.
+func TestGrowRoundReroutesDelete(t *testing.T) {
+	e, err := dyndbscan.New(
+		dyndbscan.WithEps(10), dyndbscan.WithMinPts(4), dyndbscan.WithRho(0),
+		dyndbscan.WithShards(2), dyndbscan.WithShardStripe(16),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	// One copied point per round. The points sit deeper than the ghost band
+	// inside stripe 0 (x ∈ [0, 113.1)), so each needs a new copy, and the
+	// oldest handle is the first a round copies.
+	e.SetMigrateRoundBudget(time.Nanosecond)
+	ids, err := e.InsertBatch([]dyndbscan.Point{{40, 0}, {41, 0}, {42, 0}, {43, 0}, {44, 0}, {45, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := e.HoldWorldShared()
+	moved := make(chan error, 1)
+	go func() { moved <- e.MoveStripe(0, 1) }()
+	time.Sleep(20 * time.Millisecond) // the first grow round waits for the lock
+	deleted := make(chan error, 1)
+	go func() { deleted <- e.Delete(ids[0]) }()
+	time.Sleep(20 * time.Millisecond) // the delete has routed and queues behind the round
+	release()
+	if err := <-deleted; err != nil {
+		t.Fatalf("Delete: %v", err)
+	}
+	if err := <-moved; err != nil {
+		t.Fatalf("MoveStripe: %v", err)
+	}
+	if e.Has(ids[0]) {
+		t.Fatalf("point %d survived its delete", ids[0])
+	}
+	if err := e.SeamAudit(); err != nil {
+		t.Fatalf("after the migration: %v", err)
+	}
+}
+
+// migrationVsWriters runs migrate while three writers insert the points at
+// gives and, with deletes, delete points of base. The engine's migration
+// rounds are cut to a small time budget first, so the move takes many
+// rounds with writers admitted between them. Afterwards no acknowledged
+// insert may be missing, at least one migration must have taken more than
+// one round, and the seam must pass its audit; with subscribed, an event
+// validator attached before the move must accept the stream and agree with
+// the final snapshot.
+func migrationVsWriters(t *testing.T, e *dyndbscan.Engine, base []dyndbscan.PointID, subscribed, deletes bool, at func(w, i int) dyndbscan.Point, migrate func()) {
+	t.Helper()
+	const budget = 100 * time.Microsecond
+	e.SetMigrateRoundBudget(budget)
+	var val *evcheck.Validator
+	if subscribed {
+		val = evcheck.New()
+		val.Seed(e.Snapshot().ClusterIDs())
+		defer e.Subscribe(val.Observe)()
+	}
+	var (
+		wg    sync.WaitGroup
+		mu    sync.Mutex
+		extra []dyndbscan.PointID
+	)
+	stop := make(chan struct{})
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			// Bounded iterations: staged inserts cost almost nothing, so an
+			// unbounded spin against the paced migration would pile up
+			// millions of staged ops and turn the final join into one
+			// enormous commit.
+			for i := 0; i < 4000; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				id, err := e.Insert(at(w, i))
+				if err != nil {
+					t.Errorf("writer %d: Insert: %v", w, err)
+					return
+				}
+				mu.Lock()
+				extra = append(extra, id)
+				mu.Unlock()
+				if deletes && i%7 == 3 {
+					if err := e.Delete(base[(w*53+i)%len(base)]); err != nil &&
+						err != dyndbscan.ErrUnknownPoint {
+						// Another writer may have deleted it first.
+						t.Errorf("writer %d: Delete: %v", w, err)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	migrate()
+	close(stop)
+	wg.Wait()
+	e.Sync()
+	mu.Lock()
+	for _, id := range extra {
+		if !e.Has(id) {
+			t.Fatalf("insert %d lost during the migration", id)
+		}
+	}
+	mu.Unlock()
+	if n := e.MultiRoundMigrations(); n == 0 {
+		t.Fatalf("no migration took more than one round under a %v budget", budget)
+	}
+	if err := e.SeamAudit(); err != nil {
+		t.Fatalf("seam audit after the migration: %v", err)
+	}
+	if _, err := e.GroupAll(); err != nil {
+		t.Fatalf("GroupAll after the migration: %v", err)
+	}
+	if val != nil {
+		if err := val.Err(); err != nil {
+			t.Fatalf("event stream invalid: %v", err)
+		}
+		if err := val.ReconcileLive(e.Snapshot().ClusterIDs()); err != nil {
+			t.Fatalf("events vs snapshot: %v", err)
+		}
 	}
 }
 
