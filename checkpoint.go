@@ -36,8 +36,6 @@ import (
 	"maps"
 	"math"
 	"sort"
-
-	"dyndbscan/internal/grid"
 )
 
 const (
@@ -362,7 +360,7 @@ func (src *ckptSource) fullPayload() []byte {
 // capture quiesces the engine and serializes its state; seq 0 means nothing
 // was ever logged. With wantDelta the capture first tries to serialize only
 // the changes since the previous checkpoint (isDelta true on success, see
-// deltackpt.go); either way the change trackers are drained, resetting the
+// deltackpt.go); either way the change ledger is drained, resetting the
 // next delta's baseline.
 func (e *Engine) capture(wantDelta bool) (seq uint64, payload []byte, isDelta bool) {
 	ss := e.sh
@@ -384,12 +382,8 @@ func (e *Engine) capture(wantDelta bool) (seq uint64, payload []byte, isDelta bo
 		return 0, nil, false
 	}
 	d := e.wal.takeDirty()
-	cells := make([][]grid.Coord, len(ss.shards))
-	for i, sh := range ss.shards {
-		cells[i] = sh.c.TakeDirtyUpdateCells()
-	}
 	if wantDelta && !d.full {
-		if b, ok := src.deltaPayload(&d, cells); ok {
+		if b, ok := src.deltaPayload(&d); ok {
 			return seq, b, true
 		}
 	}
@@ -443,7 +437,7 @@ func (ss *shardSet) restore(ck *ckptData) error {
 		if _, err := ss.commitRouted(ops, nil); err != nil {
 			return err
 		}
-		// The rebuild happened outside the delta trackers' sight: the first
+		// The rebuild happened outside the ledger's sight: the first
 		// checkpoint after a restore is a full one.
 		ss.e.wal.markDirtyFull()
 	}

@@ -11,14 +11,20 @@ package dyndbscan
 // recovery composes it back into one ckptData before replaying the records
 // past the tip.
 //
-// The change set has three parts, each sound on its own and complete together:
+// The change set lives in one ledger (ckptDirty): the handle churn, the dirty
+// cells and the cluster lineage since the last capture, fed by every mutation
+// site — each commit, and each fold of a migration round — in one lock hold.
+// Its three membership parts are each sound on their own and complete
+// together:
 //
-//   - Dirty cells (core.UpdateTracker): every grid cell touched by a point
-//     placement, removal, or core-status flip since the last capture. A point
-//     q's membership is determined by the core points within (1+ρ)ε of it, so
-//     any local membership change is witnessed by a dirty cell within box
-//     distance 2(1+ρ)ε of q's cell; the capture re-reads the membership of
-//     every live point that close to a dirty cell ("patch" entries).
+//   - Dirty cells: every grid cell touched by a point placement, removal, or
+//     core-status flip since the last capture, with the shards whose backend
+//     touched it — the backends' change records (internal/core/changes.go),
+//     drained by the mutation site. A point q's membership is determined by
+//     the core points within (1+ρ)ε of it, so any local membership change is
+//     witnessed by a dirty cell within box distance 2(1+ρ)ε of q's cell; the
+//     capture re-reads the membership of every live point that close to a
+//     dirty cell ("patch" entries).
 //
 //   - The merge ledger: a merge renames the absorbed cluster's far members
 //     without touching a single cell near them, so commits record every
@@ -34,10 +40,13 @@ package dyndbscan
 //     closes the split set over the merge ledger (absorbed ∈ set ⇒ survivor
 //     joins the set).
 //
-// Anything the trackers cannot vouch for — a checkpoint restore, a stripe
-// reshape, a tracker overflow, a failed checkpoint write — marks the state
-// "full", and the next capture falls back to a full (base) checkpoint, which
-// also bounds chain length via the compaction cadence (WithWALCompactEvery).
+// Anything the ledger cannot vouch for — a checkpoint restore, a stripe
+// reshape, a failed checkpoint write — marks it "full", and the next capture
+// falls back to a full (base) checkpoint, which also bounds chain length via
+// the compaction cadence (WithWALCompactEvery). So does a ledger holding more
+// entries than there are live points: its delta would walk and write more
+// than a base. That cap holds with automatic checkpoints off too, so the
+// ledger's memory is bounded by the live set however long it goes uncaptured.
 
 import (
 	"fmt"
@@ -57,10 +66,6 @@ const (
 // defaultCompactEvery is how many checkpoints share one base before the chain
 // folds back into a fresh full checkpoint.
 const defaultCompactEvery = 8
-
-// maxDirtyEntries bounds the tracked change set; past it the epoch is treated
-// as a full rewrite (a delta would not be smaller than a base anyway).
-const maxDirtyEntries = 1 << 20
 
 // WithWALCompactEvery sets how many checkpoints may share one chain before a
 // fresh full (base) checkpoint is written: 1 makes every checkpoint full,
@@ -86,34 +91,38 @@ type gidMerge struct {
 	absorbed ClusterID // retired id
 }
 
-// dirtyState is the engine-level change accumulator between checkpoint
-// captures: the handle churn and the cluster lineage. (The dirty cells live
-// in the backends' UpdateTrackers; both are drained together at capture.)
+// dirtyState is the change ledger between checkpoint captures: the handle
+// churn, the dirty cells and the cluster lineage.
 type dirtyState struct {
 	ins       map[PointID]struct{}
 	del       map[PointID]struct{}
-	merges    []gidMerge // commit order
+	cells     map[grid.Coord]uint64 // dirty cell → mask of the shards that touched it
+	merges    []gidMerge            // commit order
 	splitGIDs map[ClusterID]struct{}
-	// full poisons the delta path: something changed that the trackers do not
-	// cover (restore, reshape, overflow, failed write) — capture a base.
+	// full poisons the delta path: something changed that the ledger does
+	// not cover (restore, reshape, failed write), or it outgrew the live set
+	// — capture a base.
 	full bool
 }
 
 // ckptDirty is dirtyState behind its leaf mutex. Commits record into it from
-// inside their critical sections (the commit and its seam fold), captures
-// drain it while the world is quiesced.
+// inside their critical sections (under seamMu, with worldMu shared), folds
+// under exclusive worldMu; captures drain it while the world is quiesced.
 type ckptDirty struct {
 	//dynlint:lock-level 120
 	mu sync.Mutex
 	dirtyState
 }
 
-// noteDirtyOps records a committed op list's handle churn: the handles its
-// inserts minted and its deletes removed. Nil-safe; a recovering engine
-// (replay, replica) never accumulates — recovery ends with an explicit
-// markDirtyFull instead.
-func (w *walState) noteDirtyOps(ops []shOp) {
-	if w == nil || w.recovering || len(ops) == 0 {
+// noteDirty records one mutation site's changes: the handle churn of ops —
+// the handles its inserts minted and its deletes removed; a fold has none —
+// the change records the shards in mask drained, and the site's global
+// cluster events in commit order. live is the live handle count after the
+// mutation, the ledger's cap. Nil-safe; a recovering engine (replay,
+// replica) never accumulates — recovery ends with an explicit markDirtyFull
+// instead.
+func (w *walState) noteDirty(ops []shOp, shards []*shard, mask uint64, evs []Event, live int) {
+	if w == nil || w.recovering {
 		return
 	}
 	d := &w.dirty
@@ -125,6 +134,7 @@ func (w *walState) noteDirtyOps(ops []shOp) {
 	if d.ins == nil {
 		d.ins = make(map[PointID]struct{})
 		d.del = make(map[PointID]struct{})
+		d.cells = make(map[grid.Coord]uint64)
 	}
 	for i := range ops {
 		id := ops[i].gid
@@ -138,27 +148,25 @@ func (w *walState) noteDirtyOps(ops []shOp) {
 			d.del[id] = struct{}{}
 		}
 	}
-	d.capLocked()
-}
-
-// noteDirtyEvents records a commit's global events in commit order.
-func (w *walState) noteDirtyEvents(evs []Event) {
-	if w == nil || w.recovering || len(evs) == 0 {
-		return
+	for s := range shardsIn(mask) {
+		for _, ch := range shards[s].chg {
+			d.cells[ch.Coord] |= shardBit(s)
+		}
 	}
-	d := &w.dirty
-	d.mu.Lock()
 	for _, ev := range evs {
 		d.noteEventLocked(ev)
 	}
-	d.capLocked()
-	d.mu.Unlock()
+	if d.entries() > live {
+		d.dirtyState = dirtyState{full: true}
+	}
+}
+
+// entries is the ledger's size, the quantity its cap bounds.
+func (d *dirtyState) entries() int {
+	return len(d.ins) + len(d.del) + len(d.cells) + len(d.merges) + len(d.splitGIDs)
 }
 
 func (d *ckptDirty) noteEventLocked(ev Event) {
-	if d.full {
-		return
-	}
 	switch ev.Kind {
 	case EventClusterMerged:
 		d.merges = append(d.merges, gidMerge{gid: ev.Cluster, absorbed: ev.Absorbed})
@@ -175,17 +183,9 @@ func (d *ckptDirty) noteEventLocked(ev Event) {
 	// lost is witnessed by the core-status flips, hence by dirty cells.
 }
 
-// capLocked degrades to full when the change set stops being "small".
-func (d *ckptDirty) capLocked() {
-	if !d.full &&
-		len(d.ins)+len(d.del)+len(d.merges)+len(d.splitGIDs) > maxDirtyEntries {
-		d.dirtyState = dirtyState{full: true}
-	}
-}
-
 // markDirtyFull poisons the delta path: the next checkpoint must be a base.
-// Unlike the note hooks it applies even while recovering — recovery itself is
-// the canonical "trackers saw nothing" state.
+// Unlike noteDirty it applies even while recovering — recovery itself is the
+// canonical "the ledger saw nothing" state.
 func (w *walState) markDirtyFull() {
 	if w == nil {
 		return
@@ -554,17 +554,17 @@ func mergeSortedIDs(a, b []PointID) []PointID {
 // ok=false when the patch set is so large a base checkpoint would be cheaper.
 // Membership is read from owner copies only: in a sharded engine the ghost
 // band guarantees the owner shard's backend recorded a dirty cell for every
-// change relevant to a point it owns, and its UpdateTracker visits only its
+// change relevant to a point it owns, and ForEachPointNear visits only its
 // own residents, so each live point is patched from exactly one backend.
-// cells holds each backend's drained dirty cells.
-func (src *ckptSource) deltaPayload(d *dirtyState, cells [][]grid.Coord) ([]byte, bool) {
+func (src *ckptSource) deltaPayload(d *dirtyState) ([]byte, bool) {
 	ss := src.ss
 	if split := closeSplitLineage(d); len(split) > 0 {
+		// Lineage is noted with the cells, so the cell map exists.
 		for si, sh := range ss.shards {
 			sh.c.ForEachCoreCell(func(coord grid.Coord, cid ClusterID) bool {
 				if g, ok := ss.keyGID[stitchKey{int32(si), cid}]; ok {
 					if _, in := split[g]; in {
-						cells[si] = append(cells[si], coord)
+						d.cells[coord] |= shardBit(int32(si))
 					}
 				}
 				return true
@@ -573,13 +573,13 @@ func (src *ckptSource) deltaPayload(d *dirtyState, cells [][]grid.Coord) ([]byte
 	}
 	r := deltaPatchRadius(ss.cfg)
 	patch := make(map[PointID][]ClusterID)
-	for si, sh := range ss.shards {
-		for _, cell := range cells[si] {
-			sh.c.ForEachPointNear(cell, r, func(id PointID) bool {
+	for cell, mask := range d.cells {
+		for s := range shardsIn(mask) {
+			ss.shards[s].c.ForEachPointNear(cell, r, func(id PointID) bool {
 				if _, done := patch[id]; done {
 					return true
 				}
-				if o, ok := src.owner(id); ok && o == int32(si) {
+				if o, ok := src.owner(id); ok && o == s {
 					patch[id], _ = ss.clusterOfLocked(o, id)
 				} // else a ghost copy; its owner shard patches it
 				return true

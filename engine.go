@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"dyndbscan/internal/core"
+	"dyndbscan/internal/grid"
 )
 
 // ErrDuplicateID is wrapped by DeleteBatch (and Apply) when the same live
@@ -40,10 +41,11 @@ const (
 // backend is the surface the Engine drives on each shard's built-in
 // clustering algorithm: the point-set and membership operations, the event
 // sink, staged insertion under a handle the engine chooses (so every shard
-// stores each copy under the point's global PointID), and the per-cell walks
-// and change trackers behind the seam fold and the delta checkpoints. Handles
-// and global cluster ids are minted by the shard set, not by a backend. Every
-// algorithm in internal/core implements all of it.
+// stores each copy under the point's global PointID), the per-cell walks
+// behind the seam fold and the delta checkpoints, and the change record
+// (internal/core/changes.go) that tells both which cells an update touched.
+// Handles and global cluster ids are minted by the shard set, not by a
+// backend. Every algorithm in internal/core implements all of it.
 type backend interface {
 	InsertStaged(sp core.StagedPoint, id PointID) error
 	Delete(id PointID) error
@@ -52,11 +54,11 @@ type backend interface {
 	Len() int
 	Has(id PointID) bool
 	Config() Config
+	TakeChanges(dst []core.CellChange) []core.CellChange
+	ForEachPointNear(coord grid.Coord, r float64, fn func(PointID) bool)
 
 	core.PointLookup
 	core.CoreCellWalker
-	core.SeamTracker
-	core.UpdateTracker
 }
 
 var (

@@ -87,3 +87,18 @@ func (e *Engine) HoldWorldShared() (release func()) {
 func (e *Engine) PublishedSnapshot() *Snapshot {
 	return e.snap.Load()
 }
+
+// ChangeLedger reports the checkpoint ledger's size, whether it has gone
+// full, and the live handle count that caps it.
+func (e *Engine) ChangeLedger() (entries, live int, full bool) {
+	ss := e.sh
+	ss.worldMu.Lock()
+	defer ss.worldMu.Unlock()
+	ss.routesMu.Lock()
+	live = ss.routes.len()
+	ss.routesMu.Unlock()
+	d := &e.wal.dirty
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.entries(), live, d.full
+}

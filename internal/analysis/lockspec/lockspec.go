@@ -10,6 +10,7 @@
 package lockspec
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -134,6 +135,10 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
+// maxSummaryPasses bounds the summary fixpoint: far past the helper-call
+// depth of any real code.
+const maxSummaryPasses = 100
+
 // factMayAcquire etc. are the cross-package fact keys.
 const (
 	factMayAcquire = "lockspec.mayAcquire" // []int
@@ -159,10 +164,14 @@ func run(pass *analysis.Pass) (any, error) {
 	s.collect(pass)
 
 	// Summaries to a fixpoint: wrapper net-effects and the transitive
-	// may-acquire/may-block/may-append bits feed back into the walk.
-	for iter := 0; iter < 8; iter++ {
-		if !s.walkAll() {
-			break
+	// may-acquire/may-block/may-append bits feed back into the walk. Each
+	// pass settles at least one more link of a call chain, so a spec still
+	// changing past maxSummaryPasses oscillates — a walker bug, reported
+	// rather than answered with whatever the last pass left.
+	order := s.walkOrder()
+	for passes := 1; s.walkAll(order); passes++ {
+		if passes == maxSummaryPasses {
+			return nil, fmt.Errorf("lockspec: function summaries still changing after %d passes", passes)
 		}
 	}
 

@@ -4,16 +4,30 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"sort"
 )
 
-// walkAll re-walks every function against the current summaries and
-// reports whether any summary changed — the fixpoint driver. Wrapper net
-// effects (lock()/unlock() calling through to an annotated mutex) and the
-// transitive may-acquire/may-block/may-append bits need the iteration:
-// failUpdate → release → unlock is two calls deep.
-func (s *Spec) walkAll() bool {
-	changed := false
+// walkOrder lists the function summaries in source-position order, the
+// order every pass walks them in, so that identical input gives identical
+// summaries on every run.
+func (s *Spec) walkOrder() []*FuncSummary {
+	order := make([]*FuncSummary, 0, len(s.Funcs))
 	for _, sum := range s.Funcs {
+		order = append(order, sum)
+	}
+	sort.Slice(order, func(i, j int) bool { return order[i].Decl.Pos() < order[j].Decl.Pos() })
+	return order
+}
+
+// walkAll re-walks every function in order against the current summaries
+// and reports whether any summary changed — one pass of the fixpoint driver.
+// Wrapper net effects (lock()/unlock() calling through to an annotated
+// mutex) and the transitive may-acquire/may-block/may-append bits need the
+// iteration: a helper method that releases a commit's locks through further
+// helpers is several calls deep, and a pass settles at least one more link.
+func (s *Spec) walkAll(order []*FuncSummary) bool {
+	changed := false
+	for _, sum := range order {
 		if sum.Decl.Body == nil {
 			continue
 		}

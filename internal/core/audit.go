@@ -69,7 +69,7 @@ func (f *FullyDynamic) Audit() error {
 			return fmt.Errorf("audit: cell %v with %d core points has tree=%v list=%v probe=%v",
 				c.coord.Render(f.cfg.Dims), cores, c.coreTree != nil, c.coreList != nil, c.probe != nil)
 		}
-		if cores != c.coreCount || cores > 0 && (c.coreTree.Len() != cores || c.coreList.Len() != cores) {
+		if cores != int(c.coreCount) || cores > 0 && (c.coreTree.Len() != cores || c.coreList.Len() != cores) {
 			return fmt.Errorf("audit: cell %v core counters inconsistent", c.coord.Render(f.cfg.Dims))
 		}
 		if err := auditNonCoreList(c, f.cfg.Dims); err != nil {
@@ -138,9 +138,9 @@ func (f *FullyDynamic) Audit() error {
 // auditNonCoreList verifies the per-cell non-core resident list: exactly the
 // non-core points of the cell, each at its recorded position.
 func auditNonCoreList(c *cell, dims int) error {
-	if len(c.nonCore) != len(c.pts)-c.coreCount {
+	if len(c.nonCore) != len(c.pts)-int(c.coreCount) {
 		return fmt.Errorf("audit: cell %v nonCore list has %d entries, want %d",
-			c.coord.Render(dims), len(c.nonCore), len(c.pts)-c.coreCount)
+			c.coord.Render(dims), len(c.nonCore), len(c.pts)-int(c.coreCount))
 	}
 	for i, p := range c.nonCore {
 		if p.core {
@@ -210,7 +210,7 @@ func (s *SemiDynamic) Audit() error {
 			return fmt.Errorf("audit: cell %v with %d core points has tree=%v",
 				c.coord.Render(s.cfg.Dims), cores, c.coreTree != nil)
 		}
-		if cores != c.coreCount || cores > 0 && c.coreTree.Len() != cores {
+		if cores != int(c.coreCount) || cores > 0 && c.coreTree.Len() != cores {
 			return fmt.Errorf("audit: cell %v core counters inconsistent", c.coord.Render(s.cfg.Dims))
 		}
 		if err := auditNonCoreList(c, s.cfg.Dims); err != nil {

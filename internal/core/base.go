@@ -49,7 +49,10 @@ type cell struct {
 	// non-core.
 	nonCore []*pointRec
 
-	coreCount int
+	// coreCount and chg share the word one int took, so the cell keeps its
+	// allocation size class.
+	coreCount int32
+	chg       int32        // position + 1 in the base's change record; 0 while unrecorded
 	coreTree  *kdtree.Tree // emptiness structure over the cell's core points; nil while none
 	coreList  *abcp.List   // FullyDynamic: insertion-ordered core points; nil while none
 
@@ -87,15 +90,9 @@ type base struct {
 	emit        func(Event) // optional event sink; see SetEventFunc
 	nextCluster ClusterID   // next stable cluster identity
 
-	// dirtySeam, when non-nil, records cells whose core-cell state crossed
-	// the empty/non-empty boundary — the change set of the sharded engine's
-	// incremental stitch; see SeamTracker.
-	dirtySeam map[grid.Coord]struct{}
-
-	// dirtyUpd, when non-nil, records cells touched by placements, removals
-	// and core flips — the change set of the durability layer's delta
-	// checkpoints; see UpdateTracker.
-	dirtyUpd map[grid.Coord]struct{}
+	// changes records the cells the updates since the last TakeChanges
+	// touched, each marked when its core count crossed zero; see changes.go.
+	changes []cellChange
 }
 
 func newBase(cfg Config) *base {
@@ -197,8 +194,8 @@ func (b *base) placePoint(pt geom.Point, coord grid.Coord, id PointID) *pointRec
 	if id >= b.nextID {
 		b.nextID = id + 1
 	}
-	b.noteUpdDirty(coord)
 	c := b.cellAt(coord)
+	b.noteChange(c, false)
 	rec.cell = c
 	rec.idx = int32(len(c.pts))
 	c.pts = append(c.pts, rec)
@@ -222,10 +219,7 @@ func (b *base) markCore(rec *pointRec) {
 	c.nonCore = c.nonCore[:last]
 	rec.ncIdx = -1
 	c.coreCount++
-	b.noteUpdDirty(c.coord)
-	if c.coreCount == 1 {
-		b.noteSeamDirty(c)
-	}
+	b.noteChange(c, c.coreCount == 1)
 }
 
 // markNonCore flips rec back to non-core status.
@@ -238,17 +232,14 @@ func (b *base) markNonCore(rec *pointRec) {
 	rec.ncIdx = int32(len(c.nonCore))
 	c.nonCore = append(c.nonCore, rec)
 	c.coreCount--
-	b.noteUpdDirty(c.coord)
-	if c.coreCount == 0 {
-		b.noteSeamDirty(c)
-	}
+	b.noteChange(c, c.coreCount == 0)
 }
 
 // removePoint detaches rec from its cell (swap-delete) and the point table.
 // The caller is responsible for core-state teardown and cell destruction.
 func (b *base) removePoint(rec *pointRec) {
 	c := rec.cell
-	b.noteUpdDirty(c.coord)
+	b.noteChange(c, false)
 	last := len(c.pts) - 1
 	c.pts[rec.idx] = c.pts[last]
 	c.pts[rec.idx].idx = rec.idx
@@ -383,7 +374,7 @@ func (b *base) stats() Stats {
 	b.idx.ForEach(func(_ grid.Coord, c *cell) bool {
 		if c.coreCount > 0 {
 			st.CoreCells++
-			st.Cores += c.coreCount
+			st.Cores += int(c.coreCount)
 		}
 		return true
 	})

@@ -106,6 +106,22 @@ func (b *base) PointAt(id PointID) (geom.Point, bool) {
 	return rec.pt, true
 }
 
+// ForEachPointNear invokes fn on every live point resident in a cell within
+// box distance r of the cell at coord (that cell included), stopping early
+// if fn returns false. Points are visited in no particular order and a point
+// is visited once. The delta checkpoints read memberships around the cells
+// of the change record through it.
+func (b *base) ForEachPointNear(coord grid.Coord, r float64, fn func(PointID) bool) {
+	b.idx.QueryClose(coord, r, func(_ grid.Coord, c *cell) bool {
+		for _, rec := range c.pts {
+			if !fn(rec.id) {
+				return false
+			}
+		}
+		return true
+	})
+}
+
 // Compile-time checks: the sharded Engine depends on these.
 var (
 	_ CoreCellWalker = (*FullyDynamic)(nil)

@@ -224,9 +224,7 @@ func (ic *IncDBSCAN) Delete(id PointID) error {
 	wasCore := rec.core
 	if wasCore {
 		c.coreCount--
-		if c.coreCount == 0 {
-			ic.noteSeamDirty(c)
-		}
+		ic.noteChange(c, c.coreCount == 0)
 		ic.dropCore(rec)
 	}
 	ic.removePoint(rec)

@@ -172,8 +172,8 @@ type walState struct {
 	// compactEvery is the checkpoint-chain compaction cadence: a fresh full
 	// (base) checkpoint every n-th capture, deltas in between (deltackpt.go).
 	compactEvery int
-	// dirty accumulates the inter-checkpoint change set the delta capture
-	// serializes.
+	// dirty is the change ledger: the inter-checkpoint change set the delta
+	// capture serializes.
 	dirty ckptDirty
 
 	// recovering suppresses appends while Open replays the log through the
@@ -312,7 +312,7 @@ func (e *Engine) Checkpoint() error {
 		err = w.log.WriteCheckpoint(seq, payload)
 	}
 	if err != nil {
-		// The capture drained the change trackers; with the write lost, the
+		// The capture drained the change ledger; with the write lost, the
 		// next capture can no longer trust a delta baseline.
 		w.markDirtyFull()
 		return err
@@ -425,15 +425,8 @@ func (e *Engine) attachWAL(s *engineSettings, dir string, doRecover bool) error 
 	w.replayed = log.Replayed()
 	w.recoveryTime = time.Since(start)
 	w.recovering = false
-	// Arm the delta-checkpoint change trackers now that recovery (if any) is
-	// behind us: dirty cells in the backends, the handle/lineage accumulator
-	// through the commit path (the per-shard event sinks that feed the merge
-	// ledger are permanent from construction).
-	for _, sh := range e.sh.shards {
-		sh.c.SetUpdateTracking(true)
-	}
 	if doRecover {
-		// The restore re-inserted the world outside the trackers' sight; the
+		// The restore re-inserted the world outside the ledger's sight; the
 		// first checkpoint after a recovery is necessarily a full one.
 		w.markDirtyFull()
 	}

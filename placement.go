@@ -650,7 +650,6 @@ func (ss *shardSet) migrate(m placeMove) (flipped bool, err error) {
 		if !full {
 			evs, full = ss.growRoundLocked(m)
 			if len(evs) > 0 {
-				ss.e.wal.noteDirtyEvents(evs)
 				ticket, pub = ss.settleFoldLocked(evs)
 			}
 		}
@@ -939,8 +938,8 @@ func (ss *shardSet) moveLocked(m placeMove) (ticket uint64, evs []Event, pub boo
 func (ss *shardSet) reshapeLocked(loCol, hiCol int64, flip func()) (ticket uint64, evs []Event, pub bool) {
 	e := ss.e
 
-	// A reshape moves copies between backends — churn the per-commit dirty
-	// trackers do not model. The next checkpoint must be a full base.
+	// A reshape moves copies between backends — churn the change ledger
+	// does not model. The next checkpoint must be a full base.
 	e.wal.markDirtyFull()
 
 	// The table and the route rewrites happen under one routesMu critical

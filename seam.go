@@ -21,9 +21,10 @@ package dyndbscan
 // of a stripe migration or width reshape (foldQueuedLocked); a
 // checkpoint restore is an ordinary commit. Nothing ever rebuilds it:
 //
-//   - backends report the cells whose core-cell state crossed the
-//     empty/non-empty boundary (core.SeamTracker); the commit re-reads each
-//     one's final label under the shard locks it already holds;
+//   - each backend's change record (internal/core/changes.go) marks the
+//     cells whose core-cell state crossed the empty/non-empty boundary; the
+//     commit re-reads each one's final label under the shard locks it
+//     already holds;
 //   - whole-cluster label changes arrive as the backends' own merge / split /
 //     form / dissolve events: a merge is a bulk rename of the absorbed key's
 //     seam entries, a split re-reads exactly the split cluster's seam cells
@@ -191,7 +192,7 @@ func (tx *seamTxn) addKey(k stitchKey) {
 
 // removeKey retires a dissolved cluster. Its remaining seam entries are torn
 // down defensively — the cells that carried them transitioned and will be
-// re-read by the dirty pass anyway.
+// re-read by the change-record pass anyway.
 func (tx *seamTxn) removeKey(k stitchKey) {
 	tx.enterScope(k)
 	sm := tx.ss.seam
@@ -332,8 +333,8 @@ func (tx *seamTxn) setEntry(s int32, coord grid.Coord, lab ClusterID, ok bool) {
 	tx.enterScope(k)
 	if _, live := sm.keys[k]; !live {
 		// A label with no recorded formation (should not happen; the event
-		// stream precedes the dirty pass). Register it so the claim pass can
-		// mint an id rather than corrupt the assignment.
+		// stream precedes the change-record pass). Register it so the claim
+		// pass can mint an id rather than corrupt the assignment.
 		sm.keys[k] = struct{}{}
 		tx.fresh[k] = struct{}{}
 	}
@@ -579,13 +580,14 @@ func (tx *seamTxn) reread(s int32, coord grid.Coord) {
 
 // foldQueuedLocked is the seam transaction of every backend change made
 // outside a commit — a migration's grow round, its flip, or a trim round.
-// It folds what the backends queued (their cluster
-// lineage and dirty cells, as a commit would) and re-reads every cell in
-// cells, in the shards of its mask and in every shard the seam holds an entry
-// for: these are the cells whose tracking may have changed, which no dirty
-// transition reports. Point events are copy-movement artifacts and are
-// dropped. It returns the global cluster events of the transition. Caller
-// holds worldMu exclusively.
+// It folds what the backends queued (their cluster lineage and the cells
+// their change records mark Core, as a commit would) and re-reads every cell
+// in cells, in the shards of its mask and in every shard the seam holds an
+// entry for: these are the cells whose tracking may have changed, which no
+// change record reports. Point events are copy-movement artifacts and are
+// dropped. Like a commit, it records the change records and the global
+// cluster events it returns in the checkpoint ledger. Caller holds worldMu
+// exclusively and routesMu.
 func (ss *shardSet) foldQueuedLocked(cells map[grid.Coord]uint64) []Event {
 	tx := ss.newSeamTxn()
 	for si, sh := range ss.shards {
@@ -596,8 +598,10 @@ func (ss *shardSet) foldQueuedLocked(cells map[grid.Coord]uint64) []Event {
 		}
 	}
 	for si, sh := range ss.shards {
-		for _, coord := range sh.c.TakeDirtySeamCells() {
-			tx.reread(int32(si), coord)
+		for _, ch := range sh.takeChanges() {
+			if ch.Core {
+				tx.reread(int32(si), ch.Coord)
+			}
 		}
 	}
 	for coord, holders := range cells {
@@ -608,7 +612,10 @@ func (ss *shardSet) foldQueuedLocked(cells map[grid.Coord]uint64) []Event {
 			tx.reread(s, coord)
 		}
 	}
-	return tx.finalize()
+	evs := tx.finalize()
+	every := shardBit(int32(len(ss.shards))) - 1
+	ss.e.wal.noteDirty(nil, ss.shards, every, evs, ss.routes.len())
+	return evs
 }
 
 // auditSeamLocked cross-checks the incremental seam state against a fresh

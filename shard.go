@@ -117,11 +117,26 @@ type route struct {
 type shard struct {
 	//dynlint:lock-level 40 indexed
 	mu sync.RWMutex
-	c  backend // update tracking (delta-checkpoint dirty cells) armed by attachWAL
+	c  backend
 
 	// pending collects the backend's raw events during a commit; drained
 	// (and filtered) after every op.
 	pending []Event
+	// chg is the backend's change record as the last mutation site
+	// (applyShard, foldQueuedLocked) drained it; see takeChanges.
+	chg []core.CellChange
+}
+
+// takeChanges drains the backend's change record into sh.chg, reusing its
+// storage unless a bulk update grew it past core.MaxKeptChanges. The caller
+// holds the shard's lock or worldMu exclusively.
+func (sh *shard) takeChanges() []core.CellChange {
+	buf := sh.chg[:0]
+	if cap(buf) > core.MaxKeptChanges {
+		buf = nil
+	}
+	sh.chg = sh.c.TakeChanges(buf)
+	return sh.chg
 }
 
 // shardSet is the sharded engine: router, per-shard backends, the global
@@ -313,13 +328,10 @@ func newShardedEngine(s *engineSettings) (*Engine, error) {
 	for i, c := range backends {
 		sh := &shard{c: c}
 		ss.shards[i] = sh
-		// Event collection and dirty-cell tracking are permanent: every
-		// commit folds its seam delta whether or not subscribers exist, so
-		// eventsOn only gates what is published, never what is maintained.
-		// Dirty cells matter only where two shards can hold one cell, so a
-		// single shard does not track them.
+		// Event collection is permanent: every commit folds its seam delta
+		// whether or not subscribers exist, so eventsOn only gates what is
+		// published, never what is maintained.
 		sh.c.SetEventFunc(func(ev Event) { sh.pending = append(sh.pending, ev) })
-		sh.c.SetSeamTracking(s.shards > 1)
 	}
 	// The seam is warm from birth: an empty world stitches trivially, and
 	// every commit, placement change and restore folds its own delta from
@@ -577,23 +589,20 @@ func (ss *shardSet) commitRouted(ops []shOp, errUnknown func(i int, id PointID) 
 	if ss.hs != nil {
 		ss.noteHotspotLocked()
 	}
+	live := ss.routes.len()
 	ss.routesMu.Unlock()
-	// Record the commit's handle churn for the delta-checkpoint change set —
-	// still under the shared worldMu, so a capture (worldMu exclusive) either
-	// sees this commit's routes and its churn, or neither.
-	e.wal.noteDirtyOps(ops)
 
 	// Seam fold: the global cluster transitions obtained by folding this
-	// commit's seam delta (the backends' cluster-event lineage plus their
-	// dirty core cells) into the live seam structure. The fold runs on
-	// every commit — subscribers or not — which is what keeps keyGID and the
-	// stitch exact per epoch and lets Subscribe attach without a rebuild;
-	// only the *publication* of the derived events is gated on eventsOn. The
-	// fold runs under seamMu while the shard locks are still held: the
-	// entries it rewrites belong to cells whose owner shard is locked by this
-	// commit, and the backend re-reads (CoreCellCluster) only target involved
-	// shards. A commit with no cluster event and no tracked dirty cell
-	// changes no seam state and opens no transaction.
+	// commit's seam delta (the backends' cluster-event lineage plus the
+	// cells their change records mark Core) into the live seam structure.
+	// The fold runs on every commit — subscribers or not — which is what
+	// keeps keyGID and the stitch exact per epoch and lets Subscribe attach
+	// without a rebuild; only the *publication* of the derived events is
+	// gated on eventsOn. The fold runs under seamMu while the shard locks are
+	// still held: the entries it rewrites belong to cells whose owner shard
+	// is locked by this commit, and the backend re-reads (CoreCellCluster)
+	// only target involved shards. A commit with no cluster event and no
+	// Core-marked seam cell changes no seam state and opens no transaction.
 	var evs []Event
 	var ticket uint64
 	pub := false
@@ -612,26 +621,27 @@ func (ss *shardSet) commitRouted(ops []shOp, errUnknown func(i int, id PointID) 
 		}
 		k++
 	}
-	k = 0
 	for s := range shardsIn(involved) {
-		for _, coord := range outs[k].dirty {
-			if !ss.seamTracked(coord) {
-				continue // held by one shard only: no seam relevance
+		for _, ch := range ss.shards[s].chg {
+			if !ch.Core || !ss.seamTracked(ch.Coord) {
+				continue // no core-state crossing, or no seam relevance
 			}
 			tx = ss.openTxn(tx)
-			lab, ok := ss.shards[s].c.CoreCellCluster(coord)
-			tx.setEntry(s, coord, lab, ok)
+			lab, ok := ss.shards[s].c.CoreCellCluster(ch.Coord)
+			tx.setEntry(s, ch.Coord, lab, ok)
 		}
-		k++
 	}
 	var cevs []Event
 	if tx != nil {
 		cevs = tx.finalize()
 	}
-	// The fold's serialization under seamMu is the global commit order of
-	// cluster transitions; recording here keeps the delta checkpoints'
-	// merge ledger in exactly that order.
-	e.wal.noteDirtyEvents(cevs)
+	// Record the commit's changes in the checkpoint ledger: its handle
+	// churn, its shards' change records and its global cluster events. The
+	// fold's serialization under seamMu is the global commit order of
+	// cluster transitions, which the merge ledger needs; worldMu is still
+	// held shared, so a capture (worldMu exclusive) sees this commit's routes
+	// and its changes, or neither.
+	e.wal.noteDirty(ops, ss.shards, involved, cevs, live)
 	if evsOn {
 		evs = append(evs, cevs...)
 	}
@@ -735,15 +745,14 @@ func (ss *shardSet) admitLocked(ops []shOp, epoch uint64, minted *bool, errUnkno
 	return walSeq, false, nil
 }
 
-// shardOut is one involved shard's output of a commit: point events, the
-// cluster-event lineage, and the dirty seam cells.
+// shardOut is one involved shard's output of a commit: point events and the
+// cluster-event lineage. Its change record stays in the shard (shard.chg).
 type shardOut struct {
 	evs, clust []Event
-	dirty      []grid.Coord
 }
 
-// applyShard applies shard s's op subsequence in op order and collects its
-// outputs. The caller holds the shard's lock.
+// applyShard applies shard s's op subsequence in op order, collects its
+// outputs and drains its change record. The caller holds the shard's lock.
 func (ss *shardSet) applyShard(s int32, ops []shOp, out *shardOut, evsOn bool) {
 	sh := ss.shards[s]
 	for i := range ops {
@@ -762,7 +771,7 @@ func (ss *shardSet) applyShard(s int32, ops []shOp, out *shardOut, evsOn bool) {
 		}
 		ss.drainEvents(s, &out.evs, &out.clust, evsOn)
 	}
-	out.dirty = sh.c.TakeDirtySeamCells()
+	sh.takeChanges()
 }
 
 // fanOut applies a commit that involves several shards, one goroutine per
