@@ -522,19 +522,77 @@ func BenchmarkSubstrateKDTree(b *testing.B) {
 	}
 }
 
+// BenchmarkSubstrateQuadtree measures one cell's counting subtree at the
+// populations a large cell holds: n points spread over one cell cube of side
+// ε/√d, in d = 2 and d = 5, n = 32 (about where a cell builds its subtree)
+// and n = 1k. "churn" deletes a random live point and inserts a fresh one
+// per op; "accumulate" runs a full banded ε-count from a point anywhere in
+// the cell's ε-neighbourhood, with a threshold it never reaches. Both report
+// B/point, the live heap of a tree built by n inserts divided by n (the
+// points themselves are owned by the caller and not counted).
 func BenchmarkSubstrateQuadtree(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	tr := quadtree.New(3)
-	for i := int64(0); i < 20000; i++ {
-		tr.Insert(i, geom.Point{rng.Float64() * 1e5, rng.Float64() * 1e5, rng.Float64() * 1e5})
-	}
-	b.Run("ApproxBallCount", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			q := geom.Point{rng.Float64() * 1e5, rng.Float64() * 1e5, rng.Float64() * 1e5}
-			tr.ApproxBallCount(q, 300, 300.3)
+	const eps, rho = 100.0, 0.001
+	for _, d := range []int{2, 5} {
+		side := eps / math.Sqrt(float64(d))
+		pt := func(rng *rand.Rand, lo, hi float64) geom.Point {
+			p := make(geom.Point, d)
+			for i := range p {
+				p[i] = lo + rng.Float64()*(hi-lo)
+			}
+			return p
 		}
-	})
+		for _, n := range []int{32, 1 << 10} {
+			// setup builds the tree and returns its heap per point, which is
+			// reported after the timed loop (ResetTimer drops metrics).
+			setup := func() (*quadtree.Tree, *rand.Rand, []geom.Point, float64) {
+				rng := rand.New(rand.NewSource(int64(100*d + n)))
+				pts := make([]geom.Point, n)
+				for i := range pts {
+					pts[i] = pt(rng, 0, side)
+				}
+				var before, after runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&before)
+				tr := quadtree.New(d, make(geom.Point, d), side)
+				for _, p := range pts {
+					tr.Insert(p)
+				}
+				runtime.GC()
+				runtime.ReadMemStats(&after)
+				return tr, rng, pts, float64(after.HeapAlloc-before.HeapAlloc) / float64(n)
+			}
+			b.Run(fmt.Sprintf("d%d/n%d/churn", d, n), func(b *testing.B) {
+				tr, rng, live, perPoint := setup()
+				fresh := make([]geom.Point, 4096)
+				for i := range fresh {
+					fresh[i] = pt(rng, 0, side)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					k := rng.Intn(len(live))
+					tr.Delete(live[k])
+					live[k] = fresh[i%len(fresh)]
+					tr.Insert(live[k])
+				}
+				b.ReportMetric(perPoint, "B/point")
+			})
+			b.Run(fmt.Sprintf("d%d/n%d/accumulate", d, n), func(b *testing.B) {
+				tr, rng, _, perPoint := setup()
+				qs := make([]geom.Point, 4096)
+				for i := range qs {
+					qs[i] = pt(rng, -eps, side+eps)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					acc := 0
+					tr.Accumulate(qs[i%len(qs)], eps, eps*(1+rho), math.MaxInt, &acc)
+				}
+				b.ReportMetric(perPoint, "B/point")
+			})
+		}
+	}
 }
 
 func BenchmarkSubstrateGridIndex(b *testing.B) {

@@ -1,6 +1,7 @@
 package dyndbscan
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -192,4 +193,90 @@ func testDeltaComposesToFull(t *testing.T, algo Algorithm, shards int, rho float
 			deltas, merging, splitting)
 	}
 	t.Logf("%d delta captures, %d of them with merges, %d with splits", deltas, merging, splitting)
+}
+
+// TestCheckpointPayloadsReproducible runs one seeded churn with merges and
+// splits twice, on two fresh engines in one process, and requires every
+// checkpoint capture — base or delta — to be byte-identical between the
+// two runs, at one shard and at three. Cluster ids, which checkpoints
+// store, must therefore not depend on map iteration order anywhere from
+// the backends up through the seam, as replay relies on minting them
+// exactly as the original run did.
+func TestCheckpointPayloadsReproducible(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		for _, algo := range []Algorithm{AlgoFullyDynamic, AlgoIncDBSCAN} {
+			t.Run(fmt.Sprintf("%s/shards=%d", algo, shards), func(t *testing.T) {
+				a, b := captureChurn(t, algo, shards), captureChurn(t, algo, shards)
+				if len(a) != len(b) {
+					t.Fatalf("runs captured %d and %d checkpoints", len(a), len(b))
+				}
+				for i := range a {
+					if !bytes.Equal(a[i], b[i]) {
+						t.Fatalf("capture %d differs between two runs of one stream (%d vs %d bytes)", i, len(a[i]), len(b[i]))
+					}
+				}
+			})
+		}
+	}
+}
+
+// captureChurn runs a fixed seeded churn of clusters that keep bridging and
+// breaking apart, checkpointing every third round, and returns the payload
+// each capture appended to the chain.
+func captureChurn(t *testing.T, algo Algorithm, shards int) [][]byte {
+	opts := []Option{WithAlgorithm(algo), WithEps(6), WithMinPts(3),
+		WithWAL(t.TempDir(), SyncEvery(time.Millisecond)), WithWALCheckpointEvery(0)}
+	if shards > 1 {
+		opts = append(opts, WithShards(shards), WithShardStripe(8))
+	}
+	e, err := New(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	rng := rand.New(rand.NewSource(11))
+	const liveN, width = 1500, 3000
+	at := func(x0, w float64) Point { return Point{x0 + rng.Float64()*w, rng.Float64() * 12} }
+	var live []PointID
+	var captures [][]byte
+	var x0 float64
+	for round := 0; round < 60; round++ {
+		var ops []Op
+		if round == 0 {
+			for i := 0; i < liveN; i++ {
+				ops = append(ops, InsertOp(at(0, width)))
+			}
+		}
+		if round%3 == 0 {
+			x0 = rng.Float64() * (width - 60)
+		}
+		for i := 0; i < 20; i++ {
+			if len(live) > liveN && rng.Intn(2) == 0 {
+				k := rng.Intn(len(live))
+				ops = append(ops, DeleteOp(live[k]))
+				live[k] = live[len(live)-1]
+				live = live[:len(live)-1]
+				continue
+			}
+			ops = append(ops, InsertOp(at(x0, 60)))
+		}
+		res, err := e.Apply(ops)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, op := range ops {
+			if op.Kind == OpInsert {
+				live = append(live, res[i])
+			}
+		}
+		if round%3 != 2 {
+			continue
+		}
+		if err := e.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		chain := e.wal.log.CheckpointPayloads()
+		captures = append(captures, chain[len(chain)-1])
+	}
+	return captures
 }

@@ -75,6 +75,9 @@ func (f *FullyDynamic) Audit() error {
 		if err := auditNonCoreList(c, f.cfg.Dims); err != nil {
 			return err
 		}
+		if err := auditCountTree(c, f.cfg.Dims); err != nil {
+			return err
+		}
 		if (c.coreCount > 0) != (c.vertexID >= 0) {
 			return fmt.Errorf("audit: cell %v vertex status inconsistent", c.coord.Render(f.cfg.Dims))
 		}
@@ -153,6 +156,30 @@ func auditNonCoreList(c *cell, dims int) error {
 	return nil
 }
 
+// auditCountTree verifies a cell's counting subtree: present when the cell
+// holds more than countTreeAt points, absent at countTreeAt/2 or fewer
+// (either in between, by hysteresis), and holding exactly the cell's points.
+func auditCountTree(c *cell, dims int) error {
+	n := len(c.pts)
+	switch {
+	case c.count == nil && n > countTreeAt:
+		return fmt.Errorf("audit: cell %v with %d points has no counting subtree", c.coord.Render(dims), n)
+	case c.count != nil && n <= countTreeAt/2:
+		return fmt.Errorf("audit: cell %v with %d points kept its counting subtree", c.coord.Render(dims), n)
+	case c.count == nil:
+		return nil
+	}
+	if c.count.Len() != n {
+		return fmt.Errorf("audit: cell %v counting subtree holds %d points, cell %d", c.coord.Render(dims), c.count.Len(), n)
+	}
+	for _, p := range c.pts {
+		if !c.count.Has(p.pt) {
+			return fmt.Errorf("audit: point %d missing from its cell's counting subtree", p.id)
+		}
+	}
+	return nil
+}
+
 // closestCorePairSq returns the squared distance of the closest core pair
 // between two cells (brute force).
 func (f *FullyDynamic) closestCorePairSq(c1, c2 *cell) float64 {
@@ -216,7 +243,7 @@ func (s *SemiDynamic) Audit() error {
 		if err := auditNonCoreList(c, s.cfg.Dims); err != nil {
 			return err
 		}
-		if (c.coreCount > 0) != (c.ufID >= 0) {
+		if (c.coreCount > 0) != (c.vertexID >= 0) {
 			return fmt.Errorf("audit: cell %v uf status inconsistent", c.coord.Render(s.cfg.Dims))
 		}
 	}
@@ -232,7 +259,7 @@ func (s *SemiDynamic) Audit() error {
 				continue
 			}
 			closest := s.closestCorePairSq(c, nc)
-			if closest <= s.epsSq && !s.uf.Same(c.ufID, nc.ufID) {
+			if closest <= s.epsSq && !s.uf.Same(int(c.vertexID), int(nc.vertexID)) {
 				return fmt.Errorf("audit: ε-close core pair but cells in different components")
 			}
 		}

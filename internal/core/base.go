@@ -7,6 +7,7 @@ import (
 	"dyndbscan/internal/geom"
 	"dyndbscan/internal/grid"
 	"dyndbscan/internal/kdtree"
+	"dyndbscan/internal/quadtree"
 )
 
 // pointRec is the per-point state shared by all algorithms. Fields that only
@@ -38,7 +39,9 @@ type neighborLink struct {
 // cell is one occupied grid cell: its points, its core-point substructures,
 // its ε-close neighborhood, and its grid-graph bookkeeping. The core-point
 // substructures are allocated by the algorithm that uses them when the cell
-// gains its first core point; IncDBSCAN uses none of them.
+// gains its first core point; IncDBSCAN uses none of them. The struct is
+// pinned to the 176-byte size class (TestCellSize): fields one algorithm
+// alone uses share a slot where they can.
 type cell struct {
 	coord grid.Coord
 	pts   []*pointRec
@@ -52,15 +55,18 @@ type cell struct {
 	// coreCount and chg share the word one int took, so the cell keeps its
 	// allocation size class.
 	coreCount int32
-	chg       int32        // position + 1 in the base's change record; 0 while unrecorded
-	coreTree  *kdtree.Tree // emptiness structure over the cell's core points; nil while none
-	coreList  *abcp.List   // FullyDynamic: insertion-ordered core points; nil while none
+	chg       int32          // position + 1 in the base's change record; 0 while unrecorded
+	coreTree  *kdtree.Tree   // emptiness structure over the cell's core points; nil while none
+	coreList  *abcp.List     // FullyDynamic: insertion-ordered core points; nil while none
+	count     *quadtree.Tree // FullyDynamic: counting subtree over pts while the cell is large; see countTreeAt
 
 	neighbors []neighborLink
 
-	ufID      int                      // SemiDynamic: union-find element; -1 until core
-	edges     map[*cell]struct{}       // SemiDynamic: adjacent core cells in G
-	vertexID  int64                    // FullyDynamic: CC vertex while core; -1 otherwise
+	edges map[*cell]struct{} // SemiDynamic: adjacent core cells in G
+	// vertexID is the cell's grid-graph vertex while it is core, -1
+	// otherwise: the CC vertex (FullyDynamic) or the union-find element
+	// (SemiDynamic). One slot serves both to keep the size class.
+	vertexID  int64
 	instances map[*cell]*abcp.Instance // FullyDynamic: aBCP per ε-close core cell
 	probe     abcp.ProbeFunc           // FullyDynamic: aBCP view of coreTree, built once
 	cluster   ClusterID                // FullyDynamic: stable cluster id while core; -1 otherwise
@@ -143,7 +149,7 @@ func (b *base) cellAt(coord grid.Coord) *cell {
 	if c, ok := b.idx.Get(coord); ok {
 		return c
 	}
-	c := &cell{coord: coord, ufID: -1, vertexID: -1, cluster: -1}
+	c := &cell{coord: coord, vertexID: -1, cluster: -1}
 	b.idx.QueryClose(coord, b.rUp, func(oc grid.Coord, other *cell) bool {
 		eps := b.geo.EpsClose(coord, oc)
 		c.neighbors = append(c.neighbors, neighborLink{c: other, eps: eps})

@@ -1,9 +1,13 @@
 package core
 
 import (
+	"math"
+	"slices"
+
 	"dyndbscan/internal/abcp"
 	"dyndbscan/internal/dyncon"
 	"dyndbscan/internal/geom"
+	"dyndbscan/internal/grid"
 	"dyndbscan/internal/kdtree"
 	"dyndbscan/internal/quadtree"
 )
@@ -16,8 +20,12 @@ import (
 // The three framework components are instantiated as:
 //
 //   - core status (Section 7.3): relaxed core semantics decided by an
-//     approximate range count k ∈ [|B(p,ε)|, |B(p,(1+ρ)ε)|] from a counting
-//     quadtree; points in dense cells short-circuit to core.
+//     approximate range count k ∈ [|B(p,ε)|, |B(p,(1+ρ)ε)|] summed over p's
+//     cell and its ε-close cells, the only cells that can hold points of
+//     B(p,ε). A cell that passes countTreeAt points keeps a counting
+//     quadtree over its own box (cell.count), so a dense cell that the ball
+//     cuts is counted in a few node visits; smaller cells are scanned.
+//     Points in dense cells short-circuit to core.
 //   - grid-graph edges (Sections 7.1–7.2): one aBCP instance per ε-close
 //     pair of core cells; an edge exists exactly while the instance holds a
 //     witness pair. This is what eliminates IncDBSCAN's deletion-time BFS.
@@ -27,10 +35,13 @@ import (
 // demotion sweep after a deletion visits sparse cells within (1+ρ)ε — not
 // just ε — of the deleted point, because a stored core point must keep
 // |B(p,(1+ρ)ε)| ≥ MinPts to remain a legal ρ-double-approximate core point.
+//
+// The grid-graph updates one point update triggers run in cell-coordinate
+// order, so the same update stream always produces the same cluster ids
+// and events.
 type FullyDynamic struct {
 	*base
 	cc         *dyncon.Conn
-	counter    *quadtree.Tree
 	nextVertex int64
 	// cellOfVertex maps grid-graph vertex ids back to their cells so that
 	// merge/split relabeling can walk a connected component. Every cell of a
@@ -38,7 +49,26 @@ type FullyDynamic struct {
 	// a merge relabels the smaller side, a split relabels the smaller
 	// fragment with a fresh id, so identity survives all other updates.
 	cellOfVertex map[int64]*cell
+	// flips is a reused buffer for the cells whose edge to the updated cell appeared
+	// or vanished, sorted by coordinate before the edges are applied.
+	flips []*cell
 }
+
+// Counting-subtree hysteresis: a cell builds its counting quadtree once it
+// holds more than countTreeAt points and drops it when it falls to
+// countTreeAt/2, so a cell hovering at the threshold does not rebuild on
+// every update. Below the threshold a partially covered cell is scanned
+// point by point, which is cheaper than a tree walk at that size.
+const countTreeAt = 32
+
+// cubePad widens a cell's box, relative to the cell side, into the cube its
+// counting subtree is rooted at and its box tests use. The grid assigns a
+// point to a cell by floor division, whose rounding can place the point a
+// few ulps of its coordinate outside the cell box. For every cell
+// coordinate an int32 can hold, that is less than 1e-6 of the side, so the
+// padded cube holds every point of its cell, and whole-cube counts and
+// skips stay sound.
+const cubePad = 1e-5
 
 // NewFullyDynamic returns an empty fully-dynamic clusterer.
 func NewFullyDynamic(cfg Config) (*FullyDynamic, error) {
@@ -48,7 +78,6 @@ func NewFullyDynamic(cfg Config) (*FullyDynamic, error) {
 	return &FullyDynamic{
 		base:         newBase(cfg),
 		cc:           dyncon.New(),
-		counter:      quadtree.New(cfg.Dims),
 		cellOfVertex: make(map[int64]*cell),
 	}, nil
 }
@@ -58,14 +87,112 @@ func NewFullyDynamic(cfg Config) (*FullyDynamic, error) {
 // don't-care band, and both transitions it drives (promote on ≥ MinPts,
 // demote on < MinPts) preserve the stored-status legality invariants.
 //
-// The thresholded quadtree query is used instead of a full band count: the
-// structure only ever needs "count ≥ MinPts?", and the threshold form exits
-// as soon as any dense region inside the ball is found.
+// It counts in the grid: every point of B(p,ε) lies in p's cell or in an
+// ε-close cell. p's own cell counts whole (a cell's diagonal is ε); a
+// neighbour cell is skipped when its box lies farther than ε from p, counts
+// whole when its box lies within (1+ρ)ε, and is otherwise counted through
+// its counting subtree or, while small, point by point. The count stops as
+// soon as it reaches MinPts.
 func (f *FullyDynamic) isCoreNow(rec *pointRec) bool {
-	if len(rec.cell.pts) >= f.cfg.MinPts {
+	c := rec.cell
+	acc := len(c.pts)
+	if acc >= f.cfg.MinPts {
 		return true // dense cell: |B(p,ε)| ≥ MinPts outright
 	}
-	return f.counter.AtLeast(rec.pt, f.cfg.Eps, f.rUp, f.cfg.MinPts)
+	for _, ln := range c.neighbors {
+		if ln.eps && f.countCell(ln.c, rec.pt, &acc) {
+			return true
+		}
+	}
+	return false
+}
+
+// countCell adds to *acc a count of c's points between |B(q,ε) ∩ c| and
+// |B(q,(1+ρ)ε) ∩ c| and reports whether *acc reached MinPts.
+func (f *FullyDynamic) countCell(c *cell, q geom.Point, acc *int) bool {
+	minSq, maxSq := f.cubeDistSq(q, c.coord)
+	switch {
+	case minSq > f.epsSq:
+		return false
+	case maxSq <= f.rUpSq:
+		*acc += len(c.pts)
+	case c.count != nil:
+		return c.count.Accumulate(q, f.cfg.Eps, f.rUp, f.cfg.MinPts, acc)
+	default:
+		for _, p := range c.pts {
+			// Counting up to (1+ρ)ε is legal on both sides of the band and
+			// reaches MinPts sooner.
+			if geom.DistSq(p.pt, q, f.cfg.Dims) <= f.rUpSq {
+				*acc++
+				if *acc >= f.cfg.MinPts {
+					return true
+				}
+			}
+		}
+	}
+	return *acc >= f.cfg.MinPts
+}
+
+// cellCube returns the cube c's counting subtree is rooted at: the cell box
+// widened by cubePad of the side on every face.
+func (f *FullyDynamic) cellCube(coord grid.Coord) (lo geom.Point, side float64) {
+	pad := f.geo.Side * cubePad
+	lo = make(geom.Point, f.cfg.Dims)
+	for i := range lo {
+		lo[i] = float64(coord[i])*f.geo.Side - pad
+	}
+	return lo, f.geo.Side + 2*pad
+}
+
+// cubeDistSq returns the squared min and max distances from q to the cube
+// of the cell at coord (see cellCube).
+func (f *FullyDynamic) cubeDistSq(q geom.Point, coord grid.Coord) (minSq, maxSq float64) {
+	pad := f.geo.Side * cubePad
+	for i := 0; i < f.cfg.Dims; i++ {
+		lo := float64(coord[i])*f.geo.Side - pad
+		hi := lo + f.geo.Side + 2*pad
+		var dMin, dMax float64
+		switch {
+		case q[i] < lo:
+			dMin, dMax = lo-q[i], hi-q[i]
+		case q[i] > hi:
+			dMin, dMax = q[i]-hi, q[i]-lo
+		default:
+			dMax = math.Max(q[i]-lo, hi-q[i])
+		}
+		minSq += dMin * dMin
+		maxSq += dMax * dMax
+	}
+	return minSq, maxSq
+}
+
+// countInsert adds rec to its cell's counting subtree, building the subtree
+// when the cell has just passed countTreeAt points.
+func (f *FullyDynamic) countInsert(rec *pointRec) {
+	c := rec.cell
+	switch {
+	case c.count != nil:
+		c.count.Insert(rec.pt)
+	case len(c.pts) > countTreeAt:
+		lo, side := f.cellCube(c.coord)
+		c.count = quadtree.New(f.cfg.Dims, lo, side)
+		for _, p := range c.pts {
+			c.count.Insert(p.pt)
+		}
+	}
+}
+
+// countDelete removes rec, still a resident, from its cell's counting
+// subtree, dropping the subtree when the cell falls to countTreeAt/2.
+func (f *FullyDynamic) countDelete(rec *pointRec) {
+	c := rec.cell
+	switch {
+	case c.count == nil:
+	case len(c.pts)-1 <= countTreeAt/2:
+		c.count = nil
+	default:
+		c.count.Delete(rec.pt)
+	}
 }
 
 // Insert adds a point in amortized Õ(1) time.
@@ -79,7 +206,7 @@ func (f *FullyDynamic) Insert(pt geom.Point) (PointID, error) {
 // insertRec runs the clustering maintenance for a freshly placed record —
 // the commit phase shared by Insert and InsertStaged.
 func (f *FullyDynamic) insertRec(rec *pointRec) PointID {
-	f.counter.Insert(rec.id, rec.pt)
+	f.countInsert(rec)
 	cnew := rec.cell
 
 	if f.isCoreNow(rec) {
@@ -123,10 +250,10 @@ func (f *FullyDynamic) Delete(id PointID) error {
 		return ErrUnknownPoint
 	}
 	c := rec.cell
-	f.counter.Delete(rec.id, rec.pt)
 	if rec.core {
 		f.retireCore(rec, true)
 	}
+	f.countDelete(rec)
 	f.removePoint(rec)
 
 	// Demotion sweep: stored core legality depends on |B(p,(1+ρ)ε)|, so the
@@ -177,12 +304,16 @@ func (f *FullyDynamic) promote(p *pointRec) {
 	p.coreNode = c.coreList.Append(p.id, p.pt)
 
 	if c.coreCount > 1 {
+		flips := f.flips[:0]
 		for other, inst := range c.instances {
 			before := inst.HasWitness()
 			inst.NotifyInsert(inst.SideOf(c.coreList), p.coreNode)
 			if !before && inst.HasWitness() {
-				f.connectCells(c, other)
+				flips = append(flips, other)
 			}
+		}
+		for _, other := range f.sortFlips(flips) {
+			f.connectCells(c, other)
 		}
 		return
 	}
@@ -272,12 +403,16 @@ func (f *FullyDynamic) retireCore(p *pointRec, deleted bool) {
 		inst.PreDelete(inst.SideOf(c.coreList), p.coreNode)
 	}
 	c.coreList.Remove(p.coreNode)
+	flips := f.flips[:0]
 	for other, inst := range c.instances {
 		before := inst.HasWitness()
 		inst.PostDelete(inst.SideOf(c.coreList), p.coreNode)
 		if before && !inst.HasWitness() {
-			f.disconnectCells(c, other)
+			flips = append(flips, other)
 		}
+	}
+	for _, other := range f.sortFlips(flips) {
+		f.disconnectCells(c, other)
 	}
 	p.coreNode = nil
 	f.markNonCore(p)
@@ -293,11 +428,15 @@ func (f *FullyDynamic) retireCore(p *pointRec, deleted bool) {
 // that lost its last core point and removes its grid-graph vertex; the
 // single-cell cluster the vertex had become dissolves with it.
 func (f *FullyDynamic) unmakeCoreCell(c *cell) {
+	flips := f.flips[:0]
 	for other, inst := range c.instances {
 		if inst.HasWitness() {
-			f.disconnectCells(c, other)
+			flips = append(flips, other)
 		}
 		delete(other.instances, c)
+	}
+	for _, other := range f.sortFlips(flips) {
+		f.disconnectCells(c, other)
 	}
 	c.instances, c.coreTree, c.coreList = nil, nil, nil
 	f.fire(Event{Kind: EventClusterDissolved, Cluster: c.cluster})
@@ -305,6 +444,15 @@ func (f *FullyDynamic) unmakeCoreCell(c *cell) {
 	f.cc.RemoveVertex(c.vertexID)
 	c.vertexID = -1
 	c.cluster = -1
+}
+
+// sortFlips orders the cells whose edge to an updated cell flipped by
+// coordinate, so that merges, splits and fresh cluster ids do not depend on
+// map iteration order, and keeps the buffer for the next update.
+func (f *FullyDynamic) sortFlips(flips []*cell) []*cell {
+	slices.SortFunc(flips, func(a, b *cell) int { return slices.Compare(a.coord[:], b.coord[:]) })
+	f.flips = flips
+	return flips
 }
 
 // probeFn adapts the cell's emptiness structure to the aBCP probe contract,

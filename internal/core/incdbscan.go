@@ -1,6 +1,9 @@
 package core
 
 import (
+	"maps"
+	"slices"
+
 	"dyndbscan/internal/geom"
 	"dyndbscan/internal/rtree"
 	"dyndbscan/internal/unionfind"
@@ -240,16 +243,23 @@ func (ic *IncDBSCAN) Delete(id PointID) error {
 
 	// Seed points: the current core points adjacent (in the core graph) to
 	// the removed/demoted cores. Every fragment of a split contains a seed.
-	seeds := make(map[*pointRec]struct{})
-	if wasCore {
-		for _, nb := range ic.coresWithin(rec.pt, c) {
-			seeds[nb] = struct{}{}
+	// They are kept in discovery order, which the range queries fix, so
+	// the split search runs the same way on every run.
+	var seeds []*pointRec
+	seen := make(map[*pointRec]struct{})
+	addSeeds := func(nbs []*pointRec) {
+		for _, nb := range nbs {
+			if _, dup := seen[nb]; !dup {
+				seen[nb] = struct{}{}
+				seeds = append(seeds, nb)
+			}
 		}
 	}
+	if wasCore {
+		addSeeds(ic.coresWithin(rec.pt, c))
+	}
 	for _, p := range demoted {
-		for _, nb := range ic.coresWithin(p.pt, p.cell) {
-			seeds[nb] = struct{}{}
-		}
+		addSeeds(ic.coresWithin(p.pt, p.cell))
 	}
 	if len(c.pts) == 0 {
 		ic.destroyCell(c)
@@ -264,11 +274,10 @@ func (ic *IncDBSCAN) Delete(id PointID) error {
 // fetched by range queries), merging threads that meet. If a single merged
 // thread remains, no split happened; otherwise each completed thread has
 // enumerated one fragment, and all but the largest get fresh cluster ids.
-func (ic *IncDBSCAN) splitBFS(seedSet map[*pointRec]struct{}) {
-	seeds := make([]*pointRec, 0, len(seedSet))
-	for p := range seedSet {
-		seeds = append(seeds, p)
-	}
+// Threads, fragments and clusters are walked in a fixed order (seed order,
+// thread numbers, pre-delete roots), so the fragments that get fresh ids,
+// and the ids they get, do not depend on map iteration.
+func (ic *IncDBSCAN) splitBFS(seeds []*pointRec) {
 	threads := unionfind.New(len(seeds))
 	queues := make(map[int][]*pointRec, len(seeds)) // thread root -> frontier
 	visited := make(map[*pointRec]int, len(seeds))  // point -> thread index
@@ -294,13 +303,24 @@ func (ic *IncDBSCAN) splitBFS(seedSet map[*pointRec]struct{}) {
 	// Round-robin one expansion per live thread, so small fragments finish
 	// early and the final surviving thread can stop without exploring the
 	// bulk of the cluster.
+	roots := make([]int, len(seeds)) // live thread roots, ascending
+	for i := range roots {
+		roots[i] = i
+	}
+	var activeRoots []int
 	for groups > 1 {
-		activeRoots := make([]int, 0, len(queues))
-		for r, q := range queues {
-			if len(q) > 0 {
+		activeRoots = activeRoots[:0]
+		live := roots[:0]
+		for _, r := range roots {
+			if threads.Find(r) != r {
+				continue // merged into another thread
+			}
+			live = append(live, r)
+			if len(queues[r]) > 0 {
 				activeRoots = append(activeRoots, r)
 			}
 		}
+		roots = live
 		if len(activeRoots) <= 1 {
 			break // every other thread completed: fragments are final
 		}
@@ -344,11 +364,13 @@ func (ic *IncDBSCAN) splitBFS(seedSet map[*pointRec]struct{}) {
 	// clusters, and a cluster only split if two or more of its own fragments
 	// separated. Fragments alone in their group are untouched clusters.
 	byCluster := make(map[int][]*fragment) // pre-delete union-find root -> fragments
-	for r, pts := range members {
+	for _, r := range slices.Sorted(maps.Keys(members)) {
+		pts := members[r]
 		orig := ic.clusters.Find(int(pts[0].clusterElem))
 		byCluster[orig] = append(byCluster[orig], &fragment{pts: pts, active: len(queues[r]) > 0})
 	}
-	for orig, frags := range byCluster {
+	for _, orig := range slices.Sorted(maps.Keys(byCluster)) {
+		frags := byCluster[orig]
 		if len(frags) < 2 {
 			continue
 		}

@@ -134,9 +134,10 @@ func (s *SemiDynamic) promote(p *pointRec) {
 	c := p.cell
 	if c.coreCount == 1 {
 		c.coreTree = kdtree.New(s.cfg.Dims)
-		c.ufID = s.uf.Add()
-		s.rootCluster[c.ufID] = s.newClusterID()
-		s.fire(Event{Kind: EventClusterFormed, Cluster: s.rootCluster[c.ufID]})
+		uf := s.uf.Add()
+		c.vertexID = int64(uf)
+		s.rootCluster[uf] = s.newClusterID()
+		s.fire(Event{Kind: EventClusterFormed, Cluster: s.rootCluster[uf]})
 	}
 	c.coreTree.Insert(p.id, p.pt)
 	for _, ln := range c.neighbors {
@@ -150,7 +151,7 @@ func (s *SemiDynamic) promote(p *pointRec) {
 		if _, ok := s.probeCore(nc, p.pt); ok {
 			put(&c.edges, nc, struct{}{})
 			put(&nc.edges, c, struct{}{})
-			s.unionClusters(c.ufID, nc.ufID)
+			s.unionClusters(int(c.vertexID), int(nc.vertexID))
 		}
 	}
 }
@@ -176,7 +177,7 @@ func (s *SemiDynamic) unionClusters(a, b int) {
 
 // clusterIDOf returns the stable cluster id of a core cell.
 func (s *SemiDynamic) clusterIDOf(c *cell) ClusterID {
-	return s.rootCluster[s.uf.Find(c.ufID)]
+	return s.rootCluster[s.uf.Find(int(c.vertexID))]
 }
 
 // ClusterOf returns the stable cluster ids the point currently belongs to
@@ -191,7 +192,7 @@ func (s *SemiDynamic) Delete(PointID) error { return ErrDeletesUnsupported }
 
 // GroupBy answers a C-group-by query in Õ(|Q|) time.
 func (s *SemiDynamic) GroupBy(ids []PointID) (Result, error) {
-	return s.groupBy(ids, func(c *cell) any { return s.uf.Find(c.ufID) })
+	return s.groupBy(ids, func(c *cell) any { return s.uf.Find(int(c.vertexID)) })
 }
 
 // Stats returns structural counters.

@@ -194,8 +194,10 @@ func TestAdversarialGridLine(t *testing.T) {
 	}
 }
 
-// TestFullyDynamicDuplicates: exact duplicate points stress the quadtree
-// depth cap and same-cell handling through both update directions.
+// TestFullyDynamicDuplicates: exact duplicate points stress same-cell
+// handling through both update directions, and the counting subtree's depth
+// cap: 40 duplicates pass countTreeAt, so their cell builds a subtree whose
+// points all share one leaf.
 func TestFullyDynamicDuplicates(t *testing.T) {
 	cfg := Config{Dims: 2, Eps: 1, MinPts: 5, Rho: 0}
 	f, err := NewFullyDynamic(cfg)

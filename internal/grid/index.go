@@ -1,5 +1,7 @@
 package grid
 
+import "slices"
+
 // Index is a dynamic kd-tree over occupied cell coordinates with values of
 // type T attached. It supports insertion, deletion and pruned "r-close"
 // range queries, and keeps itself balanced by full rebuilds once enough
@@ -164,7 +166,9 @@ func expandBounds(lo, hi *Coord, c Coord, d int) {
 
 // maybeRebuild rebuilds the tree into perfectly balanced form once the sum of
 // tombstones and fresh insertions exceeds the live population. This keeps the
-// expected depth logarithmic without per-operation rebalancing.
+// expected depth logarithmic without per-operation rebalancing. The nodes are
+// sorted by coordinate first, so the rebuilt tree, and with it the order in
+// which QueryClose reports cells, does not depend on map iteration order.
 func (ix *Index[T]) maybeRebuild() {
 	live := len(ix.nodes)
 	if ix.dead+ix.sinceBuild <= live/2+8 {
@@ -176,6 +180,7 @@ func (ix *Index[T]) maybeRebuild() {
 		n.lo, n.hi = n.coord, n.coord
 		nodes = append(nodes, n)
 	}
+	slices.SortFunc(nodes, func(a, b *inode[T]) int { return slices.Compare(a.coord[:], b.coord[:]) })
 	ix.root = ix.build(nodes, 0)
 	ix.dead = 0
 	ix.sinceBuild = 0

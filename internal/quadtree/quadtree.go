@@ -1,20 +1,21 @@
 // Package quadtree implements a d-dimensional counting bucket quadtree (a
-// 2^d-ary PR tree) with subtree counts. It instantiates the paper's
-// "approximate range count" structure of Section 7.3 (the paper plugs in
-// Mount & Park [16]): ApproxBallCount(q, rLow, rHigh) returns an integer k
-// with
+// 2^d-ary PR tree) with subtree counts, rooted at a fixed cube. It is the
+// counting subtree of one large grid cell in the fully-dynamic core-status
+// structure of Section 7.3 (where the paper plugs in Mount & Park [16]): the
+// cell's points are stored under the cell's own box, and Accumulate adds to
+// a running count k across cells with
 //
-//	|B(q, rLow)| ≤ k ≤ |B(q, rHigh)|
+//	|B(q, rLow) ∩ S| ≤ k ≤ |B(q, rHigh) ∩ S|
 //
-// in the current point set, which with rLow = ε and rHigh = (1+ρ)ε is exactly
-// the query the fully-dynamic core-status structure issues to decide whether
-// a point is a core point under ρ-double-approximate semantics. With
+// for the tree's point set S. With rLow = ε and rHigh = (1+ρ)ε, summed over
+// the ε-close cells of a point, that is exactly the count the fully-dynamic
+// core-status test needs under ρ-double-approximate semantics. With
 // rLow = rHigh the count is exact.
 //
-// The tree grows its root cube by doubling when points fall outside it, so no
-// bounding box needs to be known in advance. Children are stored sparsely (a
-// small sorted slice) because 2^d reaches 128 at d = 7 and most internal
-// nodes have very few live children.
+// Children are stored sparsely (a small slice) because 2^d reaches 128 at
+// d = 7 and most internal nodes have very few live children. A leaf holds
+// the caller's point slices themselves; points are told apart by identity,
+// not by value, so coincident points are fine.
 package quadtree
 
 import (
@@ -28,18 +29,12 @@ const (
 	maxDepth  = 48 // beyond this depth leaves grow unbounded (co-located points)
 )
 
-// Tree is a dynamic counting quadtree. Create with New.
+// Tree is a dynamic counting quadtree over a fixed cube. Create with New.
 type Tree struct {
 	dims int
-	root *qnode
 	lo   [geom.MaxDims]float64 // root cube lower corner
 	side float64               // root cube side length
-	size int
-}
-
-type entry struct {
-	id int64
-	pt geom.Point
+	root qnode
 }
 
 type childRef struct {
@@ -49,74 +44,76 @@ type childRef struct {
 
 type qnode struct {
 	count    int
-	children []childRef // nil AND pts non-nil/empty => leaf
-	pts      []entry    // leaf bucket
+	children []childRef   // internal node
+	pts      []geom.Point // leaf bucket
 	leaf     bool
 }
 
-// New returns an empty tree over R^dims.
-func New(dims int) *Tree {
-	return &Tree{dims: dims}
+// New returns an empty tree over the cube with lower corner lo and side
+// length side in R^dims. Every point inserted must lie in the closed cube.
+func New(dims int, lo geom.Point, side float64) *Tree {
+	t := &Tree{dims: dims, side: side, root: qnode{leaf: true}}
+	copy(t.lo[:dims], lo)
+	return t
 }
 
 // Len returns the number of points stored.
-func (t *Tree) Len() int { return t.size }
+func (t *Tree) Len() int { return t.root.count }
 
-// Insert adds a point under the given id. Ids need not be unique for
-// correctness of counting, but Delete removes by (id, pt), so callers should
-// keep them unique.
-func (t *Tree) Insert(id int64, pt geom.Point) {
-	if t.root == nil {
-		t.side = 1
-		for i := 0; i < t.dims; i++ {
-			t.lo[i] = math.Floor(pt[i])
+// Insert adds pt, which must lie in the root cube; it panics otherwise. The
+// tree keeps pt itself, and Delete and Has find it by identity, so the
+// caller must not mutate it while it is stored.
+func (t *Tree) Insert(pt geom.Point) {
+	for i := 0; i < t.dims; i++ {
+		if !(pt[i] >= t.lo[i] && pt[i] <= t.lo[i]+t.side) {
+			panic("quadtree: point outside the root cube")
 		}
-		t.root = &qnode{leaf: true}
 	}
-	t.growToCover(pt)
-	t.insertAt(t.root, entry{id: id, pt: pt}, t.lo, t.side, 0)
-	t.size++
+	t.insertAt(&t.root, pt, t.lo, t.side, 0)
 }
 
-// Delete removes the point previously inserted under id at position pt.
-// It panics when the point is not present: the clustering layers own their
-// bookkeeping and an absent point indicates a bug there.
-func (t *Tree) Delete(id int64, pt geom.Point) {
-	if t.root == nil || !t.deleteAt(t.root, id, pt, t.lo, t.side) {
+// Delete removes the point slice pt, as given to Insert. It panics when pt
+// is not stored: the clustering layers own their bookkeeping and an absent
+// point indicates a bug there.
+func (t *Tree) Delete(pt geom.Point) {
+	if !t.deleteAt(&t.root, pt, t.lo, t.side) {
 		panic("quadtree: delete of unknown point")
 	}
-	t.size--
 }
 
-// ApproxBallCount returns k with |B(q,rLow)| ≤ k ≤ |B(q,rHigh)| over the
-// current point set. rLow must be ≤ rHigh.
-func (t *Tree) ApproxBallCount(q geom.Point, rLow, rHigh float64) int {
-	if t.root == nil {
-		return 0
+// Has reports whether the point slice pt, as given to Insert, is stored.
+func (t *Tree) Has(pt geom.Point) bool {
+	n, lo, side := &t.root, t.lo, t.side
+	for !n.leaf {
+		half := side / 2
+		idx := t.childIdx(pt, lo, half)
+		n = n.child(idx)
+		if n == nil {
+			return false
+		}
+		lo, side = t.childLo(lo, half, idx), half
 	}
-	return t.countAt(t.root, q, rLow*rLow, rHigh*rHigh, t.lo, t.side)
+	return n.find(pt) >= 0
 }
 
-// AtLeast answers the thresholded core-status question directly: it returns
-// true only when |B(q,rHigh)| ≥ threshold and false only when
-// |B(q,rLow)| < threshold (either answer is legal in between — the same
-// don't-care band as ApproxBallCount ≥ threshold).
+// Accumulate adds to *acc a count k of the stored points with
+// |B(q,rLow)| ≤ k ≤ |B(q,rHigh)|, stopping as soon as *acc reaches
+// threshold, and reports whether it did. rLow must be ≤ rHigh. The running
+// count lets a caller sum one ball count over several trees (and plain
+// point scans) with one early exit.
 //
-// The point of the dedicated method is the early exit: a subtree box lying
-// entirely inside B(q,rHigh) contributes its whole count at once, so a query
-// point next to a dense cluster resolves in a handful of node visits. The
-// plain count query has no such exit and degenerates when a cluster
-// straddles the thin [rLow, rHigh] shell — profiling the paper's 5D
-// fully-dynamic workload showed exactly that pathology dominating runtime.
-func (t *Tree) AtLeast(q geom.Point, rLow, rHigh float64, threshold int) bool {
-	if t.root == nil || t.root.count < threshold {
-		return false
+// A subtree box lying entirely inside B(q,rHigh) contributes its whole
+// count at once, and one lying entirely outside B(q,rLow) is skipped, so a
+// query point next to a dense cluster resolves in a handful of node visits
+// even when the cluster straddles the thin [rLow, rHigh] shell.
+func (t *Tree) Accumulate(q geom.Point, rLow, rHigh float64, threshold int, acc *int) bool {
+	if *acc >= threshold {
+		return true
 	}
-	acc := 0
-	return t.atLeastAt(t.root, q, rLow*rLow, rHigh*rHigh, t.lo, t.side, threshold, &acc)
+	return t.accumulate(&t.root, q, rLow*rLow, rHigh*rHigh, t.lo, t.side, threshold, acc)
 }
 
-func (t *Tree) atLeastAt(n *qnode, q geom.Point, lowSq, highSq float64, lo [geom.MaxDims]float64, side float64, threshold int, acc *int) bool {
+func (t *Tree) accumulate(n *qnode, q geom.Point, lowSq, highSq float64, lo [geom.MaxDims]float64, side float64, threshold int, acc *int) bool {
 	if n.count == 0 {
 		return false
 	}
@@ -129,10 +126,10 @@ func (t *Tree) atLeastAt(n *qnode, q geom.Point, lowSq, highSq float64, lo [geom
 		return *acc >= threshold
 	}
 	if n.leaf {
-		for _, e := range n.pts {
+		for _, p := range n.pts {
 			// Counting up to rHigh is legal on both sides of the band and
 			// reaches the threshold sooner.
-			if geom.DistSq(q, e.pt, t.dims) <= highSq {
+			if geom.DistSq(q, p, t.dims) <= highSq {
 				*acc++
 				if *acc >= threshold {
 					return true
@@ -143,39 +140,11 @@ func (t *Tree) atLeastAt(n *qnode, q geom.Point, lowSq, highSq float64, lo [geom
 	}
 	half := side / 2
 	for _, ch := range n.children {
-		if t.atLeastAt(ch.n, q, lowSq, highSq, t.childLo(lo, half, ch.idx), half, threshold, acc) {
+		if t.accumulate(ch.n, q, lowSq, highSq, t.childLo(lo, half, ch.idx), half, threshold, acc) {
 			return true
 		}
 	}
 	return false
-}
-
-func (t *Tree) countAt(n *qnode, q geom.Point, lowSq, highSq float64, lo [geom.MaxDims]float64, side float64) int {
-	if n.count == 0 {
-		return 0
-	}
-	minSq, maxSq := t.boxDistSq(q, lo, side)
-	if minSq > lowSq {
-		return 0 // no mandatory (≤ rLow) points inside: skipping is sound
-	}
-	if maxSq <= highSq {
-		return n.count // whole box within rHigh: counting all is sound
-	}
-	if n.leaf {
-		c := 0
-		for _, e := range n.pts {
-			if geom.DistSq(q, e.pt, t.dims) <= lowSq {
-				c++
-			}
-		}
-		return c
-	}
-	half := side / 2
-	total := 0
-	for _, ch := range n.children {
-		total += t.countAt(ch.n, q, lowSq, highSq, t.childLo(lo, half, ch.idx), half)
-	}
-	return total
 }
 
 // boxDistSq returns the squared min and max distances from q to the cube with
@@ -217,60 +186,43 @@ func (t *Tree) childIdx(pt geom.Point, lo [geom.MaxDims]float64, half float64) u
 	return idx
 }
 
-// growToCover doubles the root cube toward pt until it covers pt.
-func (t *Tree) growToCover(pt geom.Point) {
-	for {
-		inside := true
-		for i := 0; i < t.dims; i++ {
-			if pt[i] < t.lo[i] || pt[i] >= t.lo[i]+t.side {
-				inside = false
-				break
-			}
+// child returns the child in orthant idx, or nil.
+func (n *qnode) child(idx uint8) *qnode {
+	for _, ch := range n.children {
+		if ch.idx == idx {
+			return ch.n
 		}
-		if inside {
-			return
-		}
-		// Grow so that the old cube becomes the child on the side away
-		// from pt in each dimension where pt is below the cube.
-		var idx uint8
-		newLo := t.lo
-		for i := 0; i < t.dims; i++ {
-			if pt[i] < t.lo[i] {
-				newLo[i] -= t.side
-				idx |= 1 << uint(i) // old cube sits in the upper half
-			}
-		}
-		oldRoot := t.root
-		t.lo = newLo
-		t.side *= 2
-		if oldRoot.count == 0 {
-			continue // empty root: just enlarge the cube
-		}
-		newRoot := &qnode{count: oldRoot.count, children: []childRef{{idx: idx, n: oldRoot}}}
-		t.root = newRoot
 	}
+	return nil
 }
 
-func (t *Tree) insertAt(n *qnode, e entry, lo [geom.MaxDims]float64, side float64, depth int) {
+// find returns the position of the point slice pt in the leaf, or -1.
+func (n *qnode) find(pt geom.Point) int {
+	for i, p := range n.pts {
+		if &p[0] == &pt[0] {
+			return i
+		}
+	}
+	return -1
+}
+
+func (t *Tree) insertAt(n *qnode, pt geom.Point, lo [geom.MaxDims]float64, side float64, depth int) {
 	n.count++
 	if n.leaf {
-		n.pts = append(n.pts, e)
+		n.pts = append(n.pts, pt)
 		if len(n.pts) > bucketCap && depth < maxDepth {
 			t.splitLeaf(n, lo, side, depth)
 		}
 		return
 	}
 	half := side / 2
-	idx := t.childIdx(e.pt, lo, half)
-	for _, ch := range n.children {
-		if ch.idx == idx {
-			t.insertAt(ch.n, e, t.childLo(lo, half, idx), half, depth+1)
-			return
-		}
+	idx := t.childIdx(pt, lo, half)
+	child := n.child(idx)
+	if child == nil {
+		child = &qnode{leaf: true}
+		n.children = append(n.children, childRef{idx: idx, n: child})
 	}
-	child := &qnode{leaf: true}
-	n.children = append(n.children, childRef{idx: idx, n: child})
-	t.insertAt(child, e, t.childLo(lo, half, idx), half, depth+1)
+	t.insertAt(child, pt, t.childLo(lo, half, idx), half, depth+1)
 }
 
 func (t *Tree) splitLeaf(n *qnode, lo [geom.MaxDims]float64, side float64, depth int) {
@@ -278,22 +230,23 @@ func (t *Tree) splitLeaf(n *qnode, lo [geom.MaxDims]float64, side float64, depth
 	n.pts = nil
 	n.leaf = false
 	n.count = 0
-	for _, e := range pts {
-		t.insertAt(n, e, lo, side, depth)
+	for _, p := range pts {
+		t.insertAt(n, p, lo, side, depth)
 	}
 }
 
-func (t *Tree) deleteAt(n *qnode, id int64, pt geom.Point, lo [geom.MaxDims]float64, side float64) bool {
+func (t *Tree) deleteAt(n *qnode, pt geom.Point, lo [geom.MaxDims]float64, side float64) bool {
 	if n.leaf {
-		for i, e := range n.pts {
-			if e.id == id && geom.Equal(e.pt, pt, t.dims) {
-				n.pts[i] = n.pts[len(n.pts)-1]
-				n.pts = n.pts[:len(n.pts)-1]
-				n.count--
-				return true
-			}
+		i := n.find(pt)
+		if i < 0 {
+			return false
 		}
-		return false
+		last := len(n.pts) - 1
+		n.pts[i] = n.pts[last]
+		n.pts[last] = nil
+		n.pts = n.pts[:last]
+		n.count--
+		return true
 	}
 	half := side / 2
 	idx := t.childIdx(pt, lo, half)
@@ -301,7 +254,7 @@ func (t *Tree) deleteAt(n *qnode, id int64, pt geom.Point, lo [geom.MaxDims]floa
 		if ch.idx != idx {
 			continue
 		}
-		if !t.deleteAt(ch.n, id, pt, t.childLo(lo, half, idx), half) {
+		if !t.deleteAt(ch.n, pt, t.childLo(lo, half, idx), half) {
 			return false
 		}
 		n.count--
@@ -320,7 +273,7 @@ func (t *Tree) deleteAt(n *qnode, id int64, pt geom.Point, lo [geom.MaxDims]floa
 // collapse turns a small internal node back into a leaf to keep the tree
 // compact under deletions.
 func (t *Tree) collapse(n *qnode) {
-	pts := make([]entry, 0, n.count)
+	pts := make([]geom.Point, 0, n.count)
 	var gather func(m *qnode)
 	gather = func(m *qnode) {
 		if m.leaf {

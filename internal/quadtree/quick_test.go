@@ -13,18 +13,18 @@ import (
 // requires from the approximate range count structure.
 func TestQuickBand(t *testing.T) {
 	f := func(coords []float64, deletes []uint8, qx, qy, r, band float64) bool {
-		tr := New(2)
+		tr := cube(2, 1000)
 		live := make(map[int64]geom.Point)
 		for i := 0; i+1 < len(coords); i += 2 {
 			id := int64(i / 2)
 			p := geom.Point{fold(coords[i]), fold(coords[i+1])}
-			tr.Insert(id, p)
+			tr.Insert(p)
 			live[id] = p
 		}
 		for _, d := range deletes {
 			id := int64(d)
 			if p, ok := live[id]; ok {
-				tr.Delete(id, p)
+				tr.Delete(p)
 				delete(live, id)
 			}
 		}
@@ -34,7 +34,7 @@ func TestQuickBand(t *testing.T) {
 		rLow := math.Abs(fold(r))
 		rHigh := rLow * (1 + math.Abs(fold(band))/2000)
 		q := geom.Point{fold(qx), fold(qy)}
-		k := tr.ApproxBallCount(q, rLow, rHigh)
+		k := bandCount(tr, q, rLow, rHigh)
 		lo, hi := 0, 0
 		for _, p := range live {
 			d := geom.DistSq(q, p, 2)
