@@ -49,8 +49,9 @@ type FullyDynamic struct {
 	// a merge relabels the smaller side, a split relabels the smaller
 	// fragment with a fresh id, so identity survives all other updates.
 	cellOfVertex map[int64]*cell
-	// flips is a reused buffer for the cells whose edge to the updated cell appeared
-	// or vanished, sorted by coordinate before the edges are applied.
+	// flips is a reused buffer for the cells whose edge to the updated
+	// cell appeared or vanished, sorted by coordinate before the edges are
+	// applied.
 	flips []*cell
 }
 
