@@ -13,9 +13,15 @@
 //
 // The implementation follows the paper's proof, including the O(1)-memory
 // representation of the de-listing list L: each cell stores its core points
-// in insertion order, and an instance keeps one cursor per side marking the
-// suffix of points not yet de-listed. Every point is de-listed at most once
-// per instance, giving the amortized bound of Lemma 3.
+// in insertion order, and an instance keeps, per side, the last node it
+// de-listed. L is everything after that marker (the whole list while the
+// marker is nil), so a point appended to a cell's list joins the suffix of
+// every instance of the cell without any call. Every point is de-listed at
+// most once per instance, giving the amortized bound of Lemma 3.
+//
+// Because "empty witness ⇒ empty L" holds between calls, an insertion needs
+// NotifyInsert only on an instance whose witness is empty; on a witnessed
+// instance the new point simply waits in L until the witness dies.
 package abcp
 
 import "dyndbscan/internal/geom"
@@ -63,7 +69,7 @@ func (l *List) Append(id int64, pt geom.Point) *Node {
 }
 
 // Remove unlinks n. The caller must have informed every instance via
-// PreDelete first, because cursor repair reads n's links.
+// PreDelete first, because marker repair reads n's links.
 func (l *List) Remove(n *Node) {
 	if n.list != l {
 		panic("abcp: removing node from wrong list")
@@ -91,9 +97,11 @@ type ProbeFunc func(q geom.Point) (*Node, bool)
 
 // Instance maintains the witness pair for one ε-close cell pair.
 type Instance struct {
-	lists   [2]*List
-	probe   [2]ProbeFunc
-	cursor  [2]*Node // first not-yet-de-listed node per side (the suffix L)
+	lists [2]*List
+	probe [2]ProbeFunc
+	// last is the last de-listed node per side: L is the suffix after it,
+	// or the whole list while it is nil.
+	last    [2]*Node
 	witness [2]*Node // witness[i] belongs to side i; both nil ⇔ empty pair
 }
 
@@ -102,7 +110,7 @@ type Instance struct {
 //
 // One subtlety beyond the paper's text: the initial scan terminates at the
 // first witness, so the points after it on the scanned side have never been
-// probed. They must seed the de-listing suffix L — otherwise a later deletion
+// probed. They must stay in the de-listing suffix L — otherwise a later deletion
 // of the witness could drain an empty L and wrongly declare the pair empty
 // while an ε-pair among the never-probed points still exists. The pair-cover
 // argument then goes through: for any pair (x, y), whichever of the two was
@@ -115,11 +123,15 @@ func New(a, b *List, probeA, probeB ProbeFunc) *Instance {
 		small = 1
 	}
 	other := 1 - small
+	// Every point of the other side was seen by each probe of the scan, so
+	// none of them is pending; the scanned side is de-listed up to where the
+	// scan stops.
+	in.last[other] = in.lists[other].tail
 	for n := in.lists[small].head; n != nil; n = n.next {
+		in.last[small] = n
 		if m, ok := in.probe[other](n.Pt); ok {
 			in.witness[small], in.witness[other] = n, m
-			in.cursor[small] = n.next // never-probed suffix seeds L
-			break
+			break // the never-probed rest stays in L
 		}
 	}
 	return in
@@ -144,28 +156,36 @@ func (in *Instance) SideOf(l *List) int {
 // when the pair is empty).
 func (in *Instance) Witness() (a, b *Node) { return in.witness[0], in.witness[1] }
 
-// NotifyInsert must be called after a point was appended to side's list (and
-// added to its emptiness structure). The new point joins the suffix L; when
-// the witness is empty, de-listing resumes immediately.
-func (in *Instance) NotifyInsert(side int, n *Node) {
-	if in.cursor[side] == nil {
-		in.cursor[side] = n
-	}
-	in.drain()
+// Drained reports whether the de-listing suffix L is empty on both sides. It
+// holds whenever the witness is empty; audits check it.
+func (in *Instance) Drained() bool {
+	return in.pending(0) == nil && in.pending(1) == nil
 }
 
-// PreDelete must be called before n is unlinked from side's list: the suffix
-// cursor skips past n while its links are still intact.
+// NotifyInsert is called after a point was appended to side's list (and
+// added to its emptiness structure), but only needed while the witness is
+// empty: the new point is then the whole of L, and de-listing probes it
+// at once. On a witnessed instance it does nothing, since the point already
+// joined L by being appended.
+func (in *Instance) NotifyInsert(side int, n *Node) {
+	if in.witness[0] == nil {
+		in.drain()
+	}
+}
+
+// PreDelete must be called before n is unlinked from side's list: a marker
+// at n steps back to n's predecessor while n's links are still intact.
 func (in *Instance) PreDelete(side int, n *Node) {
-	if in.cursor[side] == n {
-		in.cursor[side] = n.next
+	if in.last[side] == n {
+		in.last[side] = n.prev
 	}
 }
 
 // PostDelete must be called after n was unlinked and removed from side's
-// emptiness structure. If n was a witness, repair follows the proof of
-// Lemma 3: first re-probe from the surviving witness into the deleted side;
-// failing that, de-list from L until a witness appears or L drains.
+// emptiness structure if n was a witness; for any other n it does nothing.
+// Repair follows the proof of Lemma 3: first re-probe from the surviving
+// witness into the deleted side; failing that, de-list from L until a
+// witness appears or L drains.
 func (in *Instance) PostDelete(side int, n *Node) {
 	if in.witness[side] != n {
 		return
@@ -185,20 +205,27 @@ func (in *Instance) PostDelete(side int, n *Node) {
 // "empty witness ⇒ empty L" holds on return.
 func (in *Instance) drain() {
 	for in.witness[0] == nil {
-		side := -1
-		switch {
-		case in.cursor[0] != nil:
-			side = 0
-		case in.cursor[1] != nil:
+		side := 0
+		n := in.pending(0)
+		if n == nil {
 			side = 1
-		default:
-			return
+			if n = in.pending(1); n == nil {
+				return
+			}
 		}
-		n := in.cursor[side]
-		in.cursor[side] = n.next
+		in.last[side] = n
 		if m, ok := in.probe[1-side](n.Pt); ok {
 			in.witness[side] = n
 			in.witness[1-side] = m
 		}
 	}
+}
+
+// pending returns the first node of side's suffix L, or nil when L is empty
+// on that side.
+func (in *Instance) pending(side int) *Node {
+	if in.last[side] == nil {
+		return in.lists[side].head
+	}
+	return in.last[side].next
 }

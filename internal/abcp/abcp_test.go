@@ -70,10 +70,23 @@ func newHarness(t *testing.T, rng *rand.Rand, d int, rho float64, initial [2][]g
 	return h
 }
 
+// insert appends a point to one side under the clusterer's contract:
+// NotifyInsert only while the witness is empty.
 func (h *harness) insert(sideIdx int, pt geom.Point, id int64) {
 	n := h.sides[sideIdx].list.Append(id, pt)
 	h.nodes[sideIdx][n] = true
-	h.inst.NotifyInsert(sideIdx, n)
+	if !h.inst.HasWitness() {
+		h.inst.NotifyInsert(sideIdx, n)
+	}
+}
+
+// remove deletes n from one side with the PreDelete/Remove/PostDelete
+// sequence.
+func (h *harness) remove(sideIdx int, n *Node) {
+	delete(h.nodes[sideIdx], n)
+	h.inst.PreDelete(sideIdx, n)
+	h.sides[sideIdx].list.Remove(n)
+	h.inst.PostDelete(sideIdx, n)
 }
 
 func (h *harness) deleteRandom(rng *rand.Rand, sideIdx int) {
@@ -89,13 +102,11 @@ func (h *harness) deleteRandom(rng *rand.Rand, sideIdx int) {
 		}
 		k--
 	}
-	delete(h.nodes[sideIdx], n)
-	h.inst.PreDelete(sideIdx, n)
-	h.sides[sideIdx].list.Remove(n)
-	h.inst.PostDelete(sideIdx, n)
+	h.remove(sideIdx, n)
 }
 
-// check asserts the two Lemma 3 guarantees.
+// check asserts the two Lemma 3 guarantees, and the invariant "empty witness
+// ⇒ empty L" that lets an insertion skip every witnessed instance.
 func (h *harness) check(step string) {
 	h.t.Helper()
 	a, b := h.inst.Witness()
@@ -110,6 +121,9 @@ func (h *harness) check(step string) {
 			h.t.Fatalf("%s: witness pair at distance %v > rHigh %v", step, d, h.rHigh)
 		}
 		return
+	}
+	if !h.inst.Drained() {
+		h.t.Fatalf("%s: witness empty but points left to de-list", step)
 	}
 	// Empty pair: there must be no ε-pair.
 	for n0 := range h.nodes[0] {
@@ -145,10 +159,7 @@ func TestEarlyTerminationSuffix(t *testing.T) {
 			b = n
 		}
 	}
-	delete(h.nodes[1], b)
-	h.inst.PreDelete(1, b)
-	h.sides[1].list.Remove(b)
-	h.inst.PostDelete(1, b)
+	h.remove(1, b)
 	if !h.inst.HasWitness() {
 		t.Fatal("witness lost although (p1,p2) pair remains — init suffix not drained")
 	}

@@ -78,6 +78,9 @@ func (f *FullyDynamic) Audit() error {
 		if err := auditCountTree(c, f.cfg.Dims); err != nil {
 			return err
 		}
+		if err := auditLinks(c, f.cfg.Dims); err != nil {
+			return err
+		}
 		if (c.coreCount > 0) != (c.vertexID >= 0) {
 			return fmt.Errorf("audit: cell %v vertex status inconsistent", c.coord.Render(f.cfg.Dims))
 		}
@@ -86,18 +89,24 @@ func (f *FullyDynamic) Audit() error {
 		}
 	}
 	// 3. Edges: every ε-close core cell pair has exactly one instance; the
-	// witness obeys Lemma 3; the CC edge mirrors the witness.
+	// witness obeys Lemma 3; the CC edge mirrors the witness; a link is idle
+	// exactly when its instance holds no witness, and an idle instance has
+	// nothing left to de-list, which is what lets an insertion skip every
+	// other instance.
 	for c := range cells {
 		if c.coreCount == 0 {
 			if len(c.instances) != 0 {
 				return fmt.Errorf("audit: non-core cell %v has instances", c.coord.Render(f.cfg.Dims))
 			}
-			continue
 		}
 		seen := 0
 		for _, ln := range c.neighbors {
 			nc := ln.c
-			if !ln.eps || nc.coreCount == 0 {
+			if !ln.eps || c.coreCount == 0 || nc.coreCount == 0 {
+				if ln.idle {
+					return fmt.Errorf("audit: idle link between %v and %v without an instance",
+						c.coord.Render(f.cfg.Dims), nc.coord.Render(f.cfg.Dims))
+				}
 				continue
 			}
 			seen++
@@ -129,6 +138,17 @@ func (f *FullyDynamic) Audit() error {
 				return fmt.Errorf("audit: CC edge between %v and %v disagrees with witness",
 					c.coord.Render(f.cfg.Dims), nc.coord.Render(f.cfg.Dims))
 			}
+			switch {
+			case ln.idle && inst.HasWitness():
+				return fmt.Errorf("audit: link between %v and %v marks a witnessed instance idle",
+					c.coord.Render(f.cfg.Dims), nc.coord.Render(f.cfg.Dims))
+			case !ln.idle && !inst.HasWitness():
+				return fmt.Errorf("audit: instance between %v and %v has no witness but its link is not idle",
+					c.coord.Render(f.cfg.Dims), nc.coord.Render(f.cfg.Dims))
+			case ln.idle && !inst.Drained():
+				return fmt.Errorf("audit: idle instance between %v and %v has points left to de-list",
+					c.coord.Render(f.cfg.Dims), nc.coord.Render(f.cfg.Dims))
+			}
 		}
 		if len(c.instances) != seen {
 			return fmt.Errorf("audit: cell %v has %d instances, expected %d",
@@ -136,6 +156,26 @@ func (f *FullyDynamic) Audit() error {
 		}
 	}
 	return f.cc.Validate()
+}
+
+// auditLinks verifies a cell's neighbour links against their twins: each
+// twin leads back to c, sits where rev says, and agrees on eps and idle.
+func auditLinks(c *cell, dims int) error {
+	for i, ln := range c.neighbors {
+		if int(ln.rev) >= len(ln.c.neighbors) {
+			return fmt.Errorf("audit: cell %v link %d has no twin", c.coord.Render(dims), i)
+		}
+		tw := ln.c.neighbors[ln.rev]
+		switch {
+		case tw.c != c || int(tw.rev) != i:
+			return fmt.Errorf("audit: cell %v link %d and its twin do not point at each other", c.coord.Render(dims), i)
+		case tw.eps != ln.eps:
+			return fmt.Errorf("audit: cell %v link %d disagrees with its twin on eps", c.coord.Render(dims), i)
+		case tw.idle != ln.idle:
+			return fmt.Errorf("audit: idle mark between %v and %v is one-sided", c.coord.Render(dims), ln.c.coord.Render(dims))
+		}
+	}
+	return nil
 }
 
 // auditNonCoreList verifies the per-cell non-core resident list: exactly the

@@ -228,3 +228,59 @@ func TestAuditDetectsStrayCoreStructures(t *testing.T) {
 		t.Fatalf("audit missed an emptiness structure on a non-core cell: %v", err)
 	}
 }
+
+// TestAuditDetectsIdleLinkCorruption: the audit must notice an instance
+// without a witness whose links are not marked idle, a witnessed instance
+// marked idle, and an idle mark on one twin only.
+func TestAuditDetectsIdleLinkCorruption(t *testing.T) {
+	// Three tight core clusters on a line, 2.5 apart: a–m and m–b are within
+	// ε, so their instances hold witnesses; a and b lie in ε-close cells
+	// (box distance one cell side) but 5 > (1+ρ)ε apart, so their instance
+	// has none.
+	fixture := func(t *testing.T) (f *FullyDynamic, a, m, b *cell) {
+		t.Helper()
+		f, err := NewFullyDynamic(Config{Dims: 2, Eps: 3, MinPts: 4, Rho: 0.2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cells [3]*cell
+		for i, x := range []float64{0.5, 3, 5.5} {
+			for j := 0; j < 4; j++ {
+				id, err := f.Insert(geom.Point{x + 0.01*float64(j), 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				cells[i] = f.points[id].cell
+			}
+		}
+		if err := f.Audit(); err != nil {
+			t.Fatalf("fixture not healthy: %v", err)
+		}
+		a, m, b = cells[0], cells[1], cells[2]
+		if a.instances[b] == nil || a.instances[b].HasWitness() || !a.instances[m].HasWitness() {
+			t.Fatal("fixture lacks a witness-less and a witnessed instance")
+		}
+		return f, a, m, b
+	}
+	t.Run("missing", func(t *testing.T) {
+		f, a, _, b := fixture(t)
+		a.setIdle(a.linkTo(b), false)
+		if err := f.Audit(); err == nil || !strings.Contains(err.Error(), "no witness but its link is not idle") {
+			t.Fatalf("audit missed a witness-less instance left unmarked: %v", err)
+		}
+	})
+	t.Run("stale", func(t *testing.T) {
+		f, a, m, _ := fixture(t)
+		a.setIdle(a.linkTo(m), true)
+		if err := f.Audit(); err == nil || !strings.Contains(err.Error(), "marks a witnessed instance idle") {
+			t.Fatalf("audit missed a witnessed instance marked idle: %v", err)
+		}
+	})
+	t.Run("one-sided", func(t *testing.T) {
+		f, a, _, b := fixture(t)
+		b.neighbors[b.linkTo(a)].idle = false
+		if err := f.Audit(); err == nil || !strings.Contains(err.Error(), "one-sided") {
+			t.Fatalf("audit missed an idle mark on one twin only: %v", err)
+		}
+	})
+}

@@ -30,10 +30,16 @@ type pointRec struct {
 
 // neighborLink records one occupied cell within (1+ρ)ε box distance. eps
 // marks the links within ε box distance — the "ε-close" cells of the paper;
-// the wider ring is needed only by the fully-dynamic demotion sweep.
+// the wider ring is needed only by the fully-dynamic demotion sweep. Links
+// come in twins, one in each cell's list, and rev is the position of this
+// link's twin in c.neighbors. idle (FullyDynamic) marks a link whose aBCP
+// instance holds no witness; twins agree on it. rev and idle fill what was
+// padding.
 type neighborLink struct {
-	c   *cell
-	eps bool
+	c    *cell
+	rev  int32
+	eps  bool
+	idle bool
 }
 
 // cell is one occupied grid cell: its points, its core-point substructures,
@@ -152,8 +158,8 @@ func (b *base) cellAt(coord grid.Coord) *cell {
 	c := &cell{coord: coord, vertexID: -1, cluster: -1}
 	b.idx.QueryClose(coord, b.rUp, func(oc grid.Coord, other *cell) bool {
 		eps := b.geo.EpsClose(coord, oc)
-		c.neighbors = append(c.neighbors, neighborLink{c: other, eps: eps})
-		other.neighbors = append(other.neighbors, neighborLink{c: c, eps: eps})
+		c.neighbors = append(c.neighbors, neighborLink{c: other, rev: int32(len(other.neighbors)), eps: eps})
+		other.neighbors = append(other.neighbors, neighborLink{c: c, rev: int32(len(c.neighbors) - 1), eps: eps})
 		return true
 	})
 	b.idx.Insert(coord, c)
@@ -167,14 +173,13 @@ func (b *base) destroyCell(c *cell) {
 		panic("core: destroying non-empty cell")
 	}
 	for _, ln := range c.neighbors {
+		// Move nb's last link into the twin's slot and repoint its own twin.
 		nb := ln.c
-		for i := range nb.neighbors {
-			if nb.neighbors[i].c == c {
-				nb.neighbors[i] = nb.neighbors[len(nb.neighbors)-1]
-				nb.neighbors = nb.neighbors[:len(nb.neighbors)-1]
-				break
-			}
-		}
+		last := len(nb.neighbors) - 1
+		moved := nb.neighbors[last]
+		nb.neighbors[ln.rev] = moved
+		moved.c.neighbors[moved.rev].rev = ln.rev
+		nb.neighbors = nb.neighbors[:last]
 	}
 	c.neighbors = nil
 	b.idx.Delete(c.coord)

@@ -29,6 +29,10 @@ import (
 //   - grid-graph edges (Sections 7.1–7.2): one aBCP instance per ε-close
 //     pair of core cells; an edge exists exactly while the instance holds a
 //     witness pair. This is what eliminates IncDBSCAN's deletion-time BFS.
+//     A new core point joins every instance's de-listing suffix just by
+//     being appended to its cell's core list, so only witness-less
+//     instances need telling: the neighbour links of such a pair are
+//     marked idle in both cells, and a promotion notifies no other.
 //   - CC structure: Holm–de Lichtenberg–Thorup fully dynamic connectivity.
 //
 // One deviation from the paper's text (documented in DESIGN.md): the
@@ -288,9 +292,11 @@ func (f *FullyDynamic) Delete(id PointID) error {
 }
 
 // promote is GUM for a point turning core (Section 7.4). If its cell was
-// already a grid-graph vertex, the point joins every aBCP instance of the
-// cell; otherwise the cell becomes a vertex and instances against all
-// ε-close core cells are initialized.
+// already a grid-graph vertex, appending the point to the cell's core list
+// puts it in the de-listing suffix of every aBCP instance of the cell, and
+// only the witness-less instances (idle links) are notified, since only they
+// can gain an edge; otherwise the cell becomes a vertex and instances
+// against all ε-close core cells are initialized.
 func (f *FullyDynamic) promote(p *pointRec) {
 	f.markCore(p)
 	f.fire(Event{Kind: EventPointBecameCore, Point: p.id})
@@ -306,11 +312,16 @@ func (f *FullyDynamic) promote(p *pointRec) {
 
 	if c.coreCount > 1 {
 		flips := f.flips[:0]
-		for other, inst := range c.instances {
-			before := inst.HasWitness()
+		for i := range c.neighbors {
+			ln := &c.neighbors[i]
+			if !ln.idle {
+				continue
+			}
+			inst := c.instances[ln.c]
 			inst.NotifyInsert(inst.SideOf(c.coreList), p.coreNode)
-			if !before && inst.HasWitness() {
-				flips = append(flips, other)
+			if inst.HasWitness() {
+				c.setIdle(i, false)
+				flips = append(flips, ln.c)
 			}
 		}
 		for _, other := range f.sortFlips(flips) {
@@ -326,7 +337,7 @@ func (f *FullyDynamic) promote(p *pointRec) {
 	f.cellOfVertex[c.vertexID] = c
 	c.cluster = f.newClusterID()
 	f.fire(Event{Kind: EventClusterFormed, Cluster: c.cluster})
-	for _, ln := range c.neighbors {
+	for i, ln := range c.neighbors {
 		nc := ln.c
 		if !ln.eps || nc.coreCount == 0 {
 			continue
@@ -336,6 +347,8 @@ func (f *FullyDynamic) promote(p *pointRec) {
 		put(&nc.instances, c, inst)
 		if inst.HasWitness() {
 			f.connectCells(c, nc)
+		} else {
+			c.setIdle(i, true)
 		}
 	}
 }
@@ -397,22 +410,35 @@ func (f *FullyDynamic) relabelComponent(c *cell, id ClusterID) {
 // and when a core point is deleted outright (deleted = true). Witness
 // transitions are translated into grid-graph edge removals; a cell whose
 // last core point retires stops being a vertex.
+//
+// One pass over the cell's instances steps every de-listing marker off p
+// while p's links are intact, and collects the instances p is a witness of:
+// only those can lose their edge, so only they get PostDelete once p is
+// unlinked. An instance left without a witness marks its links idle.
 func (f *FullyDynamic) retireCore(p *pointRec, deleted bool) {
-	c := p.cell
+	c, n := p.cell, p.coreNode
 	c.coreTree.Delete(p.id)
-	for _, inst := range c.instances {
-		inst.PreDelete(inst.SideOf(c.coreList), p.coreNode)
-	}
-	c.coreList.Remove(p.coreNode)
-	flips := f.flips[:0]
+	witnessed := f.flips[:0]
 	for other, inst := range c.instances {
-		before := inst.HasWitness()
-		inst.PostDelete(inst.SideOf(c.coreList), p.coreNode)
-		if before && !inst.HasWitness() {
+		inst.PreDelete(inst.SideOf(c.coreList), n)
+		if a, b := inst.Witness(); a == n || b == n {
+			witnessed = append(witnessed, other)
+		}
+	}
+	c.coreList.Remove(n)
+	flips := witnessed[:0]
+	for _, other := range witnessed {
+		inst := c.instances[other]
+		inst.PostDelete(inst.SideOf(c.coreList), n)
+		if !inst.HasWitness() {
 			flips = append(flips, other)
 		}
 	}
 	for _, other := range f.sortFlips(flips) {
+		// A cell left with no core point drops its instances instead.
+		if c.coreList.Len() > 0 {
+			c.setIdle(c.linkTo(other), true)
+		}
 		f.disconnectCells(c, other)
 	}
 	p.coreNode = nil
@@ -427,17 +453,17 @@ func (f *FullyDynamic) retireCore(p *pointRec, deleted bool) {
 
 // unmakeCoreCell destroys the aBCP instances and core structures of a cell
 // that lost its last core point and removes its grid-graph vertex; the
-// single-cell cluster the vertex had become dissolves with it.
+// single-cell cluster the vertex had become dissolves with it. That last
+// point was the witness of every instance on this side, so retireCore has
+// already removed every edge of the vertex.
 func (f *FullyDynamic) unmakeCoreCell(c *cell) {
-	flips := f.flips[:0]
-	for other, inst := range c.instances {
-		if inst.HasWitness() {
-			flips = append(flips, other)
+	for i := range c.neighbors {
+		if c.neighbors[i].idle {
+			c.setIdle(i, false)
 		}
-		delete(other.instances, c)
 	}
-	for _, other := range f.sortFlips(flips) {
-		f.disconnectCells(c, other)
+	for other := range c.instances {
+		delete(other.instances, c)
 	}
 	c.instances, c.coreTree, c.coreList = nil, nil, nil
 	f.fire(Event{Kind: EventClusterDissolved, Cluster: c.cluster})
@@ -454,6 +480,19 @@ func (f *FullyDynamic) sortFlips(flips []*cell) []*cell {
 	slices.SortFunc(flips, func(a, b *cell) int { return slices.Compare(a.coord[:], b.coord[:]) })
 	f.flips = flips
 	return flips
+}
+
+// setIdle marks c's i-th neighbour link and its twin as leading to an aBCP
+// instance without a witness (idle) or not.
+func (c *cell) setIdle(i int, idle bool) {
+	ln := &c.neighbors[i]
+	ln.idle = idle
+	ln.c.neighbors[ln.rev].idle = idle
+}
+
+// linkTo returns the position of nc in c.neighbors.
+func (c *cell) linkTo(nc *cell) int {
+	return slices.IndexFunc(c.neighbors, func(ln neighborLink) bool { return ln.c == nc })
 }
 
 // probeFn adapts the cell's emptiness structure to the aBCP probe contract,
