@@ -14,14 +14,15 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"dyndbscan"
+	"dyndbscan/internal/abcp"
 	"dyndbscan/internal/core"
 	"dyndbscan/internal/dyncon"
 	"dyndbscan/internal/geom"
 	"dyndbscan/internal/grid"
-	"dyndbscan/internal/kdtree"
 	"dyndbscan/internal/quadtree"
 	"dyndbscan/internal/workload"
 )
@@ -447,79 +448,125 @@ func BenchmarkSubstrateDynConn(b *testing.B) {
 	})
 }
 
-// BenchmarkSubstrateKDTree measures the per-cell emptiness structure at the
-// set sizes a grid cell holds: n core points spread over one cell of side
-// ε/√d, in d = 2 and d = 5. "churn" deletes a random live point and inserts
-// a fresh one per op; "probe" runs the banded ε-emptiness query from a point
-// anywhere in the cell's ε-neighbourhood. Both report B/point, the live heap
-// of a tree built by n inserts divided by n (the points themselves are
-// owned by the caller and not counted).
-func BenchmarkSubstrateKDTree(b *testing.B) {
-	const eps, rho = 100.0, 0.001
+// BenchmarkSubstrateCoreList measures a cell's core list, which is also its
+// emptiness structure, at the set sizes a grid cell holds: n core points in
+// one cell of side ε/√d, in d = 2 and d = 5. Both orders append the points
+// of one random walk through the cell: "walk" in walk order, so consecutive
+// points are close and the chunk boxes tight, and "shuffled" in random
+// order, the design's weak case, where every chunk box spans most of the
+// cell. "churn" removes a random live node and appends a fresh point (the
+// walk continued, in the same order) per op. "hit" probes from points of
+// the cell's ε-neighbourhood that have a list point within ε; "miss" from
+// points within ε of the cell that have none within (1+ρ)ε. All report
+// B/point, the live heap of a list built by n appends divided by n (the
+// points themselves are owned by the caller and not counted).
+func BenchmarkSubstrateCoreList(b *testing.B) {
+	const eps, rho, fresh = 100.0, 0.001, 4096
+	rUp := eps * (1 + rho)
 	for _, d := range []int{2, 5} {
 		side := eps / math.Sqrt(float64(d))
-		pt := func(rng *rand.Rand, lo, hi float64) geom.Point {
-			p := make(geom.Point, d)
-			for i := range p {
-				p[i] = lo + rng.Float64()*(hi-lo)
+		for _, n := range []int{32, 1 << 10} {
+			rng := rand.New(rand.NewSource(int64(100*d + n)))
+			walk := make([]geom.Point, n+fresh)
+			at := make(geom.Point, d)
+			for i := range at {
+				at[i] = rng.Float64() * side
 			}
-			return p
-		}
-		for _, n := range []int{64, 1 << 10, 8 << 10} {
-			// setup builds the tree and returns its heap per point, which is
-			// reported after the timed loop (ResetTimer drops metrics).
-			setup := func() (*kdtree.Tree, *rand.Rand, []int64, float64) {
-				rng := rand.New(rand.NewSource(int64(100*d + n)))
-				pts := make([]geom.Point, n)
-				for i := range pts {
-					pts[i] = pt(rng, 0, side)
+			for i := range walk {
+				for j := range at {
+					at[j] += (rng.Float64() - 0.5) * side / 8
+					if at[j] < 0 {
+						at[j] = -at[j]
+					} else if at[j] > side {
+						at[j] = 2*side - at[j]
+					}
 				}
-				var before, after runtime.MemStats
-				runtime.GC()
-				runtime.ReadMemStats(&before)
-				tr := kdtree.New(d)
-				ids := make([]int64, n)
-				for i, p := range pts {
-					tr.Insert(int64(i), p)
-					ids[i] = int64(i)
-				}
-				runtime.GC()
-				runtime.ReadMemStats(&after)
-				return tr, rng, ids, float64(after.HeapAlloc-before.HeapAlloc-uint64(cap(ids))*8) / float64(n)
+				walk[i] = at.Clone()
 			}
-			b.Run(fmt.Sprintf("d%d/n%d/churn", d, n), func(b *testing.B) {
-				tr, rng, ids, perPoint := setup()
-				fresh := make([]geom.Point, 4096)
-				for i := range fresh {
-					fresh[i] = pt(rng, 0, side)
+			hits, misses := probeQueries(rng, walk[:n], d, side, eps, rUp)
+			for _, order := range []string{"walk", "shuffled"} {
+				pts := walk
+				if order == "shuffled" {
+					pts = append([]geom.Point(nil), walk...)
+					rng.Shuffle(n, func(i, j int) { pts[i], pts[j] = pts[j], pts[i] })
+					rng.Shuffle(fresh, func(i, j int) { pts[n+i], pts[n+j] = pts[n+j], pts[n+i] })
 				}
-				next := int64(n)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					k := rng.Intn(len(ids))
-					tr.Delete(ids[k])
-					tr.Insert(next, fresh[i%len(fresh)])
-					ids[k] = next
-					next++
+				// setup builds the list and returns its heap per point,
+				// which is reported after the timed loop (ResetTimer drops
+				// metrics).
+				setup := func() (*abcp.List, []*abcp.Node, float64) {
+					var before, after runtime.MemStats
+					runtime.GC()
+					runtime.ReadMemStats(&before)
+					l := abcp.NewList(d, eps, rUp)
+					nodes := make([]*abcp.Node, n)
+					for i, p := range pts[:n] {
+						nodes[i] = l.Append(int64(i), p)
+					}
+					runtime.GC()
+					runtime.ReadMemStats(&after)
+					return l, nodes, float64(after.HeapAlloc-before.HeapAlloc-uint64(cap(nodes))*8) / float64(n)
 				}
-				b.ReportMetric(perPoint, "B/point")
-			})
-			b.Run(fmt.Sprintf("d%d/n%d/probe", d, n), func(b *testing.B) {
-				tr, rng, _, perPoint := setup()
-				qs := make([]geom.Point, 4096)
-				for i := range qs {
-					qs[i] = pt(rng, -eps, side+eps)
+				name := fmt.Sprintf("d%d/n%d/%s", d, n, order)
+				b.Run(name+"/churn", func(b *testing.B) {
+					l, nodes, perPoint := setup()
+					churn := rand.New(rand.NewSource(1))
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						k := churn.Intn(n)
+						l.Remove(nodes[k])
+						nodes[k] = l.Append(int64(n+i), pts[n+i%fresh])
+					}
+					b.ReportMetric(perPoint, "B/point")
+				})
+				for _, probe := range []struct {
+					name string
+					qs   []geom.Point
+				}{{"hit", hits}, {"miss", misses}} {
+					b.Run(name+"/"+probe.name, func(b *testing.B) {
+						l, _, perPoint := setup()
+						b.ReportAllocs()
+						b.ResetTimer()
+						for i := 0; i < b.N; i++ {
+							probeSink, _ = l.Probe(probe.qs[i%len(probe.qs)])
+						}
+						b.ReportMetric(perPoint, "B/point")
+					})
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					tr.Probe(qs[i%len(qs)], eps, eps*(1+rho))
-				}
-				b.ReportMetric(perPoint, "B/point")
-			})
+			}
 		}
 	}
+}
+
+// probeSink keeps the compiler from dropping the probes it is assigned.
+var probeSink *abcp.Node
+
+// probeQueries draws query points from the ε-neighbourhood of the cube
+// [0, side)^d until it has 1024 with a point of pts within eps (hits) and
+// 1024 within eps of the cube but with no point of pts within rUp (misses).
+func probeQueries(rng *rand.Rand, pts []geom.Point, d int, side, eps, rUp float64) (hits, misses []geom.Point) {
+	cube := geom.NewBox(make(geom.Point, d), geom.Point(slices.Repeat([]float64{side}, d)))
+	for len(hits) < 1024 || len(misses) < 1024 {
+		q := make(geom.Point, d)
+		for i := range q {
+			q[i] = -eps + rng.Float64()*(side+2*eps)
+		}
+		if cube.MinDistSq(q, d) > eps*eps {
+			continue
+		}
+		best := math.Inf(1)
+		for _, p := range pts {
+			best = math.Min(best, geom.DistSq(q, p, d))
+		}
+		switch {
+		case best <= eps*eps && len(hits) < 1024:
+			hits = append(hits, q)
+		case best > rUp*rUp && len(misses) < 1024:
+			misses = append(misses, q)
+		}
+	}
+	return hits, misses
 }
 
 // BenchmarkSubstrateQuadtree measures one cell's counting subtree at the

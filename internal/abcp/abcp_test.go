@@ -8,72 +8,40 @@ import (
 	"dyndbscan/internal/geom"
 )
 
-// side is a test model of one cell's core set with an adversarially lazy
-// probe: it must return a node when one is within rLow, may return any node
-// within rHigh otherwise, and the adversary randomly chooses among legal
-// answers in the don't-care band.
-type side struct {
-	list  *List
-	d     int
-	rLow  float64
-	rHigh float64
-	rng   *rand.Rand
-}
-
-func (s *side) probe(q geom.Point) (*Node, bool) {
-	var mandatory, optional []*Node
-	for n := s.list.Head(); n != nil; n = n.Next() {
-		d := geom.Dist(q, n.Pt, s.d)
-		switch {
-		case d <= s.rLow:
-			mandatory = append(mandatory, n)
-		case d <= s.rHigh:
-			optional = append(optional, n)
-		}
-	}
-	if len(mandatory) > 0 {
-		// Any point within rHigh is a legal proof; be adversarial about it.
-		pool := append(append([]*Node{}, mandatory...), optional...)
-		return pool[s.rng.Intn(len(pool))], true
-	}
-	if len(optional) > 0 && s.rng.Intn(2) == 0 {
-		return optional[s.rng.Intn(len(optional))], true
-	}
-	return nil, false
-}
-
+// harness drives one instance over two core lists, whose probes answer the
+// banded emptiness query with rLow = 4 and rHigh = 4(1+ρ).
 type harness struct {
 	t     *testing.T
 	d     int
 	rLow  float64
 	rHigh float64
-	sides [2]*side
+	lists [2]*List
 	inst  *Instance
 	nodes [2]map[*Node]bool
 }
 
-func newHarness(t *testing.T, rng *rand.Rand, d int, rho float64, initial [2][]geom.Point) *harness {
+func newHarness(t *testing.T, d int, rho float64, initial [2][]geom.Point) *harness {
 	h := &harness{t: t, d: d, rLow: 4, rHigh: 4 * (1 + rho)}
 	for i := 0; i < 2; i++ {
-		h.sides[i] = &side{list: NewList(), d: d, rLow: h.rLow, rHigh: h.rHigh, rng: rng}
+		h.lists[i] = NewList(d, h.rLow, h.rHigh)
 		h.nodes[i] = make(map[*Node]bool)
 	}
 	id := int64(0)
 	for i := 0; i < 2; i++ {
 		for _, pt := range initial[i] {
-			n := h.sides[i].list.Append(id, pt)
+			n := h.lists[i].Append(id, pt)
 			h.nodes[i][n] = true
 			id++
 		}
 	}
-	h.inst = New(h.sides[0].list, h.sides[1].list, h.sides[0].probe, h.sides[1].probe)
+	h.inst = New(h.lists[0], h.lists[1])
 	return h
 }
 
 // insert appends a point to one side under the clusterer's contract:
 // NotifyInsert only while the witness is empty.
 func (h *harness) insert(sideIdx int, pt geom.Point, id int64) {
-	n := h.sides[sideIdx].list.Append(id, pt)
+	n := h.lists[sideIdx].Append(id, pt)
 	h.nodes[sideIdx][n] = true
 	if !h.inst.HasWitness() {
 		h.inst.NotifyInsert(sideIdx, n)
@@ -85,7 +53,7 @@ func (h *harness) insert(sideIdx int, pt geom.Point, id int64) {
 func (h *harness) remove(sideIdx int, n *Node) {
 	delete(h.nodes[sideIdx], n)
 	h.inst.PreDelete(sideIdx, n)
-	h.sides[sideIdx].list.Remove(n)
+	h.lists[sideIdx].Remove(n)
 	h.inst.PostDelete(sideIdx, n)
 }
 
@@ -109,6 +77,11 @@ func (h *harness) deleteRandom(rng *rand.Rand, sideIdx int) {
 // ⇒ empty L" that lets an insertion skip every witnessed instance.
 func (h *harness) check(step string) {
 	h.t.Helper()
+	for i, l := range h.lists {
+		if err := l.Validate(); err != nil {
+			h.t.Fatalf("%s: side %d: %v", step, i, err)
+		}
+	}
 	a, b := h.inst.Witness()
 	if (a == nil) != (b == nil) {
 		h.t.Fatalf("%s: half-empty witness", step)
@@ -140,14 +113,13 @@ func (h *harness) check(step string) {
 // the initial scan stops at the first witness; points after it must still be
 // reachable through the de-listing suffix when the witness dies.
 func TestEarlyTerminationSuffix(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
 	// Side 0: a (pairs with b), then p1 (pairs with p2, far from b).
 	// Side 1: b, p2. After deleting b, the pair (p1,p2) must be found.
 	initial := [2][]geom.Point{
 		{{0, 0}, {100, 0}}, // a, p1
 		{{1, 0}, {101, 0}}, // b, p2
 	}
-	h := newHarness(t, rng, 2, 0.5, initial)
+	h := newHarness(t, 2, 0.5, initial)
 	if !h.inst.HasWitness() {
 		t.Fatal("initial witness expected")
 	}
@@ -167,7 +139,7 @@ func TestEarlyTerminationSuffix(t *testing.T) {
 }
 
 // TestRandomChurn drives random insert/delete mixes against the brute-force
-// invariants across dimensions and ρ values, with an adversarial probe.
+// invariants across dimensions and ρ values, probing through the lists.
 func TestRandomChurn(t *testing.T) {
 	for _, d := range []int{2, 3, 5} {
 		for _, rho := range []float64{0, 0.001, 0.5} {
@@ -182,7 +154,7 @@ func TestRandomChurn(t *testing.T) {
 							initial[s] = append(initial[s], randSidePt(rng, d, s))
 						}
 					}
-					h := newHarness(t, rng, d, rho, initial)
+					h := newHarness(t, d, rho, initial)
 					h.check("init")
 					id := int64(1000)
 					for op := 0; op < 600; op++ {
@@ -226,7 +198,7 @@ func randSidePt(rng *rand.Rand, d, sideIdx int) geom.Point {
 
 // TestListRemoveWrongList ensures cross-list removal is caught.
 func TestListRemoveWrongList(t *testing.T) {
-	a, b := NewList(), NewList()
+	a, b := NewList(2, 1, 1), NewList(2, 1, 1)
 	n := a.Append(1, geom.Point{0, 0})
 	defer func() {
 		if recover() == nil {
@@ -238,7 +210,7 @@ func TestListRemoveWrongList(t *testing.T) {
 
 // TestListOrder checks append order and link integrity under removals.
 func TestListOrder(t *testing.T) {
-	l := NewList()
+	l := NewList(1, 1, 1)
 	var ns []*Node
 	for i := int64(0); i < 5; i++ {
 		ns = append(ns, l.Append(i, geom.Point{float64(i)}))
@@ -256,5 +228,32 @@ func TestListOrder(t *testing.T) {
 	}
 	if l.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", l.Len())
+	}
+}
+
+// TestValidateDetectsChunkCorruption: Validate must notice a chunk box or a
+// list box that misses one of its nodes, a wrong chunk size, and a node that
+// points at a chunk other than the one holding it.
+func TestValidateDetectsChunkCorruption(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		corrupt func(l *List)
+	}{
+		{"box misses a node", func(l *List) { l.head.chunk.box[1] = l.head.Pt[1] + 1 }},
+		{"list box misses a node", func(l *List) { l.box[2] = l.tail.Pt[0] - 1 }},
+		{"wrong chunk size", func(l *List) { l.head.chunk.n-- }},
+		{"node in the wrong chunk", func(l *List) { l.tail.chunk = l.head.chunk }},
+	} {
+		l := NewList(2, 4, 4)
+		for i := int64(0); i < 3*chunkSize/2; i++ {
+			l.Append(i, geom.Point{float64(i), float64(-i), 99})
+		}
+		if err := l.Validate(); err != nil {
+			t.Fatalf("%s: healthy list fails validation: %v", tc.name, err)
+		}
+		tc.corrupt(l)
+		if err := l.Validate(); err == nil {
+			t.Errorf("%s: Validate missed it", tc.name)
+		}
 	}
 }

@@ -2,7 +2,6 @@ package abcp
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"dyndbscan/internal/geom"
@@ -13,8 +12,8 @@ import (
 // op, under the contract the fully dynamic clusterer follows: NotifyInsert
 // only while the witness is empty.
 //
-// Byte 0 picks the dimension (1 + b%5), ρ (b/5%3 selects 0, 0.001 or 0.5)
-// and seeds the adversarial probe. Byte 1 gives the sides' initial sizes
+// Byte 0 picks the dimension (1 + b%5) and ρ (b/5%3 selects 0, 0.001 or
+// 0.5). Byte 1 gives the sides' initial sizes
 // (b%8 and b/8%8), whose coordinates follow before the instance is built.
 // Each later op byte b acts on side b/4%2: b%4 < 3 inserts (d coordinate
 // bytes follow), b%4 = 3 deletes (a selector byte follows). Coordinates are
@@ -32,7 +31,6 @@ func FuzzABCPChurn(f *testing.F) {
 		}
 		d := 1 + int(data[0])%5
 		rho := []float64{0, 0.001, 0.5}[int(data[0])/5%3]
-		rng := rand.New(rand.NewSource(int64(data[0])))
 		sizes := [2]int{int(data[1]) % 8, int(data[1]) / 8 % 8}
 		data = data[2:]
 		point := func(sideIdx int) (geom.Point, bool) {
@@ -57,7 +55,7 @@ func FuzzABCPChurn(f *testing.F) {
 				initial[s] = append(initial[s], p)
 			}
 		}
-		h := newHarness(t, rng, d, rho, initial)
+		h := newHarness(t, d, rho, initial)
 		h.check("init")
 		id := int64(1000)
 		for op := 0; len(data) > 0; op++ {
@@ -72,7 +70,7 @@ func FuzzABCPChurn(f *testing.F) {
 				h.insert(sideIdx, p, id)
 				id++
 			} else {
-				l := h.sides[sideIdx].list
+				l := h.lists[sideIdx]
 				if len(data) == 0 || l.Len() == 0 {
 					continue
 				}

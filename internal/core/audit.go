@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"dyndbscan/internal/abcp"
 	"dyndbscan/internal/geom"
 )
 
@@ -48,7 +49,6 @@ func (f *FullyDynamic) Audit() error {
 		if got, ok := f.idx.Get(c.coord); !ok || got != c {
 			return fmt.Errorf("audit: cell %v not indexed", c.coord.Render(f.cfg.Dims))
 		}
-		cores := 0
 		for i, p := range c.pts {
 			if int(p.idx) != i || p.cell != c {
 				return fmt.Errorf("audit: point %d has stale cell position", p.id)
@@ -56,21 +56,9 @@ func (f *FullyDynamic) Audit() error {
 			if f.geo.CellOf(p.pt) != c.coord {
 				return fmt.Errorf("audit: point %d in wrong cell", p.id)
 			}
-			if p.core {
-				cores++
-				if p.coreNode == nil || c.coreTree == nil || !c.coreTree.Has(p.id) {
-					return fmt.Errorf("audit: core point %d missing from core structures", p.id)
-				}
-			} else if p.coreNode != nil || (c.coreTree != nil && c.coreTree.Has(p.id)) {
-				return fmt.Errorf("audit: non-core point %d present in core structures", p.id)
-			}
 		}
-		if (c.coreTree != nil) != (cores > 0) || (c.coreList != nil) != (cores > 0) || cores > 0 && c.probe == nil {
-			return fmt.Errorf("audit: cell %v with %d core points has tree=%v list=%v probe=%v",
-				c.coord.Render(f.cfg.Dims), cores, c.coreTree != nil, c.coreList != nil, c.probe != nil)
-		}
-		if cores != int(c.coreCount) || cores > 0 && (c.coreTree.Len() != cores || c.coreList.Len() != cores) {
-			return fmt.Errorf("audit: cell %v core counters inconsistent", c.coord.Render(f.cfg.Dims))
+		if err := auditCoreList(c, f.cfg.Dims); err != nil {
+			return err
 		}
 		if err := auditNonCoreList(c, f.cfg.Dims); err != nil {
 			return err
@@ -178,6 +166,43 @@ func auditLinks(c *cell, dims int) error {
 	return nil
 }
 
+// auditCoreList verifies a cell's core list against its residents: the list
+// exists exactly while the cell has core points, holds exactly their nodes,
+// and its chunks pass the list's own validation (sizes, chunk pointers and
+// boxes).
+func auditCoreList(c *cell, dims int) error {
+	inList := make(map[*abcp.Node]bool)
+	if c.coreList != nil {
+		for n := c.coreList.Head(); n != nil; n = n.Next() {
+			inList[n] = true
+		}
+	}
+	cores := 0
+	for _, p := range c.pts {
+		switch {
+		case p.core && (p.coreNode == nil || !inList[p.coreNode] || p.coreNode.ID != p.id):
+			return fmt.Errorf("audit: core point %d missing from its cell's core list", p.id)
+		case !p.core && p.coreNode != nil:
+			return fmt.Errorf("audit: non-core point %d present in its cell's core list", p.id)
+		case p.core:
+			cores++
+		}
+	}
+	if (c.coreList != nil) != (cores > 0) {
+		return fmt.Errorf("audit: cell %v with %d core points has list=%v", c.coord.Render(dims), cores, c.coreList != nil)
+	}
+	if cores != int(c.coreCount) || cores > 0 && c.coreList.Len() != cores {
+		return fmt.Errorf("audit: cell %v core counters inconsistent", c.coord.Render(dims))
+	}
+	if c.coreList == nil {
+		return nil
+	}
+	if err := c.coreList.Validate(); err != nil {
+		return fmt.Errorf("audit: cell %v core list: %w", c.coord.Render(dims), err)
+	}
+	return nil
+}
+
 // auditNonCoreList verifies the per-cell non-core resident list: exactly the
 // non-core points of the cell, each at its recorded position.
 func auditNonCoreList(c *cell, dims int) error {
@@ -267,18 +292,8 @@ func (s *SemiDynamic) Audit() error {
 		cells[rec.cell] = struct{}{}
 	}
 	for c := range cells {
-		cores := 0
-		for _, p := range c.pts {
-			if p.core {
-				cores++
-			}
-		}
-		if (c.coreTree != nil) != (cores > 0) {
-			return fmt.Errorf("audit: cell %v with %d core points has tree=%v",
-				c.coord.Render(s.cfg.Dims), cores, c.coreTree != nil)
-		}
-		if cores != int(c.coreCount) || cores > 0 && c.coreTree.Len() != cores {
-			return fmt.Errorf("audit: cell %v core counters inconsistent", c.coord.Render(s.cfg.Dims))
+		if err := auditCoreList(c, s.cfg.Dims); err != nil {
+			return err
 		}
 		if err := auditNonCoreList(c, s.cfg.Dims); err != nil {
 			return err

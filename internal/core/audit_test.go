@@ -2,11 +2,13 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
+	"dyndbscan/internal/abcp"
 	"dyndbscan/internal/geom"
-	"dyndbscan/internal/kdtree"
 )
 
 // These tests inject faults into otherwise healthy clusterers and assert the
@@ -223,10 +225,68 @@ func TestAuditDetectsStrayCoreStructures(t *testing.T) {
 	if bare == nil {
 		t.Skip("fixture has no non-core cell")
 	}
-	bare.coreTree = kdtree.New(2)
-	if err := f.Audit(); err == nil || !strings.Contains(err.Error(), "tree=true") {
-		t.Fatalf("audit missed an emptiness structure on a non-core cell: %v", err)
+	bare.coreList = abcp.NewList(2, f.cfg.Eps, f.rUp)
+	if err := f.Audit(); err == nil || !strings.Contains(err.Error(), "list=true") {
+		t.Fatalf("audit missed a core list on a non-core cell: %v", err)
 	}
+}
+
+// TestAuditDetectsCoreListCorruption: both audits must notice a chunk box
+// that misses one of its nodes and a chunk whose recorded size is wrong.
+func TestAuditDetectsCoreListCorruption(t *testing.T) {
+	cfg := Config{Dims: 2, Eps: 3, MinPts: 4, Rho: 0.2}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(n *abcp.Node)
+		want    string
+	}{
+		{"box misses a node", func(n *abcp.Node) { chunkField(n, "box").Index(0).SetFloat(n.Pt[0] + 1) }, "outside its chunk's box"},
+		{"wrong chunk size", func(n *abcp.Node) { size := chunkField(n, "n"); size.SetInt(size.Int() + 1) }, "core list"},
+	} {
+		full, _ := NewFullyDynamic(cfg)
+		semi, _ := NewSemiDynamic(cfg)
+		for _, cl := range []interface {
+			clusterer
+			Audit() error
+		}{full, semi} {
+			rng := rand.New(rand.NewSource(5))
+			for _, p := range genBlobs(rng, 2, 2, 40, 5, 30, 4) {
+				if _, err := cl.Insert(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := cl.Audit(); err != nil {
+				t.Fatalf("%s: fixture not healthy: %v", tc.name, err)
+			}
+		}
+		for _, b := range []*base{full.base, semi.base} {
+			var list *abcp.List
+			for _, rec := range b.points {
+				if rec.core {
+					list = rec.cell.coreList
+					break
+				}
+			}
+			if list == nil {
+				t.Fatalf("%s: fixture has no core cell", tc.name)
+			}
+			tc.corrupt(list.Head())
+		}
+		if err := full.Audit(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: FullyDynamic audit missed it: %v", tc.name, err)
+		}
+		if err := semi.Audit(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: SemiDynamic audit missed it: %v", tc.name, err)
+		}
+	}
+}
+
+// chunkField returns a settable view of an unexported field of the chunk
+// holding n, so a test can plant the damage a bookkeeping bug in the core
+// list would leave; the list's exported surface cannot produce it.
+func chunkField(n *abcp.Node, name string) reflect.Value {
+	f := reflect.ValueOf(n).Elem().FieldByName("chunk").Elem().FieldByName(name)
+	return reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem()
 }
 
 // TestAuditDetectsIdleLinkCorruption: the audit must notice an instance

@@ -6,7 +6,6 @@ import (
 	"dyndbscan/internal/abcp"
 	"dyndbscan/internal/geom"
 	"dyndbscan/internal/grid"
-	"dyndbscan/internal/kdtree"
 	"dyndbscan/internal/quadtree"
 )
 
@@ -19,7 +18,7 @@ type pointRec struct {
 	id       PointID
 	pt       geom.Point
 	cell     *cell
-	coreNode *abcp.Node // FullyDynamic: membership in cell.coreList while core
+	coreNode *abcp.Node // membership in cell.coreList while core (cell-based algorithms)
 	idx      int32      // position in cell.pts
 	ncIdx    int32      // position in cell.nonCore while non-core; -1 otherwise
 
@@ -46,7 +45,7 @@ type neighborLink struct {
 // its ε-close neighborhood, and its grid-graph bookkeeping. The core-point
 // substructures are allocated by the algorithm that uses them when the cell
 // gains its first core point; IncDBSCAN uses none of them. The struct is
-// pinned to the 176-byte size class (TestCellSize): fields one algorithm
+// pinned to the 160-byte size class (TestCellSize): fields one algorithm
 // alone uses share a slot where they can.
 type cell struct {
 	coord grid.Coord
@@ -62,8 +61,7 @@ type cell struct {
 	// allocation size class.
 	coreCount int32
 	chg       int32          // position + 1 in the base's change record; 0 while unrecorded
-	coreTree  *kdtree.Tree   // emptiness structure over the cell's core points; nil while none
-	coreList  *abcp.List     // FullyDynamic: insertion-ordered core points; nil while none
+	coreList  *abcp.List     // insertion-ordered core points and their emptiness structure; nil while none
 	count     *quadtree.Tree // FullyDynamic: counting subtree over pts while the cell is large; see countTreeAt
 
 	neighbors []neighborLink
@@ -74,7 +72,6 @@ type cell struct {
 	// (SemiDynamic). One slot serves both to keep the size class.
 	vertexID  int64
 	instances map[*cell]*abcp.Instance // FullyDynamic: aBCP per ε-close core cell
-	probe     abcp.ProbeFunc           // FullyDynamic: aBCP view of coreTree, built once
 	cluster   ClusterID                // FullyDynamic: stable cluster id while core; -1 otherwise
 }
 
@@ -87,7 +84,7 @@ func put[V any](m *map[*cell]V, k *cell, v V) {
 }
 
 // base is the shared machinery of Section 4: the grid, the occupied-cell
-// index, the point table, and the emptiness probes.
+// index and the point table.
 type base struct {
 	cfg    Config
 	geo    grid.Params
@@ -265,14 +262,6 @@ func (b *base) removePoint(rec *pointRec) {
 	rec.cell = nil
 }
 
-// probeCore is the ρ-approximate ε-emptiness query of Section 4.2 against
-// cell c's core points: it returns a core point within (1+ρ)ε of q and is
-// guaranteed to succeed when one lies within ε. With ρ = 0 it is exact.
-func (b *base) probeCore(c *cell, q geom.Point) (PointID, bool) {
-	id, _, ok := c.coreTree.Probe(q, b.cfg.Eps, b.rUp)
-	return id, ok
-}
-
 // groupBy is the shared C-group-by query algorithm of Section 4.2. compID
 // must return a comparable component identifier for a core cell, stable for
 // the duration of this call.
@@ -306,7 +295,7 @@ func (b *base) groupBy(ids []PointID, compID func(*cell) any) (Result, error) {
 			if !ln.eps || ln.c.coreCount == 0 {
 				continue
 			}
-			if _, ok := b.probeCore(ln.c, rec.pt); ok {
+			if _, ok := ln.c.coreList.Probe(rec.pt); ok {
 				memberships[compID(ln.c)] = struct{}{}
 			}
 		}
@@ -347,7 +336,7 @@ func (b *base) clusterOf(id PointID, cid func(*cell) ClusterID) ([]ClusterID, bo
 		if !ln.eps || ln.c.coreCount == 0 {
 			continue
 		}
-		if _, ok := b.probeCore(ln.c, rec.pt); ok {
+		if _, ok := ln.c.coreList.Probe(rec.pt); ok {
 			out = append(out, cid(ln.c))
 		}
 	}

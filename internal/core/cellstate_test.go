@@ -13,10 +13,10 @@ func TestPointRecSize(t *testing.T) {
 	}
 }
 
-// TestCellSize pins the per-cell record to the 176-byte size class.
+// TestCellSize pins the per-cell record to the 160-byte size class.
 func TestCellSize(t *testing.T) {
-	if got := unsafe.Sizeof(cell{}); got > 176 {
-		t.Fatalf("cell is %d bytes, want at most 176", got)
+	if got := unsafe.Sizeof(cell{}); got > 160 {
+		t.Fatalf("cell is %d bytes, want at most 160", got)
 	}
 }
 
@@ -86,7 +86,7 @@ func TestIncDBSCANCellsStayBare(t *testing.T) {
 	}
 	for _, rec := range ic.points {
 		c := rec.cell
-		if c.coreTree != nil || c.coreList != nil || c.count != nil || c.instances != nil || c.edges != nil || c.probe != nil {
+		if c.coreList != nil || c.count != nil || c.instances != nil || c.edges != nil {
 			t.Fatalf("cell %v carries core structures", c.coord.Render(2))
 		}
 	}

@@ -8,7 +8,6 @@ import (
 	"dyndbscan/internal/dyncon"
 	"dyndbscan/internal/geom"
 	"dyndbscan/internal/grid"
-	"dyndbscan/internal/kdtree"
 	"dyndbscan/internal/quadtree"
 )
 
@@ -32,13 +31,18 @@ import (
 //     A new core point joins every instance's de-listing suffix just by
 //     being appended to its cell's core list, so only witness-less
 //     instances need telling: the neighbour links of such a pair are
-//     marked idle in both cells, and a promotion notifies no other.
+//     marked idle in both cells, and a promotion notifies no other. The
+//     core list is also the cell's emptiness structure: instances probe
+//     the opposite cell's list, which scans the chunks of 16 points whose
+//     bounding box lies within ε of the query.
 //   - CC structure: Holm–de Lichtenberg–Thorup fully dynamic connectivity.
 //
-// One deviation from the paper's text (documented in DESIGN.md): the
-// demotion sweep after a deletion visits sparse cells within (1+ρ)ε — not
-// just ε — of the deleted point, because a stored core point must keep
-// |B(p,(1+ρ)ε)| ≥ MinPts to remain a legal ρ-double-approximate core point.
+// Two deviations from the paper, both listed under "Deviations from the
+// paper" in the README: the emptiness structure is that chunked scan, at
+// a worst case of O(|S(c)|) per probe, and the demotion sweep after a
+// deletion visits sparse cells within (1+ρ)ε — not just ε — of the deleted
+// point, because a stored core point must keep |B(p,(1+ρ)ε)| ≥ MinPts to
+// remain a legal ρ-double-approximate core point.
 //
 // The grid-graph updates one point update triggers run in cell-coordinate
 // order, so the same update stream always produces the same cluster ids
@@ -302,12 +306,8 @@ func (f *FullyDynamic) promote(p *pointRec) {
 	f.fire(Event{Kind: EventPointBecameCore, Point: p.id})
 	c := p.cell
 	if c.coreCount == 1 {
-		c.coreTree, c.coreList = kdtree.New(f.cfg.Dims), abcp.NewList()
-		if c.probe == nil {
-			c.probe = f.probeFn(c)
-		}
+		c.coreList = abcp.NewList(f.cfg.Dims, f.cfg.Eps, f.rUp)
 	}
-	c.coreTree.Insert(p.id, p.pt)
 	p.coreNode = c.coreList.Append(p.id, p.pt)
 
 	if c.coreCount > 1 {
@@ -342,7 +342,7 @@ func (f *FullyDynamic) promote(p *pointRec) {
 		if !ln.eps || nc.coreCount == 0 {
 			continue
 		}
-		inst := abcp.New(c.coreList, nc.coreList, c.probe, nc.probe)
+		inst := abcp.New(c.coreList, nc.coreList)
 		put(&c.instances, nc, inst)
 		put(&nc.instances, c, inst)
 		if inst.HasWitness() {
@@ -417,7 +417,6 @@ func (f *FullyDynamic) relabelComponent(c *cell, id ClusterID) {
 // unlinked. An instance left without a witness marks its links idle.
 func (f *FullyDynamic) retireCore(p *pointRec, deleted bool) {
 	c, n := p.cell, p.coreNode
-	c.coreTree.Delete(p.id)
 	witnessed := f.flips[:0]
 	for other, inst := range c.instances {
 		inst.PreDelete(inst.SideOf(c.coreList), n)
@@ -465,7 +464,7 @@ func (f *FullyDynamic) unmakeCoreCell(c *cell) {
 	for other := range c.instances {
 		delete(other.instances, c)
 	}
-	c.instances, c.coreTree, c.coreList = nil, nil, nil
+	c.instances, c.coreList = nil, nil
 	f.fire(Event{Kind: EventClusterDissolved, Cluster: c.cluster})
 	delete(f.cellOfVertex, c.vertexID)
 	f.cc.RemoveVertex(c.vertexID)
@@ -493,19 +492,6 @@ func (c *cell) setIdle(i int, idle bool) {
 // linkTo returns the position of nc in c.neighbors.
 func (c *cell) linkTo(nc *cell) int {
 	return slices.IndexFunc(c.neighbors, func(ln neighborLink) bool { return ln.c == nc })
-}
-
-// probeFn adapts the cell's emptiness structure to the aBCP probe contract,
-// translating point ids back into core-list nodes. It reads c.coreTree at
-// call time, so one closure serves the cell across core-structure rebirths.
-func (f *FullyDynamic) probeFn(c *cell) abcp.ProbeFunc {
-	return func(q geom.Point) (*abcp.Node, bool) {
-		id, _, ok := c.coreTree.Probe(q, f.cfg.Eps, f.rUp)
-		if !ok {
-			return nil, false
-		}
-		return f.points[id].coreNode, true
-	}
 }
 
 // GroupBy answers a C-group-by query in Õ(|Q|) time. Groups are keyed by the

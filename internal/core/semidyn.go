@@ -1,8 +1,8 @@
 package core
 
 import (
+	"dyndbscan/internal/abcp"
 	"dyndbscan/internal/geom"
-	"dyndbscan/internal/kdtree"
 	"dyndbscan/internal/unionfind"
 )
 
@@ -133,13 +133,13 @@ func (s *SemiDynamic) promote(p *pointRec) {
 	s.fire(Event{Kind: EventPointBecameCore, Point: p.id})
 	c := p.cell
 	if c.coreCount == 1 {
-		c.coreTree = kdtree.New(s.cfg.Dims)
+		c.coreList = abcp.NewList(s.cfg.Dims, s.cfg.Eps, s.rUp)
 		uf := s.uf.Add()
 		c.vertexID = int64(uf)
 		s.rootCluster[uf] = s.newClusterID()
 		s.fire(Event{Kind: EventClusterFormed, Cluster: s.rootCluster[uf]})
 	}
-	c.coreTree.Insert(p.id, p.pt)
+	p.coreNode = c.coreList.Append(p.id, p.pt)
 	for _, ln := range c.neighbors {
 		nc := ln.c
 		if !ln.eps || nc.coreCount == 0 {
@@ -148,7 +148,7 @@ func (s *SemiDynamic) promote(p *pointRec) {
 		if _, dup := c.edges[nc]; dup {
 			continue
 		}
-		if _, ok := s.probeCore(nc, p.pt); ok {
+		if _, ok := nc.coreList.Probe(p.pt); ok {
 			put(&c.edges, nc, struct{}{})
 			put(&nc.edges, c, struct{}{})
 			s.unionClusters(int(c.vertexID), int(nc.vertexID))
