@@ -257,3 +257,50 @@ func TestValidateDetectsChunkCorruption(t *testing.T) {
 		}
 	}
 }
+
+// TestListRefitsChunkBoxes runs append/remove churn and checks that chunks
+// do refit, and that a refit leaves the chunk's box exactly the bounds of
+// its live nodes. The probe contract under the same churn is tested in
+// internal/kdtree.
+func TestListRefitsChunkBoxes(t *testing.T) {
+	for _, d := range []int{2, 5} {
+		rng := rand.New(rand.NewSource(int64(d)))
+		l := NewList(d, 5, 5)
+		var live []*Node
+		refits := 0
+		for op := 0; op < 3000; op++ {
+			if rng.Float64() < 0.6 || len(live) == 0 {
+				p := make(geom.Point, d)
+				for i := range p {
+					p[i] = (rng.Float64()*2 - 1) * 30
+				}
+				live = append(live, l.Append(int64(op), p))
+				continue
+			}
+			k := rng.Intn(len(live))
+			n := live[k]
+			live[k] = live[len(live)-1]
+			live = live[:len(live)-1]
+			c := n.chunk
+			l.Remove(n)
+			if c.n == 0 || c.dels != 0 {
+				continue
+			}
+			refits++
+			want := make([]float64, 2*d)
+			l.pointBox(want, c.first.Pt)
+			for m, end := c.first.next, c.last.next; m != end; m = m.next {
+				l.widen(want, m.Pt)
+			}
+			if fmt.Sprint(c.box) != fmt.Sprint(want) {
+				t.Fatalf("d%d op %d: refit box %v, live bounds %v", d, op, c.box, want)
+			}
+			if err := l.Validate(); err != nil {
+				t.Fatalf("d%d op %d: %v", d, op, err)
+			}
+		}
+		if refits == 0 {
+			t.Fatalf("d%d: churn never refit a chunk box", d)
+		}
+	}
+}
