@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -190,10 +191,10 @@ func checkSnapshotConsistent(t *testing.T, snap *dyndbscan.Snapshot, rng *rand.R
 }
 
 // TestParallelSnapshotEquivalence crosses the parallel snapshot-construction
-// threshold (≥2048 live points on the fully-dynamic backend) and checks,
-// under -race, that the fanned-out build produces exactly the snapshot the
-// serial walk does — and that lock-free readers of the parallel-built
-// snapshot see consistent answers while further epochs churn.
+// threshold (≥2048 live points) on every algorithm, at one shard and at
+// three, and checks, under -race, that the fanned-out build produces exactly
+// the snapshot the serial walk does — and that lock-free readers of the
+// parallel-built snapshot see consistent answers while further epochs churn.
 func TestParallelSnapshotEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	pts := make([]dyndbscan.Point, 4500)
@@ -201,8 +202,21 @@ func TestParallelSnapshotEquivalence(t *testing.T) {
 		cx, cy := float64(rng.Intn(6)*30), float64(rng.Intn(6)*30)
 		pts[i] = dyndbscan.Point{cx + rng.NormFloat64()*4, cy + rng.NormFloat64()*4}
 	}
+	for _, algo := range []dyndbscan.Algorithm{
+		dyndbscan.AlgoFullyDynamic, dyndbscan.AlgoSemiDynamic, dyndbscan.AlgoIncDBSCAN,
+	} {
+		for _, shards := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%v/shards=%d", algo, shards), func(t *testing.T) {
+				parallelSnapshotEquivalence(t, algo, shards, pts)
+			})
+		}
+	}
+}
+
+func parallelSnapshotEquivalence(t *testing.T, algo dyndbscan.Algorithm, shards int, pts []dyndbscan.Point) {
 	mk := func(workers int) *dyndbscan.Engine {
 		e, err := dyndbscan.New(
+			dyndbscan.WithAlgorithm(algo), dyndbscan.WithShards(shards),
 			dyndbscan.WithEps(3), dyndbscan.WithMinPts(5), dyndbscan.WithRho(0),
 			dyndbscan.WithWorkers(workers),
 		)
@@ -261,18 +275,192 @@ func TestParallelSnapshotEquivalence(t *testing.T) {
 			}
 		}(int64(200 + r))
 	}
+	rng := rand.New(rand.NewSource(45))
 	for i := 0; i < 40; i++ {
 		id, err := par.Insert(dyndbscan.Point{rng.Float64() * 180, rng.Float64() * 180})
 		if err != nil {
 			t.Fatal(err)
 		}
 		par.Snapshot() // force a parallel rebuild of the new epoch
+		if algo == dyndbscan.AlgoSemiDynamic {
+			continue // insert-only
+		}
 		if err := par.Delete(id); err != nil {
 			t.Fatal(err)
 		}
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestLiveReadersVsWriters runs live ClusterOf, GroupBy and GroupAll readers
+// (no snapshot is ever built) against writers on every algorithm, at one
+// shard and at three. Live reads of every algorithm share the shard locks,
+// so under -race this checks that the backends' queries write nothing: the
+// union-find algorithms must look up roots without compressing paths. Each
+// writer builds a row of blobs and then bridges them pairwise, then pairs of
+// pairs, and so on, so that every bridge hangs a whole cluster under another
+// root and deepens the union-find forests the readers walk; where deletes are
+// supported it then removes the bridges again, splitting the row.
+func TestLiveReadersVsWriters(t *testing.T) {
+	for _, algo := range []dyndbscan.Algorithm{
+		dyndbscan.AlgoFullyDynamic, dyndbscan.AlgoSemiDynamic, dyndbscan.AlgoIncDBSCAN,
+	} {
+		for _, shards := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%v/shards=%d", algo, shards), func(t *testing.T) {
+				liveReadersVsWriters(t, algo, shards)
+			})
+		}
+	}
+}
+
+// bridgedRow returns one writer's commits: nBlobs 4×4 lattices (one batch
+// each, every point core at ε = 5, MinPts = 4) spaced beyond ε along the row
+// at height y, then for each merge level the 4-point bridges joining the
+// clusters of that level. bridges[i] holds the index in commits of the i-th
+// bridge.
+func bridgedRow(y float64, nBlobs int) (commits [][]dyndbscan.Point, bridges []int) {
+	const pitch = 14.0
+	for k := 0; k < nBlobs; k++ {
+		blob := make([]dyndbscan.Point, 0, 16)
+		for i := 0; i < 16; i++ {
+			blob = append(blob, dyndbscan.Point{pitch*float64(k) + float64(i%4), y + float64(i/4)})
+		}
+		commits = append(commits, blob)
+	}
+	for step := 1; step < nBlobs; step *= 2 {
+		for k := step - 1; k+1 < nBlobs; k += 2 * step {
+			x := pitch * float64(k)
+			bridges = append(bridges, len(commits))
+			commits = append(commits, []dyndbscan.Point{
+				{x + 5, y + 1.5}, {x + 7, y + 1.5}, {x + 9, y + 1.5}, {x + 11, y + 1.5},
+			})
+		}
+	}
+	return commits, bridges
+}
+
+func liveReadersVsWriters(t *testing.T, algo dyndbscan.Algorithm, shards int) {
+	const writers, readers, blobs = 2, 3, 32
+	e, err := dyndbscan.New(
+		dyndbscan.WithAlgorithm(algo), dyndbscan.WithShards(shards),
+		dyndbscan.WithEps(5), dyndbscan.WithMinPts(4), dyndbscan.WithWorkers(4),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deletes := algo != dyndbscan.AlgoSemiDynamic
+	// A pause after each commit lets reads overlap one another with no
+	// commit between them, which is where a read that writes would race.
+	commit := func(f func() error) bool {
+		if err := f(); err != nil {
+			t.Error(err)
+			return false
+		}
+		time.Sleep(time.Millisecond)
+		return true
+	}
+	var wwg, rwg sync.WaitGroup
+	done := make(chan struct{})
+	for w := 0; w < writers; w++ {
+		wwg.Add(1)
+		go func(y float64) {
+			defer wwg.Done()
+			commits, bridges := bridgedRow(y, blobs)
+			ids := make([][]dyndbscan.PointID, len(commits))
+			for i, pts := range commits {
+				if !commit(func() (err error) { ids[i], err = e.InsertBatch(pts); return err }) {
+					return
+				}
+			}
+			if !deletes {
+				return
+			}
+			for _, b := range slices.Backward(bridges) {
+				if !commit(func() error { return e.DeleteBatch(ids[b]) }) {
+					return
+				}
+			}
+		}(40 * float64(w))
+	}
+	for r := 0; r < readers; r++ {
+		rwg.Add(1)
+		go func(seed int64) {
+			defer rwg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				all, err := e.GroupAll()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				noise := make(map[dyndbscan.PointID]struct{}, len(all.Noise))
+				for _, id := range all.Noise {
+					noise[id] = struct{}{}
+				}
+				var ids []dyndbscan.PointID
+				for _, g := range all.Groups {
+					for _, id := range g {
+						if _, ok := noise[id]; ok {
+							t.Errorf("GroupAll: point %d is both noise and in a cluster", id)
+							return
+						}
+					}
+					ids = append(ids, g...)
+				}
+				ids = append(ids, all.Noise...)
+				if len(ids) == 0 {
+					continue
+				}
+				// Points read from GroupAll may be deleted since: unknown ids
+				// are acceptable, wrong answers are not.
+				q := make([]dyndbscan.PointID, 1+rng.Intn(16))
+				for i := range q {
+					q[i] = ids[rng.Intn(len(ids))]
+				}
+				for _, id := range q {
+					e.ClusterOf(id)
+				}
+				res, err := e.GroupBy(q)
+				if errors.Is(err, dyndbscan.ErrUnknownPoint) {
+					continue
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				asked := make(map[dyndbscan.PointID]struct{}, len(q))
+				for _, id := range q {
+					asked[id] = struct{}{}
+				}
+				for _, g := range append(res.Groups, res.Noise) {
+					for _, id := range g {
+						if _, ok := asked[id]; !ok {
+							t.Errorf("GroupBy returned point %d, which was not queried", id)
+							return
+						}
+					}
+				}
+			}
+		}(int64(100 + r))
+	}
+	wwg.Wait()
+	close(done)
+	rwg.Wait()
+	// Each row ends as one cluster, or as its separate blobs once the
+	// bridges are gone.
+	want := writers
+	if deletes {
+		want = writers * blobs
+	}
+	if all, err := e.GroupAll(); err != nil || len(all.Groups) != want || len(all.Noise) != 0 {
+		t.Fatalf("final clustering: %d clusters and %d noise points (err %v), want %d clusters", len(all.Groups), len(all.Noise), err, want)
+	}
 }
 
 // regionPoints is the deterministic insertion sequence used by the dispatch
@@ -581,7 +769,7 @@ func TestSyncLiveUnderSustainedStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	cancel := e.Subscribe(func(dyndbscan.Event) {
-		time.Sleep(200 * time.Microsecond) // slower than the update stream
+		time.Sleep(time.Millisecond) // slower than the update stream
 	}, dyndbscan.SubscribeBuffer(2), dyndbscan.SubscribeOverflow(dyndbscan.DropOldest))
 	defer cancel()
 

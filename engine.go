@@ -45,7 +45,9 @@ const (
 // behind the seam fold and the delta checkpoints, and the change record
 // (internal/core/changes.go) that tells both which cells an update touched.
 // Handles and global cluster ids are minted by the shard set, not by a
-// backend. Every algorithm in internal/core implements all of it.
+// backend. Every algorithm in internal/core implements all of it. ClusterOf
+// writes nothing: live reads and snapshot workers call it concurrently under
+// the shard's read lock.
 type backend interface {
 	InsertStaged(sp core.StagedPoint, id PointID) error
 	Delete(id PointID) error
@@ -93,15 +95,15 @@ var (
 //     current version once and publishes it through an atomic pointer; while
 //     it is current, Snapshot, ClusterOf, Members, Version, GroupBy, and
 //     GroupAll are served from it without touching any lock. Snapshot
-//     construction is parallelized across the configured workers on the
-//     fully-dynamic algorithm.
+//     construction is parallelized across the configured workers on every
+//     algorithm.
 //   - Live reads. Without a current snapshot, ClusterOf, GroupBy and GroupAll
 //     resolve each queried point in its owner shard's backend, in time near
 //     the size of the query, and build no snapshot. They hold the world lock
-//     shared and the owning shards' locks — shared on AlgoFullyDynamic, whose
-//     queries are read-only, so such reads do not serialize on each other —
-//     and read the global cluster ids under one seam-lock hold, so the answer
-//     is the clustering at one instant between call and return.
+//     and the owning shards' locks shared — every algorithm's queries are
+//     read-only, so such reads do not serialize on each other — and read
+//     the global cluster ids under one seam-lock hold, so the answer is the
+//     clustering at one instant between call and return.
 //   - Pipelined batch ingestion. InsertBatch and Apply stage their points
 //     (validation, coordinate conversion, grid cell assignment) across
 //     WithWorkers-many goroutines before entering the commit phase that runs
@@ -121,10 +123,9 @@ var (
 // load accounts and hot stripes migrate to underloaded shards (WithRebalance
 // / Rebalance) without disturbing handles, ClusterIDs, or the event stream.
 type Engine struct {
-	roQueries bool // backend GroupBy/ClusterOf are read-only (AlgoFullyDynamic)
-	algo      Algorithm
-	cfg       Config
-	workers   int
+	algo    Algorithm
+	cfg     Config
+	workers int
 
 	// version is the engine epoch and snap the snapshot publication slot;
 	// both are written inside the update critical section and read lock-free
@@ -405,8 +406,8 @@ const parallelSnapshotMin = 2048
 // ok=false are skipped. With workers > 1 the id space is partitioned across
 // goroutines and the per-worker results merge in partition order, so
 // cluster member lists come out ascending exactly as the serial walk
-// produces them — resolve must then be safe for concurrent use (read-only
-// ClusterOf backends, i.e. AlgoFullyDynamic).
+// produces them — resolve must then be safe for concurrent use, which every
+// backend's read-only ClusterOf is.
 func resolveMembers(s *Snapshot, ids []PointID, workers int, resolve func(PointID) ([]ClusterID, bool)) {
 	if workers > len(ids) {
 		workers = len(ids)

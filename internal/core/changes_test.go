@@ -37,14 +37,12 @@ func TestChangeRecord(t *testing.T) {
 	fd, _ := NewFullyDynamic(cfg)
 	sd, _ := NewSemiDynamic(cfg)
 	ic, _ := NewIncDBSCAN(cfg)
-	icr, _ := NewIncDBSCANRTree(cfg)
 	fdExact, _ := NewFullyDynamic(Config{Dims: 2, Eps: 3, MinPts: 4})
 	for _, a := range []algo{
 		{"FullyDynamic", fd, fd.base, true},
 		{"FullyDynamicRho0", fdExact, fdExact.base, true},
 		{"SemiDynamic", sd, sd.base, false},
 		{"IncDBSCAN", ic, ic.base, true},
-		{"IncDBSCANRTree", icr, icr.base, true},
 	} {
 		t.Run(a.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))

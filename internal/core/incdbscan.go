@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"dyndbscan/internal/geom"
-	"dyndbscan/internal/rtree"
 	"dyndbscan/internal/unionfind"
 )
 
@@ -25,7 +24,6 @@ import (
 type IncDBSCAN struct {
 	*base
 	clusters *unionfind.UF
-	rt       *rtree.Tree // non-nil: answer range queries from an R-tree, as in [8]
 	// rootCluster maps a union-find root of the merging history to the
 	// cluster's stable id; rootCores counts the cluster's core points so a
 	// cluster that loses its last core can be reported as dissolved.
@@ -34,8 +32,7 @@ type IncDBSCAN struct {
 }
 
 // NewIncDBSCAN returns an empty IncDBSCAN instance. Rho is ignored:
-// IncDBSCAN computes exact DBSCAN clusters. Range queries are answered from
-// the shared grid, which is the faster (baseline-favoring) configuration.
+// IncDBSCAN computes exact DBSCAN clusters.
 func NewIncDBSCAN(cfg Config) (*IncDBSCAN, error) {
 	cfg.Rho = 0
 	if err := cfg.Validate(); err != nil {
@@ -49,31 +46,10 @@ func NewIncDBSCAN(cfg Config) (*IncDBSCAN, error) {
 	}, nil
 }
 
-// NewIncDBSCANRTree returns an IncDBSCAN whose range queries run against a
-// Guttman R-tree — the spatial index the original incremental DBSCAN paper
-// [8] used ("through a range query [3,12]"). Provided for historical
-// fidelity and for the ablation benchmarks; the grid engine is faster.
-func NewIncDBSCANRTree(cfg Config) (*IncDBSCAN, error) {
-	ic, err := NewIncDBSCAN(cfg)
-	if err != nil {
-		return nil, err
-	}
-	ic.rt = rtree.New(cfg.Dims)
-	return ic, nil
-}
-
 // forEachWithin invokes fn on every live point within ε of q (the range
-// query at the heart of IncDBSCAN), using whichever spatial engine the
-// instance was built with. c must be the cell containing q when the grid
-// engine is active.
+// query at the heart of IncDBSCAN), scanning c — the cell containing q —
+// and its ε-close neighbors.
 func (ic *IncDBSCAN) forEachWithin(q geom.Point, c *cell, fn func(*pointRec)) {
-	if ic.rt != nil {
-		ic.rt.SearchBall(q, ic.cfg.Eps, func(id int64, _ geom.Point) bool {
-			fn(ic.points[id])
-			return true
-		})
-		return
-	}
 	scan := func(c2 *cell) {
 		for _, p := range c2.pts {
 			if geom.DistSq(p.pt, q, ic.cfg.Dims) <= ic.epsSq {
@@ -113,9 +89,6 @@ func (ic *IncDBSCAN) Insert(pt geom.Point) (PointID, error) {
 // insertRec runs the clustering maintenance for a freshly placed record —
 // the commit phase shared by Insert and InsertStaged.
 func (ic *IncDBSCAN) insertRec(rec *pointRec) PointID {
-	if ic.rt != nil {
-		ic.rt.Insert(rec.id, rec.pt)
-	}
 	rec.vincnt = 1 // itself
 	var promoted []*pointRec
 	ic.forEachWithin(rec.pt, rec.cell, func(p *pointRec) {
@@ -231,9 +204,6 @@ func (ic *IncDBSCAN) Delete(id PointID) error {
 		ic.dropCore(rec)
 	}
 	ic.removePoint(rec)
-	if ic.rt != nil {
-		ic.rt.Delete(rec.id, rec.pt)
-	}
 	for _, p := range demoted {
 		ic.dropCore(p)
 		ic.markNonCore(p)
@@ -412,9 +382,10 @@ func (ic *IncDBSCAN) splitBFS(seeds []*pointRec) {
 	}
 }
 
-// stableIDOf returns the stable cluster id of a core point.
+// stableIDOf returns the stable cluster id of a core point. It writes
+// nothing (UF.Root), so queries may run concurrently.
 func (ic *IncDBSCAN) stableIDOf(rec *pointRec) ClusterID {
-	return ic.rootCluster[ic.clusters.Find(int(rec.clusterElem))]
+	return ic.rootCluster[ic.clusters.Root(int(rec.clusterElem))]
 }
 
 // GroupBy answers a C-group-by query. Core points group by their stable

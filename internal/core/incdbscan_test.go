@@ -28,30 +28,25 @@ func TestIncDBSCANExactInsertOnly(t *testing.T) {
 
 // TestIncDBSCANExactMixed: the deletion algorithm (BFS threads with meet-up,
 // fragment relabeling) must keep exact DBSCAN semantics under mixed updates,
-// in 2D and 3D, with both range-query engines (grid and R-tree).
+// in 2D and 3D.
 func TestIncDBSCANExactMixed(t *testing.T) {
 	cases := []struct {
 		dims   int
 		eps    float64
 		minPts int
 		seed   int64
-		rtree  bool
 	}{
-		{2, 3, 5, 1, false},
-		{2, 3, 5, 2, true},
-		{3, 6, 4, 3, false},
-		{3, 6, 4, 4, true},
+		{2, 3, 5, 1},
+		{2, 3, 5, 2},
+		{3, 6, 4, 3},
+		{3, 6, 4, 4},
 	}
 	for _, tc := range cases {
 		tc := tc
-		t.Run(fmt.Sprintf("d%d seed%d rtree=%v", tc.dims, tc.seed, tc.rtree), func(t *testing.T) {
+		t.Run(fmt.Sprintf("d%d seed%d", tc.dims, tc.seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(tc.seed))
 			cfg := Config{Dims: tc.dims, Eps: tc.eps, MinPts: tc.minPts}
-			mk := NewIncDBSCAN
-			if tc.rtree {
-				mk = NewIncDBSCANRTree
-			}
-			ic, err := mk(cfg)
+			ic, err := NewIncDBSCAN(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -175,58 +170,6 @@ func TestIncDBSCANMergeHistory(t *testing.T) {
 	}
 	if got := len(res.Groups[0]); got != len(ids) {
 		t.Fatalf("merged cluster has %d members, want %d", got, len(ids))
-	}
-}
-
-// TestIncDBSCANEnginesAgree runs the two range engines over the identical
-// update sequence and requires identical clusterings throughout.
-func TestIncDBSCANEnginesAgree(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	cfg := Config{Dims: 2, Eps: 3, MinPts: 4}
-	grid, _ := NewIncDBSCAN(cfg)
-	rt, _ := NewIncDBSCANRTree(cfg)
-	pool := genBlobs(rng, 2, 3, 60, 20, 70, 6)
-	var gIDs, rIDs []PointID
-	next := 0
-	for op := 0; next < len(pool); op++ {
-		if rng.Float64() < 0.7 {
-			p := pool[next]
-			next++
-			a, err := grid.Insert(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := rt.Insert(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gIDs = append(gIDs, a)
-			rIDs = append(rIDs, b)
-		} else if len(gIDs) > 0 {
-			k := rng.Intn(len(gIDs))
-			if err := grid.Delete(gIDs[k]); err != nil {
-				t.Fatal(err)
-			}
-			if err := rt.Delete(rIDs[k]); err != nil {
-				t.Fatal(err)
-			}
-			last := len(gIDs) - 1
-			gIDs[k], gIDs[last] = gIDs[last], gIDs[k]
-			rIDs[k], rIDs[last] = rIDs[last], rIDs[k]
-			gIDs, rIDs = gIDs[:last], rIDs[:last]
-		}
-		if op%50 == 49 {
-			a, err := grid.GroupBy(gIDs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := rt.GroupBy(rIDs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Ids coincide because both assign sequentially from zero.
-			requireSameResult(t, fmt.Sprintf("op %d", op), a, b)
-		}
 	}
 }
 

@@ -175,9 +175,10 @@ func (s *SemiDynamic) unionClusters(a, b int) {
 	s.fire(Event{Kind: EventClusterMerged, Cluster: survivor, Absorbed: absorbed})
 }
 
-// clusterIDOf returns the stable cluster id of a core cell.
+// clusterIDOf returns the stable cluster id of a core cell. It writes
+// nothing (UF.Root), so queries may run concurrently.
 func (s *SemiDynamic) clusterIDOf(c *cell) ClusterID {
-	return s.rootCluster[s.uf.Find(int(c.vertexID))]
+	return s.rootCluster[s.uf.Root(int(c.vertexID))]
 }
 
 // ClusterOf returns the stable cluster ids the point currently belongs to
@@ -192,7 +193,7 @@ func (s *SemiDynamic) Delete(PointID) error { return ErrDeletesUnsupported }
 
 // GroupBy answers a C-group-by query in Õ(|Q|) time.
 func (s *SemiDynamic) GroupBy(ids []PointID) (Result, error) {
-	return s.groupBy(ids, func(c *cell) any { return s.uf.Find(int(c.vertexID)) })
+	return s.groupBy(ids, func(c *cell) any { return s.uf.Root(int(c.vertexID)) })
 }
 
 // Stats returns structural counters.

@@ -1,6 +1,7 @@
 package unionfind
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -85,6 +86,44 @@ func TestQuickSetsCount(t *testing.T) {
 			}
 		}
 		return u.Sets() == n-merges
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestQuickRootReadOnly: after any sequence of unions, Root names the same
+// representative as Find for every element, writes nothing to the forest,
+// and walks at most log2(n) parent links (union by rank alone bounds the
+// height).
+func TestQuickRootReadOnly(t *testing.T) {
+	f := func(pairs []uint16) bool {
+		const n, maxDepth = 64, 6 // log2(n)
+		u := New(n)
+		for i := 0; i+1 < len(pairs); i += 2 {
+			u.Union(int(pairs[i]%n), int(pairs[i+1]%n))
+		}
+		before := slices.Clone(u.parent)
+		roots := make([]int, n)
+		for x := range n {
+			roots[x] = u.Root(x)
+			depth := 0
+			for y := x; int(u.parent[y]) != y; y = int(u.parent[y]) {
+				depth++
+			}
+			if depth > maxDepth {
+				return false
+			}
+		}
+		if !slices.Equal(before, u.parent) {
+			return false
+		}
+		for x := range n {
+			if roots[x] != u.Find(x) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

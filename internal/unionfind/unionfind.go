@@ -9,6 +9,11 @@
 //
 // Elements are dense non-negative integers handed out by Add, so callers that
 // manage their own id spaces can map onto it directly.
+//
+// Find compresses paths, so it writes; the update paths use it. Root walks
+// to the same representative and writes nothing, so queries that run under
+// a shared lock, concurrently with each other, use it instead. Union by rank
+// alone bounds that walk at log2(n) steps.
 package unionfind
 
 // UF is a disjoint-set forest over elements 0..n-1. The zero value is an
@@ -53,6 +58,15 @@ func (u *UF) Find(x int) int {
 		x, u.parent[x] = int(u.parent[x]), int32(root)
 	}
 	return root
+}
+
+// Root returns the canonical representative of x's set, as Find does, but
+// writes nothing: it is safe to call concurrently with other reads.
+func (u *UF) Root(x int) int {
+	for int(u.parent[x]) != x {
+		x = int(u.parent[x])
+	}
+	return x
 }
 
 // Union merges the sets of x and y and reports whether a merge happened

@@ -112,8 +112,8 @@ type route struct {
 
 // shard is one spatial partition: a full clustering backend plus its lock.
 // The backend keys every copy by the point's global PointID. Commits hold mu
-// exclusively; live reads hold it shared when the backend's queries are
-// read-only (AlgoFullyDynamic) and exclusively otherwise.
+// exclusively; live reads hold it shared, since every backend's queries are
+// read-only.
 type shard struct {
 	//dynlint:lock-level 40 indexed
 	mu sync.RWMutex
@@ -272,12 +272,11 @@ func newShardedEngine(s *engineSettings) (*Engine, error) {
 	}
 	cfg := backends[0].Config() // normalized by the backend (IncDBSCAN forces Rho = 0)
 	e := &Engine{
-		roQueries: s.algo == AlgoFullyDynamic,
-		algo:      s.algo,
-		cfg:       cfg,
-		workers:   pipeline.Workers(s.workers),
-		stager:    core.NewStager(cfg),
-		subs:      make(map[int]*subscriber),
+		algo:    s.algo,
+		cfg:     cfg,
+		workers: pipeline.Workers(s.workers),
+		stager:  core.NewStager(cfg),
+		subs:    make(map[int]*subscriber),
 	}
 	e.pubCond.L = &e.pubMu
 
@@ -958,32 +957,24 @@ func (ss *shardSet) clusterOfLocked(owner int32, id PointID) ([]ClusterID, bool)
 // Live reads. ClusterOf, GroupBy and GroupAll answer without a snapshot when
 // none is current: each point resolves in its owner shard (clusterOfLocked).
 // A read holds worldMu shared — so no placement change moves an owner — and
-// the owner shards' locks in ascending order, the commit protocol, so it
-// excludes only the commits touching its shards. The locks are shared when
-// the backends' queries are read-only (AlgoFullyDynamic), so such reads do
-// not serialize on each other. keyGID is read inside one seamMu hold, so the
-// answer is the clustering at one instant between call and return. A live
-// read never builds or publishes a snapshot.
+// the owner shards' read locks in ascending order, the commit protocol, so
+// it excludes only the commits touching its shards. Every backend's queries
+// are read-only (the union-find algorithms look up roots with UF.Root), so
+// reads do not serialize on each other. keyGID is read inside one seamMu
+// hold, so the answer is the clustering at one instant between call and
+// return. A live read never builds or publishes a snapshot.
 
 // rlockShards takes the read locks of the shards in mask, ascending.
 func (ss *shardSet) rlockShards(mask uint64) {
 	for s := range shardsIn(mask) {
-		if ss.e.roQueries {
-			ss.shards[s].mu.RLock()
-		} else {
-			ss.shards[s].mu.Lock()
-		}
+		ss.shards[s].mu.RLock()
 	}
 }
 
 // runlockShards releases what rlockShards took.
 func (ss *shardSet) runlockShards(mask uint64) {
 	for s := range shardsIn(mask) {
-		if ss.e.roQueries {
-			ss.shards[s].mu.RUnlock()
-		} else {
-			ss.shards[s].mu.Unlock()
-		}
+		ss.shards[s].mu.RUnlock()
 	}
 }
 
@@ -1076,9 +1067,9 @@ func (ss *shardSet) snapshot() *Snapshot {
 		return ss.clusterOfLocked(r.owner, id)
 	}
 	workers := 1
-	if e.roQueries && e.workers > 1 && len(ids) >= parallelSnapshotMin {
-		// Parallel resolution is safe only for read-only ClusterOf backends
-		// (AlgoFullyDynamic): chunks may hit the same shard concurrently.
+	if e.workers > 1 && len(ids) >= parallelSnapshotMin {
+		// Every backend's ClusterOf is read-only, so chunks may resolve in
+		// the same shard concurrently.
 		workers = e.workers
 	}
 	// worldMu held across the member resolution keeps the cut frozen;
