@@ -333,12 +333,6 @@ func (e *Engine) freshSnapshot() *Snapshot {
 
 // Len returns the number of points currently stored.
 func (e *Engine) Len() int {
-	if s := e.currentSnapshot(); s != nil && !e.sh.stagedVisible() {
-		return len(s.byPoint)
-	}
-	// Staged hotspot inserts are live handles but absent from the cached
-	// snapshot (they have not advanced the version); the staged-aware route
-	// table counts them.
 	return e.sh.len()
 }
 
@@ -349,10 +343,6 @@ func (e *Engine) IDs() []PointID {
 
 // Has reports whether the handle is live.
 func (e *Engine) Has(id PointID) bool {
-	if s := e.currentSnapshot(); s != nil && !e.sh.stagedVisible() {
-		_, ok := s.byPoint[id]
-		return ok
-	}
 	return e.sh.has(id)
 }
 

@@ -7,10 +7,11 @@ package dyndbscan
 // commit on its shard's lock. This file adds the Doppel-style answer: when a
 // stripe's contention score — decayed update traffic plus observed lock waits
 // on the shard commit path — crosses the HotspotPolicy threshold, the stripe
-// enters *split phase*. Inserts targeting it are absorbed into staged delta
-// buffers (minted and made visible on the handle surface immediately, but not
-// yet applied to any backend) without ever taking the owning shard's lock;
-// a reconciler periodically folds the staged deltas into the backend as one
+// enters *split phase*. Inserts targeting it are absorbed into the stripe's
+// staged buffer — one slice, appended in mint order under routesMu — minted
+// and made visible on the handle surface immediately but not yet applied to
+// any backend, without ever taking the owning shard's lock; a reconciler
+// periodically folds the staged deltas into the backend as one
 // ordinary commit — WAL append before publication, one Version advance, one
 // seam fold — so snapshots, events, replicas, and crash recovery never see a
 // half-reconciled state. Density increments commute (with Rho = 0 the
@@ -21,7 +22,10 @@ package dyndbscan
 // GroupBy, GroupAll, ClusterOf), Sync, Checkpoint, and Close force a
 // reconcile-then-proceed. The handle surface (Has, Len, IDs, delete
 // validation) sees staged inserts immediately through stagedRoutes, so a
-// staged point is never "missing" — only its clustering is deferred.
+// staged point is never "missing" — only its clustering is deferred. A
+// handle sits in exactly one of routes and stagedRoutes at every instant: the
+// fold's route publication moves it from one to the other in one routesMu
+// section.
 //
 // When split phase alone cannot win, load-aware rebalancing moves the stripe
 // to another shard. That migration is the same for every sharded engine, with
@@ -49,8 +53,6 @@ package dyndbscan
 
 import (
 	"fmt"
-	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -135,77 +137,17 @@ type stagedIns struct {
 	sp  core.StagedPoint
 }
 
-// stagedBuf is one per-worker sub-buffer of a hot stripe's staged inserts;
-// see hotStripe.bufs for why the buffer is split.
-type stagedBuf struct {
-	// mu guards ents alone. A stager acquires it while still holding
-	// routesMu — so a drain, which takes the sub-buffer locks under
-	// routesMu, can never slip between a stager's bookkeeping and its entry
-	// write — and releases routesMu before copying the entries in: the bulk
-	// memory write proceeds concurrently across sub-buffers.
-	//
-	//dynlint:lock-level 55 indexed
-	mu sync.Mutex
-	// ents holds this sub-buffer's absorbed inserts awaiting reconciliation.
-	// Each entry's only durability is the staged-delta record written before
-	// it was appended here; the stagedlog analyzer enforces that ordering.
+// hotStripe is one stripe in split phase; guarded by routesMu.
+type hotStripe struct {
+	// ents holds the stripe's absorbed inserts awaiting reconciliation, in
+	// mint order — the order of their OpStagedInsert records in the log — so
+	// a fold applies them exactly as replay would. Each entry's only
+	// durability is the staged-delta record written before it was appended
+	// here; the stagedlog analyzer enforces that ordering.
 	//
 	//dynlint:staged-delta
-	ents []stagedIns
-}
-
-// hotStripe is one stripe in split phase; count, rr, and the flag fields are
-// guarded by routesMu, the buffer entries by their own sub-buffer locks.
-type hotStripe struct {
-	// bufs are the per-worker staged-insert sub-buffers. A single buffer
-	// would serialize every diverting batch on one append target for the
-	// whole entry copy; with per-worker sub-buffers each stager round-robins
-	// (rr) onto its own slot and copies outside routesMu, so concurrent
-	// batches only contend on the short mint-and-log critical section.
-	// Reconciles drain every sub-buffer and re-sort by handle — mint order,
-	// which is the order of the entries' OpStagedInsert records in the log —
-	// so the fold is independent of how stagers interleaved across slots.
-	bufs    []*stagedBuf
-	count   int    // total staged entries across bufs; guarded by routesMu
-	rr      uint32 // round-robin slot cursor; guarded by routesMu
-	cooling bool   // flagged for demotion by the detector
-}
-
-// newHotStripe builds a split-phase entry with one staged sub-buffer per
-// worker (clamped: past a handful of slots the mint-and-log section, not the
-// entry copy, bounds staging throughput).
-func newHotStripe() *hotStripe {
-	n := runtime.GOMAXPROCS(0)
-	if n > 8 {
-		n = 8
-	}
-	if n < 1 {
-		n = 1
-	}
-	h := &hotStripe{bufs: make([]*stagedBuf, n)}
-	for i := range h.bufs {
-		h.bufs[i] = new(stagedBuf)
-	}
-	return h
-}
-
-// takeLocked removes and returns every staged entry across the stripe's
-// sub-buffers, sorted by handle — mint order, which is also the order of the
-// entries' OpStagedInsert records, so folds apply them exactly as replay
-// would. Caller holds routesMu; the sub-buffer locks are taken one at a time
-// underneath it, which waits out any stager still copying entries (it
-// acquired its sub-buffer lock before releasing routesMu).
-func (h *hotStripe) takeLocked() []stagedIns {
-	batch := make([]stagedIns, 0, h.count)
-	for _, buf := range h.bufs {
-		buf.mu.Lock()
-		batch = append(batch, buf.ents...)
-		buf.ents = nil
-		buf.mu.Unlock()
-	}
-	h.count = 0
-	sort.Slice(batch, func(i, j int) bool { return batch[i].gid < batch[j].gid })
-	return batch
+	ents    []stagedIns
+	cooling bool // flagged for demotion by the detector
 }
 
 // hotspotState is the engine-wide hotspot machinery, attached to shardSet
@@ -320,8 +262,9 @@ func (e *Engine) HotspotStats() HotspotStats {
 // hotRoute runs the split-phase diversion for a staged insert batch: under
 // one routesMu section it walks the ops in order, minting every handle in op
 // order (so handle sequences agree with a non-hotspot engine bit-for-bit),
-// absorbing the inserts that target split-phase stripes into their stripes'
-// staged buffers and returning the rest as pre-minted (forceGID) commit ops.
+// appending the inserts that target split-phase stripes to their stripes'
+// staged buffers — in mint order, so a fold needs no sort — and returning the
+// rest as pre-minted (forceGID) commit ops.
 // The diverted inserts are logged as one wal.OpStagedInsert record *before*
 // any staged state is written — log-before-visible holds on the staged path
 // exactly as on the ordinary one. walSeq is that record's sequence (0 when
@@ -403,44 +346,25 @@ func (ss *shardSet) hotRoute(ops []shOp) (rest []shOp, diverted int, walSeq uint
 		}
 		walSeq = seq
 	}
-	// Pass 2: publish the staged bookkeeping — route-table entries, counts,
-	// and the chosen sub-buffer of each target stripe, whose lock is
-	// acquired *before* routesMu is released so no drain can slip between
-	// the bookkeeping and the entry writes below. No load charge here: the
-	// reconcile commit charges these ops (points and decayed updates)
-	// exactly once when it folds them.
-	bufFor := make(map[int64]*stagedBuf, 1)
+	// Pass 2: publish the staged state — each entry onto its stripe's
+	// buffer and its handle into the staged route table. No load charge
+	// here: the reconcile commit charges these ops (points and decayed
+	// updates) exactly once when it folds them.
 	for i, st := range staged {
-		t := stripes[i]
-		h := hs.hot[t]
-		if _, ok := bufFor[t]; !ok {
-			buf := h.bufs[int(h.rr)%len(h.bufs)]
-			h.rr++
-			buf.mu.Lock()
-			bufFor[t] = buf
-		}
-		h.count++
-		ss.stagedRoutes[st.gid] = t
+		h := hs.hot[stripes[i]]
+		h.ents = append(h.ents, st)
+		ss.stagedRoutes[st.gid] = stripes[i]
 	}
 	hs.stagedTotal.Add(int64(len(staged)))
 	diverted = len(staged)
 	ss.routesMu.Unlock()
-	// The entry copy — the bulk of the staged write — runs under the
-	// sub-buffer locks alone: concurrent diverting batches that picked
-	// different slots proceed in parallel here.
-	for i, st := range staged {
-		buf := bufFor[stripes[i]]
-		buf.ents = append(buf.ents, st)
-	}
-	for _, buf := range bufFor {
-		buf.mu.Unlock()
-	}
 	return rest, diverted, walSeq, nil
 }
 
 // stagedVisible reports whether unreconciled staged inserts exist — the
-// read paths consult it to decide between the snapshot fast path and the
-// staged-aware route tables.
+// clustering queries consult it to decide whether a cached snapshot may
+// answer or a join must run first (staged inserts do not advance the
+// version).
 func (ss *shardSet) stagedVisible() bool {
 	return ss.hs != nil && ss.hs.stagedTotal.Load() > 0
 }
@@ -491,7 +415,7 @@ func (ss *shardSet) foldAllLocked(cause string) {
 	ss.routesMu.Lock()
 	stripes := make([]int64, 0, len(hs.hot))
 	for t, h := range hs.hot {
-		if h.count > 0 {
+		if len(h.ents) > 0 {
 			stripes = append(stripes, t)
 		}
 	}
@@ -507,11 +431,12 @@ func (ss *shardSet) reconcileStripe(t int64, cause string) {
 	hs := ss.hs
 	ss.routesMu.Lock()
 	h := hs.hot[t]
-	if h == nil || h.count == 0 {
+	if h == nil || len(h.ents) == 0 {
 		ss.routesMu.Unlock()
 		return
 	}
-	batch := h.takeLocked()
+	batch := h.ents
+	h.ents = nil
 	ss.routesMu.Unlock()
 
 	ops := make([]shOp, len(batch))
@@ -526,16 +451,11 @@ func (ss *shardSet) reconcileStripe(t int64, cause string) {
 	// re-validate, the commit has no failure mode left: backends cannot
 	// reject staged pre-validated inserts. commitRouted, which skips the
 	// checkpoint cadence, is required here — reconcileMu is held, and the
-	// cadence would take a blocking join on it.
+	// cadence would take a blocking join on it. The commit's route
+	// publication moves each handle from stagedRoutes to routes.
 	if _, err := ss.commitRouted(ops, nil); err != nil {
 		panic(fmt.Sprintf("dyndbscan: reconcile fold failed on an append-free commit: %v", err))
 	}
-
-	ss.routesMu.Lock()
-	for _, st := range batch {
-		delete(ss.stagedRoutes, st.gid)
-	}
-	ss.routesMu.Unlock()
 	hs.stagedTotal.Add(int64(-len(batch)))
 
 	hs.statsMu.Lock()
@@ -582,41 +502,30 @@ func (ss *shardSet) hotCommit(ops []shOp) (diverted, ok bool, err error) {
 	return true, true, err
 }
 
-// joinForDelete reconciles staged delta buffers until none of the delete
-// targets is staged-only: a delete of an acked handle must find its point,
-// so it takes the barrier join (joinAllWait), which waits out any in-flight
-// fold instead of skipping. The pending check runs first so that deletes of
-// already-reconciled (or never-staged) points — the common case when churn
-// expires old data while a different region is hot — pass through without
-// forcing a join. The loop settles fast: the target ids were staged before
-// the call (they cannot re-stage — handles are never re-minted), so one
-// barrier join folds them all; the re-check only spins if the fold's
-// publication has not reached the routes yet.
+// joinForDelete folds staged deltas when a delete targets a staged handle:
+// a delete of an acked handle must find its point, so it takes the barrier
+// join (joinAllWait), which waits out any in-flight fold instead of skipping.
+// The check runs first so that deletes of already-reconciled (or
+// never-staged) points — the common case when churn expires old data while a
+// different region is hot — pass through without forcing a join. One join
+// suffices: the targets were staged before the call (handles are never
+// re-minted), and a fold's route publication moves each handle out of
+// stagedRoutes in the same routesMu section that sets its route.
 func (ss *shardSet) joinForDelete(ops []shOp) {
-	hs := ss.hs
-	if hs == nil {
+	if ss.hs == nil {
 		return
 	}
-	for {
-		ss.routesMu.Lock()
-		pending := false
-		for i := range ops {
-			if ops[i].insert {
-				continue
-			}
-			if _, st := ss.stagedRoutes[ops[i].gid]; st {
-				if !ss.routes.has(ops[i].gid) {
-					pending = true
-					break
-				}
-			}
+	ss.routesMu.Lock()
+	pending := false
+	for i := range ops {
+		if _, st := ss.stagedRoutes[ops[i].gid]; st && !ops[i].insert {
+			pending = true
+			break
 		}
-		ss.routesMu.Unlock()
-		if !pending {
-			return
-		}
+	}
+	ss.routesMu.Unlock()
+	if pending {
 		ss.joinAllWait(joinDelete)
-		runtime.Gosched()
 	}
 }
 
@@ -663,7 +572,7 @@ func (ss *shardSet) noteHotspotLocked() {
 		if score < hs.pol.ScoreThreshold {
 			continue
 		}
-		hs.hot[t] = newHotStripe()
+		hs.hot[t] = new(hotStripe)
 		hs.hotCount.Add(1)
 	}
 }
@@ -691,7 +600,7 @@ func (ss *shardSet) maybeHotspotReconcile() {
 		switch {
 		case h.cooling:
 			cooled = append(cooled, t)
-		case h.count >= hs.pol.ReconcileOps:
+		case len(h.ents) >= hs.pol.ReconcileOps:
 			due = append(due, t)
 		}
 	}
@@ -703,7 +612,7 @@ func (ss *shardSet) maybeHotspotReconcile() {
 	for _, t := range cooled {
 		ss.reconcileStripe(t, joinCool)
 		ss.routesMu.Lock()
-		if h := hs.hot[t]; h != nil && h.count == 0 {
+		if h := hs.hot[t]; h != nil && len(h.ents) == 0 {
 			delete(hs.hot, t)
 			hs.hotCount.Add(-1)
 		}

@@ -618,6 +618,183 @@ func TestHotspotSyncBarrierWaitsOutInflightReconcile(t *testing.T) {
 	}
 }
 
+// TestHotspotConcurrentStagers diverts multi-op insert batches from several
+// writers into the same hot stripes while threshold reconciles fold them, and
+// readers check the handle surface: IDs never lists a handle twice, and every
+// acked handle is Has. Afterwards the handle views agree, the clustering
+// equals a non-hotspot engine fed the same points, and Close/Open recovers
+// the same snapshot. Run with -race at several -cpu values.
+func TestHotspotConcurrentStagers(t *testing.T) {
+	dir, err := os.MkdirTemp("", "dyndbscan-hot-stagers-")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	pol := hairTrigger()
+	pol.ReconcileOps = 128 // threshold folds race the stagers
+	e := newHotEngine(t, pol, dyndbscan.WithWAL(dir, dyndbscan.SyncAlways()))
+
+	// Two hot stripes: a stripe is 3 cells of side 10/√2 wide, so x ≈ 0 and
+	// x ≈ 45 fall in stripes 0 and 2.
+	bases := []float64{0, 45}
+	var (
+		mu    sync.Mutex
+		acked []dyndbscan.PointID
+		pts   = make(map[dyndbscan.PointID]dyndbscan.Point)
+	)
+	record := func(ids []dyndbscan.PointID, batch []dyndbscan.Point) {
+		mu.Lock()
+		defer mu.Unlock()
+		for i, id := range ids {
+			acked = append(acked, id)
+			pts[id] = batch[i]
+		}
+	}
+	for _, x := range bases {
+		warm := hotPoints(32, x)
+		ids, err := e.InsertBatch(warm)
+		if err != nil {
+			t.Fatalf("warm InsertBatch: %v", err)
+		}
+		record(ids, warm)
+	}
+
+	const writers, batches, batchOps = 4, 16, 64
+	var wg, rg sync.WaitGroup
+	stop := make(chan struct{})
+	for r := 0; r < 2; r++ {
+		rg.Add(1)
+		go func() {
+			defer rg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				mu.Lock()
+				want := append([]dyndbscan.PointID(nil), acked...)
+				mu.Unlock()
+				ids := e.IDs()
+				seen := make(map[dyndbscan.PointID]bool, len(ids))
+				for _, id := range ids {
+					if seen[id] {
+						t.Errorf("IDs lists handle %d twice", id)
+						return
+					}
+					seen[id] = true
+				}
+				for _, id := range want {
+					if !e.Has(id) {
+						t.Errorf("acked handle %d is not Has", id)
+						return
+					}
+				}
+			}
+		}()
+	}
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for b := 0; b < batches; b++ {
+				batch := make([]dyndbscan.Point, batchOps)
+				for j := range batch {
+					batch[j] = dyndbscan.Point{
+						bases[j%len(bases)] + float64((w+j)%7),
+						float64((b*batchOps + j) % 97),
+					}
+				}
+				ids, err := e.InsertBatch(batch)
+				if err != nil {
+					t.Errorf("writer %d: InsertBatch: %v", w, err)
+					return
+				}
+				record(ids, batch)
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	rg.Wait()
+	if t.Failed() {
+		e.Close()
+		return
+	}
+	st := e.HotspotStats()
+	if st.ReconciledOps == 0 {
+		e.Close()
+		t.Fatalf("no batch was diverted into staging; the test lost its scenario (stats %+v)", st)
+	}
+
+	e.Sync()
+	if n := e.StagedOps(); n != 0 {
+		t.Fatalf("staged ops remain after Sync: %d", n)
+	}
+	if got, ids := e.Len(), e.IDs(); got != len(ids) || got != len(acked) {
+		t.Fatalf("Len %d, len(IDs) %d, acked %d", got, len(ids), len(acked))
+	}
+
+	// The reference engine mints its own handles; map them onto the hot
+	// engine's before comparing the partitions.
+	ref, err := dyndbscan.New(
+		dyndbscan.WithAlgorithm(dyndbscan.AlgoFullyDynamic),
+		dyndbscan.WithDims(2), dyndbscan.WithEps(10), dyndbscan.WithMinPts(3),
+		dyndbscan.WithRho(0), dyndbscan.WithShards(2), dyndbscan.WithShardStripe(3),
+	)
+	if err != nil {
+		t.Fatalf("New ref: %v", err)
+	}
+	defer ref.Close()
+	refPts := make([]dyndbscan.Point, len(acked))
+	for i, id := range acked {
+		refPts[i] = pts[id]
+	}
+	refIDs, err := ref.InsertBatch(refPts)
+	if err != nil {
+		t.Fatalf("ref InsertBatch: %v", err)
+	}
+	toHot := make(map[dyndbscan.PointID]dyndbscan.PointID, len(refIDs))
+	for i, id := range refIDs {
+		toHot[id] = acked[i]
+	}
+	want, err := ref.GroupAll()
+	if err != nil {
+		t.Fatalf("ref GroupAll: %v", err)
+	}
+	for _, g := range want.Groups {
+		for i := range g {
+			g[i] = toHot[g[i]]
+		}
+	}
+	for i := range want.Noise {
+		want.Noise[i] = toHot[want.Noise[i]]
+	}
+	want.Normalize()
+	got, err := e.GroupAll()
+	if err != nil {
+		t.Fatalf("hot GroupAll: %v", err)
+	}
+	if !reflect.DeepEqual(got.Groups, want.Groups) || !reflect.DeepEqual(got.Noise, want.Noise) {
+		t.Fatalf("clustering diverges from the reference:\nhot: %d groups %d noise\nref: %d groups %d noise",
+			len(got.Groups), len(got.Noise), len(want.Groups), len(want.Noise))
+	}
+
+	before := e.Snapshot()
+	if err := e.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	re, err := dyndbscan.Open(dir, dyndbscan.WithHotspot(pol))
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer re.Close()
+	after := re.Snapshot()
+	if !reflect.DeepEqual(before.Clusters, after.Clusters) || !reflect.DeepEqual(before.Noise, after.Noise) {
+		t.Fatal("recovered snapshot differs from the one before Close")
+	}
+}
+
 // TestHotspotCheckpointCoversStaged drives staged inserts into an engine,
 // checkpoints while writers keep staging, and requires the checkpoint's world
 // to be complete: everything staged before the checkpoint folds first (the

@@ -473,7 +473,7 @@ func (ss *shardSet) maybeAdaptWidth() {
 // flip as its placement change.
 func (ss *shardSet) reshapeWidth(newW int64) {
 	if hs := ss.hs; hs != nil {
-		// Split-phase state (the hot set, its staged sub-buffers) is keyed
+		// Split-phase state (the hot set, its staged buffers) is keyed
 		// by stripe index: pause staging, drain, and demote everything
 		// before the key space changes underneath it. The TryLock mirrors
 		// maybeHotspotReconcile — and keeps a reconcile fold's nested

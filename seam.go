@@ -761,8 +761,11 @@ func (ss *shardSet) auditSeamLocked() error {
 // auditRoutesLocked checks the one-handle-space invariants the commit's
 // point-event filter relies on: every route names its cell's owner shard and
 // lists a copy there, every listed shard holds a copy under the route's
-// handle, and no backend holds a copy that no route lists. Caller holds
-// worldMu exclusively.
+// handle, and no backend holds a copy that no route lists. On a hotspot engine
+// it also checks the staged side: no handle is both routed and staged, and
+// every entry of a hot stripe's buffer is staged under that stripe. (The
+// stagedTotal counter is not checked: a fold decrements it after its commit,
+// so it may lag.) Caller holds worldMu exclusively.
 func (ss *shardSet) auditRoutesLocked() error {
 	ss.routesMu.Lock()
 	defer ss.routesMu.Unlock()
@@ -786,6 +789,20 @@ func (ss *shardSet) auditRoutesLocked() error {
 	}
 	if unlisted != 0 {
 		return fmt.Errorf("route audit: backends hold %d copies more than the routes list", unlisted)
+	}
+	for id := range ss.stagedRoutes {
+		if ss.routes.has(id) {
+			return fmt.Errorf("route audit: point %d is both routed and staged", id)
+		}
+	}
+	if ss.hs != nil {
+		for t, h := range ss.hs.hot {
+			for _, st := range h.ents {
+				if got, ok := ss.stagedRoutes[st.gid]; !ok || got != t {
+					return fmt.Errorf("route audit: point %d is buffered in hot stripe %d but not staged under it", st.gid, t)
+				}
+			}
+		}
 	}
 	return nil
 }

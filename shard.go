@@ -186,8 +186,9 @@ type shardSet struct {
 	// see hotspot.go. stagedRoutes maps handles of staged-but-unreconciled
 	// hotspot inserts to their parent stripe — the handle surface (len, has,
 	// ids, delete validation) consults it so acked handles are never invisible.
-	// Guarded by routesMu; entries are removed only after the reconcile commit
-	// published the real route, so the two maps may briefly overlap.
+	// Guarded by routesMu. A handle is in routes or in stagedRoutes, never
+	// both: the reconcile commit's route publication moves it from one to the
+	// other in one routesMu section.
 	hs *hotspotState
 	//dynlint:visibility
 	//dynlint:staged-only
@@ -381,10 +382,13 @@ type shOp struct {
 func (ss *shardSet) commitBatch(ops []shOp, errUnknown func(i int, id PointID) error) (ok bool, err error) {
 	diverted := false
 	if ss.hs != nil {
-		if hasDeletes(ops) {
-			ss.joinForDelete(ops)
-		} else {
+		// The staging branch comes first: the stagedlog analyzer reads calls
+		// in source order, and a join (which may append) ahead of hotCommit
+		// would count as covering the staged writes behind it.
+		if !hasDeletes(ops) {
 			diverted, ok, err = ss.hotCommit(ops)
+		} else {
+			ss.joinForDelete(ops)
 		}
 	}
 	if !diverted {
@@ -581,6 +585,12 @@ func (ss *shardSet) commitRouted(ops []shOp, errUnknown func(i int, id PointID) 
 		}
 		if op.insert {
 			ss.routes.set(op.gid, r)
+			if op.logged {
+				// A reconcile fold's op: its handle leaves the staged route
+				// table in the section that gives it a route, so it sits in
+				// exactly one of the two at every instant.
+				delete(ss.stagedRoutes, op.gid)
+			}
 		} else {
 			ss.routes.del(op.gid)
 		}
@@ -888,20 +898,13 @@ func (ss *shardSet) drainEvents(s int32, buf *[]Event, clust *[]Event, evsOn boo
 
 // Read surface. The handle views (len, has, ids) count staged-but-
 // unreconciled hotspot inserts through stagedRoutes: a staged handle was
-// acked, so it must never look dead. A handle can briefly appear in both maps
-// (stagedRoutes entries are removed only after the reconcile published the
-// real route), hence the dedup.
+// acked, so it must never look dead. The two tables are disjoint (see
+// stagedRoutes), so their sizes add.
 
 func (ss *shardSet) len() int {
 	ss.routesMu.Lock()
 	defer ss.routesMu.Unlock()
-	n := ss.routes.len()
-	for gid := range ss.stagedRoutes {
-		if !ss.routes.has(gid) {
-			n++
-		}
-	}
-	return n
+	return ss.routes.len() + len(ss.stagedRoutes)
 }
 
 func (ss *shardSet) has(id PointID) bool {
@@ -919,9 +922,7 @@ func (ss *shardSet) ids() []PointID {
 	defer ss.routesMu.Unlock()
 	out := ss.routes.ids()
 	for id := range ss.stagedRoutes {
-		if !ss.routes.has(id) {
-			out = append(out, id)
-		}
+		out = append(out, id)
 	}
 	return out
 }

@@ -119,3 +119,40 @@ func TestReplicatedMatchesShardsOf(t *testing.T) {
 		}
 	}
 }
+
+// TestRouteAuditCatchesStagedOverlap plants staged-side faults the route
+// audit must report: a handle listed in both route tables, and a hot stripe's
+// buffered entry that the staged route table does not list under that stripe.
+func TestRouteAuditCatchesStagedOverlap(t *testing.T) {
+	for _, fault := range []string{"routed and staged", "buffered but not staged"} {
+		t.Run(fault, func(t *testing.T) {
+			e, err := New(WithDims(2), WithEps(10), WithMinPts(3), WithShards(2),
+				WithShardStripe(3), WithHotspot(HotspotPolicy{}))
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			defer e.Close()
+			ids, err := e.InsertBatch([]Point{{0, 0}, {1, 1}, {2, 2}})
+			if err != nil {
+				t.Fatalf("InsertBatch: %v", err)
+			}
+			ss := e.sh
+			ss.worldMu.Lock()
+			defer ss.worldMu.Unlock()
+			if err := ss.auditRoutesLocked(); err != nil {
+				t.Fatalf("audit of a clean engine: %v", err)
+			}
+			ss.routesMu.Lock()
+			switch fault {
+			case "routed and staged":
+				ss.stagedRoutes[ids[0]] = 0
+			case "buffered but not staged":
+				ss.hs.hot[0] = &hotStripe{ents: []stagedIns{{gid: ids[len(ids)-1] + 1}}}
+			}
+			ss.routesMu.Unlock()
+			if err := ss.auditRoutesLocked(); err == nil {
+				t.Fatalf("route audit passed with a handle %s", fault)
+			}
+		})
+	}
+}
