@@ -72,7 +72,9 @@ func (e *Engine) Apply(ops []Op) ([]PointID, error) {
 
 // The update front-end. Every entry point (Insert, InsertBatch, Delete,
 // DeleteBatch, Apply) turns its input into one staged op list, validated
-// once, and hands it to shardSet.commitBatch (shard.go).
+// once, and hands it to shardSet.commitBatch (shard.go). Log replay and
+// checkpoint restore stage through the same stageOps (Engine.applyRecord,
+// persist.go) and commit through shardSet.commitRouted, which never stages.
 
 // opErrs words an entry point's validation failures. The checks are shared;
 // each entry point keeps its own long-standing messages.

@@ -36,13 +36,14 @@ import (
 	"maps"
 	"math"
 	"sort"
+
+	"dyndbscan/internal/wal"
 )
 
 const (
-	ckptVersion  = 1
-	ckptSingle   = 1 // single-backend payload (decode-only)
-	ckptSharded  = 2 // sharded payload (adds stripe placement)
-	maxCkptItems = 1 << 31
+	ckptVersion = 1
+	ckptSingle  = 1 // single-backend payload (decode-only)
+	ckptSharded = 2 // sharded payload (adds stripe placement)
 )
 
 var errCorruptCkpt = errors.New("dyndbscan: corrupt checkpoint payload")
@@ -127,11 +128,12 @@ func (d *payloadDecoder) ascendingID(prev int64) (id int64, ok bool) {
 	return id, delta != 0 && delta <= math.MaxInt64 && id > prev
 }
 
-// count reads a length prefix and bounds it (a corrupt payload must fail,
-// not allocate unbounded memory).
+// count reads a length prefix and bounds it by the bytes left, since every
+// counted item encodes to at least one byte (a corrupt payload must fail,
+// not allocate memory for items it cannot hold).
 func (d *payloadDecoder) count() int {
 	n := d.uvarint()
-	if n > maxCkptItems {
+	if n > uint64(len(d.b)) {
 		d.fail()
 		return 0
 	}
@@ -390,11 +392,19 @@ func (e *Engine) capture(wantDelta bool) (seq uint64, payload []byte, isDelta bo
 	return seq, src.fullPayload(), false
 }
 
-// restoreCheckpoint rebuilds the freshly constructed engine from a composed
-// checkpoint chain (see composeCheckpoints); runs inside Open, before replay,
-// before the Engine escapes. A single-mode chain, written by the retired
-// single-backend engine, restores into a one-shard engine.
-func (e *Engine) restoreCheckpoint(ck *ckptData) error {
+// restoreCheckpoint rebuilds the freshly constructed engine from a
+// checkpoint chain, base payload first (see composeCheckpoints); an empty
+// chain restores nothing. Runs inside Open and Replica.rebuild, before
+// replay, before the Engine escapes. A single-mode chain, written by the
+// retired single-backend engine, restores into a one-shard engine.
+func (e *Engine) restoreCheckpoint(payloads [][]byte) error {
+	if len(payloads) == 0 {
+		return nil
+	}
+	ck, err := composeCheckpoints(payloads)
+	if err != nil {
+		return err
+	}
 	if ck.dims != e.cfg.Dims {
 		return fmt.Errorf("%w: dimensionality %d does not match the log's %d", errCorruptCkpt, ck.dims, e.cfg.Dims)
 	}
@@ -406,9 +416,9 @@ func (e *Engine) restoreCheckpoint(ck *ckptData) error {
 
 // restore rebuilds the engine: placement first (so routing matches the
 // checkpointed stripes; a single-mode payload carries none and keeps the
-// default), then one forced-handle commit through the ordinary commit
-// pipeline — its seam fold mints temporary global ids — then the temporary
-// ids are renamed to the stored identities in place.
+// default), then the points commit as one explicit-handle record through
+// applyRecord — its seam fold mints temporary global ids — then the
+// temporary ids are renamed to the stored identities in place.
 func (ss *shardSet) restore(ck *ckptData) error {
 	ss.routesMu.Lock()
 	if ck.mode != ckptSingle {
@@ -426,16 +436,12 @@ func (ss *shardSet) restore(ck *ckptData) error {
 	ss.routesMu.Unlock()
 
 	if len(ck.ids) > 0 {
-		ops := make([]shOp, len(ck.ids))
+		rec := make([]wal.Op, len(ck.ids))
 		for i, id := range ck.ids {
-			sp, err := ss.e.stager.Stage(ck.coords[i])
-			if err != nil {
-				return fmt.Errorf("dyndbscan: checkpoint restore: point %d: %w", id, err)
-			}
-			ops[i] = shOp{insert: true, forceGID: true, sp: sp, gid: id}
+			rec[i] = wal.Op{Kind: wal.OpInsertAt, ID: int64(id), Coord: ck.coords[i]}
 		}
-		if _, err := ss.commitRouted(ops, nil); err != nil {
-			return err
+		if err := ss.e.applyRecord(rec); err != nil {
+			return fmt.Errorf("dyndbscan: checkpoint restore: %w", err)
 		}
 		// The rebuild happened outside the ledger's sight: the first
 		// checkpoint after a restore is a full one.

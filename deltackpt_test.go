@@ -280,3 +280,18 @@ func captureChurn(t *testing.T, algo Algorithm, shards int) [][]byte {
 	}
 	return captures
 }
+
+// TestCkptCountBoundedByPayload: a checkpoint length prefix that names more
+// items than bytes remain fails the decode instead of sizing an allocation
+// (a fuzzed delta payload once asked for a 2 GiB slice); a prefix the
+// remaining bytes can hold still decodes.
+func TestCkptCountBoundedByPayload(t *testing.T) {
+	d := &payloadDecoder{b: appendUvarint(nil, 1<<30)}
+	if n := d.count(); n != 0 || d.err == nil {
+		t.Fatalf("count over an empty tail = %d (err %v), want 0 and a decode error", n, d.err)
+	}
+	d = &payloadDecoder{b: append(appendUvarint(nil, 2), 1, 2)}
+	if n := d.count(); n != 2 || d.err != nil {
+		t.Fatalf("count of 2 over 2 bytes = %d (err %v), want 2", n, d.err)
+	}
+}

@@ -38,7 +38,7 @@ package dyndbscan
 // With hotspot enabled every sharded insert record therefore carries its
 // handle explicitly (wal.OpInsertAt / wal.OpStagedInsert) and replay pins the
 // mint counter past the replayed ids instead of re-minting — see
-// walOpsFromShOps and Engine.applyExplicit.
+// walOpsFromShOps and Engine.applyRecord.
 //
 // Durability: a staged insert writes its wal.OpStagedInsert record at staging
 // time, under routesMu, before the handle becomes visible — the same
@@ -48,7 +48,7 @@ package dyndbscan
 // from; the reconcile fold later applies the staged batch as one ordinary
 // commit but appends nothing, because every op in it is already logged.
 // A kill -9 therefore loses no acked insert: recovery applies OpStagedInsert
-// records directly (Engine.applyExplicit), and each handle appears in the
+// records directly (Engine.applyRecord), and each handle appears in the
 // log exactly once.
 
 import (

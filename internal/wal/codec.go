@@ -30,9 +30,10 @@ const (
 	// mint different ids than the engine that wrote the log.
 	OpAssign OpKind = 3
 	// OpInsertAt adds a point with the given coordinates under the explicit
-	// handle ID. The hotspot commit path mints handles at staging time but
-	// logs them at reconcile time, so log order no longer matches mint order
-	// and replay cannot re-mint; the record carries the handle instead.
+	// handle ID. An engine with a hotspot path logs each insert it commits
+	// directly this way, so replay adopts the handles instead of re-minting
+	// them; a staged insert logs OpStagedInsert when it is staged, and the
+	// fold that later applies it appends nothing.
 	OpInsertAt OpKind = 4
 	// OpSplit re-granulated stripe ID into To sub-stripes — a placement-table
 	// refinement of a removed engine tier. The codec still decodes it so that

@@ -391,16 +391,10 @@ func (e *Engine) attachWAL(s *engineSettings, dir string, doRecover bool) error 
 		if err != nil {
 			return err
 		}
-		payloads := r.CheckpointPayloads()
+		err = e.restoreCheckpoint(r.CheckpointPayloads())
 		r.Close()
-		if len(payloads) > 0 {
-			ck, err := composeCheckpoints(payloads)
-			if err != nil {
-				return err
-			}
-			if err := e.restoreCheckpoint(ck); err != nil {
-				return err
-			}
+		if err != nil {
+			return err
 		}
 	}
 	log, err := wal.Open(dir, wal.Options{
@@ -492,8 +486,11 @@ func (w *walState) closeWAL(e *Engine) error {
 var errRetiredSplit = errors.New("dyndbscan: retired stripe split: this engine no longer splits stripes and cannot recover a placement that holds one")
 
 // applyWALRecord replays one logged record: placement records re-run the
-// stripe migration they describe, everything else goes through the ordinary
-// Apply pipeline. Shared by recovery (Open) and replica tailing.
+// stripe migration they describe, data records commit through applyRecord.
+// Shared by recovery (Open) and replica tailing. It refuses the record shapes
+// no writer produces: a placement op inside a data record, an explicit-handle
+// insert in a one-shard log, and a record mixing plain and explicit-handle
+// inserts (an engine logs all its inserts one way).
 func (e *Engine) applyWALRecord(wops []wal.Op) error {
 	if len(wops) == 1 {
 		switch wops[0].Kind {
@@ -505,20 +502,25 @@ func (e *Engine) applyWALRecord(wops []wal.Op) error {
 			return e.applyWidth(wops[0].ID)
 		}
 	}
-	explicit := false
+	plain, explicit := false, false
 	for i := range wops {
 		switch wops[i].Kind {
 		case wal.OpAssign, wal.OpSplit, wal.OpWidth:
 			return fmt.Errorf("dyndbscan: wal: placement op inside a data record")
+		case wal.OpInsert:
+			plain = true
 		case wal.OpInsertAt, wal.OpStagedInsert:
 			explicit = true
 		}
 	}
-	if explicit {
-		return e.applyExplicit(wops)
+	switch {
+	case explicit && !e.sh.placing():
+		// Only hotspot engines log explicit handles, and those have shards.
+		return errors.New("dyndbscan: wal: explicit-handle record in a single-backend log")
+	case explicit && plain:
+		return errors.New("dyndbscan: wal: record mixes plain and explicit-handle inserts")
 	}
-	_, err := e.Apply(opsFromWAL(wops))
-	return err
+	return e.applyRecord(wops)
 }
 
 // errSingleShardPlacement refuses a placement record in a one-shard log: a
@@ -558,65 +560,48 @@ func (e *Engine) applyWidth(width int64) error {
 	return err
 }
 
-// applyExplicit replays a data record whose inserts carry explicit handles.
-// A hotspot-enabled engine logs every insert that way because split-phase
-// staging divorces mint order from log order: handles are assigned when the
-// insert is acknowledged, but the record is appended when the stripe
-// reconciles, possibly many commits later. Replay adopts the logged handles
-// verbatim, and the commit lifts the mint counter past them. A record that
-// names a live handle, or one handle twice, is refused whole
-// (ErrDuplicateID): applying it would store a second copy set under the
-// handle.
-func (e *Engine) applyExplicit(wops []wal.Op) error {
-	ss := e.sh
-	if !ss.placing() {
-		// Only hotspot engines log explicit handles, and those have shards.
-		return errors.New("dyndbscan: wal: explicit-handle record in a single-backend log")
+// applyRecord commits one data record — a replayed or tailed log record, or
+// a checkpoint's points — through the Apply front-end: stageOps checks it as
+// it checks a live batch and stages its inserts across the workers, and
+// commitRouted refuses a delete of a handle that is not live and an explicit
+// handle that is live or repeats. A refused record changes nothing.
+//
+// Explicit-handle inserts (OpInsertAt, OpStagedInsert) keep their logged
+// handles, and the commit lifts the mint counter past them. An
+// OpStagedInsert is the authoritative insert whether or not its stripe's
+// fold ran before a crash, since the fold logs nothing. Replay never stages
+// (it calls commitRouted, not commitBatch), which keeps it deterministic and
+// replicas apply-only.
+func (e *Engine) applyRecord(wops []wal.Op) error {
+	staged, err := stageOps(e, wops, &errsApply, opFromWAL)
+	if err != nil || len(staged) == 0 {
+		return err
 	}
-	shOps := make([]shOp, len(wops))
 	for i, wop := range wops {
-		switch wop.Kind {
-		case wal.OpInsertAt, wal.OpStagedInsert:
-			// OpStagedInsert is a staged-durability record written before the
-			// stripe's fold; by replay time the fold either happened (and was
-			// not re-logged) or was lost with the crash. Either way the record
-			// itself is the authoritative insert, so recovery and replicas
-			// apply it directly — they never re-stage (hotRoute declines to
-			// divert while wal.recovering), which keeps replay deterministic
-			// and keeps replicas apply-only.
-			if wop.ID < 0 || wop.ID == math.MaxInt64 {
-				// Minted handles are non-negative, and the mint counter must
-				// be able to pass every replayed one.
-				return fmt.Errorf("dyndbscan: wal: explicit insert names handle %d, outside [0, %d)", wop.ID, int64(math.MaxInt64))
-			}
-			sp, err := e.stager.Stage(Point(wop.Coord))
-			if err != nil {
-				return fmt.Errorf("dyndbscan: wal: bad explicit insert: %w", err)
-			}
-			shOps[i] = shOp{insert: true, forceGID: true, sp: sp, gid: PointID(wop.ID)}
-		case wal.OpDelete:
-			shOps[i] = shOp{gid: PointID(wop.ID)}
-		default:
-			return fmt.Errorf("dyndbscan: wal: op kind %d inside an explicit-handle record", wop.Kind)
+		if wop.Kind != wal.OpInsertAt && wop.Kind != wal.OpStagedInsert {
+			continue
 		}
+		if wop.ID < 0 || wop.ID == math.MaxInt64 {
+			// Minted handles are non-negative, and the mint counter must be
+			// able to pass every replayed one.
+			return fmt.Errorf("dyndbscan: wal: explicit insert names handle %d, outside [0, %d)", wop.ID, int64(math.MaxInt64))
+		}
+		staged[i].forceGID, staged[i].gid = true, PointID(wop.ID)
 	}
-	_, err := ss.commitRouted(shOps, func(i int, id PointID) error {
-		return fmt.Errorf("dyndbscan: wal: replayed delete targets unknown handle %d", id)
-	})
+	_, err = e.sh.commitRouted(staged, errsApply.unknown)
 	return err
 }
 
-// opsFromWAL converts logged ops back to the public Apply vocabulary.
-func opsFromWAL(wops []wal.Op) []Op {
-	ops := make([]Op, len(wops))
-	for i, wop := range wops {
-		if wop.Kind == wal.OpInsert {
-			ops[i] = Op{Kind: OpInsert, Pt: Point(wop.Coord)}
-		} else {
-			ops[i] = Op{Kind: OpDelete, ID: PointID(wop.ID)}
-		}
+// opFromWAL converts a logged data op to the Apply vocabulary; any other
+// kind becomes the zero Op, which stageOps refuses.
+func opFromWAL(wop wal.Op) Op {
+	switch wop.Kind {
+	case wal.OpInsert, wal.OpInsertAt, wal.OpStagedInsert:
+		return InsertOp(Point(wop.Coord))
+	case wal.OpDelete:
+		return DeleteOp(PointID(wop.ID))
 	}
-	return ops
+	return Op{}
 }
 
 // Open recovers an Engine from the write-ahead log in dir: the engine shape

@@ -259,20 +259,7 @@ func (ss *shardSet) decideStripeLocked(ops []shOp) {
 	ss.adaptiveWidth = true
 	ss.extLo, ss.extHi, ss.extSeen = lo, hi, true
 	ss.nextWidthCheck = ss.commitSeq + widthCheckEvery
-	extent := int64(hi) - int64(lo) + 1
-	stripes := adaptiveStripesPerShard * int64(len(ss.shards))
-	w := (extent + stripes - 1) / stripes
-	if w > defaultStripeCells {
-		w = defaultStripeCells
-	}
-	// The band clamp applies last: with an extreme ρ·ε the ghost band can
-	// exceed the default cap, and a stripe at or below the band replicates
-	// every cell into several shards — the invariant the explicit-width
-	// path clamps for must win over the cap.
-	if min := ss.bandCells + 1; w < min {
-		w = min
-	}
-	ss.stripeCells = w
+	ss.stripeCells = ss.deriveWidthLocked()
 }
 
 // noteLoadLocked charges one op to the stripe owning the cell column col;
@@ -413,13 +400,13 @@ func (ss *shardSet) maybeAutoRebalance() {
 // widthCheckEvery is the adaptive-width re-derivation cadence in commits.
 const widthCheckEvery = 64
 
-// deriveWidthLocked recomputes the adaptive stripe width from the running
-// dimension-0 extent, with the same stripes-per-shard targeting and clamps
-// as the first-batch decision (decideStripeLocked). Returns 0 when no insert
-// has been observed. The extent is a running min/max over every insert ever
-// routed: growth is tracked live; shrinkage (mass deletion at the fringes)
-// is not chased — a too-wide stripe only costs placement granularity, while
-// re-deriving on a transient dip would thrash. Caller holds routesMu.
+// deriveWidthLocked computes the adaptive stripe width from the running
+// dimension-0 extent, for the first-batch decision (decideStripeLocked) and
+// every later re-derivation. Returns 0 when no insert has been observed. The
+// extent is a running min/max over every insert ever routed: growth is
+// tracked live; shrinkage (mass deletion at the fringes) is not chased — a
+// too-wide stripe only costs placement granularity, while re-deriving on a
+// transient dip would thrash. Caller holds routesMu.
 func (ss *shardSet) deriveWidthLocked() int64 {
 	if !ss.extSeen {
 		return 0
@@ -430,6 +417,10 @@ func (ss *shardSet) deriveWidthLocked() int64 {
 	if w > defaultStripeCells {
 		w = defaultStripeCells
 	}
+	// The band clamp applies last: with an extreme ρ·ε the ghost band can
+	// exceed the default cap, and a stripe at or below the band replicates
+	// every cell into several shards — the invariant the explicit-width
+	// path clamps for must win over the cap.
 	if min := ss.bandCells + 1; w < min {
 		w = min
 	}

@@ -4,7 +4,9 @@ package dyndbscan
 
 // Log-shipped read replicas: a Replica tails a primary's write-ahead log —
 // in this process or another — and maintains its own engine by applying the
-// records through the ordinary Apply pipeline. Replay determinism (see
+// records through Engine.applyWALRecord, which commits data records through
+// the Apply front-end (applyRecord) exactly as Open's replay does and
+// refuses a record no writer produces. Replay determinism (see
 // persist.go) makes the replica's state bit-identical to the primary's at
 // every record boundary: the same handles, the same stable ClusterIDs, so a
 // client can fail its reads over to a replica without re-learning either.
@@ -124,16 +126,9 @@ func (r *Replica) rebuild() error {
 	// log records but must never append any (the primary owns the log).
 	w.recovering = true
 	e.wal = w
-	if payloads := rd.CheckpointPayloads(); len(payloads) > 0 {
-		ck, err := composeCheckpoints(payloads)
-		if err != nil {
-			rd.Close()
-			return err
-		}
-		if err := e.restoreCheckpoint(ck); err != nil {
-			rd.Close()
-			return err
-		}
+	if err := e.restoreCheckpoint(rd.CheckpointPayloads()); err != nil {
+		rd.Close()
+		return err
 	}
 	r.rd = rd
 	r.eng.Store(e)

@@ -481,7 +481,6 @@ func (ss *shardSet) commitRouted(ops []shOp, errUnknown func(i int, id PointID) 
 		evsOn    bool
 		walSeq   uint64
 		waited   uint64 // mask of the shards whose lock this commit contended on
-		minted   bool   // explicit-handle mode: handles already assigned
 		placing  = ss.placing()
 	)
 	if len(ops) <= len(rbuf) {
@@ -544,7 +543,7 @@ func (ss *shardSet) commitRouted(ops []shOp, errUnknown func(i int, id PointID) 
 		// Re-validate, mint and log under the locks (admitLocked). A refused
 		// batch or a placement that moved under us releases them; the
 		// latter re-routes.
-		seq, reroute, err := ss.admitLocked(ops, epoch, &minted, errUnknown)
+		seq, reroute, err := ss.admitLocked(ops, epoch, errUnknown)
 		if !reroute && err == nil {
 			walSeq = seq
 			break
@@ -705,8 +704,8 @@ func (ss *shardSet) commitRouted(ops []shOp, errUnknown func(i int, id PointID) 
 // delete serialized before this commit may have removed a target, and a
 // migration may have re-placed the stripes the batch was routed against
 // (reroute: the placement epoch moved). err refuses the batch with no state
-// change. minted carries the explicit-handle mode's mint across re-routes.
-// The caller holds worldMu shared and the involved shard locks.
+// change. Both return before anything is minted, so a re-routed batch is
+// minted once. The caller holds worldMu shared and the involved shard locks.
 //
 // The WAL append happens here — inside the same routesMu section that mints
 // the handles, while the shard locks are held — so the log's record order
@@ -719,7 +718,7 @@ func (ss *shardSet) commitRouted(ops []shOp, errUnknown func(i int, id PointID) 
 // OpInsertAt carrying its handle explicitly, which requires minting first (a
 // failed append then burns ids — harmless, since replay reads handles
 // instead of re-minting).
-func (ss *shardSet) admitLocked(ops []shOp, epoch uint64, minted *bool, errUnknown func(i int, id PointID) error) (walSeq uint64, reroute bool, err error) {
+func (ss *shardSet) admitLocked(ops []shOp, epoch uint64, errUnknown func(i int, id PointID) error) (walSeq uint64, reroute bool, err error) {
 	ss.routesMu.Lock()
 	defer ss.routesMu.Unlock()
 	if ss.placeEpoch != epoch {
@@ -734,9 +733,8 @@ func (ss *shardSet) admitLocked(ops []shOp, epoch uint64, minted *bool, errUnkno
 		return 0, false, fmt.Errorf("%w: pre-assigned insert handle %d is live or repeats in the batch", ErrDuplicateID, gid)
 	}
 	explicit := ss.hs != nil
-	if explicit && !*minted {
+	if explicit {
 		ss.mintLocked(ops)
-		*minted = true
 	}
 	if ss.e.logging() {
 		// A reconcile fold's ops were already logged as OpStagedInsert at

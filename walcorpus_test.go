@@ -534,7 +534,10 @@ func copyFlatDir(t testing.TB, src, dst string) {
 // the checkpoint-chain log (mode 2), where fuzz bytes become the chain tip's
 // *payload*, re-framed with a valid CRC so arbitrary bytes reach the chain
 // header decode and the engine's delta-compose paths instead of dying at the
-// file checksum.
+// file checksum. Modes 3 and 4 decode the fuzz bytes as one op batch (bytes
+// that do not decode are skipped) and append it as a CRC-valid record to the
+// staged hotspot log (mode 3) or to a warm AlgoSemiDynamic hotspot log
+// (mode 4), so every record shape the codec admits reaches replay.
 func FuzzWALReplay(f *testing.F) {
 	tmpl := f.TempDir()
 	e, err := New(WithEps(6), WithMinPts(3),
@@ -569,6 +572,9 @@ func FuzzWALReplay(f *testing.F) {
 	}
 	tipPayload := chainFiles[tipName][frameHeaderLenTest:]
 
+	semiTmpl := f.TempDir()
+	writeWarmStagedLog(f, semiTmpl, true)
+
 	f.Add(uint8(0), plainSeg)
 	f.Add(uint8(0), plainSeg[:len(plainSeg)-3])
 	f.Add(uint8(0), []byte{})
@@ -579,9 +585,27 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add(uint8(2), tipPayload[:len(tipPayload)-3])
 	f.Add(uint8(2), []byte{})
 	f.Add(uint8(2), tipPayload[1:]) // delta header stripped: bad kind byte
+	for _, tc := range malformedDataRecords {
+		mode := uint8(3)
+		if tc.semi {
+			mode = 4
+		}
+		f.Add(mode, wal.AppendOps(nil, tc.rec))
+	}
 	f.Fuzz(func(t *testing.T, mode uint8, data []byte) {
 		dir := t.TempDir()
-		switch mode % 3 {
+		switch mode % 5 {
+		case 3, 4:
+			rec, err := wal.DecodeOps(data)
+			if err != nil {
+				t.Skip("bytes do not decode as an op batch")
+			}
+			tmpl := stmpl
+			if mode%5 == 4 {
+				tmpl = semiTmpl
+			}
+			copyFlatDir(t, tmpl, dir)
+			appendWALRecord(t, dir, rec)
 		case 2:
 			// Pristine chain log, arbitrary bytes as the tip checkpoint's
 			// framed payload (chain header + engine payload).
@@ -595,7 +619,7 @@ func FuzzWALReplay(f *testing.F) {
 			}
 		default:
 			segName, meta := plainName, plainMeta
-			if mode%3 == 1 {
+			if mode%5 == 1 {
 				segName, meta = stagedName, stagedMeta
 			}
 			if err := os.WriteFile(filepath.Join(dir, "wal.meta"), meta, 0o644); err != nil {
@@ -735,6 +759,125 @@ func TestExplicitInsertRefusesLiveHandle(t *testing.T) {
 				if err := r.SeamAudit(); err != nil {
 					t.Fatalf("after deleting %d: %v", id, err)
 				}
+			}
+		})
+	}
+}
+
+// malformedDataRecords are CRC-valid data records that no writer produces,
+// each appended to a warm staged-corpus log (writeWarmStagedLog), whose first
+// live handle is 0. Recovery must refuse each one whole: with the sentinel
+// want when one exists, else with an error containing msg.
+var malformedDataRecords = []struct {
+	name string
+	semi bool // the log's engine runs AlgoSemiDynamic
+	rec  []wal.Op
+	want error
+	msg  string
+}{
+	{"explicit duplicate delete", false, []wal.Op{
+		{Kind: wal.OpInsertAt, ID: 1000, Coord: []float64{1000, 1000}},
+		{Kind: wal.OpDelete, ID: 0},
+		{Kind: wal.OpDelete, ID: 0},
+	}, ErrDuplicateID, ""},
+	{"explicit semi-dynamic delete", true, []wal.Op{
+		{Kind: wal.OpInsertAt, ID: 1000, Coord: []float64{1000, 1000}},
+		{Kind: wal.OpDelete, ID: 0},
+	}, ErrDeletesUnsupported, ""},
+	{"mixed plain and explicit inserts", false, []wal.Op{
+		{Kind: wal.OpInsert, Coord: []float64{1000, 1000}},
+		{Kind: wal.OpInsertAt, ID: 1000, Coord: []float64{1001, 1000}},
+	}, nil, "mixes plain and explicit-handle inserts"},
+}
+
+// writeWarmStagedLog writes a clean staged-corpus log into dir: the hotspot
+// engine of stagedCorpusOpts (AlgoSemiDynamic when semi) after one batch of
+// stagedCorpusWarm, closed.
+func writeWarmStagedLog(tb testing.TB, dir string, semi bool) {
+	tb.Helper()
+	opts := stagedCorpusOpts(dir)
+	if semi {
+		opts = append(opts, WithAlgorithm(AlgoSemiDynamic))
+	}
+	e, err := New(opts...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ids, err := e.InsertBatch(stagedCorpusWarm)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if ids[0] != 0 {
+		tb.Fatalf("warm log's first handle is %d, want 0", ids[0])
+	}
+	if err := e.Close(); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// appendWALRecord appends one record to the closed log in dir.
+func appendWALRecord(tb testing.TB, dir string, rec []wal.Op) {
+	tb.Helper()
+	log, err := wal.Open(dir, wal.Options{MustExist: true})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := log.Append(rec); err != nil {
+		tb.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// TestMalformedDataRecordRefused appends one malformedDataRecords entry to a
+// warm staged-corpus log. Open, OpenReplica and a replica already tailing
+// the log must each refuse it as an error — never apply it, never panic —
+// exactly as Apply refuses the same ops in a live batch; the tailing replica
+// keeps serving the state before the record.
+func TestMalformedDataRecordRefused(t *testing.T) {
+	for _, tc := range malformedDataRecords {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			writeWarmStagedLog(t, dir, tc.semi)
+			tailing, err := OpenReplica(dir, WithReplicaPoll(time.Millisecond))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tailing.Close()
+			appendWALRecord(t, dir, tc.rec)
+
+			check := func(what string, err error) {
+				t.Helper()
+				switch {
+				case err == nil:
+					t.Fatalf("%s accepted the malformed record", what)
+				case tc.want != nil && !errors.Is(err, tc.want):
+					t.Fatalf("%s: error = %v, want %v", what, err, tc.want)
+				case !strings.Contains(err.Error(), tc.msg):
+					t.Fatalf("%s: error %q does not contain %q", what, err, tc.msg)
+				}
+			}
+			r, err := Open(dir)
+			if err == nil {
+				r.Close()
+			}
+			check("Open", err)
+			rep, err := OpenReplica(dir)
+			if err == nil {
+				rep.Close()
+			}
+			check("OpenReplica", err)
+			deadline := time.Now().Add(10 * time.Second)
+			for tailing.Err() == nil {
+				if time.Now().After(deadline) {
+					t.Fatalf("tailing replica still healthy at seq %d after the malformed record", tailing.AppliedSeq())
+				}
+				time.Sleep(time.Millisecond)
+			}
+			check("Replica.Err", tailing.Err())
+			if n := tailing.Len(); n != len(stagedCorpusWarm) {
+				t.Fatalf("tailing replica serves %d points after refusing the record, want %d", n, len(stagedCorpusWarm))
 			}
 		})
 	}
