@@ -575,8 +575,10 @@ func probeQueries(rng *rand.Rand, pts []geom.Point, d int, side, eps, rUp float6
 // and n = 1k. "churn" deletes a random live point and inserts a fresh one
 // per op; "accumulate" runs a full banded ε-count from a point anywhere in
 // the cell's ε-neighbourhood, with a threshold it never reaches. Both report
-// B/point, the live heap of a tree built by n inserts divided by n (the
-// points themselves are owned by the caller and not counted).
+// B/point, the live heap of a tree built by quadtree.Build over n points
+// divided by n (the points themselves are owned by the caller and not
+// counted). "build" times one Build of the n points, as a count that first
+// cuts a large cell runs it, and reports ns/point.
 func BenchmarkSubstrateQuadtree(b *testing.B) {
 	const eps, rho = 100.0, 0.001
 	for _, d := range []int{2, 5} {
@@ -600,14 +602,24 @@ func BenchmarkSubstrateQuadtree(b *testing.B) {
 				var before, after runtime.MemStats
 				runtime.GC()
 				runtime.ReadMemStats(&before)
-				tr := quadtree.New(d, make(geom.Point, d), side)
-				for _, p := range pts {
-					tr.Insert(p)
-				}
+				tr := quadtree.Build(d, make(geom.Point, d), side, slices.Clone(pts))
 				runtime.GC()
 				runtime.ReadMemStats(&after)
 				return tr, rng, pts, float64(after.HeapAlloc-before.HeapAlloc) / float64(n)
 			}
+			b.Run(fmt.Sprintf("d%d/n%d/build", d, n), func(b *testing.B) {
+				_, _, pts, _ := setup()
+				buf := make([]geom.Point, n)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					// Build keeps and reorders its slice; each round hands it
+					// a fresh copy of the points.
+					copy(buf, pts)
+					quadtree.Build(d, make(geom.Point, d), side, buf)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/point")
+			})
 			b.Run(fmt.Sprintf("d%d/n%d/churn", d, n), func(b *testing.B) {
 				tr, rng, live, perPoint := setup()
 				fresh := make([]geom.Point, 4096)

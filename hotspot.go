@@ -280,11 +280,11 @@ func (ss *shardSet) hotRoute(ops []shOp) (rest []shOp, diverted int, walSeq uint
 		return nil, 0, 0, nil
 	}
 	if w := ss.e.wal; w != nil && w.recovering {
-		// Replay (Open) and replicas must never stage: applyWALRecord applies
-		// OpStagedInsert records directly, and a diversion here would both
-		// defer the very fold the record's position in the log promises and
-		// re-log the op once the fold ran. Replicas stay apply-only.
-		return nil, 0, 0, nil
+		// Replay (Open), restores and replicas commit every record through
+		// applyRecord and commitRouted, never through commitBatch: a
+		// diversion here would defer the fold the record's position in the
+		// log promises and re-log the op once the fold ran.
+		panic("dyndbscan: hotRoute reached while recovering")
 	}
 	ss.routesMu.Lock()
 	// closing re-checked under routesMu: drainStaged sets it and then takes

@@ -221,14 +221,12 @@ func auditNonCoreList(c *cell, dims int) error {
 	return nil
 }
 
-// auditCountTree verifies a cell's counting subtree: present when the cell
-// holds more than countTreeAt points, absent at countTreeAt/2 or fewer
-// (either in between, by hysteresis), and holding exactly the cell's points.
+// auditCountTree verifies a cell's counting subtree: absent at countTreeAt/2
+// points or fewer, and when present holding exactly the cell's points. A
+// large cell may lack one: it is built when a count first cuts the cell.
 func auditCountTree(c *cell, dims int) error {
 	n := len(c.pts)
 	switch {
-	case c.count == nil && n > countTreeAt:
-		return fmt.Errorf("audit: cell %v with %d points has no counting subtree", c.coord.Render(dims), n)
 	case c.count != nil && n <= countTreeAt/2:
 		return fmt.Errorf("audit: cell %v with %d points kept its counting subtree", c.coord.Render(dims), n)
 	case c.count == nil:

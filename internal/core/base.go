@@ -62,7 +62,7 @@ type cell struct {
 	coreCount int32
 	chg       int32          // position + 1 in the base's change record; 0 while unrecorded
 	coreList  *abcp.List     // insertion-ordered core points and their emptiness structure; nil while none
-	count     *quadtree.Tree // FullyDynamic: counting subtree over pts while the cell is large; see countTreeAt
+	count     *quadtree.Tree // FullyDynamic: counting subtree over pts, built when a count first cuts the large cell; see countTreeAt
 
 	neighbors []neighborLink
 

@@ -21,10 +21,12 @@ import (
 //   - core status (Section 7.3): relaxed core semantics decided by an
 //     approximate range count k ∈ [|B(p,ε)|, |B(p,(1+ρ)ε)|] summed over p's
 //     cell and its ε-close cells, the only cells that can hold points of
-//     B(p,ε). A cell that passes countTreeAt points keeps a counting
-//     quadtree over its own box (cell.count), so a dense cell that the ball
-//     cuts is counted in a few node visits; smaller cells are scanned.
-//     Points in dense cells short-circuit to core.
+//     B(p,ε). A cell of more than countTreeAt points that the ball cuts
+//     is counted through a counting quadtree over its own box (cell.count),
+//     built the first time such a count reads the cell, so a dense cell is
+//     counted in a few node visits; smaller cells are scanned. Points in
+//     dense cells short-circuit to core, so a cell that no count cuts never
+//     pays for a tree.
 //   - grid-graph edges (Sections 7.1–7.2): one aBCP instance per ε-close
 //     pair of core cells; an edge exists exactly while the instance holds a
 //     witness pair. This is what eliminates IncDBSCAN's deletion-time BFS.
@@ -63,11 +65,15 @@ type FullyDynamic struct {
 	flips []*cell
 }
 
-// Counting-subtree hysteresis: a cell builds its counting quadtree once it
-// holds more than countTreeAt points and drops it when it falls to
-// countTreeAt/2, so a cell hovering at the threshold does not rebuild on
-// every update. Below the threshold a partially covered cell is scanned
-// point by point, which is cheaper than a tree walk at that size.
+// Counting-subtree hysteresis: a cell builds its counting quadtree when a
+// count first cuts it while it holds more than countTreeAt points, keeps it
+// up to date from then on, and drops it when it falls to countTreeAt/2, so
+// a cell hovering at the threshold does not rebuild on every update. Below
+// the threshold a partially covered cell is scanned point by point, which
+// is cheaper than a tree walk at that size. Each point enters a given tree
+// once, by the build or by its own insert, and a rebuild after a drop
+// needs more than countTreeAt/2 inserts since the drop, so a cell's tree
+// upkeep stays Õ(1) amortized per update.
 const countTreeAt = 32
 
 // cubePad widens a cell's box, relative to the cell side, into the cube its
@@ -117,7 +123,9 @@ func (f *FullyDynamic) isCoreNow(rec *pointRec) bool {
 }
 
 // countCell adds to *acc a count of c's points between |B(q,ε) ∩ c| and
-// |B(q,(1+ρ)ε) ∩ c| and reports whether *acc reached MinPts.
+// |B(q,(1+ρ)ε) ∩ c| and reports whether *acc reached MinPts. A cut cell of
+// more than countTreeAt points without a counting subtree builds one here;
+// only the update paths count, under the writer's exclusive hold.
 func (f *FullyDynamic) countCell(c *cell, q geom.Point, acc *int) bool {
 	minSq, maxSq := f.cubeDistSq(q, c.coord)
 	switch {
@@ -125,7 +133,15 @@ func (f *FullyDynamic) countCell(c *cell, q geom.Point, acc *int) bool {
 		return false
 	case maxSq <= f.rUpSq:
 		*acc += len(c.pts)
-	case c.count != nil:
+	case c.count != nil || len(c.pts) > countTreeAt:
+		if c.count == nil {
+			pts := make([]geom.Point, len(c.pts))
+			for i, p := range c.pts {
+				pts[i] = p.pt
+			}
+			lo, side := f.cellCube(c.coord)
+			c.count = quadtree.Build(f.cfg.Dims, lo, side, pts)
+		}
 		return c.count.Accumulate(q, f.cfg.Eps, f.rUp, f.cfg.MinPts, acc)
 	default:
 		for _, p := range c.pts {
@@ -175,19 +191,11 @@ func (f *FullyDynamic) cubeDistSq(q geom.Point, coord grid.Coord) (minSq, maxSq 
 	return minSq, maxSq
 }
 
-// countInsert adds rec to its cell's counting subtree, building the subtree
-// when the cell has just passed countTreeAt points.
+// countInsert adds rec to its cell's counting subtree, if the cell has one;
+// it builds none (see countCell).
 func (f *FullyDynamic) countInsert(rec *pointRec) {
-	c := rec.cell
-	switch {
-	case c.count != nil:
+	if c := rec.cell; c.count != nil {
 		c.count.Insert(rec.pt)
-	case len(c.pts) > countTreeAt:
-		lo, side := f.cellCube(c.coord)
-		c.count = quadtree.New(f.cfg.Dims, lo, side)
-		for _, p := range c.pts {
-			c.count.Insert(p.pt)
-		}
 	}
 }
 

@@ -196,8 +196,10 @@ func TestAdversarialGridLine(t *testing.T) {
 
 // TestFullyDynamicDuplicates: exact duplicate points stress same-cell
 // handling through both update directions, and the counting subtree's depth
-// cap: 40 duplicates pass countTreeAt, so their cell builds a subtree whose
-// points all share one leaf.
+// cap: 40 duplicates pass countTreeAt, and a point in a sparse neighbouring
+// cell whose ball cuts their cell counts it, building a subtree whose points
+// all share one leaf at the cap. That point's core test reads the subtree
+// again on every duplicate's deletion until it is deleted itself.
 func TestFullyDynamicDuplicates(t *testing.T) {
 	cfg := Config{Dims: 2, Eps: 1, MinPts: 5, Rho: 0}
 	f, err := NewFullyDynamic(cfg)
@@ -216,8 +218,29 @@ func TestFullyDynamicDuplicates(t *testing.T) {
 	if len(res.Groups) != 1 || len(res.Groups[0]) != 40 {
 		t.Fatalf("40 duplicates should form one cluster: %+v", res)
 	}
+	dups := f.points[ids[0]].cell
+	if dups.count != nil {
+		t.Fatal("a dense cell built a counting subtree that no count read")
+	}
+	// (3.9, 3) is 0.9 from the duplicates, in the next cell along x; the
+	// far side of the duplicates' cell lies beyond ε.
+	cutter, err := f.Insert(geom.Point{3.9, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dups.count == nil || dups.count.Len() != 40 {
+		t.Fatal("counting the duplicates' cell from a sparse neighbour built no 40-point subtree")
+	}
+	if err := f.Audit(); err != nil {
+		t.Fatal(err)
+	}
 	// Delete down to MinPts-1: the cluster must dissolve into noise.
 	for len(ids) > 4 {
+		if len(ids) == 20 {
+			if err := f.Delete(cutter); err != nil {
+				t.Fatal(err)
+			}
+		}
 		if err := f.Delete(ids[len(ids)-1]); err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package quadtree
 
 import (
+	"slices"
 	"testing"
 
 	"dyndbscan/internal/geom"
@@ -9,7 +10,10 @@ import (
 // FuzzQuadtreeAccumulate decodes a byte stream into insert, delete and
 // accumulate calls on a tree rooted at the cube [-32, 32]^d and checks every
 // answer against brute force, with the structure checked after every
-// update. The first byte picks the dimension (1–7). Each op byte b then
+// update. The first byte picks the dimension (1–7) from its low 7 bits;
+// with its high bit set, the tree starts from Build instead of empty: a
+// count byte n and n points' coordinate bytes follow, and the built tree
+// must have the shape inserting the same points gives. Each op byte b then
 // selects, by b%4: insert (two cases; dims coordinate bytes follow), delete
 // (one byte picks a live point) or accumulate (dims coordinate bytes, a
 // radius byte and a threshold byte follow; b/4%4 picks ρ). Coordinates are
@@ -27,7 +31,8 @@ func FuzzQuadtreeAccumulate(f *testing.F) {
 		if len(data) > maxFuzzInput {
 			data = data[:maxFuzzInput]
 		}
-		d := 1 + int(data[0])%7
+		d := 1 + int(data[0]&0x7f)%7
+		build := data[0]&0x80 != 0
 		data = data[1:]
 		take := func(n int) ([]byte, bool) {
 			if len(data) < n {
@@ -48,6 +53,31 @@ func FuzzQuadtreeAccumulate(f *testing.F) {
 		live := make(map[int64]geom.Point)
 		var order []int64 // live ids, for the delete selector
 		next := int64(0)
+		if build {
+			b, ok := take(1)
+			if !ok {
+				return
+			}
+			pts := make([]geom.Point, 0, b[0])
+			for range b[0] {
+				c, ok := take(d)
+				if !ok {
+					break
+				}
+				p := point(c)
+				pts = append(pts, p)
+				live[next] = p
+				order = append(order, next)
+				next++
+				tr.Insert(p)
+			}
+			built := Build(d, tr.lo[:d], tr.side, slices.Clone(pts))
+			if !sameShape(&tr.root, &built.root) {
+				t.Fatalf("Build of %d points differs in shape from inserting them", len(pts))
+			}
+			tr = built
+			checkTree(t, tr, live)
+		}
 		for op := 0; len(data) > 0; op++ {
 			code := data[0]
 			data = data[1:]
@@ -111,4 +141,19 @@ func FuzzQuadtreeAccumulate(f *testing.F) {
 			}
 		}
 	})
+}
+
+// sameShape reports whether two subtrees have the same nodes: leaf or
+// internal alike, equal counts, and children in the same orthants.
+func sameShape(a, b *qnode) bool {
+	if a.leaf != b.leaf || a.count != b.count || len(a.children) != len(b.children) {
+		return false
+	}
+	for _, ch := range a.children {
+		other := b.child(ch.idx)
+		if other == nil || !sameShape(ch.n, other) {
+			return false
+		}
+	}
+	return true
 }

@@ -10,7 +10,9 @@
 // for the tree's point set S. With rLow = ε and rHigh = (1+ρ)ε, summed over
 // the ε-close cells of a point, that is exactly the count the fully-dynamic
 // core-status test needs under ρ-double-approximate semantics. With
-// rLow = rHigh the count is exact.
+// rLow = rHigh the count is exact. The clusterer builds a cell's tree in
+// one pass with Build the first time a count cuts the large cell, and keeps
+// it up to date with Insert and Delete from then on.
 //
 // Children are stored sparsely (a small slice) because 2^d reaches 128 at
 // d = 7 and most internal nodes have very few live children. A leaf holds
@@ -60,16 +62,88 @@ func New(dims int, lo geom.Point, side float64) *Tree {
 // Len returns the number of points stored.
 func (t *Tree) Len() int { return t.root.count }
 
+// Build returns a tree over the cube with lower corner lo and side length
+// side in R^dims holding pts, each of which must lie in the closed cube; it
+// panics otherwise. It partitions the points by orthant, one level at a
+// time, into the tree that inserting them one by one would give (up to the
+// order of children and of leaf points), without the intermediate leaf
+// splits. The tree keeps pts and its elements: the caller must not use the
+// slice afterwards, nor mutate the points while they are stored.
+func Build(dims int, lo geom.Point, side float64, pts []geom.Point) *Tree {
+	t := New(dims, lo, side)
+	for _, p := range pts {
+		t.mustContain(p)
+	}
+	t.build(&t.root, pts, t.lo, t.side, 0)
+	return t
+}
+
+// build makes n the subtree over pts in the cube (lo, side) at depth. A leaf
+// keeps a full-capacity subslice of pts, so its later appends reallocate
+// instead of running into a neighbour's points.
+func (t *Tree) build(n *qnode, pts []geom.Point, lo [geom.MaxDims]float64, side float64, depth int) {
+	n.count = len(pts)
+	if len(pts) <= bucketCap || depth >= maxDepth {
+		n.leaf, n.pts = true, pts[:len(pts):len(pts)]
+		return
+	}
+	n.leaf = false
+	half := side / 2
+	// Partition pts in place by orthant (American flag sort): end[k] is
+	// the end of orthant k's run, next[k] its first unplaced position.
+	var next, end [1 << geom.MaxDims]int32
+	for _, p := range pts {
+		end[t.childIdx(p, lo, half)]++
+	}
+	kids, at := 0, int32(0)
+	for k := 0; k < 1<<t.dims; k++ {
+		if end[k] > 0 {
+			kids++
+		}
+		next[k] = at
+		at += end[k]
+		end[k] = at
+	}
+	for k := 0; k < 1<<t.dims; k++ {
+		for next[k] < end[k] {
+			j := t.childIdx(pts[next[k]], lo, half)
+			if int(j) == k {
+				next[k]++
+				continue
+			}
+			pts[next[k]], pts[next[j]] = pts[next[j]], pts[next[k]]
+			next[j]++
+		}
+	}
+	nodes := make([]qnode, kids)
+	n.children = make([]childRef, 0, kids)
+	start := int32(0)
+	for k := 0; k < 1<<t.dims; k++ {
+		if end[k] == start {
+			continue
+		}
+		ch := &nodes[len(n.children)]
+		n.children = append(n.children, childRef{idx: uint8(k), n: ch})
+		t.build(ch, pts[start:end[k]], t.childLo(lo, half, uint8(k)), half, depth+1)
+		start = end[k]
+	}
+}
+
 // Insert adds pt, which must lie in the root cube; it panics otherwise. The
 // tree keeps pt itself, and Delete and Has find it by identity, so the
 // caller must not mutate it while it is stored.
 func (t *Tree) Insert(pt geom.Point) {
+	t.mustContain(pt)
+	t.insertAt(&t.root, pt, t.lo, t.side, 0)
+}
+
+// mustContain panics unless pt lies in the closed root cube.
+func (t *Tree) mustContain(pt geom.Point) {
 	for i := 0; i < t.dims; i++ {
 		if !(pt[i] >= t.lo[i] && pt[i] <= t.lo[i]+t.side) {
 			panic("quadtree: point outside the root cube")
 		}
 	}
-	t.insertAt(&t.root, pt, t.lo, t.side, 0)
 }
 
 // Delete removes the point slice pt, as given to Insert. It panics when pt
