@@ -186,10 +186,12 @@ func BenchmarkAblationEdgeMaintenance(b *testing.B) {
 		la, lb := abcp.NewList(2, rLow, rHigh), abcp.NewList(2, rLow, rHigh)
 		var nodesA, nodesB []*abcp.Node
 		for i, p := range ptsA {
-			nodesA = append(nodesA, la.Append(int64(i), p))
+			nodesA = append(nodesA, &abcp.Node{ID: int64(i), Pt: p})
+			la.Append(nodesA[i])
 		}
 		for i, p := range ptsB {
-			nodesB = append(nodesB, lb.Append(int64(perSide+i), p))
+			nodesB = append(nodesB, &abcp.Node{ID: int64(perSide + i), Pt: p})
+			lb.Append(nodesB[i])
 		}
 		inst := abcp.New(la, lb)
 		rng := rand.New(rand.NewSource(9))
@@ -204,7 +206,8 @@ func BenchmarkAblationEdgeMaintenance(b *testing.B) {
 			la.Remove(n)
 			inst.PostDelete(0, n)
 			p := geom.Point{rng.Float64() * 5, rng.Float64() * 5}
-			nn := la.Append(next, p)
+			nn := &abcp.Node{ID: next, Pt: p}
+			la.Append(nn)
 			next++
 			nodesA[k] = nn
 			inst.NotifyInsert(0, nn)

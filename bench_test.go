@@ -454,12 +454,14 @@ func BenchmarkSubstrateDynConn(b *testing.B) {
 // of one random walk through the cell: "walk" in walk order, so consecutive
 // points are close and the chunk boxes tight, and "shuffled" in random
 // order, the design's weak case, where every chunk box spans most of the
-// cell. "churn" removes a random live node and appends a fresh point (the
-// walk continued, in the same order) per op. "hit" probes from points of
+// cell. "churn" removes a random live node and appends it again at a fresh
+// point (the walk continued, in the same order) per op, as a point record
+// reuses its node. "hit" probes from points of
 // the cell's ε-neighbourhood that have a list point within ε; "miss" from
 // points within ε of the cell that have none within (1+ρ)ε. All report
-// B/point, the live heap of a list built by n appends divided by n (the
-// points themselves are owned by the caller and not counted).
+// B/point, the live heap of a list built by n appends divided by n: its
+// chunks and their boxes. The points and their nodes are the caller's,
+// allocated before the list, and not counted.
 func BenchmarkSubstrateCoreList(b *testing.B) {
 	const eps, rho, fresh = 100.0, 0.001, 4096
 	rUp := eps * (1 + rho)
@@ -494,18 +496,21 @@ func BenchmarkSubstrateCoreList(b *testing.B) {
 				// setup builds the list and returns its heap per point,
 				// which is reported after the timed loop (ResetTimer drops
 				// metrics).
-				setup := func() (*abcp.List, []*abcp.Node, float64) {
+				setup := func() (*abcp.List, []abcp.Node, float64) {
+					nodes := make([]abcp.Node, n)
+					for i, p := range pts[:n] {
+						nodes[i] = abcp.Node{ID: int64(i), Pt: p}
+					}
 					var before, after runtime.MemStats
 					runtime.GC()
 					runtime.ReadMemStats(&before)
 					l := abcp.NewList(d, eps, rUp)
-					nodes := make([]*abcp.Node, n)
-					for i, p := range pts[:n] {
-						nodes[i] = l.Append(int64(i), p)
+					for i := range nodes {
+						l.Append(&nodes[i])
 					}
 					runtime.GC()
 					runtime.ReadMemStats(&after)
-					return l, nodes, float64(after.HeapAlloc-before.HeapAlloc-uint64(cap(nodes))*8) / float64(n)
+					return l, nodes, float64(after.HeapAlloc-before.HeapAlloc) / float64(n)
 				}
 				name := fmt.Sprintf("d%d/n%d/%s", d, n, order)
 				b.Run(name+"/churn", func(b *testing.B) {
@@ -514,9 +519,10 @@ func BenchmarkSubstrateCoreList(b *testing.B) {
 					b.ReportAllocs()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						k := churn.Intn(n)
-						l.Remove(nodes[k])
-						nodes[k] = l.Append(int64(n+i), pts[n+i%fresh])
+						nd := &nodes[churn.Intn(n)]
+						l.Remove(nd)
+						nd.ID, nd.Pt = int64(n+i), pts[n+i%fresh]
+						l.Append(nd)
 					}
 					b.ReportMetric(perPoint, "B/point")
 				})

@@ -31,6 +31,10 @@
 // chunks whose box lies within ε of the query. That meets the same
 // 1/0/don't-care contract at a worst case of O(|S(c)|) per probe (see
 // "Deviations from the paper" in the README).
+//
+// The caller owns every Node: a list links the nodes it is handed and
+// allocates none, so a clusterer can embed a point's node in its point
+// record and the list adds only its chunks per point.
 package abcp
 
 import (
@@ -42,8 +46,11 @@ import (
 // chunkSize is the most nodes one chunk of a List holds.
 const chunkSize = 16
 
-// Node is a membership token of a point in a List. The clustering layer keeps
-// one per (core point, cell) and hands it to the instances of that cell.
+// Node is a membership token of a point in a List. The caller allocates it,
+// sets ID and Pt, and owns it: the clustering layer embeds one in each
+// point record and links it into its cell's list while the point is core.
+// A node is in at most one list at a time; once removed it may be appended
+// again, to the same list or another.
 type Node struct {
 	prev, next *Node
 	ID         int64
@@ -53,6 +60,14 @@ type Node struct {
 
 // Next returns the successor of n in insertion order.
 func (n *Node) Next() *Node { return n.next }
+
+// List returns the list n is linked into, or nil while n is unlinked.
+func (n *Node) List() *List {
+	if n.chunk == nil {
+		return nil
+	}
+	return n.chunk.list
+}
 
 // chunk is a run of consecutive nodes of one list with a loose bounding box
 // over their first dims coordinates.
@@ -96,10 +111,14 @@ func (l *List) Len() int { return l.size }
 // Head returns the first (oldest) node, or nil.
 func (l *List) Head() *Node { return l.head }
 
-// Append adds a point at the tail (points arrive in insertion order). The
-// list keeps pt; the caller must not mutate it while the node is live.
-func (l *List) Append(id int64, pt geom.Point) *Node {
-	n := &Node{ID: id, Pt: pt}
+// Append links the caller's node n at the tail (points arrive in insertion
+// order). The list keeps n and n.Pt until n is removed; the caller must not
+// change either meanwhile. It panics if n is already linked into a list.
+func (l *List) Append(n *Node) {
+	if n.chunk != nil {
+		panic("abcp: appending a linked node")
+	}
+	pt := n.Pt
 	if l.size == 0 {
 		l.pointBox(l.box, pt)
 		l.dels = 0
@@ -125,11 +144,11 @@ func (l *List) Append(id int64, pt geom.Point) *Node {
 		l.tail = n
 	}
 	l.size++
-	return n
 }
 
-// Remove unlinks n. The caller must have informed every instance via
-// PreDelete first, because marker repair reads n's links.
+// Remove unlinks n, which the caller may then append again. The caller must
+// have informed every instance via PreDelete first, because marker repair
+// reads n's links.
 func (l *List) Remove(n *Node) {
 	c := n.chunk
 	if c == nil || c.list != l {

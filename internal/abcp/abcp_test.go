@@ -18,6 +18,8 @@ type harness struct {
 	lists [2]*List
 	inst  *Instance
 	nodes [2]map[*Node]bool
+	// removed holds each side's unlinked nodes, oldest first, for re-append.
+	removed [2][]*Node
 }
 
 func newHarness(t *testing.T, d int, rho float64, initial [2][]geom.Point) *harness {
@@ -29,7 +31,8 @@ func newHarness(t *testing.T, d int, rho float64, initial [2][]geom.Point) *harn
 	id := int64(0)
 	for i := 0; i < 2; i++ {
 		for _, pt := range initial[i] {
-			n := h.lists[i].Append(id, pt)
+			n := &Node{ID: id, Pt: pt}
+			h.lists[i].Append(n)
 			h.nodes[i][n] = true
 			id++
 		}
@@ -38,14 +41,32 @@ func newHarness(t *testing.T, d int, rho float64, initial [2][]geom.Point) *harn
 	return h
 }
 
-// insert appends a point to one side under the clusterer's contract:
-// NotifyInsert only while the witness is empty.
+// insert appends a fresh point to one side.
 func (h *harness) insert(sideIdx int, pt geom.Point, id int64) {
-	n := h.lists[sideIdx].Append(id, pt)
+	h.link(sideIdx, &Node{ID: id, Pt: pt})
+}
+
+// link appends n to one side under the clusterer's contract: NotifyInsert
+// only while the witness is empty.
+func (h *harness) link(sideIdx int, n *Node) {
+	h.lists[sideIdx].Append(n)
 	h.nodes[sideIdx][n] = true
 	if !h.inst.HasWitness() {
 		h.inst.NotifyInsert(sideIdx, n)
 	}
+}
+
+// reappend links the side's longest-removed node again, as a clusterer does
+// when a demoted point turns core once more; it reports false if the side
+// has none.
+func (h *harness) reappend(sideIdx int) bool {
+	if len(h.removed[sideIdx]) == 0 {
+		return false
+	}
+	n := h.removed[sideIdx][0]
+	h.removed[sideIdx] = h.removed[sideIdx][1:]
+	h.link(sideIdx, n)
+	return true
 }
 
 // remove deletes n from one side with the PreDelete/Remove/PostDelete
@@ -55,6 +76,7 @@ func (h *harness) remove(sideIdx int, n *Node) {
 	h.inst.PreDelete(sideIdx, n)
 	h.lists[sideIdx].Remove(n)
 	h.inst.PostDelete(sideIdx, n)
+	h.removed[sideIdx] = append(h.removed[sideIdx], n)
 }
 
 func (h *harness) deleteRandom(rng *rand.Rand, sideIdx int) {
@@ -199,7 +221,8 @@ func randSidePt(rng *rand.Rand, d, sideIdx int) geom.Point {
 // TestListRemoveWrongList ensures cross-list removal is caught.
 func TestListRemoveWrongList(t *testing.T) {
 	a, b := NewList(2, 1, 1), NewList(2, 1, 1)
-	n := a.Append(1, geom.Point{0, 0})
+	n := &Node{ID: 1, Pt: geom.Point{0, 0}}
+	a.Append(n)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -208,12 +231,88 @@ func TestListRemoveWrongList(t *testing.T) {
 	b.Remove(n)
 }
 
+// TestAppendLinkedNodePanics: a node is in at most one list at a time, so
+// appending a linked node, to its own list or another, must panic and leave
+// both lists as they were; once removed it appends again.
+func TestAppendLinkedNodePanics(t *testing.T) {
+	a, b := NewList(2, 1, 1), NewList(2, 1, 1)
+	n := &Node{ID: 1, Pt: geom.Point{0, 0}}
+	a.Append(n)
+	for _, l := range []*List{a, b} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("appending a linked node did not panic")
+				}
+			}()
+			l.Append(n)
+		}()
+	}
+	if a.Len() != 1 || b.Len() != 0 || n.List() != a {
+		t.Fatalf("failed appends changed the lists: len %d and %d, node in %p", a.Len(), b.Len(), n.List())
+	}
+	a.Remove(n)
+	if n.List() != nil {
+		t.Fatal("removed node still reports a list")
+	}
+	b.Append(n)
+	if b.Len() != 1 || b.Head() != n || n.List() != b {
+		t.Fatal("removed node did not append to another list")
+	}
+	if err := b.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReappendRemovedNode is a demote-then-promote of one point: its node
+// leaves the list mid-chunk, at the head and at the tail, and is appended
+// again, and the instance keeps the Lemma 3 guarantees throughout,
+// including when the re-appended node is the only one that can restore the
+// witness.
+func TestReappendRemovedNode(t *testing.T) {
+	initial := [2][]geom.Point{{{0, 0}, {20, 0}, {40, 0}}, {{3, 0}, {60, 0}}}
+	h := newHarness(t, 2, 0, initial)
+	h.check("init")
+	for _, pick := range []func(l *List) *Node{
+		func(l *List) *Node { return l.Head() },
+		func(l *List) *Node { return l.Head().Next() },
+		func(l *List) *Node { return l.tail },
+	} {
+		n := pick(h.lists[0])
+		h.remove(0, n)
+		h.check(fmt.Sprintf("remove %d", n.ID))
+		if !h.reappend(0) || h.lists[0].tail != n {
+			t.Fatalf("node %d not re-appended at the tail", n.ID)
+		}
+		h.check(fmt.Sprintf("re-append %d", n.ID))
+	}
+	// Only the point at the origin pairs with side 1: taking it away empties
+	// the witness, and re-appending it must restore one.
+	var origin *Node
+	for n := h.lists[0].Head(); n != nil; n = n.Next() {
+		if n.Pt[0] == 0 {
+			origin = n
+		}
+	}
+	h.remove(0, origin)
+	h.check("remove origin")
+	if h.inst.HasWitness() {
+		t.Fatal("witness survives its only pair")
+	}
+	h.reappend(0)
+	h.check("re-append origin")
+	if a, _ := h.inst.Witness(); a != origin {
+		t.Fatalf("witness %v after re-appending the only pair's point", a)
+	}
+}
+
 // TestListOrder checks append order and link integrity under removals.
 func TestListOrder(t *testing.T) {
 	l := NewList(1, 1, 1)
 	var ns []*Node
 	for i := int64(0); i < 5; i++ {
-		ns = append(ns, l.Append(i, geom.Point{float64(i)}))
+		ns = append(ns, &Node{ID: i, Pt: geom.Point{float64(i)}})
+		l.Append(ns[i])
 	}
 	l.Remove(ns[2])
 	l.Remove(ns[0])
@@ -246,7 +345,7 @@ func TestValidateDetectsChunkCorruption(t *testing.T) {
 	} {
 		l := NewList(2, 4, 4)
 		for i := int64(0); i < 3*chunkSize/2; i++ {
-			l.Append(i, geom.Point{float64(i), float64(-i), 99})
+			l.Append(&Node{ID: i, Pt: geom.Point{float64(i), float64(-i), 99}})
 		}
 		if err := l.Validate(); err != nil {
 			t.Fatalf("%s: healthy list fails validation: %v", tc.name, err)
@@ -274,7 +373,8 @@ func TestListRefitsChunkBoxes(t *testing.T) {
 				for i := range p {
 					p[i] = (rng.Float64()*2 - 1) * 30
 				}
-				live = append(live, l.Append(int64(op), p))
+				live = append(live, &Node{ID: int64(op), Pt: p})
+				l.Append(live[len(live)-1])
 				continue
 			}
 			k := rng.Intn(len(live))

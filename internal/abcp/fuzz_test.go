@@ -12,11 +12,14 @@ import (
 // op, under the contract the fully dynamic clusterer follows: NotifyInsert
 // only while the witness is empty.
 //
-// Byte 0 picks the dimension (1 + b%5) and ρ (b/5%3 selects 0, 0.001 or
-// 0.5). Byte 1 gives the sides' initial sizes
+// Byte 0 picks the dimension (1 + b%5), ρ (b/5%3 selects 0, 0.001 or 0.5)
+// and the re-append mode (b/15%2). Byte 1 gives the sides' initial sizes
 // (b%8 and b/8%8), whose coordinates follow before the instance is built.
 // Each later op byte b acts on side b/4%2: b%4 < 3 inserts (d coordinate
-// bytes follow), b%4 = 3 deletes (a selector byte follows). Coordinates are
+// bytes follow), b%4 = 3 deletes (a selector byte follows). In re-append
+// mode b%4 = 2 instead appends the side's longest-removed node again, as a
+// clusterer does when a demoted point turns core once more, and reads no
+// coordinates; it does nothing while the side has removed none. Coordinates are
 // a lattice of step 1/8 over [0, 8), side 1 shifted by 3 on the first axis,
 // so pairs land on ε and on the band's edge. Inputs are cut at maxFuzzInput
 // bytes: each check is quadratic in the side sizes.
@@ -31,6 +34,7 @@ func FuzzABCPChurn(f *testing.F) {
 		}
 		d := 1 + int(data[0])%5
 		rho := []float64{0, 0.001, 0.5}[int(data[0])/5%3]
+		reappend := int(data[0])/15%2 == 1
 		sizes := [2]int{int(data[1]) % 8, int(data[1]) / 8 % 8}
 		data = data[2:]
 		point := func(sideIdx int) (geom.Point, bool) {
@@ -62,7 +66,11 @@ func FuzzABCPChurn(f *testing.F) {
 			code := data[0]
 			data = data[1:]
 			sideIdx := int(code) / 4 % 2
-			if code%4 < 3 {
+			if reappend && code%4 == 2 {
+				if !h.reappend(sideIdx) {
+					continue
+				}
+			} else if code%4 < 3 {
 				p, ok := point(sideIdx)
 				if !ok {
 					return

@@ -85,7 +85,8 @@ func FuzzListProbe(f *testing.F) {
 				if walk {
 					copy(at, p[:d])
 				}
-				live = append(live, l.Append(next, p))
+				live = append(live, &Node{ID: next, Pt: p})
+				l.Append(live[len(live)-1])
 				next++
 			case 1:
 				k, ok := selector()
@@ -96,7 +97,8 @@ func FuzzListProbe(f *testing.F) {
 				if extra > 0 {
 					p[d] = -p[d]
 				}
-				live = append(live, l.Append(next, p))
+				live = append(live, &Node{ID: next, Pt: p})
+				l.Append(live[len(live)-1])
 				next++
 			case 2:
 				k, ok := selector()

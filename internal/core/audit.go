@@ -20,7 +20,7 @@ func (f *FullyDynamic) Audit() error {
 	for id, rec := range f.points {
 		ballEps, ballUp := 0, 0
 		for _, other := range f.points {
-			d := geom.DistSq(rec.pt, other.pt, f.cfg.Dims)
+			d := geom.DistSq(rec.Pt, other.Pt, f.cfg.Dims)
 			if d <= f.epsSq {
 				ballEps++
 			}
@@ -28,10 +28,10 @@ func (f *FullyDynamic) Audit() error {
 				ballUp++
 			}
 		}
-		if rec.core && ballUp < minPts {
+		if rec.isCore() && ballUp < minPts {
 			return fmt.Errorf("audit: point %d core but |B((1+ρ)ε)|=%d < MinPts", id, ballUp)
 		}
-		if !rec.core && ballEps >= minPts {
+		if !rec.isCore() && ballEps >= minPts {
 			return fmt.Errorf("audit: point %d non-core but |B(ε)|=%d ≥ MinPts", id, ballEps)
 		}
 	}
@@ -51,10 +51,10 @@ func (f *FullyDynamic) Audit() error {
 		}
 		for i, p := range c.pts {
 			if int(p.idx) != i || p.cell != c {
-				return fmt.Errorf("audit: point %d has stale cell position", p.id)
+				return fmt.Errorf("audit: point %d has stale cell position", p.ID)
 			}
-			if f.geo.CellOf(p.pt) != c.coord {
-				return fmt.Errorf("audit: point %d in wrong cell", p.id)
+			if f.geo.CellOf(p.Pt) != c.coord {
+				return fmt.Errorf("audit: point %d in wrong cell", p.ID)
 			}
 		}
 		if err := auditCoreList(c, f.cfg.Dims); err != nil {
@@ -112,7 +112,7 @@ func (f *FullyDynamic) Audit() error {
 			if inst.HasWitness() {
 				a, b := inst.Witness()
 				ra, rb := f.points[a.ID], f.points[b.ID]
-				if ra == nil || rb == nil || !ra.core || !rb.core {
+				if ra == nil || rb == nil || !ra.isCore() || !rb.isCore() {
 					return fmt.Errorf("audit: witness references non-core points")
 				}
 				if geom.DistSq(a.Pt, b.Pt, f.cfg.Dims) > f.rUpSq*(1+1e-12) {
@@ -167,9 +167,9 @@ func auditLinks(c *cell, dims int) error {
 }
 
 // auditCoreList verifies a cell's core list against its residents: the list
-// exists exactly while the cell has core points, holds exactly their nodes,
-// and its chunks pass the list's own validation (sizes, chunk pointers and
-// boxes).
+// exists exactly while the cell has core points, every core record's node is
+// linked into it and every non-core record's node into no list, and its
+// chunks pass the list's own validation (sizes, chunk pointers and boxes).
 func auditCoreList(c *cell, dims int) error {
 	inList := make(map[*abcp.Node]bool)
 	if c.coreList != nil {
@@ -180,11 +180,11 @@ func auditCoreList(c *cell, dims int) error {
 	cores := 0
 	for _, p := range c.pts {
 		switch {
-		case p.core && (p.coreNode == nil || !inList[p.coreNode] || p.coreNode.ID != p.id):
-			return fmt.Errorf("audit: core point %d missing from its cell's core list", p.id)
-		case !p.core && p.coreNode != nil:
-			return fmt.Errorf("audit: non-core point %d present in its cell's core list", p.id)
-		case p.core:
+		case p.isCore() && !inList[&p.Node]:
+			return fmt.Errorf("audit: core point %d not linked into its cell's core list", p.ID)
+		case !p.isCore() && p.List() != nil:
+			return fmt.Errorf("audit: non-core point %d linked into a core list", p.ID)
+		case p.isCore():
 			cores++
 		}
 	}
@@ -211,11 +211,11 @@ func auditNonCoreList(c *cell, dims int) error {
 			c.coord.Render(dims), len(c.nonCore), len(c.pts)-int(c.coreCount))
 	}
 	for i, p := range c.nonCore {
-		if p.core {
-			return fmt.Errorf("audit: core point %d in nonCore list", p.id)
+		if p.isCore() {
+			return fmt.Errorf("audit: core point %d in nonCore list", p.ID)
 		}
 		if int(p.ncIdx) != i || p.cell != c {
-			return fmt.Errorf("audit: point %d has stale nonCore position", p.id)
+			return fmt.Errorf("audit: point %d has stale nonCore position", p.ID)
 		}
 	}
 	return nil
@@ -236,8 +236,8 @@ func auditCountTree(c *cell, dims int) error {
 		return fmt.Errorf("audit: cell %v counting subtree holds %d points, cell %d", c.coord.Render(dims), c.count.Len(), n)
 	}
 	for _, p := range c.pts {
-		if !c.count.Has(p.pt) {
-			return fmt.Errorf("audit: point %d missing from its cell's counting subtree", p.id)
+		if !c.count.Has(p.Pt) {
+			return fmt.Errorf("audit: point %d missing from its cell's counting subtree", p.ID)
 		}
 	}
 	return nil
@@ -245,23 +245,23 @@ func auditCountTree(c *cell, dims int) error {
 
 // closestCorePairSq returns the squared distance of the closest core pair
 // between two cells (brute force).
-func (f *FullyDynamic) closestCorePairSq(c1, c2 *cell) float64 {
+func (b *base) closestCorePairSq(c1, c2 *cell) float64 {
 	best := -1.0
 	for _, p := range c1.pts {
-		if !p.core {
+		if !p.isCore() {
 			continue
 		}
 		for _, q := range c2.pts {
-			if !q.core {
+			if !q.isCore() {
 				continue
 			}
-			if d := geom.DistSq(p.pt, q.pt, f.cfg.Dims); best < 0 || d < best {
+			if d := geom.DistSq(p.Pt, q.Pt, b.cfg.Dims); best < 0 || d < best {
 				best = d
 			}
 		}
 	}
 	if best < 0 {
-		return f.rUpSq * 1e6 // no pair
+		return b.rUpSq * 1e6 // no pair
 	}
 	return best
 }
@@ -274,14 +274,14 @@ func (s *SemiDynamic) Audit() error {
 	for id, rec := range s.points {
 		ball := 0
 		for _, other := range s.points {
-			if geom.DistSq(rec.pt, other.pt, s.cfg.Dims) <= s.epsSq {
+			if geom.DistSq(rec.Pt, other.Pt, s.cfg.Dims) <= s.epsSq {
 				ball++
 			}
 		}
-		if rec.core != (ball >= minPts) {
-			return fmt.Errorf("audit: point %d core=%v but |B(ε)|=%d (MinPts=%d)", id, rec.core, ball, minPts)
+		if rec.isCore() != (ball >= minPts) {
+			return fmt.Errorf("audit: point %d core=%v but |B(ε)|=%d (MinPts=%d)", id, rec.isCore(), ball, minPts)
 		}
-		if !rec.core && int(rec.vincnt) != ball {
+		if !rec.isCore() && int(rec.vincnt) != ball {
 			return fmt.Errorf("audit: point %d vincnt=%d but |B(ε)|=%d", id, rec.vincnt, ball)
 		}
 	}
@@ -323,25 +323,4 @@ func (s *SemiDynamic) Audit() error {
 		}
 	}
 	return nil
-}
-
-func (s *SemiDynamic) closestCorePairSq(c1, c2 *cell) float64 {
-	best := -1.0
-	for _, p := range c1.pts {
-		if !p.core {
-			continue
-		}
-		for _, q := range c2.pts {
-			if !q.core {
-				continue
-			}
-			if d := geom.DistSq(p.pt, q.pt, s.cfg.Dims); best < 0 || d < best {
-				best = d
-			}
-		}
-	}
-	if best < 0 {
-		return s.rUpSq * 1e6
-	}
-	return best
 }

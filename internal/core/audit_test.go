@@ -33,15 +33,20 @@ func healthyFullyDynamic(t *testing.T) *FullyDynamic {
 	return f
 }
 
-func TestAuditDetectsCoreFlagCorruption(t *testing.T) {
-	f := healthyFullyDynamic(t)
-	// Demote a core point behind the structure's back.
+// demoteBehindBack gives a core record a non-core position, the one stored
+// fact that makes a record core, and leaves every structure as it was.
+func demoteBehindBack(f *FullyDynamic) {
 	for _, rec := range f.points {
-		if rec.core {
-			rec.core = false
-			break
+		if rec.isCore() {
+			rec.ncIdx = 0
+			return
 		}
 	}
+}
+
+func TestAuditDetectsCoreFlagCorruption(t *testing.T) {
+	f := healthyFullyDynamic(t)
+	demoteBehindBack(f)
 	if err := f.Audit(); err == nil {
 		t.Fatal("audit missed a corrupted core flag")
 	}
@@ -52,7 +57,7 @@ func TestAuditDetectsForgedCoreFlag(t *testing.T) {
 	// Promote an isolated noise point behind the structure's back.
 	var loner *pointRec
 	for _, rec := range f.points {
-		if !rec.core {
+		if !rec.isCore() {
 			loner = rec
 			break
 		}
@@ -60,7 +65,7 @@ func TestAuditDetectsForgedCoreFlag(t *testing.T) {
 	if loner == nil {
 		t.Skip("fixture has no non-core point")
 	}
-	loner.core = true
+	loner.ncIdx = -1
 	if err := f.Audit(); err == nil {
 		t.Fatal("audit missed a forged core flag")
 	}
@@ -122,7 +127,7 @@ func TestSemiAuditDetectsVincntDrift(t *testing.T) {
 		t.Fatalf("fixture not healthy: %v", err)
 	}
 	for _, rec := range s.points {
-		if !rec.core {
+		if !rec.isCore() {
 			rec.vincnt++
 			break
 		}
@@ -184,12 +189,7 @@ func TestAuditCatchesWrongCellAssignment(t *testing.T) {
 // TestAuditErrorMessages ensures audit failures carry actionable text.
 func TestAuditErrorMessages(t *testing.T) {
 	f := healthyFullyDynamic(t)
-	for _, rec := range f.points {
-		if rec.core {
-			rec.core = false
-			break
-		}
-	}
+	demoteBehindBack(f)
 	err := f.Audit()
 	if err == nil || !strings.Contains(err.Error(), "audit:") {
 		t.Fatalf("audit error unhelpful: %v", err)
@@ -231,6 +231,78 @@ func TestAuditDetectsStrayCoreStructures(t *testing.T) {
 	}
 }
 
+// TestAuditDetectsMislinkedNodes: both audits must notice a core record
+// whose node is linked into an ε-close core cell's list instead of its own,
+// and a non-core record whose node is linked into its cell's list. In the
+// first case two core cells trade one node each, so that the list lengths
+// still match the core counts and only the membership rule can catch it.
+func TestAuditDetectsMislinkedNodes(t *testing.T) {
+	cfg := Config{Dims: 2, Eps: 3, MinPts: 4, Rho: 0.2}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(b *base) bool
+		want    string
+	}{
+		{"core node in a neighbour's list", func(b *base) bool {
+			for _, rec := range b.points {
+				for _, ln := range rec.cell.neighbors {
+					if rec.isCore() && ln.eps && ln.c.coreCount > 0 {
+						mine, theirs := rec.cell.coreList, ln.c.coreList
+						na, nb := mine.Head(), theirs.Head()
+						mine.Remove(na)
+						theirs.Remove(nb)
+						mine.Append(nb)
+						theirs.Append(na)
+						return true
+					}
+				}
+			}
+			return false
+		}, "not linked into its cell's core list"},
+		{"non-core node in its cell's list", func(b *base) bool {
+			for _, rec := range b.points {
+				if !rec.isCore() && rec.cell.coreCount > 0 {
+					rec.cell.coreList.Append(&rec.Node)
+					return true
+				}
+			}
+			return false
+		}, "non-core point"},
+	} {
+		full, _ := NewFullyDynamic(cfg)
+		semi, _ := NewSemiDynamic(cfg)
+		for _, cl := range []struct {
+			name string
+			c    interface {
+				clusterer
+				Audit() error
+			}
+			b *base
+		}{{"FullyDynamic", full, full.base}, {"SemiDynamic", semi, semi.base}} {
+			// Blobs, then a tight cluster with a core point at x = 102.2 and
+			// a border point at x = 103.8 in the same cell (side ε/√2).
+			pts := genBlobs(rand.New(rand.NewSource(5)), 2, 2, 40, 5, 30, 4)
+			for _, x := range []float64{100, 100.01, 100.02, 100.03, 102.2, 103.8} {
+				pts = append(pts, geom.Point{x, 100.5})
+			}
+			for _, p := range pts {
+				if _, err := cl.c.Insert(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := cl.c.Audit(); err != nil {
+				t.Fatalf("%s: %s: fixture not healthy: %v", tc.name, cl.name, err)
+			}
+			if !tc.corrupt(cl.b) {
+				t.Fatalf("%s: %s: fixture has no record to corrupt", tc.name, cl.name)
+			}
+			if err := cl.c.Audit(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s: %s audit missed it: %v", tc.name, cl.name, err)
+			}
+		}
+	}
+}
+
 // TestAuditDetectsCoreListCorruption: both audits must notice a chunk box
 // that misses one of its nodes and a chunk whose recorded size is wrong.
 func TestAuditDetectsCoreListCorruption(t *testing.T) {
@@ -262,7 +334,7 @@ func TestAuditDetectsCoreListCorruption(t *testing.T) {
 		for _, b := range []*base{full.base, semi.base} {
 			var list *abcp.List
 			for _, rec := range b.points {
-				if rec.core {
+				if rec.isCore() {
 					list = rec.cell.coreList
 					break
 				}

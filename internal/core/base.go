@@ -9,23 +9,27 @@ import (
 	"dyndbscan/internal/quadtree"
 )
 
-// pointRec is the per-point state shared by all algorithms. Fields that only
-// one algorithm uses are documented as such; keeping them inline avoids a
-// second map lookup on the hot update paths. The positions and the
-// algorithm-only counters are int32 so that a record fits the 80-byte size
-// class.
+// pointRec is the per-point state shared by all algorithms. It starts with
+// the point's node in its cell's core list: Node.ID is the point's handle
+// and Node.Pt its coordinates, and the cell-based algorithms link the node
+// into cell.coreList exactly while the point is core, so a core point costs
+// no allocation beyond its record. A record is core exactly when ncIdx < 0.
+// Fields that only one algorithm uses are documented as such; keeping them
+// inline avoids a second map lookup on the hot update paths. The positions
+// and the algorithm-only counters are int32 so that a record fits the
+// 80-byte size class (TestPointRecSize).
 type pointRec struct {
-	id       PointID
-	pt       geom.Point
-	cell     *cell
-	coreNode *abcp.Node // membership in cell.coreList while core (cell-based algorithms)
-	idx      int32      // position in cell.pts
-	ncIdx    int32      // position in cell.nonCore while non-core; -1 otherwise
+	abcp.Node
+	cell  *cell
+	idx   int32 // position in cell.pts
+	ncIdx int32 // position in cell.nonCore while non-core; -1 while core
 
 	vincnt      int32 // exact |B(p,ε)| (SemiDynamic: non-core only; IncDBSCAN: all points)
 	clusterElem int32 // IncDBSCAN: union-find element of the cluster id; -1 if none
-	core        bool
 }
+
+// isCore reports whether rec is a core point.
+func (rec *pointRec) isCore() bool { return rec.ncIdx < 0 }
 
 // neighborLink records one occupied cell within (1+ρ)ε box distance. eps
 // marks the links within ε box distance — the "ε-close" cells of the paper;
@@ -195,8 +199,7 @@ func (b *base) addPoint(pt geom.Point) *pointRec {
 // id not live. The mint counter is lifted past id.
 func (b *base) placePoint(pt geom.Point, coord grid.Coord, id PointID) *pointRec {
 	rec := &pointRec{
-		id:          id,
-		pt:          pt,
+		Node:        abcp.Node{ID: id, Pt: pt},
 		clusterElem: -1,
 	}
 	if id >= b.nextID {
@@ -209,17 +212,16 @@ func (b *base) placePoint(pt geom.Point, coord grid.Coord, id PointID) *pointRec
 	c.pts = append(c.pts, rec)
 	rec.ncIdx = int32(len(c.nonCore))
 	c.nonCore = append(c.nonCore, rec)
-	b.points[rec.id] = rec
+	b.points[rec.ID] = rec
 	return rec
 }
 
 // markCore flips rec to core status, removing it from its cell's non-core
 // list. The caller updates algorithm-specific core structures.
 func (b *base) markCore(rec *pointRec) {
-	if rec.core {
+	if rec.isCore() {
 		panic("core: markCore on core point")
 	}
-	rec.core = true
 	c := rec.cell
 	last := len(c.nonCore) - 1
 	c.nonCore[rec.ncIdx] = c.nonCore[last]
@@ -232,10 +234,9 @@ func (b *base) markCore(rec *pointRec) {
 
 // markNonCore flips rec back to non-core status.
 func (b *base) markNonCore(rec *pointRec) {
-	if !rec.core {
+	if !rec.isCore() {
 		panic("core: markNonCore on non-core point")
 	}
-	rec.core = false
 	c := rec.cell
 	rec.ncIdx = int32(len(c.nonCore))
 	c.nonCore = append(c.nonCore, rec)
@@ -252,13 +253,13 @@ func (b *base) removePoint(rec *pointRec) {
 	c.pts[rec.idx] = c.pts[last]
 	c.pts[rec.idx].idx = rec.idx
 	c.pts = c.pts[:last]
-	if !rec.core {
+	if !rec.isCore() {
 		lastNC := len(c.nonCore) - 1
 		c.nonCore[rec.ncIdx] = c.nonCore[lastNC]
 		c.nonCore[rec.ncIdx].ncIdx = rec.ncIdx
 		c.nonCore = c.nonCore[:lastNC]
 	}
-	delete(b.points, rec.id)
+	delete(b.points, rec.ID)
 	rec.cell = nil
 }
 
@@ -279,7 +280,7 @@ func (b *base) groupBy(ids []PointID, compID func(*cell) any) (Result, error) {
 			continue
 		}
 		seen[id] = struct{}{}
-		if rec.core {
+		if rec.isCore() {
 			key := compID(rec.cell)
 			groups[key] = append(groups[key], id)
 			continue
@@ -295,7 +296,7 @@ func (b *base) groupBy(ids []PointID, compID func(*cell) any) (Result, error) {
 			if !ln.eps || ln.c.coreCount == 0 {
 				continue
 			}
-			if _, ok := ln.c.coreList.Probe(rec.pt); ok {
+			if _, ok := ln.c.coreList.Probe(rec.Pt); ok {
 				memberships[compID(ln.c)] = struct{}{}
 			}
 		}
@@ -324,7 +325,7 @@ func (b *base) clusterOf(id PointID, cid func(*cell) ClusterID) ([]ClusterID, bo
 	if !ok {
 		return nil, false
 	}
-	if rec.core {
+	if rec.isCore() {
 		return []ClusterID{cid(rec.cell)}, true
 	}
 	var out []ClusterID
@@ -336,7 +337,7 @@ func (b *base) clusterOf(id PointID, cid func(*cell) ClusterID) ([]ClusterID, bo
 		if !ln.eps || ln.c.coreCount == 0 {
 			continue
 		}
-		if _, ok := ln.c.coreList.Probe(rec.pt); ok {
+		if _, ok := ln.c.coreList.Probe(rec.Pt); ok {
 			out = append(out, cid(ln.c))
 		}
 	}

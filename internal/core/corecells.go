@@ -69,7 +69,7 @@ func (s *SemiDynamic) CoreCellCluster(coord grid.Coord) (ClusterID, bool) {
 // of them are directly density-reachable), making the id well-defined.
 func (ic *IncDBSCAN) cellClusterID(c *cell) ClusterID {
 	for _, p := range c.pts {
-		if p.core {
+		if p.isCore() {
 			return ic.stableIDOf(p)
 		}
 	}
@@ -103,7 +103,7 @@ func (b *base) PointAt(id PointID) (geom.Point, bool) {
 	if !ok {
 		return nil, false
 	}
-	return rec.pt, true
+	return rec.Pt, true
 }
 
 // ForEachPointNear invokes fn on every live point resident in a cell within
@@ -114,7 +114,7 @@ func (b *base) PointAt(id PointID) (geom.Point, bool) {
 func (b *base) ForEachPointNear(coord grid.Coord, r float64, fn func(PointID) bool) {
 	b.idx.QueryClose(coord, r, func(_ grid.Coord, c *cell) bool {
 		for _, rec := range c.pts {
-			if !fn(rec.id) {
+			if !fn(rec.ID) {
 				return false
 			}
 		}

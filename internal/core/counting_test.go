@@ -47,7 +47,7 @@ func checkIsCoreNowLegal(t *testing.T, d int, rho float64, minPts int) {
 	var live []PointID
 	point := func() geom.Point {
 		if len(live) > 0 && rng.Intn(5) == 0 {
-			return f.points[live[rng.Intn(len(live))]].pt.Clone() // exact duplicate
+			return f.points[live[rng.Intn(len(live))]].Pt.Clone() // exact duplicate
 		}
 		// Most points land within a third of a cell side of a center, so
 		// the center cells fill past countTreeAt; the rest spread over the
@@ -61,7 +61,7 @@ func checkIsCoreNowLegal(t *testing.T, d int, rho float64, minPts int) {
 	// brute returns |B(p,ε)| and |B(p,(1+ρ)ε)|.
 	brute := func(p geom.Point) (inEps, inUp int) {
 		for _, rec := range f.points {
-			dsq := geom.DistSq(p, rec.pt, d)
+			dsq := geom.DistSq(p, rec.Pt, d)
 			if dsq <= f.epsSq {
 				inEps++
 			}
@@ -112,7 +112,7 @@ func checkIsCoreNowLegal(t *testing.T, d int, rho float64, minPts int) {
 				for _, ln := range rec.cell.neighbors {
 					noteTree(ln.c) // the cells this count may have built in
 				}
-				inEps, inUp := brute(rec.pt)
+				inEps, inUp := brute(rec.Pt)
 				if got && inUp < minPts {
 					t.Fatalf("op %d: core but |B(p,(1+ρ)ε)| = %d < %d", op, inUp, minPts)
 				}
@@ -294,15 +294,15 @@ func TestAuditDetectsCountTreeCorruption(t *testing.T) {
 	})
 	t.Run("stale point", func(t *testing.T) {
 		f, c := large(t)
-		c.count.Delete(c.pts[0].pt)
-		c.count.Insert(c.pts[0].pt.Clone()) // same coordinates, not the cell's point
+		c.count.Delete(c.pts[0].Pt)
+		c.count.Insert(c.pts[0].Pt.Clone()) // same coordinates, not the cell's point
 		if err := f.Audit(); err == nil || !strings.Contains(err.Error(), "missing from its cell's counting subtree") {
 			t.Fatalf("audit missed a subtree holding a foreign point: %v", err)
 		}
 	})
 	t.Run("short", func(t *testing.T) {
 		f, c := large(t)
-		c.count.Delete(c.pts[3].pt)
+		c.count.Delete(c.pts[3].Pt)
 		if err := f.Audit(); err == nil || !strings.Contains(err.Error(), "counting subtree holds") {
 			t.Fatalf("audit missed a subtree short of a point: %v", err)
 		}
@@ -322,7 +322,7 @@ func TestAuditDetectsCountTreeCorruption(t *testing.T) {
 		lo, side := f.cellCube(small.coord)
 		small.count = quadtree.New(2, lo, side)
 		for _, p := range small.pts {
-			small.count.Insert(p.pt)
+			small.count.Insert(p.Pt)
 		}
 		if err := f.Audit(); err == nil || !strings.Contains(err.Error(), "kept its counting subtree") {
 			t.Fatalf("audit missed a subtree on a small cell: %v", err)

@@ -74,7 +74,7 @@ func (s *eventShadow) check(points map[PointID]*pointRec, idOf func(*pointRec) C
 	actual := map[ClusterID]bool{}
 	cores := 0
 	for id, rec := range points {
-		if !rec.core {
+		if !rec.isCore() {
 			if s.core[id] {
 				s.t.Fatalf("shadow thinks live point %d is core", id)
 			}

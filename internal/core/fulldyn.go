@@ -115,7 +115,7 @@ func (f *FullyDynamic) isCoreNow(rec *pointRec) bool {
 		return true // dense cell: |B(p,ε)| ≥ MinPts outright
 	}
 	for _, ln := range c.neighbors {
-		if ln.eps && f.countCell(ln.c, rec.pt, &acc) {
+		if ln.eps && f.countCell(ln.c, rec.Pt, &acc) {
 			return true
 		}
 	}
@@ -137,7 +137,7 @@ func (f *FullyDynamic) countCell(c *cell, q geom.Point, acc *int) bool {
 		if c.count == nil {
 			pts := make([]geom.Point, len(c.pts))
 			for i, p := range c.pts {
-				pts[i] = p.pt
+				pts[i] = p.Pt
 			}
 			lo, side := f.cellCube(c.coord)
 			c.count = quadtree.Build(f.cfg.Dims, lo, side, pts)
@@ -147,7 +147,7 @@ func (f *FullyDynamic) countCell(c *cell, q geom.Point, acc *int) bool {
 		for _, p := range c.pts {
 			// Counting up to (1+ρ)ε is legal on both sides of the band and
 			// reaches MinPts sooner.
-			if geom.DistSq(p.pt, q, f.cfg.Dims) <= f.rUpSq {
+			if geom.DistSq(p.Pt, q, f.cfg.Dims) <= f.rUpSq {
 				*acc++
 				if *acc >= f.cfg.MinPts {
 					return true
@@ -195,7 +195,7 @@ func (f *FullyDynamic) cubeDistSq(q geom.Point, coord grid.Coord) (minSq, maxSq 
 // it builds none (see countCell).
 func (f *FullyDynamic) countInsert(rec *pointRec) {
 	if c := rec.cell; c.count != nil {
-		c.count.Insert(rec.pt)
+		c.count.Insert(rec.Pt)
 	}
 }
 
@@ -208,7 +208,7 @@ func (f *FullyDynamic) countDelete(rec *pointRec) {
 	case len(c.pts)-1 <= countTreeAt/2:
 		c.count = nil
 	default:
-		c.count.Delete(rec.pt)
+		c.count.Delete(rec.Pt)
 	}
 }
 
@@ -240,7 +240,7 @@ func (f *FullyDynamic) insertRec(rec *pointRec) PointID {
 			if p == rec {
 				continue
 			}
-			if geom.DistSq(p.pt, rec.pt, f.cfg.Dims) > f.epsSq {
+			if geom.DistSq(p.Pt, rec.Pt, f.cfg.Dims) > f.epsSq {
 				continue
 			}
 			if f.isCoreNow(p) {
@@ -257,7 +257,7 @@ func (f *FullyDynamic) insertRec(rec *pointRec) PointID {
 	for _, p := range promote {
 		f.promote(p)
 	}
-	return rec.id
+	return rec.ID
 }
 
 // Delete removes a point in amortized Õ(1) time.
@@ -267,7 +267,7 @@ func (f *FullyDynamic) Delete(id PointID) error {
 		return ErrUnknownPoint
 	}
 	c := rec.cell
-	if rec.core {
+	if rec.isCore() {
 		f.retireCore(rec, true)
 	}
 	f.countDelete(rec)
@@ -282,10 +282,10 @@ func (f *FullyDynamic) Delete(id PointID) error {
 			return
 		}
 		for _, p := range c2.pts {
-			if !p.core {
+			if !p.isCore() {
 				continue
 			}
-			if geom.DistSq(p.pt, rec.pt, f.cfg.Dims) > f.rUpSq {
+			if geom.DistSq(p.Pt, rec.Pt, f.cfg.Dims) > f.rUpSq {
 				continue
 			}
 			if !f.isCoreNow(p) {
@@ -311,12 +311,12 @@ func (f *FullyDynamic) Delete(id PointID) error {
 // against all ε-close core cells are initialized.
 func (f *FullyDynamic) promote(p *pointRec) {
 	f.markCore(p)
-	f.fire(Event{Kind: EventPointBecameCore, Point: p.id})
+	f.fire(Event{Kind: EventPointBecameCore, Point: p.ID})
 	c := p.cell
 	if c.coreCount == 1 {
 		c.coreList = abcp.NewList(f.cfg.Dims, f.cfg.Eps, f.rUp)
 	}
-	p.coreNode = c.coreList.Append(p.id, p.pt)
+	c.coreList.Append(&p.Node)
 
 	if c.coreCount > 1 {
 		flips := f.flips[:0]
@@ -326,7 +326,7 @@ func (f *FullyDynamic) promote(p *pointRec) {
 				continue
 			}
 			inst := c.instances[ln.c]
-			inst.NotifyInsert(inst.SideOf(c.coreList), p.coreNode)
+			inst.NotifyInsert(inst.SideOf(c.coreList), &p.Node)
 			if inst.HasWitness() {
 				c.setIdle(i, false)
 				flips = append(flips, ln.c)
@@ -424,7 +424,7 @@ func (f *FullyDynamic) relabelComponent(c *cell, id ClusterID) {
 // only those can lose their edge, so only they get PostDelete once p is
 // unlinked. An instance left without a witness marks its links idle.
 func (f *FullyDynamic) retireCore(p *pointRec, deleted bool) {
-	c, n := p.cell, p.coreNode
+	c, n := p.cell, &p.Node
 	witnessed := f.flips[:0]
 	for other, inst := range c.instances {
 		inst.PreDelete(inst.SideOf(c.coreList), n)
@@ -448,10 +448,9 @@ func (f *FullyDynamic) retireCore(p *pointRec, deleted bool) {
 		}
 		f.disconnectCells(c, other)
 	}
-	p.coreNode = nil
 	f.markNonCore(p)
 	if !deleted {
-		f.fire(Event{Kind: EventPointBecameNoise, Point: p.id})
+		f.fire(Event{Kind: EventPointBecameNoise, Point: p.ID})
 	}
 	if c.coreCount == 0 {
 		f.unmakeCoreCell(c)

@@ -52,7 +52,7 @@ func NewIncDBSCAN(cfg Config) (*IncDBSCAN, error) {
 func (ic *IncDBSCAN) forEachWithin(q geom.Point, c *cell, fn func(*pointRec)) {
 	scan := func(c2 *cell) {
 		for _, p := range c2.pts {
-			if geom.DistSq(p.pt, q, ic.cfg.Dims) <= ic.epsSq {
+			if geom.DistSq(p.Pt, q, ic.cfg.Dims) <= ic.epsSq {
 				fn(p)
 			}
 		}
@@ -70,7 +70,7 @@ func (ic *IncDBSCAN) forEachWithin(q geom.Point, c *cell, fn func(*pointRec)) {
 func (ic *IncDBSCAN) coresWithin(q geom.Point, c *cell) []*pointRec {
 	var out []*pointRec
 	ic.forEachWithin(q, c, func(p *pointRec) {
-		if p.core {
+		if p.isCore() {
 			out = append(out, p)
 		}
 	})
@@ -91,13 +91,13 @@ func (ic *IncDBSCAN) Insert(pt geom.Point) (PointID, error) {
 func (ic *IncDBSCAN) insertRec(rec *pointRec) PointID {
 	rec.vincnt = 1 // itself
 	var promoted []*pointRec
-	ic.forEachWithin(rec.pt, rec.cell, func(p *pointRec) {
+	ic.forEachWithin(rec.Pt, rec.cell, func(p *pointRec) {
 		if p == rec {
 			return
 		}
 		p.vincnt++
 		rec.vincnt++
-		if !p.core && int(p.vincnt) >= ic.cfg.MinPts {
+		if !p.isCore() && int(p.vincnt) >= ic.cfg.MinPts {
 			promoted = append(promoted, p)
 		}
 	})
@@ -108,11 +108,11 @@ func (ic *IncDBSCAN) insertRec(rec *pointRec) PointID {
 	// assign ids and merge neighborhood clusters.
 	for _, p := range promoted {
 		ic.markCore(p)
-		ic.fire(Event{Kind: EventPointBecameCore, Point: p.id})
+		ic.fire(Event{Kind: EventPointBecameCore, Point: p.ID})
 	}
 	for _, p := range promoted {
 		p.clusterElem = int32(ic.clusters.Add())
-		for _, nb := range ic.coresWithin(p.pt, p.cell) {
+		for _, nb := range ic.coresWithin(p.Pt, p.cell) {
 			if nb != p && nb.clusterElem >= 0 {
 				ic.unionClusters(int(p.clusterElem), int(nb.clusterElem))
 			}
@@ -127,7 +127,7 @@ func (ic *IncDBSCAN) insertRec(rec *pointRec) PointID {
 		}
 		ic.rootCores[r]++
 	}
-	return rec.id
+	return rec.ID
 }
 
 // unionClusters merges two entries of the merging history, combining core
@@ -187,17 +187,17 @@ func (ic *IncDBSCAN) Delete(id PointID) error {
 
 	// Reverse the vicinity-count contributions of rec.
 	var demoted []*pointRec
-	ic.forEachWithin(rec.pt, c, func(p *pointRec) {
+	ic.forEachWithin(rec.Pt, c, func(p *pointRec) {
 		if p == rec {
 			return
 		}
 		p.vincnt--
-		if p.core && int(p.vincnt) < ic.cfg.MinPts {
+		if p.isCore() && int(p.vincnt) < ic.cfg.MinPts {
 			demoted = append(demoted, p)
 		}
 	})
 
-	wasCore := rec.core
+	wasCore := rec.isCore()
 	if wasCore {
 		c.coreCount--
 		ic.noteChange(c, c.coreCount == 0)
@@ -208,7 +208,7 @@ func (ic *IncDBSCAN) Delete(id PointID) error {
 		ic.dropCore(p)
 		ic.markNonCore(p)
 		p.clusterElem = -1
-		ic.fire(Event{Kind: EventPointBecameNoise, Point: p.id})
+		ic.fire(Event{Kind: EventPointBecameNoise, Point: p.ID})
 	}
 
 	// Seed points: the current core points adjacent (in the core graph) to
@@ -226,10 +226,10 @@ func (ic *IncDBSCAN) Delete(id PointID) error {
 		}
 	}
 	if wasCore {
-		addSeeds(ic.coresWithin(rec.pt, c))
+		addSeeds(ic.coresWithin(rec.Pt, c))
 	}
 	for _, p := range demoted {
-		addSeeds(ic.coresWithin(p.pt, p.cell))
+		addSeeds(ic.coresWithin(p.Pt, p.cell))
 	}
 	if len(c.pts) == 0 {
 		ic.destroyCell(c)
@@ -304,7 +304,7 @@ func (ic *IncDBSCAN) splitBFS(seeds []*pointRec) {
 			}
 			x := q[len(q)-1]
 			queues[threads.Find(r)] = q[:len(q)-1]
-			for _, nb := range ic.coresWithin(x.pt, x.cell) {
+			for _, nb := range ic.coresWithin(x.Pt, x.cell) {
 				if prev, seen := visited[nb]; seen {
 					merge(prev, visited[x])
 					continue
@@ -405,13 +405,13 @@ func (ic *IncDBSCAN) GroupBy(ids []PointID) (Result, error) {
 			continue
 		}
 		seen[id] = struct{}{}
-		if rec.core {
+		if rec.isCore() {
 			key := ic.stableIDOf(rec)
 			groups[key] = append(groups[key], id)
 			continue
 		}
 		memberships := make(map[ClusterID]struct{})
-		for _, nb := range ic.coresWithin(rec.pt, rec.cell) {
+		for _, nb := range ic.coresWithin(rec.Pt, rec.cell) {
 			memberships[ic.stableIDOf(nb)] = struct{}{}
 		}
 		if len(memberships) == 0 {
@@ -436,11 +436,11 @@ func (ic *IncDBSCAN) ClusterOf(id PointID) ([]ClusterID, bool) {
 	if !ok {
 		return nil, false
 	}
-	if rec.core {
+	if rec.isCore() {
 		return []ClusterID{ic.stableIDOf(rec)}, true
 	}
 	var out []ClusterID
-	for _, nb := range ic.coresWithin(rec.pt, rec.cell) {
+	for _, nb := range ic.coresWithin(rec.Pt, rec.cell) {
 		out = append(out, ic.stableIDOf(nb))
 	}
 	return dedupClusterIDs(out), true

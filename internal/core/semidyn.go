@@ -72,12 +72,12 @@ func (s *SemiDynamic) insertRec(rec *pointRec) PointID {
 		if len(c.nonCore) == 0 {
 			return
 		}
-		wholeCell := s.geo.MaxDistSqPointCell(rec.pt, c.coord) <= s.epsSq
+		wholeCell := s.geo.MaxDistSqPointCell(rec.Pt, c.coord) <= s.epsSq
 		for _, p := range c.nonCore {
 			if p == rec {
 				continue
 			}
-			if wholeCell || geom.DistSq(p.pt, rec.pt, s.cfg.Dims) <= s.epsSq {
+			if wholeCell || geom.DistSq(p.Pt, rec.Pt, s.cfg.Dims) <= s.epsSq {
 				p.vincnt++
 				if int(p.vincnt) >= s.cfg.MinPts {
 					promoted = append(promoted, p)
@@ -95,10 +95,10 @@ func (s *SemiDynamic) insertRec(rec *pointRec) PointID {
 	for _, p := range promoted {
 		s.promote(p)
 	}
-	return rec.id
+	return rec.ID
 }
 
-// exactBallCount returns |B(rec.pt, ε)| including rec itself, scanning the
+// exactBallCount returns |B(rec.Pt, ε)| including rec itself, scanning the
 // ε-close cells (only reached while rec's cell is sparse). Cells lying
 // entirely inside the ball contribute their population wholesale — at large
 // ε most neighbors do, which keeps the scan constant flat across the ε grid
@@ -106,12 +106,12 @@ func (s *SemiDynamic) insertRec(rec *pointRec) PointID {
 func (s *SemiDynamic) exactBallCount(rec *pointRec) int {
 	count := 0
 	tally := func(c *cell) {
-		if s.geo.MaxDistSqPointCell(rec.pt, c.coord) <= s.epsSq {
+		if s.geo.MaxDistSqPointCell(rec.Pt, c.coord) <= s.epsSq {
 			count += len(c.pts)
 			return
 		}
 		for _, p := range c.pts {
-			if geom.DistSq(p.pt, rec.pt, s.cfg.Dims) <= s.epsSq {
+			if geom.DistSq(p.Pt, rec.Pt, s.cfg.Dims) <= s.epsSq {
 				count++
 			}
 		}
@@ -130,7 +130,7 @@ func (s *SemiDynamic) exactBallCount(rec *pointRec) int {
 // probes against the ε-close core cells.
 func (s *SemiDynamic) promote(p *pointRec) {
 	s.markCore(p)
-	s.fire(Event{Kind: EventPointBecameCore, Point: p.id})
+	s.fire(Event{Kind: EventPointBecameCore, Point: p.ID})
 	c := p.cell
 	if c.coreCount == 1 {
 		c.coreList = abcp.NewList(s.cfg.Dims, s.cfg.Eps, s.rUp)
@@ -139,7 +139,7 @@ func (s *SemiDynamic) promote(p *pointRec) {
 		s.rootCluster[uf] = s.newClusterID()
 		s.fire(Event{Kind: EventClusterFormed, Cluster: s.rootCluster[uf]})
 	}
-	p.coreNode = c.coreList.Append(p.id, p.pt)
+	c.coreList.Append(&p.Node)
 	for _, ln := range c.neighbors {
 		nc := ln.c
 		if !ln.eps || nc.coreCount == 0 {
@@ -148,7 +148,7 @@ func (s *SemiDynamic) promote(p *pointRec) {
 		if _, dup := c.edges[nc]; dup {
 			continue
 		}
-		if _, ok := nc.coreList.Probe(p.pt); ok {
+		if _, ok := nc.coreList.Probe(p.Pt); ok {
 			put(&c.edges, nc, struct{}{})
 			put(&nc.edges, c, struct{}{})
 			s.unionClusters(int(c.vertexID), int(nc.vertexID))

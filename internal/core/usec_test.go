@@ -225,7 +225,7 @@ func TestUSECLSDummyNeverCore(t *testing.T) {
 	p, _ := f.Insert(geom.Point{5, 0})
 	d, _ := f.Insert(geom.Point{6, 0})
 	rec := f.points[d]
-	if rec.core {
+	if rec.isCore() {
 		t.Fatal("dummy point must not be core: its ball holds only 2 points")
 	}
 	res, _ := f.GroupBy([]PointID{p, d})

@@ -28,6 +28,13 @@ func randPt(rng *rand.Rand, d int, scale float64) geom.Point {
 	return p
 }
 
+// appendPt links a fresh node for p into l and returns it.
+func appendPt(l *abcp.List, id int64, p geom.Point) *abcp.Node {
+	n := &abcp.Node{ID: id, Pt: p}
+	l.Append(n)
+	return n
+}
+
 // anyWithin reports whether some point of pts lies within r of q.
 func anyWithin(pts map[*abcp.Node]geom.Point, q geom.Point, d int, r float64) bool {
 	for _, p := range pts {
@@ -55,7 +62,7 @@ func TestProbeContract(t *testing.T) {
 					switch r := rng.Float64(); {
 					case r < 0.5:
 						p := randPt(rng, d, 30)
-						live[l.Append(int64(op), p)] = p
+						live[appendPt(l, int64(op), p)] = p
 					case r < 0.7 && len(live) > 0:
 						for n := range live {
 							l.Remove(n)
@@ -94,7 +101,7 @@ func TestProbeExactWhenRhoZero(t *testing.T) {
 	live := make(map[*abcp.Node]geom.Point)
 	for i := int64(0); i < 500; i++ {
 		p := randPt(rng, 2, 20)
-		live[l.Append(i, p)] = p
+		live[appendPt(l, i, p)] = p
 	}
 	for i := 0; i < 2000; i++ {
 		q := randPt(rng, 2, 25)
@@ -110,7 +117,7 @@ func TestEmptyAndSingleton(t *testing.T) {
 	if _, ok := l.Probe(geom.Point{0, 0, 0}); ok {
 		t.Fatal("probe on an empty list must fail")
 	}
-	n := l.Append(1, geom.Point{0.5, 0.5, 0.5})
+	n := appendPt(l, 1, geom.Point{0.5, 0.5, 0.5})
 	if got, ok := l.Probe(geom.Point{0, 0, 0}); !ok || got != n {
 		t.Fatalf("singleton probe = %v %v", got, ok)
 	}
@@ -131,13 +138,13 @@ func TestCoincidentPoints(t *testing.T) {
 	same := geom.Point{1, 2, 3}
 	var nodes []*abcp.Node
 	for i := int64(0); i < 500; i++ {
-		nodes = append(nodes, l.Append(i, same))
+		nodes = append(nodes, appendPt(l, i, same))
 	}
 	for _, n := range nodes[:400] {
 		l.Remove(n)
 	}
 	for i := int64(500); i < 600; i++ {
-		l.Append(i, geom.Point{float64(i), 0, 0})
+		appendPt(l, i, geom.Point{float64(i), 0, 0})
 	}
 	if err := l.Validate(); err != nil {
 		t.Fatal(err)
@@ -159,12 +166,12 @@ func TestDegenerateInsertionOrders(t *testing.T) {
 	id := int64(0)
 	for i := 0; i < 500; i++ {
 		p := geom.Point{float64(i), float64(i)}
-		live[l.Append(id, p)] = p
+		live[appendPt(l, id, p)] = p
 		id++
 	}
 	for i := 0; i < 300; i++ {
 		p := geom.Point{100 + float64(i)*1e-9, 100.5}
-		live[l.Append(id, p)] = p
+		live[appendPt(l, id, p)] = p
 		id++
 	}
 	rng := rand.New(rand.NewSource(7))
@@ -215,7 +222,7 @@ func TestQuickProbeSound(t *testing.T) {
 		live := make(map[*abcp.Node]geom.Point)
 		for i := 0; i+1 < len(coords); i += 2 {
 			p := geom.Point{fold(coords[i]), fold(coords[i+1])}
-			n := l.Append(int64(i/2), p)
+			n := appendPt(l, int64(i/2), p)
 			nodes = append(nodes, n)
 			live[n] = p
 		}
